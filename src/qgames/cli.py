@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
@@ -73,7 +73,7 @@ def parse_angle(value, field: str = "angle") -> float:
     if isinstance(value, bool):
         raise ConfigError(f"{field}: expected a number or pi-fraction, got {value!r}")
     if isinstance(value, (int, float)):
-        v = float(value)
+        v = _convert(float, value, field)
         if not math.isfinite(v):
             raise ConfigError(f"{field}: must be finite, got {value!r}")
         return v
@@ -137,13 +137,35 @@ def parse_strategy(spec, mode: EntanglerMode, field: str = "strategy"
                 gate = parse_strategy(inner, mode, field=f"{field}:mixed")
                 if isinstance(gate, MixedQuantumStrategy):
                     raise ConfigError(f"{field}: nested mixed strategies are not supported")
-                support.append((float(weight), gate))
+                support.append((_convert(float, weight, f"{field}:mixed weight"), gate))
             try:
                 return MixedQuantumStrategy(support, max_support=len(support))
             except ValidationError as exc:
                 raise ConfigError(f"{field}: {exc}") from exc
         raise ConfigError(f"{field}: unknown strategy spec {spec!r}")
     raise ConfigError(f"{field}: expected a strategy string, got {type(spec).__name__}")
+
+
+def _convert(kind, value, field: str):
+    """kind(value), with a failed conversion reported as a ConfigError."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{field}: cannot read {value!r} as {kind.__name__}") from None
+
+
+def _object(value, where: str) -> dict:
+    """value, checked to be a JSON object."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}: expected a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _choice(names: dict, value, field: str):
+    """names[value] for a known name string."""
+    if not isinstance(value, str) or value not in names:
+        raise ConfigError(f"{field}: unknown value {value!r}; expected one of {sorted(names)}")
+    return names[value]
 
 
 def _require_keys(section: dict, allowed: set, where: str) -> None:
@@ -169,7 +191,7 @@ def _parse_game(source) -> Bimatrix:
                 row_labels=tuple(source.get("row_labels", ("C", "D"))),
                 col_labels=tuple(source.get("col_labels", ("C", "D"))),
             )
-        except (ValidationError, TypeError, ValueError) as exc:
+        except (ValidationError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"game: {exc}") from exc
     raise ConfigError("game: expected a name ('pd'/'hft') or an inline payoff table")
 
@@ -182,34 +204,25 @@ _AGENT_NAMES = {a.value: a for a in AgentKind}
 
 def _parse_noise(section: dict) -> NoiseSpec:
     _require_keys(section, {"kind", "p", "location"}, "noise")
-    kind_txt = section.get("kind", "none")
-    if kind_txt not in _NOISE_NAMES:
-        raise ConfigError(f"noise.kind: unknown kind {kind_txt!r}; "
-                          f"expected one of {sorted(_NOISE_NAMES)}")
-    location_txt = section.get("location", "return")
-    if location_txt not in _LOCATION_NAMES:
-        raise ConfigError(f"noise.location: unknown location {location_txt!r}")
+    kind = _choice(_NOISE_NAMES, section.get("kind", "none"), "noise.kind")
+    location = _choice(_LOCATION_NAMES, section.get("location", "return"), "noise.location")
     try:
-        return NoiseSpec(kind=_NOISE_NAMES[kind_txt], p=float(section.get("p", 0.0)),
-                         location=_LOCATION_NAMES[location_txt])
-    except (ValidationError, TypeError, ValueError) as exc:
+        return NoiseSpec(kind=kind, p=float(section.get("p", 0.0)), location=location)
+    except (ValidationError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"noise: {exc}") from exc
 
 
 def _parse_search(section: dict) -> tuple:
-    _require_keys(section, {"grid_resolution", "refine_iters", "eps_nash", "seed", "space"},
-                  "search")
+    _require_keys(section, {"grid_resolution", "eps_nash", "space"}, "search")
     space = section.get("space", "A")
     if space not in ("A", "B"):
         raise ConfigError(f"search.space: expected 'A' or 'B', got {space!r}")
     try:
         cfg = SearchConfig(
             grid_resolution=int(section.get("grid_resolution", 64)),
-            refine_iters=int(section.get("refine_iters", 200)),
             eps_nash=float(section.get("eps_nash", 1e-6)),
-            seed=int(section.get("seed", 0)),
         )
-    except (ValidationError, TypeError, ValueError) as exc:
+    except (ValidationError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"search: {exc}") from exc
     return cfg, space
 
@@ -217,11 +230,10 @@ def _parse_search(section: dict) -> tuple:
 _AGENT_KEYS = {"kind", "menu", "epsilon", "learning_rate", "trigger_threshold"}
 
 
-def _parse_agent(section: dict, mode: EntanglerMode, where: str) -> tuple:
-    _require_keys(section, _AGENT_KEYS, where)
+def _parse_agent(section, mode: EntanglerMode, where: str) -> tuple:
+    _require_keys(_object(section, where), _AGENT_KEYS, where)
     kind_txt = section.get("kind", "epsilon_greedy_bandit")
-    if kind_txt not in _AGENT_NAMES:
-        raise ConfigError(f"{where}.kind: unknown agent kind {kind_txt!r}")
+    kind = _choice(_AGENT_NAMES, kind_txt, f"{where}.kind")
     menu_specs = section.get("menu", ["C", "D", "Q"])
     if not isinstance(menu_specs, list) or not menu_specs:
         raise ConfigError(f"{where}.menu: expected a nonempty list of strategy strings")
@@ -234,21 +246,23 @@ def _parse_agent(section: dict, mode: EntanglerMode, where: str) -> tuple:
     normalized = {
         "kind": kind_txt,
         "menu": [str(e).strip() for e in menu_specs],
-        "epsilon": float(section.get("epsilon", 0.1)),
-        "learning_rate": float(section.get("learning_rate", 0.1)),
-        "trigger_threshold": float(section.get("trigger_threshold", 0.5)),
+        "epsilon": _convert(float, section.get("epsilon", 0.1), f"{where}.epsilon"),
+        "learning_rate": _convert(float, section.get("learning_rate", 0.1),
+                                  f"{where}.learning_rate"),
+        "trigger_threshold": _convert(float, section.get("trigger_threshold", 0.5),
+                                      f"{where}.trigger_threshold"),
     }
     try:
-        spec = AgentSpec(kind=_AGENT_NAMES[kind_txt], menu=tuple(menu),
+        spec = AgentSpec(kind=kind, menu=tuple(menu),
                          epsilon=normalized["epsilon"],
                          learning_rate=normalized["learning_rate"],
                          trigger_threshold=normalized["trigger_threshold"])
-    except (ValidationError, TypeError, ValueError) as exc:
+    except (ValidationError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
     return spec, normalized
 
 
-@dataclass(eq=False)
+@dataclasses.dataclass(eq=False)
 class RunConfig:
     game: Bimatrix
     game_source: Union[str, dict]
@@ -294,11 +308,8 @@ def parse_config(text: str) -> RunConfig:
     except QGamesError as exc:
         raise ConfigError(f"gamma: {exc}") from exc
 
-    mode_txt = raw.get("entangler_mode", EntanglerMode.DEFECT.value)
-    if mode_txt not in _MODE_NAMES:
-        raise ConfigError(f"entangler_mode: unknown mode {mode_txt!r}; "
-                          f"expected one of {sorted(_MODE_NAMES)}")
-    mode = _MODE_NAMES[mode_txt]
+    mode = _choice(_MODE_NAMES, raw.get("entangler_mode", EntanglerMode.DEFECT.value),
+                   "entangler_mode")
 
     player_specs = raw.get("players", ["C", "C"])
     if not (isinstance(player_specs, list) and len(player_specs) == 2):
@@ -307,10 +318,10 @@ def parse_config(text: str) -> RunConfig:
     players = tuple(parse_strategy(s, mode, field=f"players[{k}]")
                     for k, s in enumerate(player_specs))
 
-    noise = _parse_noise(raw.get("noise", {}))
-    search_cfg, search_space = _parse_search(raw.get("search", {}))
+    noise = _parse_noise(_object(raw.get("noise", {}), "noise"))
+    search_cfg, search_space = _parse_search(_object(raw.get("search", {}), "search"))
 
-    tsec = raw.get("tournament", {})
+    tsec = _object(raw.get("tournament", {}), "tournament")
     _require_keys(tsec, _TOURNAMENT_KEYS, "tournament")
     experiment = tsec.get("experiment")
     if experiment not in (None, "menu_advantage"):
@@ -327,12 +338,12 @@ def parse_config(text: str) -> RunConfig:
             seed=int(tsec.get("seed", 0)),
             sampled_outcomes=bool(tsec.get("sampled_outcomes", False)),
         )
-    except (QGamesError, TypeError, ValueError) as exc:
+    except (QGamesError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"tournament: {exc}") from exc
 
-    ssec = raw.get("sweep", {})
+    ssec = _object(raw.get("sweep", {}), "sweep")
     _require_keys(ssec, {"steps"}, "sweep")
-    sweep_steps = int(ssec.get("steps", 50))
+    sweep_steps = _convert(int, ssec.get("steps", 50), "sweep.steps")
     if sweep_steps < 2:
         raise ConfigError(f"sweep.steps: must be >= 2, got {sweep_steps}")
 
@@ -377,9 +388,7 @@ def serialize_config(cfg: RunConfig) -> dict:
         "noise": {"kind": cfg.noise.kind.value, "p": cfg.noise.p,
                   "location": cfg.noise.location.value},
         "search": {"grid_resolution": cfg.search.grid_resolution,
-                   "refine_iters": cfg.search.refine_iters,
-                   "eps_nash": cfg.search.eps_nash, "seed": cfg.search.seed,
-                   "space": cfg.search_space},
+                   "eps_nash": cfg.search.eps_nash, "space": cfg.search_space},
         "tournament": {"rounds": cfg.tournament.rounds, "seed": cfg.tournament.seed,
                        "sampled_outcomes": cfg.tournament.sampled_outcomes,
                        "experiment": cfg.experiment,
@@ -741,7 +750,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("csv", "json"), default=None,
                         help="data file format (default csv; json embeds rows in the summary)")
     parser.add_argument("--seed", type=int, default=None,
-                        help="override the search and tournament seeds")
+                        help="override the tournament seed")
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
     return parser
 
@@ -762,14 +771,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if args.seed is not None:
-        cfg.search = SearchConfig(
-            grid_resolution=cfg.search.grid_resolution,
-            refine_iters=cfg.search.refine_iters,
-            eps_nash=cfg.search.eps_nash, seed=args.seed)
-        cfg.tournament = TournamentConfig(
-            rounds=cfg.tournament.rounds, gamma=cfg.tournament.gamma,
-            mode=cfg.tournament.mode, noise=cfg.tournament.noise,
-            seed=args.seed, sampled_outcomes=cfg.tournament.sampled_outcomes)
+        cfg.tournament = dataclasses.replace(cfg.tournament, seed=args.seed)
     return dispatch(args.command, cfg, out_dir=args.out, fmt=args.format, quiet=args.quiet)
 
 

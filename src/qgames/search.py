@@ -1,12 +1,12 @@
 """Numerical equilibrium analysis over the quantum strategy spaces.
 
-Best responses are located by a dense grid scan followed by
-Nelder-Mead refinement from the best grid cells; results are
-deterministic for a fixed SearchConfig (nothing random is drawn), and
-equal-payoff ties resolve to the lexicographically smallest parameter
-tuple.  The finite-menu mixed-equilibrium solver runs best-response
-dynamics on the induced bimatrix and falls back to support enumeration
-over the strategies visited in a cycle.
+Best responses are exact: a set-B gate is a unit quaternion x, with
+U = x0*I + i*(x1*sx + x2*sy + x3*sz), and the responder's payoff is a
+real quadratic form x^T M x, maximised by an eigenvector (set A, the
+octant {x1 = 0; x0, x2, x3 >= 0}, by one of a principal submatrix).
+The finite-menu mixed-equilibrium solver runs best-response dynamics on
+the induced bimatrix and falls back to support enumeration over the
+strategies visited in a cycle.
 """
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ from enum import Enum
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import ConvergenceError, RangeError, ValidationError
 from .ewl import (
@@ -28,12 +27,10 @@ from .ewl import (
     strategy_matrix,
 )
 from .games import Bimatrix
-from .qcore import EntanglerMode, Gate1Q, PureState2Q, clamp_gamma, entangler
+from .qcore import (I2, SIGMA_X, SIGMA_Y, SIGMA_Z, EntanglerMode, Gate1Q, PureState2Q,
+                    clamp_gamma, entangler)
 
 _TIE_TOL = 1e-10
-_REFINE_XATOL = 1e-8
-_REFINE_FATOL = 1e-10
-_N_STARTS = 6
 
 
 class Player(Enum):
@@ -43,24 +40,17 @@ class Player(Enum):
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs for grid search and refinement.
-
-    seed is carried for report reproducibility; the built-in search
-    paths are deterministic and draw no randomness themselves.
-    """
+    """Grid points per axis (landscapes, candidate grids) and the
+    epsilon-Nash tolerance; best responses are exact and use no grid."""
 
     grid_resolution: int = 64
-    refine_iters: int = 200
     eps_nash: float = 1e-6
-    seed: int = 0
 
     def __post_init__(self):
         if self.grid_resolution < 2:
             raise RangeError(f"grid_resolution must be >= 2, got {self.grid_resolution}")
         if self.eps_nash <= 0:
             raise RangeError(f"eps_nash must be positive, got {self.eps_nash}")
-        if self.refine_iters < 0:
-            raise RangeError(f"refine_iters must be >= 0, got {self.refine_iters}")
 
 
 @dataclass(frozen=True)
@@ -75,6 +65,15 @@ class BestResponse:
 _SPACE_BOUNDS = {
     "A": ((0.0, np.pi / 2), (0.0, np.pi / 2)),
     "B": ((0.0, np.pi / 2), (-np.pi, np.pi), (-np.pi, np.pi)),
+}
+
+# U = sum_k x_k B_k, so U00 = x0 + i*x3 and U01 = x2 + i*x1.
+_QUATERNION_BASIS = np.stack([I2, 1j * SIGMA_X, 1j * SIGMA_Y, 1j * SIGMA_Z])
+
+# Supports searched for the maximiser: R^4, or each face of the set-A octant.
+_SUPPORTS = {
+    "A": [list(s) for k in (1, 2, 3) for s in itertools.combinations((0, 2, 3), k)],
+    "B": [[0, 1, 2, 3]],
 }
 
 
@@ -94,12 +93,14 @@ def _space_matrices(space: str, params: np.ndarray) -> np.ndarray:
     return u
 
 
-def _make_evaluator(game: Bimatrix, gamma: float, mode: EntanglerMode,
-                    opponent: Gate1Q, responder: Player, space: str):
-    """Build a fast batch payoff function for one search context.
+def _fold_circuit(game: Bimatrix, gamma: float, mode: EntanglerMode,
+                  opponent: Gate1Q, responder: Player):
+    """Fold one search context into (amplitudes, payvec).
 
-    The entangled input J|00> is reshaped to a 2x2 amplitude matrix M;
-    (U1 x U2)|psi> is then U1 @ M @ U2^T, so one side can be folded
+    amplitudes maps a stack of the responder's 2x2 gates to the stack of
+    final outcome amplitudes; |amplitudes|^2 @ payvec are the payoffs.
+    The entangled input J|00> is reshaped to a 2x2 amplitude matrix m0;
+    (U1 x U2)|psi> is then U1 @ m0 @ U2^T, so the opponent's side folds
     into a constant and the batch reduces to stacked 2x2 products.
     Cross-checked against run_protocol in the test suite.
     """
@@ -112,24 +113,22 @@ def _make_evaluator(game: Bimatrix, gamma: float, mode: EntanglerMode,
     if responder == Player.I:
         right = m0 @ v.T
 
-        def evaluate(params: np.ndarray) -> np.ndarray:
-            psi = _space_matrices(space, params) @ right
-            return (np.abs(psi.reshape(-1, 4) @ jd) ** 2) @ payvec
+        def amplitudes(u: np.ndarray) -> np.ndarray:
+            return (u @ right).reshape(-1, 4) @ jd
     else:
         left = v @ m0
 
-        def evaluate(params: np.ndarray) -> np.ndarray:
-            u = _space_matrices(space, params)
-            psi = left[None, :, :] @ np.swapaxes(u, 1, 2)
-            return (np.abs(psi.reshape(-1, 4) @ jd) ** 2) @ payvec
-    return evaluate
+        def amplitudes(u: np.ndarray) -> np.ndarray:
+            return (left @ np.swapaxes(u, 1, 2)).reshape(-1, 4) @ jd
+    return amplitudes, payvec
 
 
 def _batch_payoffs(game: Bimatrix, gamma: float, mode: EntanglerMode,
                    opponent: Gate1Q, responder: Player,
                    space: str, params: np.ndarray) -> np.ndarray:
     """Responder payoffs for a batch of own-strategy parameters."""
-    return _make_evaluator(game, gamma, mode, opponent, responder, space)(params)
+    amplitudes, payvec = _fold_circuit(game, gamma, mode, opponent, responder)
+    return (np.abs(amplitudes(_space_matrices(space, params))) ** 2) @ payvec
 
 
 def _responder_payoff(game, gamma, mode, opponent, responder, gate: Gate1Q) -> float:
@@ -142,48 +141,45 @@ def _grid_axes(space: str, resolution: int):
     return [np.linspace(lo, hi, resolution) for lo, hi in _SPACE_BOUNDS[space]]
 
 
-def _params_obj(space: str, x: np.ndarray):
+def _payoff_form(game, gamma, mode, opponent, responder) -> np.ndarray:
+    """M[k,l] = Re sum_o pay_o conj(psi_k,o) psi_l,o, where psi_k are the
+    outcome amplitudes of basis gate B_k: the payoff of U = sum_k x_k B_k
+    is x^T M x."""
+    amplitudes, payvec = _fold_circuit(game, gamma, mode, opponent, responder)
+    psi = amplitudes(_QUATERNION_BASIS)
+    return ((psi.conj() * payvec) @ psi.T).real
+
+
+def _exact_optimum(m: np.ndarray, space: str) -> np.ndarray:
+    """Unit 4-vector maximising x^T m x over the space.
+
+    A maximiser with support S is an eigenvector of m[S, S]; if that
+    eigenspace is degenerate it also meets a lower face, so the values
+    found cover it.  Signs are flipped to make the largest entry
+    positive; set-A candidates are then clipped to the octant, which
+    keeps nonnegative eigenvectors and makes the rest feasible.
+    """
+    blocks = []
+    for s in _SUPPORTS[space]:
+        _, vecs = np.linalg.eigh(m[np.ix_(s, s)])
+        x = np.zeros((len(s), 4))
+        x[:, s] = vecs.T
+        blocks.append(x)
+    x = np.concatenate(blocks)
+    lead = x[np.arange(len(x)), np.argmax(np.abs(x), axis=1)]
+    x *= np.sign(lead)[:, None]
     if space == "A":
-        return StrategyParamsA(theta=float(x[0]), phi=float(x[1]))
-    return StrategyParamsB(theta=float(x[0]), alpha=float(x[1]), beta=float(x[2]))
+        x = np.clip(x, 0.0, None)
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+    values = np.einsum("ni,ij,nj->n", x, m, x)
+    return x[int(np.argmax(values))] + 0.0  # normalize -0.0
 
 
-def _search_space(game, gamma, mode, opponent, responder, space: str,
-                  cfg: SearchConfig, extra_starts=()):
-    """Grid scan + Nelder-Mead polish; returns (params_array, payoff)."""
-    evaluate = _make_evaluator(game, gamma, mode, opponent, responder, space)
-    axes = _grid_axes(space, cfg.grid_resolution)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    vals = evaluate(pts)
-
-    order = np.argsort(-vals, kind="stable")[:_N_STARTS]
-    candidates = [(pts[k], float(vals[k])) for k in order]
-
-    bounds = _SPACE_BOUNDS[space]
-
-    def neg_payoff(x):
-        return -float(evaluate(np.asarray(x, dtype=float)[None, :])[0])
-
-    starts = [pts[k] for k in order] + [np.asarray(s, dtype=float) for s in extra_starts]
-    if cfg.refine_iters > 0:
-        for x0 in starts:
-            res = minimize(neg_payoff, x0, method="Nelder-Mead", bounds=bounds,
-                           options={"maxiter": cfg.refine_iters,
-                                    "xatol": _REFINE_XATOL, "fatol": _REFINE_FATOL})
-            candidates.append((np.clip(res.x, [b[0] for b in bounds], [b[1] for b in bounds]),
-                               float(-res.fun)))
-    for s in extra_starts:
-        x = np.asarray(s, dtype=float)
-        candidates.append((x, -neg_payoff(x)))
-
-    best_x, best_v = None, -np.inf
-    for x, v in candidates:
-        if v > best_v + _TIE_TOL:
-            best_x, best_v = x, v
-        elif abs(v - best_v) <= _TIE_TOL and tuple(x) < tuple(best_x):
-            best_x = x
-    return best_x, best_v
+def _angles(x: np.ndarray) -> tuple:
+    """(theta, alpha, beta) of U00 = x0 + i*x3 = e^{i alpha} cos(theta),
+    U01 = x2 + i*x1 = e^{i beta} sin(theta)."""
+    theta = float(np.arctan2(np.hypot(x[2], x[1]), np.hypot(x[0], x[3])))
+    return theta, float(np.arctan2(x[3], x[0])), float(np.arctan2(x[1], x[2]))
 
 
 def best_response(game: Bimatrix, gamma: float, mode: EntanglerMode,
@@ -193,23 +189,24 @@ def best_response(game: Bimatrix, gamma: float, mode: EntanglerMode,
     """Best reply of one player against a fixed opponent gate.
 
     space is "A", "B", or an explicit finite menu of gates.  For the
-    parametric spaces, the space-B search additionally refines from the
-    space-A optimum embedded at beta=0, so the B payoff never falls
-    below the A payoff.  improvement is relative to the optional
-    incumbent gate and clamped at zero.
+    parametric spaces the optimum is exact (an eigenproblem, see the
+    module docstring), so the B payoff never falls below the A payoff.
+    improvement is relative to the optional incumbent gate and clamped
+    at zero.
     """
     gamma = clamp_gamma(gamma)
     if isinstance(space, str):
         if space not in _SPACE_BOUNDS:
             raise ValidationError(f"space must be 'A', 'B', or a gate menu, got {space!r}")
-        extra = []
-        if space == "B":
-            inner = best_response(game, gamma, mode, opponent_gate, responder, "A", cfg)
-            extra.append((inner.params.theta, inner.params.phi, 0.0))
-        x, payoff = _search_space(game, gamma, mode, opponent_gate, responder,
-                                  space, cfg, extra_starts=extra)
-        params = _params_obj(space, x)
-        gate = Gate1Q(strategy_matrix(x[0], x[1], 0.0 if space == "A" else x[2]))
+        m = _payoff_form(game, gamma, mode, opponent_gate, responder)
+        x = _exact_optimum(m, space)
+        payoff = float(x @ m @ x)
+        theta, alpha, beta = _angles(x)
+        if space == "A":
+            params = StrategyParamsA(theta=theta, phi=alpha)
+        else:
+            params = StrategyParamsB(theta=theta, alpha=alpha, beta=beta)
+        gate = Gate1Q(strategy_matrix(theta, alpha, beta))
     else:
         menu = list(space)
         if not menu:

@@ -280,6 +280,23 @@ class TestExitCodes:
         cfgfile.write_text('{"gamma": 4.0}')
         assert run_main(["payoff", "--config", str(cfgfile), "--quiet"]) == 2
 
+    @pytest.mark.parametrize("config", [
+        {"sweep": {"steps": "abc"}},
+        {"players": ['mixed:[["x","C"],[0.5,"Q"]]', "C"]},
+        {"noise": 5},
+        {"tournament": {"agents": [{"epsilon": "x"}, {}]}},
+        {"tournament": []},
+        {"sweep": 3},
+        {"search": {"refine_iters": 200}},  # removed key
+        {"search": {"seed": 0}},  # removed key
+    ])
+    def test_malformed_config_is_2(self, tmp_path, capsys, config):
+        cfgfile = tmp_path / "bad.json"
+        cfgfile.write_text(json.dumps(config))
+        assert run_main(["payoff", "--config", str(cfgfile), "--out",
+                         str(tmp_path / "out"), "--quiet"]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_missing_config_file_is_4(self, tmp_path):
         assert run_main(["payoff", "--config", str(tmp_path / "nope.json"),
                          "--quiet"]) == 4
@@ -315,6 +332,15 @@ class TestExitCodes:
 
 
 class TestConsoleScript:
+    def test_cli_import_loads_no_scipy(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, qgames.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_entry_point_runs(self, tmp_path):
         cfgfile = tmp_path / "run.json"
         cfgfile.write_text('{"game": "pd", "gamma": "pi/2", "players": ["Q", "Q"]}')

@@ -24,7 +24,7 @@ from qgames.noise import symmetric_equilibrium_gate
 
 PD = canonical_pd()
 MODES = list(EntanglerMode)
-SEARCH = SearchConfig(grid_resolution=16, refine_iters=120, eps_nash=1e-6, seed=0)
+SEARCH = SearchConfig(grid_resolution=16, eps_nash=1e-6)
 
 
 def random_density(rng):
