@@ -43,6 +43,7 @@ from .ewl import (
     canonical_gates,
     gate_from_A,
     gate_from_B,
+    outcome_amplitudes,
     run_protocol,
     run_protocol_mixed,
 )
@@ -66,6 +67,7 @@ from .noise import (
     advantage_threshold,
     apply_noise,
     gamma_sweep,
+    noisy_outcome_probs,
     run_protocol_noisy,
 )
 from .hft import (

@@ -33,9 +33,7 @@ from .ewl import (
     canonical_gates,
     gate_from_A,
     gate_from_B,
-    payoffs_from_distribution,
     run_protocol,
-    run_protocol_mixed,
 )
 from .games import (
     Bimatrix,
@@ -50,7 +48,7 @@ from .games import (
 )
 from .hft import AgentKind, AgentSpec, NamedGate, TournamentConfig
 from .noise import ChannelLocation, NoiseKind, NoiseSpec
-from .qcore import EntanglerMode, Gate1Q, OutcomeDistribution, clamp_gamma
+from .qcore import EntanglerMode, Gate1Q, clamp_gamma
 from .search import Player, SearchConfig
 
 ENV_OUT_DIR = "QGAMES_OUT"
@@ -448,21 +446,16 @@ def _pure_gates(cfg: RunConfig, command: str) -> tuple:
     return tuple(gates)
 
 
-def _profile_distribution(cfg: RunConfig):
+def _profile_distribution(cfg: RunConfig) -> ProtocolResult:
     """Distribution/payoffs for the configured profile, handling noise
-    and mixtures uniformly (mixtures average exactly)."""
+    and mixtures uniformly: one noisy table over both supports (a pure
+    strategy is a point mass), averaged exactly."""
     as_mixed = [p if isinstance(p, MixedQuantumStrategy) else MixedQuantumStrategy.point_mass(p)
                 for p in cfg.players]
-    if cfg.noise.kind == NoiseKind.NONE:
-        return run_protocol_mixed(cfg.game, cfg.gamma, cfg.mode, *as_mixed)
-    probs = np.zeros(4)
-    for w1, u1 in as_mixed[0].support:
-        for w2, u2 in as_mixed[1].support:
-            r = noise_mod.run_protocol_noisy(cfg.game, cfg.gamma, cfg.mode, u1, u2, cfg.noise)
-            probs += w1 * w2 * r.distribution.probs
-    dist = OutcomeDistribution(probs)
-    pay_i, pay_ii = payoffs_from_distribution(cfg.game, dist)
-    return ProtocolResult(distribution=dist, payoff_I=pay_i, payoff_II=pay_ii)
+    (w1, u1), (w2, u2) = (m.stacked() for m in as_mixed)
+    probs = noise_mod.noisy_outcome_probs(cfg.gamma, cfg.mode, u1[:, None], u2[None, :],
+                                          cfg.noise)
+    return ProtocolResult.score(cfg.game, np.einsum("i,j,ijk->k", w1, w2, probs))
 
 
 def _cmd_payoff(cfg: RunConfig):

@@ -4,6 +4,9 @@ A run prepares |00>, entangles with J(gamma), applies each player's
 local 1-qubit strategy, disentangles with J-dagger, and measures.
 Measurement outcome |ab> maps to the game cell (row=a, col=b), i.e.
 bit 0 is the first strategy label (C / Buy) and bit 1 the second.
+Every evaluation in the package (single runs, mixtures, menu tables,
+sweeps, best responses, noisy runs, tournaments) goes through one
+broadcast kernel, outcome_amplitudes.
 
 Two named strategy families are provided: the two-parameter set A
 (theta, phi) and its three-parameter superset B (theta, alpha, beta),
@@ -28,16 +31,14 @@ from .qcore import (
     OutcomeDistribution,
     PureState2Q,
     Tolerances,
-    apply,
     clamp_gamma,
-    dagger,
-    entangler,
-    measure,
-    tensor,
+    entangler_generator,
+    gate_matrix,
 )
 
 # closed-form gates must be unitary at the identity tolerance
 _GATE_TOL = Tolerances(unitary_atol=TOLERANCES.identity_atol)
+_KET00 = np.array([1.0, 0.0, 0.0, 0.0], dtype=np.complex128)
 
 
 def _check_range(name: str, value: float, lo: float, hi: float) -> float:
@@ -75,14 +76,20 @@ class StrategyParamsB:
         object.__setattr__(self, "beta", _check_range("beta", self.beta, -np.pi, np.pi))
 
 
-def strategy_matrix(theta: float, alpha: float, beta: float) -> np.ndarray:
-    """Raw matrix of the three-parameter family (no range checks)."""
+def strategy_matrix(theta, alpha, beta) -> np.ndarray:
+    """Raw matrices of the three-parameter family (no range checks).
+
+    The angles broadcast against each other; the result has shape
+    broadcast_shape + (2, 2), a single 2x2 matrix for scalars.
+    """
+    theta, alpha, beta = np.broadcast_arrays(theta, alpha, beta)
     c, s = np.cos(theta), np.sin(theta)
-    return np.array(
-        [[np.exp(1j * alpha) * c, np.exp(1j * beta) * s],
-         [-np.exp(-1j * beta) * s, np.exp(-1j * alpha) * c]],
-        dtype=np.complex128,
-    )
+    u = np.empty(theta.shape + (2, 2), dtype=np.complex128)
+    u[..., 0, 0] = np.exp(1j * alpha) * c
+    u[..., 0, 1] = np.exp(1j * beta) * s
+    u[..., 1, 0] = -np.exp(-1j * beta) * s
+    u[..., 1, 1] = np.exp(-1j * alpha) * c
+    return u
 
 
 def gate_from_A(params: StrategyParamsA) -> Gate1Q:
@@ -134,23 +141,49 @@ class ProtocolResult:
     payoff_II: float
     final_state: Optional[PureState2Q] = None
 
+    @classmethod
+    def score(cls, game: Bimatrix, probs,
+              final_state: Optional[PureState2Q] = None) -> "ProtocolResult":
+        """Validate probs as an outcome distribution and score it."""
+        dist = OutcomeDistribution(probs)
+        return cls(dist, *payoffs_from_distribution(game, dist), final_state)
+
 
 def payoffs_from_distribution(game: Bimatrix, dist: OutcomeDistribution) -> tuple:
     a, b = game.payoff_vectors()
     return float(dist.probs @ a), float(dist.probs @ b)
 
 
+def outcome_amplitudes(gamma, mode: EntanglerMode, u1, u2) -> np.ndarray:
+    """Final amplitudes J-dagger (U1 x U2) J |00> for stacks of gates.
+
+    u1[..., 2, 2] and u2[..., 2, 2] broadcast against each other, and
+    gamma (a scalar or an array) against their stack shape; the result
+    is [..., 4].  J|00> reshaped to the 2x2 matrix m0 turns the local
+    pair into U1 @ m0 @ U2^T, and right-multiplying its flattening by
+    conj(J) = cos(g/2) I - i sin(g/2) G applies J-dagger (the generator
+    G is real).  Nothing is validated: callers pass unitary gates and
+    gamma in [0, pi/2].
+    """
+    gen = entangler_generator(mode)
+    half = np.asarray(gamma, dtype=np.float64)[..., None] / 2
+    c, s = np.cos(half), np.sin(half)
+    m0 = (c * _KET00 + 1j * s * gen[:, 0]).reshape(half.shape[:-1] + (2, 2))
+    # einsum, not matmul: numpy's matmul is slow on stacks of 2x2 matrices
+    psi = np.einsum("...ij,...jk->...ik", u1, np.einsum("...jl,...kl->...jk", m0, u2))
+    psi = psi.reshape(psi.shape[:-2] + (4,))
+    return c * psi - 1j * s * (psi @ gen)
+
+
 def run_protocol(game: Bimatrix, gamma: float, mode: EntanglerMode,
                  u1: Gate1Q, u2: Gate1Q) -> ProtocolResult:
-    """Evaluate J-dagger (u1 x u2) J |00> and score it against the game."""
-    j = entangler(clamp_gamma(gamma), mode)
-    state = apply(j, PureState2Q.ket00())
-    state = apply(tensor(u1, u2), state)
-    state = apply(dagger(j), state)
-    dist = measure(state)
-    pay_i, pay_ii = payoffs_from_distribution(game, dist)
-    return ProtocolResult(distribution=dist, payoff_I=pay_i, payoff_II=pay_ii,
-                          final_state=state)
+    """Evaluate J-dagger (u1 x u2) J |00> and score it against the game.
+
+    Raw 2x2 matrices are accepted and validated as Gate1Q.
+    """
+    amps = outcome_amplitudes(clamp_gamma(gamma), mode, gate_matrix(u1), gate_matrix(u2))
+    state = PureState2Q(amps)
+    return ProtocolResult.score(game, np.abs(state.amps) ** 2, state)
 
 
 class MixedQuantumStrategy:
@@ -190,6 +223,11 @@ class MixedQuantumStrategy:
     def __len__(self):
         return len(self.support)
 
+    def stacked(self) -> tuple:
+        """(weights[n], gate matrices[n, 2, 2]) of the support."""
+        return (np.array([w for w, _ in self.support]),
+                np.array([g.matrix for _, g in self.support]))
+
 
 def run_protocol_mixed(game: Bimatrix, gamma: float, mode: EntanglerMode,
                        m1: MixedQuantumStrategy, m2: MixedQuantumStrategy) -> ProtocolResult:
@@ -199,14 +237,6 @@ def run_protocol_mixed(game: Bimatrix, gamma: float, mode: EntanglerMode,
     the exact mixture, and final_state is None because the average of
     pure runs is not itself pure.
     """
-    probs = np.zeros(4)
-    for w1, u1 in m1.support:
-        if w1 == 0.0:
-            continue
-        for w2, u2 in m2.support:
-            if w2 == 0.0:
-                continue
-            probs += (w1 * w2) * run_protocol(game, gamma, mode, u1, u2).distribution.probs
-    dist = OutcomeDistribution(probs)
-    pay_i, pay_ii = payoffs_from_distribution(game, dist)
-    return ProtocolResult(distribution=dist, payoff_I=pay_i, payoff_II=pay_ii, final_state=None)
+    (w1, u1), (w2, u2) = m1.stacked(), m2.stacked()
+    amps = outcome_amplitudes(clamp_gamma(gamma), mode, u1[:, None], u2[None, :])
+    return ProtocolResult.score(game, np.einsum("i,j,ijk->k", w1, w2, np.abs(amps) ** 2))

@@ -18,9 +18,9 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import RangeError, ValidationError
-from .ewl import canonical_gates, run_protocol
+from .ewl import canonical_gates
 from .games import Bimatrix
-from .noise import NoiseKind, NoiseSpec, run_protocol_noisy
+from .noise import NoiseSpec, noisy_outcome_probs
 from .qcore import EntanglerMode, Gate1Q, clamp_gamma
 
 
@@ -174,34 +174,29 @@ def play_tournament(game: Bimatrix, a1: AgentSpec, a2: AgentSpec,
                     cfg: TournamentConfig) -> TournamentResult:
     """Run a sequential tournament between two agents.
 
-    Per-pair protocol results are cached, so long tournaments over
-    small menus stay cheap.  Without outcome sampling the recorded
-    payoffs are the exact expected payoffs of each round's profile.
+    The outcome distributions of every menu pair are computed up
+    front in one table, so rounds only look them up.  Without outcome
+    sampling the recorded payoffs are the exact expected payoffs of
+    each round's profile.
     """
     rng = np.random.default_rng(cfg.seed)
     agent1 = _AGENT_CLASSES[a1.kind](a1)
     agent2 = _AGENT_CLASSES[a2.kind](a2)
-    noisy = cfg.noise.kind != NoiseKind.NONE
 
-    cache = {}
-
-    def pair_result(i1: int, i2: int):
-        key = (i1, i2)
-        if key not in cache:
-            g1, g2 = a1.menu[i1].gate, a2.menu[i2].gate
-            if noisy:
-                r = run_protocol_noisy(game, cfg.gamma, cfg.mode, g1, g2, cfg.noise)
-            else:
-                r = run_protocol(game, cfg.gamma, cfg.mode, g1, g2)
-            cache[key] = (r.distribution.probs.copy(), r.payoff_I, r.payoff_II)
-        return cache[key]
+    m1 = np.array([entry.gate.matrix for entry in a1.menu])
+    m2 = np.array([entry.gate.matrix for entry in a2.menu])
+    pair_probs = noisy_outcome_probs(cfg.gamma, cfg.mode, m1[:, None], m2[None, :], cfg.noise)
+    a, b = game.payoff_vectors()
+    pay_i, pay_ii = (pair_probs @ a).tolist(), (pair_probs @ b).tolist()
+    table = [[(pair_probs[i1, i2], pay_i[i1][i2], pay_ii[i1][i2]) for i2 in range(len(m2))]
+             for i1 in range(len(m1))]
 
     records = []
     total_i = total_ii = 0.0
     for k in range(cfg.rounds):
         i1 = agent1.choose(rng)
         i2 = agent2.choose(rng)
-        probs, exp_i, exp_ii = pair_result(i1, i2)
+        probs, exp_i, exp_ii = table[i1][i2]
         if cfg.sampled_outcomes:
             outcome = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
             outcome = min(outcome, 3)

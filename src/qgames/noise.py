@@ -1,9 +1,12 @@
-"""Noisy-channel variants of the protocol, evaluated on density matrices.
+"""Noisy-channel variants of the protocol, evaluated as Pauli mixtures.
 
-Channels are exact Kraus sums over 4x4 density matrices; nothing is
-sampled.  By default noise acts on the players' return channel (after
-their gates, before the disentangler); a forward-channel variant
-applies it right after the entangler instead.
+Both depolarizing channels are exact mixtures of two-qubit Paulis
+P_a (x) P_b (Nielsen & Chuang 8.3), and a Pauli on the return channel
+(after the players' gates) or the forward channel (after the
+entangler) is one more local strategy pair, (P_a U1) (x) (P_b U2) or
+(U1 P_a) (x) (U2 P_b).  A noisy run is therefore a weighted sum of 16
+rows of the protocol kernel; nothing is sampled.  DensityMatrix2Q and
+apply_noise keep the Kraus density-matrix form as the exact reference.
 """
 from __future__ import annotations
 
@@ -14,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConvergenceError, RangeError, ValidationError
-from .ewl import ProtocolResult, payoffs_from_distribution, run_protocol, strategy_matrix
+from .ewl import ProtocolResult, outcome_amplitudes, strategy_matrix
 from .games import Bimatrix
 from .qcore import (
     I2,
@@ -28,8 +31,7 @@ from .qcore import (
     Tolerances,
     TOLERANCES,
     clamp_gamma,
-    entangler,
-    tensor,
+    gate_matrix,
 )
 from .search import SearchConfig, verify_eps_nash
 
@@ -124,31 +126,46 @@ def apply_noise(rho: DensityMatrix2Q, spec: NoiseSpec) -> DensityMatrix2Q:
     return DensityMatrix2Q(_apply_kind(rho.entries, spec))
 
 
+_PAULIS = np.stack([I2, SIGMA_X, SIGMA_Y, SIGMA_Z])
+
+
+def _pauli_weights(noise: NoiseSpec) -> np.ndarray:
+    """Weight of P_a (x) P_b in the channel's Pauli mixture, as [a, b]."""
+    p = 0.0 if noise.kind == NoiseKind.NONE else noise.p
+    if noise.kind == NoiseKind.TWO_QUBIT_DEPOLARIZING:
+        w = np.full((4, 4), p / 16.0)
+        w[0, 0] += 1.0 - p
+        return w
+    w = np.array([1.0 - p, p / 3.0, p / 3.0, p / 3.0])
+    return np.outer(w, w)
+
+
+def noisy_outcome_probs(gamma, mode: EntanglerMode, u1, u2, noise: NoiseSpec) -> np.ndarray:
+    """Outcome probabilities [..., 4] of the noisy circuit for stacks of
+    gates u1[..., 2, 2] and u2[..., 2, 2] that broadcast against each
+    other, from one kernel call over the 16 Pauli pairs per profile.
+    gamma is a validated scalar."""
+    u1, u2 = np.asarray(u1)[..., None, :, :], np.asarray(u2)[..., None, :, :]
+    if noise.location == ChannelLocation.RETURN:
+        left, right = _PAULIS @ u1, _PAULIS @ u2
+    else:
+        left, right = u1 @ _PAULIS, u2 @ _PAULIS
+    amps = outcome_amplitudes(gamma, mode, left[..., :, None, :, :], right[..., None, :, :, :])
+    return np.einsum("ab,...abk->...k", _pauli_weights(noise), np.abs(amps) ** 2)
+
+
 def run_protocol_noisy(game: Bimatrix, gamma: float, mode: EntanglerMode,
                        u1: Gate1Q, u2: Gate1Q, noise: NoiseSpec) -> ProtocolResult:
     """Protocol run with the noise channel inserted at its location.
 
-    The state is carried as a density matrix throughout; with
-    kind=NONE the result matches run_protocol exactly.
+    The result is the exact Pauli mixture; with kind=NONE it matches
+    run_protocol.
     """
     if not isinstance(noise, NoiseSpec):
         raise ValidationError(f"noise must be a NoiseSpec, got {noise!r}")
-    j = entangler(clamp_gamma(gamma), mode).matrix
-    rho = np.zeros((4, 4), dtype=np.complex128)
-    rho[0, 0] = 1.0
-    rho = j @ rho @ j.conj().T
-    if noise.location == ChannelLocation.FORWARD:
-        rho = _apply_kind(rho, noise)
-    u = tensor(u1, u2).matrix
-    rho = u @ rho @ u.conj().T
-    if noise.location == ChannelLocation.RETURN:
-        rho = _apply_kind(rho, noise)
-    rho = j.conj().T @ rho @ j
-    final = DensityMatrix2Q(rho)
-    dist = final.diagonal_distribution()
-    pay_i, pay_ii = payoffs_from_distribution(game, dist)
-    return ProtocolResult(distribution=dist, payoff_I=pay_i, payoff_II=pay_ii,
-                          final_state=None)
+    probs = noisy_outcome_probs(clamp_gamma(gamma), mode, gate_matrix(u1), gate_matrix(u2),
+                                noise)
+    return ProtocolResult.score(game, probs)
 
 
 def gamma_sweep(game: Bimatrix, mode: EntanglerMode, u1: Gate1Q, u2: Gate1Q,
@@ -160,11 +177,10 @@ def gamma_sweep(game: Bimatrix, mode: EntanglerMode, u1: Gate1Q, u2: Gate1Q,
     """
     if steps < 2:
         raise RangeError(f"steps must be >= 2, got {steps}")
-    rows = np.empty((steps, 3))
-    for k, g in enumerate(np.linspace(0.0, np.pi / 2, steps)):
-        r = run_protocol(game, g, mode, u1, u2)
-        rows[k] = (g, r.payoff_I, r.payoff_II)
-    return ("gamma", "payoff_I", "payoff_II"), rows
+    gammas = np.linspace(0.0, np.pi / 2, steps)
+    probs = np.abs(outcome_amplitudes(gammas, mode, gate_matrix(u1), gate_matrix(u2))) ** 2
+    a, b = game.payoff_vectors()
+    return ("gamma", "payoff_I", "payoff_II"), np.column_stack([gammas, probs @ a, probs @ b])
 
 
 @dataclass(frozen=True)
@@ -190,19 +206,9 @@ def symmetric_equilibrium_gate(game: Bimatrix, gamma: float, mode: EntanglerMode
     phis = np.linspace(0, np.pi / 2, n)
     tt, pp = np.meshgrid(thetas, phis, indexing="ij")
     pts = np.stack([tt.ravel(), pp.ravel()], axis=1)
-
-    j = entangler(gamma, mode).matrix
-    m0 = (j @ PureState2Q.ket00().amps).reshape(2, 2)
-    c, s = np.cos(pts[:, 0]), np.sin(pts[:, 0])
-    u = np.empty((len(pts), 2, 2), dtype=np.complex128)
-    u[:, 0, 0] = np.exp(1j * pts[:, 1]) * c
-    u[:, 0, 1] = s
-    u[:, 1, 0] = -s
-    u[:, 1, 1] = np.exp(-1j * pts[:, 1]) * c
-    psi = np.einsum("nij,jk,nlk->nil", u, m0, u)
-    probs = np.abs(psi.reshape(-1, 4) @ j.conj()) ** 2
+    u = strategy_matrix(pts[:, 0], pts[:, 1], 0.0)
     a, _ = game.payoff_vectors()
-    payoffs = probs @ a
+    payoffs = np.abs(outcome_amplitudes(gamma, mode, u, u)) ** 2 @ a
 
     order = np.argsort(-payoffs, kind="stable")
     for k in order[:max_checks]:

@@ -102,6 +102,11 @@ class Gate1Q:
         return f"Gate1Q({self.matrix.tolist()!r})"
 
 
+def gate_matrix(u) -> np.ndarray:
+    """The matrix of a Gate1Q, or of a raw 2x2 matrix validated as one."""
+    return (u if isinstance(u, Gate1Q) else Gate1Q(u)).matrix
+
+
 class Gate2Q:
     """A validated 4x4 unitary; referee operators and joint strategies."""
 
@@ -217,12 +222,19 @@ def clamp_gamma(gamma: float) -> float:
     return g
 
 
+_GENERATORS = {
+    EntanglerMode.PAULI_X: np.kron(SIGMA_X, SIGMA_X),
+    EntanglerMode.DEFECT: np.kron(DEFECT_GATE, DEFECT_GATE),
+}
+for _m in _GENERATORS.values():
+    _m.setflags(write=False)
+
+
 def entangler_generator(mode: EntanglerMode) -> np.ndarray:
-    if mode == EntanglerMode.PAULI_X:
-        return np.kron(SIGMA_X, SIGMA_X)
-    if mode == EntanglerMode.DEFECT:
-        return np.kron(DEFECT_GATE, DEFECT_GATE)
-    raise ValidationError(f"unknown entangler mode: {mode!r}")
+    try:
+        return _GENERATORS[mode]
+    except (KeyError, TypeError):
+        raise ValidationError(f"unknown entangler mode: {mode!r}") from None
 
 
 def entangler(gamma: float, mode: EntanglerMode = EntanglerMode.PAULI_X) -> Gate2Q:

@@ -11,6 +11,7 @@ strategies visited in a cycle.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence, Union
@@ -23,12 +24,11 @@ from .ewl import (
     StrategyParamsA,
     StrategyParamsB,
     canonical_gates,
-    run_protocol,
+    outcome_amplitudes,
     strategy_matrix,
 )
 from .games import Bimatrix
-from .qcore import (I2, SIGMA_X, SIGMA_Y, SIGMA_Z, EntanglerMode, Gate1Q, PureState2Q,
-                    clamp_gamma, entangler)
+from .qcore import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, EntanglerMode, Gate1Q, clamp_gamma
 
 _TIE_TOL = 1e-10
 
@@ -49,8 +49,8 @@ class SearchConfig:
     def __post_init__(self):
         if self.grid_resolution < 2:
             raise RangeError(f"grid_resolution must be >= 2, got {self.grid_resolution}")
-        if self.eps_nash <= 0:
-            raise RangeError(f"eps_nash must be positive, got {self.eps_nash}")
+        if not (math.isfinite(self.eps_nash) and self.eps_nash > 0):
+            raise RangeError(f"eps_nash must be positive and finite, got {self.eps_nash}")
 
 
 @dataclass(frozen=True)
@@ -77,64 +77,19 @@ _SUPPORTS = {
 }
 
 
-def _space_matrices(space: str, params: np.ndarray) -> np.ndarray:
-    """Stack of strategy matrices for an (N, k) parameter array."""
-    theta = params[:, 0]
-    if space == "A":
-        alpha, beta = params[:, 1], np.zeros_like(theta)
-    else:
-        alpha, beta = params[:, 1], params[:, 2]
-    c, s = np.cos(theta), np.sin(theta)
-    u = np.empty((len(theta), 2, 2), dtype=np.complex128)
-    u[:, 0, 0] = np.exp(1j * alpha) * c
-    u[:, 0, 1] = np.exp(1j * beta) * s
-    u[:, 1, 0] = -np.exp(-1j * beta) * s
-    u[:, 1, 1] = np.exp(-1j * alpha) * c
-    return u
-
-
-def _fold_circuit(game: Bimatrix, gamma: float, mode: EntanglerMode,
-                  opponent: Gate1Q, responder: Player):
-    """Fold one search context into (amplitudes, payvec).
-
-    amplitudes maps a stack of the responder's 2x2 gates to the stack of
-    final outcome amplitudes; |amplitudes|^2 @ payvec are the payoffs.
-    The entangled input J|00> is reshaped to a 2x2 amplitude matrix m0;
-    (U1 x U2)|psi> is then U1 @ m0 @ U2^T, so the opponent's side folds
-    into a constant and the batch reduces to stacked 2x2 products.
-    Cross-checked against run_protocol in the test suite.
-    """
-    j = entangler(gamma, mode).matrix
-    m0 = (j @ PureState2Q.ket00().amps).reshape(2, 2)
-    jd = j.conj()  # right-multiplying rows by this applies J-dagger
+def _responder_amplitudes(game, gamma, mode, opponent: Gate1Q, responder: Player, u):
+    """(amplitudes[..., 4], payvec) with the responder's stack of gates
+    u[..., 2, 2] on its side of the circuit and the opponent broadcast
+    on the other; |amplitudes|^2 @ payvec are the responder's payoffs."""
     a, b = game.payoff_vectors()
-    payvec = a if responder == Player.I else b
-    v = opponent.matrix
     if responder == Player.I:
-        right = m0 @ v.T
-
-        def amplitudes(u: np.ndarray) -> np.ndarray:
-            return (u @ right).reshape(-1, 4) @ jd
-    else:
-        left = v @ m0
-
-        def amplitudes(u: np.ndarray) -> np.ndarray:
-            return (left @ np.swapaxes(u, 1, 2)).reshape(-1, 4) @ jd
-    return amplitudes, payvec
+        return outcome_amplitudes(gamma, mode, u, opponent.matrix), a
+    return outcome_amplitudes(gamma, mode, opponent.matrix, u), b
 
 
-def _batch_payoffs(game: Bimatrix, gamma: float, mode: EntanglerMode,
-                   opponent: Gate1Q, responder: Player,
-                   space: str, params: np.ndarray) -> np.ndarray:
-    """Responder payoffs for a batch of own-strategy parameters."""
-    amplitudes, payvec = _fold_circuit(game, gamma, mode, opponent, responder)
-    return (np.abs(amplitudes(_space_matrices(space, params))) ** 2) @ payvec
-
-
-def _responder_payoff(game, gamma, mode, opponent, responder, gate: Gate1Q) -> float:
-    if responder == Player.I:
-        return run_protocol(game, gamma, mode, gate, opponent).payoff_I
-    return run_protocol(game, gamma, mode, opponent, gate).payoff_II
+def _responder_payoffs(game, gamma, mode, opponent, responder, u) -> np.ndarray:
+    amps, payvec = _responder_amplitudes(game, gamma, mode, opponent, responder, u)
+    return np.abs(amps) ** 2 @ payvec
 
 
 def _grid_axes(space: str, resolution: int):
@@ -145,8 +100,8 @@ def _payoff_form(game, gamma, mode, opponent, responder) -> np.ndarray:
     """M[k,l] = Re sum_o pay_o conj(psi_k,o) psi_l,o, where psi_k are the
     outcome amplitudes of basis gate B_k: the payoff of U = sum_k x_k B_k
     is x^T M x."""
-    amplitudes, payvec = _fold_circuit(game, gamma, mode, opponent, responder)
-    psi = amplitudes(_QUATERNION_BASIS)
+    psi, payvec = _responder_amplitudes(game, gamma, mode, opponent, responder,
+                                        _QUATERNION_BASIS)
     return ((psi.conj() * payvec) @ psi.T).real
 
 
@@ -211,16 +166,18 @@ def best_response(game: Bimatrix, gamma: float, mode: EntanglerMode,
         menu = list(space)
         if not menu:
             raise ValidationError("menu space must be nonempty")
+        values = _responder_payoffs(game, gamma, mode, opponent_gate, responder,
+                                    np.array([g.matrix for g in menu]))
         payoff, idx = -np.inf, 0
-        for k, g in enumerate(menu):
-            v = _responder_payoff(game, gamma, mode, opponent_gate, responder, g)
+        for k, v in enumerate(values.tolist()):
             if v > payoff + _TIE_TOL:
                 payoff, idx = v, k
         params, gate = None, menu[idx]
 
     improvement = 0.0
     if incumbent is not None:
-        base = _responder_payoff(game, gamma, mode, opponent_gate, responder, incumbent)
+        base = float(_responder_payoffs(game, gamma, mode, opponent_gate, responder,
+                                        incumbent.matrix))
         improvement = max(0.0, payoff - base)
     return BestResponse(responder=responder, params=params, gate=gate,
                         payoff=float(payoff), improvement=float(improvement))
@@ -249,8 +206,9 @@ def payoff_landscape(game: Bimatrix, gamma: float, mode: EntanglerMode,
     axes = _grid_axes(space, cfg.grid_resolution)
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
-    vals = _batch_payoffs(game, clamp_gamma(gamma), mode, fixed_opponent,
-                          responder, space, pts)
+    beta = pts[:, 2] if space == "B" else 0.0
+    vals = _responder_payoffs(game, clamp_gamma(gamma), mode, fixed_opponent, responder,
+                              strategy_matrix(pts[:, 0], pts[:, 1], beta))
     data = np.column_stack([pts, vals])
     names = ("theta", "phi", "payoff") if space == "A" else ("theta", "alpha", "beta", "payoff")
     return names, data
@@ -295,23 +253,17 @@ def _dedup_menu(menu: Sequence[Gate1Q]) -> list:
 def default_menu(mode: EntanglerMode, points_per_axis: int = 5) -> list:
     """Named gates C, D, Q plus a uniform set-B parameter grid."""
     named = canonical_gates(mode)
-    menu = [named.C, named.D, named.Q]
-    for th in np.linspace(0, np.pi / 2, points_per_axis):
-        for al in np.linspace(-np.pi, np.pi, points_per_axis):
-            for be in np.linspace(-np.pi, np.pi, points_per_axis):
-                menu.append(Gate1Q(strategy_matrix(th, al, be)))
-    return menu
+    angles = np.linspace(-np.pi, np.pi, points_per_axis)
+    grid = np.meshgrid(np.linspace(0, np.pi / 2, points_per_axis), angles, angles, indexing="ij")
+    grid_gates = [Gate1Q(u) for u in strategy_matrix(*grid).reshape(-1, 2, 2)]
+    return [named.C, named.D, named.Q] + grid_gates
 
 
 def _induced_tables(game, gamma, mode, reps):
-    n = len(reps)
-    pi = np.empty((n, n))
-    pii = np.empty((n, n))
-    for i, u in enumerate(reps):
-        for j, v in enumerate(reps):
-            r = run_protocol(game, gamma, mode, u, v)
-            pi[i, j], pii[i, j] = r.payoff_I, r.payoff_II
-    return pi, pii
+    u = np.array([g.matrix for g in reps])
+    probs = np.abs(outcome_amplitudes(gamma, mode, u[:, None], u[None, :])) ** 2
+    a, b = game.payoff_vectors()
+    return probs @ a, probs @ b
 
 
 def _argmax_first(values: np.ndarray) -> int:

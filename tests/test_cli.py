@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import qgames.cli as cli
-from qgames import EntanglerMode, MixedQuantumStrategy, NoiseKind
+from qgames import EntanglerMode, MixedQuantumStrategy, NoiseKind, run_protocol_noisy
 from qgames.errors import ConfigError, ValidationError
 
 
@@ -141,6 +141,23 @@ class TestDispatch:
                          "--quiet"]) == 0
         summary = json.loads((out / "payoff.json").read_text())
         assert summary["payoffs"] == [2.25, 2.25]
+
+    def test_payoff_noisy_mixed_strategy(self, tmp_path):
+        # the noisy table over both supports, averaged, against per-pair runs
+        mixes = ['mixed:[[0.25,"C"],[0.75,"B(0.4,1,-2)"]]', 'mixed:[[0.6,"Q"],[0.4,"D"]]']
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(json.dumps(
+            {"game": "pd", "gamma": 1.1, "players": mixes,
+             "noise": {"kind": "per_qubit_depolarizing", "p": 0.3}}))
+        out = tmp_path / "out"
+        assert run_main(["payoff", "--config", str(cfgfile), "--out", str(out),
+                         "--quiet"]) == 0
+        summary = json.loads((out / "payoff.json").read_text())
+        cfg = cli.parse_config(cfgfile.read_text())
+        want = sum(w1 * w2 * run_protocol_noisy(cfg.game, cfg.gamma, cfg.mode, u1, u2,
+                                                cfg.noise).distribution.probs
+                   for w1, u1 in cfg.players[0].support for w2, u2 in cfg.players[1].support)
+        assert np.abs(np.array(summary["distribution"]) - want).max() < 1e-12
 
     def test_equilibria_summary(self, tmp_path):
         cfgfile = tmp_path / "run.json"
@@ -289,6 +306,8 @@ class TestExitCodes:
         {"sweep": 3},
         {"search": {"refine_iters": 200}},  # removed key
         {"search": {"seed": 0}},  # removed key
+        {"search": {"eps_nash": math.nan}},
+        {"search": {"eps_nash": math.inf}},
     ])
     def test_malformed_config_is_2(self, tmp_path, capsys, config):
         cfgfile = tmp_path / "bad.json"

@@ -6,20 +6,50 @@ from qgames import (
     EntanglerMode,
     Gate1Q,
     MixedQuantumStrategy,
+    PureState2Q,
     StrategyParamsA,
     StrategyParamsB,
+    apply,
     canonical_gates,
     canonical_pd,
+    dagger,
+    entangler,
+    gamma_sweep,
     gate_from_A,
     gate_from_B,
+    outcome_amplitudes,
     run_protocol,
     run_protocol_mixed,
+    tensor,
 )
 from qgames.errors import RangeError, ValidationError
+from qgames.ewl import strategy_matrix
 from qgames.qcore import DEFECT_GATE, SIGMA_X
+from qgames.search import _induced_tables
 
 PD = canonical_pd()
 MODES = list(EntanglerMode)
+
+
+def oracle_amplitudes(gamma, mode, u1, u2):
+    """The explicit 4x4 circuit J-dagger (U1 x U2) J |00>."""
+    j = entangler(gamma, mode)
+    state = apply(tensor(u1, u2), apply(j, PureState2Q.ket00()))
+    return apply(dagger(j), state).amps
+
+
+def random_gates(rng, n):
+    return strategy_matrix(rng.uniform(0, np.pi / 2, n), rng.uniform(-np.pi, np.pi, n),
+                           rng.uniform(-np.pi, np.pi, n))
+
+
+def kernel_cases(seed, n):
+    """n seeded (gamma, mode) cases over both modes; the first four hit
+    both ends of [0, pi/2] in both modes."""
+    rng = np.random.default_rng(seed)
+    for k in range(n):
+        gamma = (0.0, np.pi / 2)[k // 2] if k < 4 else rng.uniform(0, np.pi / 2)
+        yield rng, gamma, MODES[k % 2]
 
 
 class TestStrategyGates:
@@ -206,6 +236,75 @@ class TestRunProtocol:
                 assert diffs.max() < 0.1
 
 
+class TestOutcomeAmplitudes:
+    """The broadcast kernel against the explicit 4x4 circuit: 200
+    seeded cases, 50 per input shape."""
+
+    def test_scalar_inputs(self):
+        for rng, gamma, mode in kernel_cases(3001, 50):
+            u, v = random_gates(rng, 2)
+            got = outcome_amplitudes(gamma, mode, u, v)
+            assert got.shape == (4,)
+            assert np.abs(got - oracle_amplitudes(gamma, mode, u, v)).max() < 1e-12
+
+    def test_stack_against_one_gate(self):
+        for rng, gamma, mode in kernel_cases(3002, 50):
+            stack, (v,) = random_gates(rng, 5), random_gates(rng, 1)
+            left = outcome_amplitudes(gamma, mode, stack, v)
+            right = outcome_amplitudes(gamma, mode, v, stack)
+            assert left.shape == right.shape == (5, 4)
+            for k, u in enumerate(stack):
+                assert np.abs(left[k] - oracle_amplitudes(gamma, mode, u, v)).max() < 1e-12
+                assert np.abs(right[k] - oracle_amplitudes(gamma, mode, v, u)).max() < 1e-12
+
+    def test_outer_broadcast(self):
+        for rng, gamma, mode in kernel_cases(3003, 50):
+            rows, cols = random_gates(rng, 3), random_gates(rng, 4)
+            got = outcome_amplitudes(gamma, mode, rows[:, None], cols[None, :])
+            assert got.shape == (3, 4, 4)
+            for i, u in enumerate(rows):
+                for j, v in enumerate(cols):
+                    want = oracle_amplitudes(gamma, mode, u, v)
+                    assert np.abs(got[i, j] - want).max() < 1e-12
+
+    def test_array_gamma(self):
+        for rng, gamma, mode in kernel_cases(3004, 50):
+            gammas = np.array([0.0, gamma, np.pi / 2])
+            u, v = random_gates(rng, 2)
+            stack = random_gates(rng, 3)
+            one_pair = outcome_amplitudes(gammas, mode, u, v)
+            paired = outcome_amplitudes(gammas, mode, stack, v)
+            assert one_pair.shape == paired.shape == (3, 4)
+            for k, g in enumerate(gammas):
+                assert np.abs(one_pair[k] - oracle_amplitudes(g, mode, u, v)).max() < 1e-12
+                assert np.abs(paired[k] - oracle_amplitudes(g, mode, stack[k], v)).max() < 1e-12
+
+    def test_induced_tables_and_sweep_match_oracle(self):
+        a, b = PD.payoff_vectors()
+        for rng, gamma, mode in kernel_cases(3005, 8):
+            reps = [Gate1Q(u) for u in random_gates(rng, 5)]
+            pi, pii = _induced_tables(PD, gamma, mode, reps)
+            for i, u in enumerate(reps):
+                for j, v in enumerate(reps):
+                    probs = np.abs(oracle_amplitudes(gamma, mode, u, v)) ** 2
+                    assert abs(pi[i, j] - probs @ a) < 1e-12
+                    assert abs(pii[i, j] - probs @ b) < 1e-12
+            _, rows = gamma_sweep(PD, mode, reps[0], reps[1], steps=9)
+            for g, pay_i, pay_ii in rows:
+                probs = np.abs(oracle_amplitudes(g, mode, reps[0], reps[1])) ** 2
+                assert abs(pay_i - probs @ a) < 1e-12 and abs(pay_ii - probs @ b) < 1e-12
+
+    def test_run_protocol_validates_raw_matrices(self):
+        named = canonical_gates(EntanglerMode.DEFECT)
+        with pytest.raises(ValidationError):
+            run_protocol(PD, 0.5, EntanglerMode.DEFECT, np.array([[1, 1], [0, 1]]), named.C)
+        with pytest.raises(ValidationError):
+            run_protocol(PD, 0.5, EntanglerMode.DEFECT, named.C, 2 * np.eye(2))
+        raw = run_protocol(PD, 0.5, EntanglerMode.DEFECT, named.Q.matrix, named.D.matrix)
+        wrapped = run_protocol(PD, 0.5, EntanglerMode.DEFECT, named.Q, named.D)
+        assert np.array_equal(raw.final_state.amps, wrapped.final_state.amps)
+
+
 class TestMixedStrategies:
     def test_point_mass_reduces_to_pure_protocol(self):
         named = canonical_gates(EntanglerMode.DEFECT)
@@ -215,6 +314,19 @@ class TestMixedStrategies:
         assert np.abs(mixed.distribution.probs - pure.distribution.probs).max() < 1e-15
         assert mixed.payoff_I == pure.payoff_I
         assert mixed.final_state is None
+
+    def test_random_mixtures_match_weighted_oracle(self):
+        a, b = PD.payoff_vectors()
+        for rng, gamma, mode in kernel_cases(3006, 20):
+            w1, w2 = rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(4))
+            g1, g2 = random_gates(rng, 3), random_gates(rng, 4)
+            m1 = MixedQuantumStrategy(list(zip(w1, g1)))
+            m2 = MixedQuantumStrategy(list(zip(w2, g2)))
+            want = sum(x * y * np.abs(oracle_amplitudes(gamma, mode, u, v)) ** 2
+                       for x, u in zip(w1, g1) for y, v in zip(w2, g2))
+            r = run_protocol_mixed(PD, gamma, mode, m1, m2)
+            assert np.abs(r.distribution.probs - want).max() < 1e-12
+            assert abs(r.payoff_I - want @ a) < 1e-12 and abs(r.payoff_II - want @ b) < 1e-12
 
     def test_uniform_over_c_and_d_at_gamma_zero(self):
         named = canonical_gates(EntanglerMode.DEFECT)

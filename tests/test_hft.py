@@ -74,6 +74,23 @@ class TestFixedAgents:
         for r in res.records:
             assert np.abs(np.array(r.distribution) - 0.25).max() < 1e-12
 
+    def test_noisy_menu_table_matches_per_pair_runs(self):
+        from qgames import NoiseKind, NoiseSpec, StrategyParamsB, gate_from_B, run_protocol_noisy
+        x = NamedGate("X", gate_from_B(StrategyParamsB(0.7, 1.2, -0.4)))
+        noise = NoiseSpec(kind=NoiseKind.PER_QUBIT_DEPOLARIZING, p=0.2)
+        cfg = TournamentConfig(rounds=200, gamma=1.0, mode=EntanglerMode.PAULI_X, seed=5,
+                               noise=noise)
+        menu = (C, D, Q, x)
+        gates = {g.name: g.gate for g in menu}
+        res = play_tournament(GAME, bandit(menu, epsilon=0.5), bandit(menu, epsilon=0.5), cfg)
+        assert len({(r.gate_I, r.gate_II) for r in res.records}) > 8
+        for r in res.records:
+            want = run_protocol_noisy(GAME, 1.0, EntanglerMode.PAULI_X, gates[r.gate_I],
+                                      gates[r.gate_II], noise)
+            assert np.abs(np.array(r.distribution) - want.distribution.probs).max() < 1e-12
+            assert abs(r.payoff_I - want.payoff_I) < 1e-12
+            assert abs(r.payoff_II - want.payoff_II) < 1e-12
+
     def test_record_payoffs_match_distribution(self):
         cfg = TournamentConfig(rounds=10, gamma=1.0, mode=EntanglerMode.PAULI_X, seed=3)
         res = play_tournament(GAME, fixed(C), fixed(Q), cfg)

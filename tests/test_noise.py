@@ -8,16 +8,20 @@ from qgames import (
     EntanglerMode,
     NoiseKind,
     NoiseSpec,
+    PureState2Q,
     SearchConfig,
     StrategyParamsB,
     advantage_threshold,
+    apply,
     apply_noise,
     canonical_gates,
     canonical_pd,
+    entangler,
     gamma_sweep,
     gate_from_B,
     run_protocol,
     run_protocol_noisy,
+    tensor,
 )
 from qgames.errors import RangeError, ValidationError
 from qgames.noise import symmetric_equilibrium_gate
@@ -37,6 +41,20 @@ def random_gate(rng):
     return gate_from_B(StrategyParamsB(rng.uniform(0, np.pi / 2),
                                        rng.uniform(-np.pi, np.pi),
                                        rng.uniform(-np.pi, np.pi)))
+
+
+def kraus_probs(gamma, mode, u1, u2, spec):
+    """Reference run on density matrices: the channel's Kraus sum
+    (apply_noise) inserted at its location."""
+    j = entangler(gamma, mode).matrix
+    u = tensor(u1, u2).matrix
+    rho = DensityMatrix2Q.from_pure(apply(entangler(gamma, mode), PureState2Q.ket00()))
+    if spec.location == ChannelLocation.FORWARD:
+        rho = apply_noise(rho, spec)
+    rho = DensityMatrix2Q(u @ rho.entries @ u.conj().T)
+    if spec.location == ChannelLocation.RETURN:
+        rho = apply_noise(rho, spec)
+    return DensityMatrix2Q(j.conj().T @ rho.entries @ j).diagonal_distribution().probs
 
 
 class TestNoiseSpec:
@@ -164,6 +182,44 @@ class TestChannels:
                                          NoiseSpec(kind=kind, p=p,
                                                    location=ChannelLocation.FORWARD))
                 assert np.abs(ret.distribution.probs - fwd.distribution.probs).max() < 1e-12
+
+
+class TestPauliMixtureOracle:
+    """run_protocol_noisy (a Pauli mixture through the kernel) against
+    the Kraus density-matrix path."""
+
+    KINDS = (NoiseKind.PER_QUBIT_DEPOLARIZING, NoiseKind.TWO_QUBIT_DEPOLARIZING)
+    LOCATIONS = (ChannelLocation.RETURN, ChannelLocation.FORWARD)
+
+    def test_matches_kraus_path(self):
+        rng = np.random.default_rng(63)
+        a, b = PD.payoff_vectors()
+        for kind in self.KINDS:
+            for location in self.LOCATIONS:
+                for p in (0.0, 1.0, *rng.uniform(0, 1, 8)):
+                    spec = NoiseSpec(kind=kind, p=float(p), location=location)
+                    u, v = random_gate(rng), random_gate(rng)
+                    gamma = rng.uniform(0, np.pi / 2)
+                    mode = MODES[int(rng.integers(2))]
+                    want = kraus_probs(gamma, mode, u, v, spec)
+                    got = run_protocol_noisy(PD, gamma, mode, u, v, spec)
+                    assert np.abs(got.distribution.probs - want).max() < 1e-12
+                    assert abs(got.payoff_I - want @ a) < 1e-12
+                    assert abs(got.payoff_II - want @ b) < 1e-12
+
+    def test_kraus_locations_coincide(self):
+        # The reference itself shows FORWARD == RETURN: depolarizing
+        # channels commute with the players' local unitaries.
+        rng = np.random.default_rng(64)
+        for kind in self.KINDS:
+            for mode in MODES:
+                for _ in range(10):
+                    u, v = random_gate(rng), random_gate(rng)
+                    p, gamma = float(rng.uniform(0, 1)), rng.uniform(0, np.pi / 2)
+                    ret, fwd = (kraus_probs(gamma, mode, u, v,
+                                            NoiseSpec(kind=kind, p=p, location=loc))
+                                for loc in self.LOCATIONS)
+                    assert np.abs(ret - fwd).max() < 1e-12
 
 
 class TestGammaSweep:

@@ -19,7 +19,6 @@ from qgames import (
     verify_eps_nash,
 )
 from qgames.errors import RangeError, ValidationError
-from qgames.search import _batch_payoffs, _grid_axes
 
 PD = canonical_pd()
 MODES = list(EntanglerMode)
@@ -53,19 +52,19 @@ def mixture_payoff_against(game, gamma, mode, gate, mixture, responder):
 
 class TestBatchEvaluator:
     def test_matches_run_protocol_both_modes_and_players(self):
+        # The set-B landscape is the batched evaluator: random rows of
+        # it replay through run_protocol.
         rng = np.random.default_rng(100)
         for _ in range(200):
-            params = np.array([[rng.uniform(0, np.pi / 2),
-                                rng.uniform(-np.pi, np.pi),
-                                rng.uniform(-np.pi, np.pi)]])
             opp = gate_from_B(StrategyParamsB(rng.uniform(0, np.pi / 2),
                                               rng.uniform(-np.pi, np.pi),
                                               rng.uniform(-np.pi, np.pi)))
             gamma = rng.uniform(0, np.pi / 2)
             mode = MODES[int(rng.integers(2))]
             responder = Player.I if rng.random() < 0.5 else Player.II
-            batch = _batch_payoffs(PD, gamma, mode, opp, responder, "B", params)[0]
-            mine = gate_from_B(StrategyParamsB(*params[0]))
+            _, data = payoff_landscape(PD, gamma, mode, "B", opp, TINY, responder=responder)
+            *params, batch = data[int(rng.integers(len(data)))]
+            mine = gate_from_B(StrategyParamsB(*params))
             if responder is Player.I:
                 direct = run_protocol(PD, gamma, mode, mine, opp).payoff_I
             else:
@@ -166,10 +165,6 @@ class TestExactSolverOracle:
 
     def test_matches_dense_grid_and_replay_200_seeds(self):
         rng = np.random.default_rng(2104)
-        grids = {}
-        for space, n in self.GRID.items():
-            mesh = np.meshgrid(*_grid_axes(space, n), indexing="ij")
-            grids[space] = np.stack([m.ravel() for m in mesh], axis=1)
         for k in range(200):
             opp = gate_from_B(StrategyParamsB(rng.uniform(0, np.pi / 2),
                                               rng.uniform(-np.pi, np.pi),
@@ -179,8 +174,9 @@ class TestExactSolverOracle:
             responder = (Player.I, Player.II)[(k // 2) % 2]
             space = "AB"[(k // 4) % 2]
             br = best_response(PD, gamma, mode, opp, responder, space, FAST)
-            grid_max = _batch_payoffs(PD, gamma, mode, opp, responder, space,
-                                      grids[space]).max()
+            grid = SearchConfig(grid_resolution=self.GRID[space])
+            _, data = payoff_landscape(PD, gamma, mode, space, opp, grid, responder=responder)
+            grid_max = data[:, -1].max()
             assert br.payoff >= grid_max - 1e-12
             if responder is Player.I:
                 replay = run_protocol(PD, gamma, mode, br.gate, opp).payoff_I
