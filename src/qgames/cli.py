@@ -9,6 +9,7 @@ byte-identical report files.
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import dataclasses
 import json
@@ -24,7 +25,7 @@ import numpy as np
 from . import hft as hft_mod
 from . import noise as noise_mod
 from . import search as search_mod
-from .errors import ConfigError, QGamesError, ValidationError
+from .errors import ConfigError, QGamesError, RangeError, ValidationError
 from .ewl import (
     MixedQuantumStrategy,
     ProtocolResult,
@@ -67,31 +68,23 @@ _PI_RE = re.compile(r"^\s*([+-]?\d*\.?\d*)\s*\*?\s*pi\s*(?:/\s*([+-]?\d*\.?\d+))
 
 
 def parse_angle(value, field: str = "angle") -> float:
-    """Accept a radian number or an exact pi-fraction string."""
-    if isinstance(value, bool):
-        raise ConfigError(f"{field}: expected a number or pi-fraction, got {value!r}")
-    if isinstance(value, (int, float)):
-        v = _convert(float, value, field)
-        if not math.isfinite(v):
-            raise ConfigError(f"{field}: must be finite, got {value!r}")
-        return v
-    if isinstance(value, str):
-        m = _PI_RE.match(value)
+    """Accept a finite radian number or an exact pi-fraction string."""
+    if not isinstance(value, str):
+        return _number(value, field)
+    m = _PI_RE.match(value)
+    try:
         if m:
             coef_txt, div_txt = m.group(1), m.group(2)
-            coef = float(coef_txt) if coef_txt not in ("", "+", "-") else float(coef_txt + "1")
-            angle = coef * math.pi
+            angle = float(coef_txt + "1" if coef_txt in ("", "+", "-") else coef_txt) * math.pi
             if div_txt is not None:
-                div = float(div_txt)
-                if div == 0:
-                    raise ConfigError(f"{field}: division by zero in {value!r}")
-                angle /= div
-            return angle
-        try:
-            return float(value)
-        except ValueError:
-            raise ConfigError(f"{field}: cannot parse angle {value!r}") from None
-    raise ConfigError(f"{field}: expected a number or string, got {type(value).__name__}")
+                angle /= float(div_txt)
+        else:
+            angle = float(value)
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"{field}: cannot parse angle {value!r}") from None
+    if not math.isfinite(angle):
+        raise ConfigError(f"{field}: must be finite, got {value!r}")
+    return angle
 
 
 _PARAM_STRATEGY_RE = re.compile(r"^\s*([AB])\s*\(([^)]*)\)\s*$")
@@ -123,8 +116,8 @@ def parse_strategy(spec, mode: EntanglerMode, field: str = "strategy"
         if text.startswith("mixed:"):
             try:
                 entries = json.loads(text[len("mixed:"):])
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{field}: malformed mixed strategy: {exc}") from exc
+            except (ValueError, RecursionError) as exc:
+                raise ConfigError(f"{field}: malformed mixed strategy: {exc}") from None
             if not isinstance(entries, list) or not entries:
                 raise ConfigError(f"{field}: mixed strategy needs a nonempty list")
             support = []
@@ -135,7 +128,7 @@ def parse_strategy(spec, mode: EntanglerMode, field: str = "strategy"
                 gate = parse_strategy(inner, mode, field=f"{field}:mixed")
                 if isinstance(gate, MixedQuantumStrategy):
                     raise ConfigError(f"{field}: nested mixed strategies are not supported")
-                support.append((_convert(float, weight, f"{field}:mixed weight"), gate))
+                support.append((_number(weight, f"{field}:mixed weight"), gate))
             try:
                 return MixedQuantumStrategy(support, max_support=len(support))
             except ValidationError as exc:
@@ -144,146 +137,218 @@ def parse_strategy(spec, mode: EntanglerMode, field: str = "strategy"
     raise ConfigError(f"{field}: expected a strategy string, got {type(spec).__name__}")
 
 
-def _convert(kind, value, field: str):
-    """kind(value), with a failed conversion reported as a ConfigError."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{field}: cannot read {value!r} as {kind.__name__}") from None
+# The config schema.  A reader takes a raw JSON value and the key path it
+# sits at, and returns the canonical JSON value or raises ConfigError.  A
+# table maps each key to (default, reader), or to a nested table for a
+# section; an absent key reads its default.
+
+def _shown(value) -> str:
+    """value for an error message; containers by size only."""
+    if isinstance(value, list):
+        return f"a list of {len(value)}"
+    return "an object" if isinstance(value, dict) else repr(value)
 
 
-def _object(value, where: str) -> dict:
-    """value, checked to be a JSON object."""
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where}: expected a JSON object, got {type(value).__name__}")
+def _integer(value, where: str) -> int:
+    """A JSON integer; an integral float such as 1e4 reads as an int."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where}: expected an integer, got {_shown(value)}")
     return value
 
 
-def _choice(names: dict, value, field: str):
-    """names[value] for a known name string."""
-    if not isinstance(value, str) or value not in names:
-        raise ConfigError(f"{field}: unknown value {value!r}; expected one of {sorted(names)}")
-    return names[value]
-
-
-def _require_keys(section: dict, allowed: set, where: str) -> None:
-    unknown = sorted(set(section) - allowed)
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {unknown}; allowed keys are {sorted(allowed)}")
-
-
-def _parse_game(source) -> Bimatrix:
-    if isinstance(source, str):
-        if source == "pd":
-            return canonical_pd()
-        if source == "hft":
-            return hft_game()
-        raise ConfigError(f"game: unknown named game {source!r} (expected 'pd' or 'hft')")
-    if isinstance(source, dict):
-        _require_keys(source, {"row_payoffs", "col_payoffs", "row_labels", "col_labels"},
-                      "game")
+def _number(value, where: str) -> float:
+    """A finite JSON number, as a float."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
-            return Bimatrix(
-                row_payoffs=np.asarray(source.get("row_payoffs"), dtype=float),
-                col_payoffs=np.asarray(source.get("col_payoffs"), dtype=float),
-                row_labels=tuple(source.get("row_labels", ("C", "D"))),
-                col_labels=tuple(source.get("col_labels", ("C", "D"))),
-            )
-        except (ValidationError, TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"game: {exc}") from exc
-    raise ConfigError("game: expected a name ('pd'/'hft') or an inline payoff table")
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:
+            pass
+    raise ConfigError(f"{where}: expected a finite number, got {_shown(value)}")
 
 
-_MODE_NAMES = {m.value: m for m in EntanglerMode}
-_NOISE_NAMES = {k.value: k for k in NoiseKind}
-_LOCATION_NAMES = {c.value: c for c in ChannelLocation}
-_AGENT_NAMES = {a.value: a for a in AgentKind}
+def _boolean(value, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where}: expected true or false, got {_shown(value)}")
+    return value
 
 
-def _parse_noise(section: dict) -> NoiseSpec:
-    _require_keys(section, {"kind", "p", "location"}, "noise")
-    kind = _choice(_NOISE_NAMES, section.get("kind", "none"), "noise.kind")
-    location = _choice(_LOCATION_NAMES, section.get("location", "return"), "noise.location")
+def _text(value, where: str) -> str:
+    """A string that a file name and a UTF-8 report can hold."""
+    if isinstance(value, str) and "\0" not in value:
+        try:
+            value.encode("utf-8")
+            return value
+        except UnicodeEncodeError:
+            pass
+    raise ConfigError(f"{where}: expected a string without NUL or lone surrogates, "
+                      f"got {_shown(value)}")
+
+
+def _one_of(*choices):
+    def read(value, where):
+        if value not in choices:
+            raise ConfigError(f"{where}: expected one of {list(choices)}, got {_shown(value)}")
+        return value
+    return read
+
+
+def _list_of(item, length: Optional[int] = None):
+    """A nonempty JSON array of items; of exactly `length` when given."""
+    def read(value, where):
+        if not (isinstance(value, list) and value and length in (None, len(value))):
+            want = f"a list of {length}" if length else "a nonempty list"
+            raise ConfigError(f"{where}: expected {want}, got {_shown(value)}")
+        return [item(v, f"{where}[{k}]") for k, v in enumerate(value)]
+    return read
+
+
+def _section(table: dict):
+    """A JSON object read key by key through `table`."""
+    entries = {key: ({}, _section(entry)) if isinstance(entry, dict) else entry
+               for key, entry in table.items()}
+
+    def read(value, where):
+        name = where or "config"
+        if not isinstance(value, dict):
+            raise ConfigError(f"{name}: expected a JSON object, got {_shown(value)}")
+        unknown = sorted(set(value) - set(entries))
+        if unknown:
+            raise ConfigError(f"{name}: unknown keys {unknown}; allowed keys are {sorted(entries)}")
+        return {key: reader(value.get(key, default), f"{where}.{key}" if where else key)
+                for key, (default, reader) in entries.items()}
+    return read
+
+
+def _gamma(value, where: str) -> float:
     try:
-        return NoiseSpec(kind=kind, p=float(section.get("p", 0.0)), location=location)
-    except (ValidationError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"noise: {exc}") from exc
-
-
-def _parse_search(section: dict) -> tuple:
-    _require_keys(section, {"grid_resolution", "eps_nash", "space"}, "search")
-    space = section.get("space", "A")
-    if space not in ("A", "B"):
-        raise ConfigError(f"search.space: expected 'A' or 'B', got {space!r}")
-    try:
-        cfg = SearchConfig(
-            grid_resolution=int(section.get("grid_resolution", 64)),
-            eps_nash=float(section.get("eps_nash", 1e-6)),
-        )
-    except (ValidationError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"search: {exc}") from exc
-    return cfg, space
-
-
-_AGENT_KEYS = {"kind", "menu", "epsilon", "learning_rate", "trigger_threshold"}
-
-
-def _parse_agent(section, mode: EntanglerMode, where: str) -> tuple:
-    _require_keys(_object(section, where), _AGENT_KEYS, where)
-    kind_txt = section.get("kind", "epsilon_greedy_bandit")
-    kind = _choice(_AGENT_NAMES, kind_txt, f"{where}.kind")
-    menu_specs = section.get("menu", ["C", "D", "Q"])
-    if not isinstance(menu_specs, list) or not menu_specs:
-        raise ConfigError(f"{where}.menu: expected a nonempty list of strategy strings")
-    menu = []
-    for entry in menu_specs:
-        gate = parse_strategy(entry, mode, field=f"{where}.menu")
-        if isinstance(gate, MixedQuantumStrategy):
-            raise ConfigError(f"{where}.menu: menu entries must be pure strategies")
-        menu.append(NamedGate(str(entry).strip(), gate))
-    normalized = {
-        "kind": kind_txt,
-        "menu": [str(e).strip() for e in menu_specs],
-        "epsilon": _convert(float, section.get("epsilon", 0.1), f"{where}.epsilon"),
-        "learning_rate": _convert(float, section.get("learning_rate", 0.1),
-                                  f"{where}.learning_rate"),
-        "trigger_threshold": _convert(float, section.get("trigger_threshold", 0.5),
-                                      f"{where}.trigger_threshold"),
-    }
-    try:
-        spec = AgentSpec(kind=kind, menu=tuple(menu),
-                         epsilon=normalized["epsilon"],
-                         learning_rate=normalized["learning_rate"],
-                         trigger_threshold=normalized["trigger_threshold"])
-    except (ValidationError, TypeError, ValueError, OverflowError) as exc:
+        return clamp_gamma(parse_angle(value, where))
+    except RangeError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-    return spec, normalized
+
+
+def _strategy(value, where: str) -> str:
+    """A strategy spec; parse_strategy resolves it once the mode is known."""
+    return _text(value, where).strip()
+
+
+_GAMES = {"pd": canonical_pd, "hft": hft_game}
+_INLINE_GAME = _section({
+    "row_payoffs": (None, _list_of(_list_of(_number, 2), 2)),
+    "col_payoffs": (None, _list_of(_list_of(_number, 2), 2)),
+    "row_labels": (["C", "D"], _list_of(_text, 2)),
+    "col_labels": (["C", "D"], _list_of(_text, 2)),
+})
+
+
+def _game(value, where: str):
+    """A named game or an inline payoff table."""
+    return (_one_of(*_GAMES) if isinstance(value, str) else _INLINE_GAME)(value, where)
+
+
+_AGENT = _section({
+    "kind": ("epsilon_greedy_bandit", _one_of(*(k.value for k in AgentKind))),
+    "menu": (["C", "D", "Q"], _list_of(_strategy)),
+    "epsilon": (0.1, _number),
+    "learning_rate": (0.1, _number),
+    "trigger_threshold": (0.5, _number),
+})
+
+_SCHEMA = _section({
+    "game": ("pd", _game),
+    "gamma": (math.pi / 2, _gamma),
+    "entangler_mode": ("defect", _one_of(*(m.value for m in EntanglerMode))),
+    "players": (["C", "C"], _list_of(_strategy, 2)),
+    "noise": {
+        "kind": ("none", _one_of(*(k.value for k in NoiseKind))),
+        "p": (0.0, _number),
+        "location": ("return", _one_of(*(c.value for c in ChannelLocation))),
+    },
+    "search": {
+        "grid_resolution": (64, _integer),
+        "eps_nash": (1e-6, _number),
+        "space": ("A", _one_of("A", "B")),
+    },
+    "tournament": {
+        "rounds": (10000, _integer),
+        "seed": (0, _integer),
+        "sampled_outcomes": (False, _boolean),
+        "experiment": (None, _one_of(None, "menu_advantage")),
+        "agents": ([{}, {}], _list_of(_AGENT, 2)),
+    },
+    "sweep": {"steps": (50, _integer)},
+    "objective": ("welfare", _one_of("welfare", "player_I", "player_II")),
+    "out": (None, lambda value, where: None if value is None else _text(value, where)),
+    "format": ("csv", _one_of("csv", "json")),
+})
 
 
 @dataclasses.dataclass(eq=False)
 class RunConfig:
+    """The canonical settings read through the schema, and the domain
+    objects built from them."""
+
+    settings: dict
     game: Bimatrix
-    game_source: Union[str, dict]
     gamma: float
     mode: EntanglerMode
-    player_specs: tuple
     players: tuple
     noise: NoiseSpec
     search: SearchConfig
-    search_space: str
     tournament: TournamentConfig
     agents: tuple
-    agent_dicts: tuple
-    experiment: Optional[str]
-    sweep_steps: int
-    objective: str
-    out: Optional[str]
-    format: str
+
+    @property
+    def player_specs(self) -> tuple:
+        return tuple(self.settings["players"])
 
 
-_TOP_KEYS = {"game", "gamma", "entangler_mode", "players", "noise", "search",
-             "tournament", "sweep", "objective", "out", "format"}
-_TOURNAMENT_KEYS = {"rounds", "seed", "sampled_outcomes", "experiment", "agents"}
+def _make(where: str, cls, **fields):
+    """cls(**fields), with a failed domain check reported as a ConfigError."""
+    try:
+        return cls(**fields)
+    except QGamesError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _menu(specs: list, mode: EntanglerMode, where: str) -> tuple:
+    menu = []
+    for spec in specs:
+        gate = parse_strategy(spec, mode, field=where)
+        if isinstance(gate, MixedQuantumStrategy):
+            raise ConfigError(f"{where}: menu entries must be pure strategies")
+        menu.append(NamedGate(spec, gate))
+    return tuple(menu)
+
+
+def _build(s: dict) -> RunConfig:
+    """The RunConfig of canonical settings."""
+    mode = EntanglerMode(s["entangler_mode"])
+    game = (_GAMES[s["game"]]() if isinstance(s["game"], str)
+            else _make("game", Bimatrix, **s["game"]))
+    noise = _make("noise", NoiseSpec, kind=NoiseKind(s["noise"]["kind"]), p=s["noise"]["p"],
+                  location=ChannelLocation(s["noise"]["location"]))
+    t = s["tournament"]
+    agents = tuple(
+        _make(f"tournament.agents[{k}]", AgentSpec, **{
+            **a, "kind": AgentKind(a["kind"]),
+            "menu": _menu(a["menu"], mode, f"tournament.agents[{k}].menu")})
+        for k, a in enumerate(t["agents"]))
+    if s["sweep"]["steps"] < 2:
+        raise ConfigError(f"sweep.steps: must be >= 2, got {s['sweep']['steps']}")
+    return RunConfig(
+        settings=s, game=game, gamma=s["gamma"], mode=mode,
+        players=tuple(parse_strategy(spec, mode, field=f"players[{k}]")
+                      for k, spec in enumerate(s["players"])),
+        noise=noise,
+        search=_make("search", SearchConfig, grid_resolution=s["search"]["grid_resolution"],
+                     eps_nash=s["search"]["eps_nash"]),
+        tournament=_make("tournament", TournamentConfig, rounds=t["rounds"], gamma=s["gamma"],
+                         mode=mode, noise=noise, seed=t["seed"],
+                         sampled_outcomes=t["sampled_outcomes"]),
+        agents=agents)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -293,109 +358,15 @@ def parse_config(text: str) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    _require_keys(raw, _TOP_KEYS, "config")
-
-    game_source = raw.get("game", "pd")
-    game = _parse_game(game_source)
-
-    gamma = parse_angle(raw.get("gamma", math.pi / 2), field="gamma")
-    try:
-        gamma = clamp_gamma(gamma)
-    except QGamesError as exc:
-        raise ConfigError(f"gamma: {exc}") from exc
-
-    mode = _choice(_MODE_NAMES, raw.get("entangler_mode", EntanglerMode.DEFECT.value),
-                   "entangler_mode")
-
-    player_specs = raw.get("players", ["C", "C"])
-    if not (isinstance(player_specs, list) and len(player_specs) == 2):
-        raise ConfigError("players: expected exactly two strategy specs")
-    player_specs = tuple(str(s).strip() for s in player_specs)
-    players = tuple(parse_strategy(s, mode, field=f"players[{k}]")
-                    for k, s in enumerate(player_specs))
-
-    noise = _parse_noise(_object(raw.get("noise", {}), "noise"))
-    search_cfg, search_space = _parse_search(_object(raw.get("search", {}), "search"))
-
-    tsec = _object(raw.get("tournament", {}), "tournament")
-    _require_keys(tsec, _TOURNAMENT_KEYS, "tournament")
-    experiment = tsec.get("experiment")
-    if experiment not in (None, "menu_advantage"):
-        raise ConfigError(f"tournament.experiment: unknown experiment {experiment!r}")
-    agents_raw = tsec.get("agents", [{}, {}])
-    if not (isinstance(agents_raw, list) and len(agents_raw) == 2):
-        raise ConfigError("tournament.agents: expected exactly two agent specs")
-    parsed_agents = [_parse_agent(a, mode, f"tournament.agents[{k}]")
-                     for k, a in enumerate(agents_raw)]
-    try:
-        tournament = TournamentConfig(
-            rounds=int(tsec.get("rounds", 10000)),
-            gamma=gamma, mode=mode, noise=noise,
-            seed=int(tsec.get("seed", 0)),
-            sampled_outcomes=bool(tsec.get("sampled_outcomes", False)),
-        )
-    except (QGamesError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"tournament: {exc}") from exc
-
-    ssec = _object(raw.get("sweep", {}), "sweep")
-    _require_keys(ssec, {"steps"}, "sweep")
-    sweep_steps = _convert(int, ssec.get("steps", 50), "sweep.steps")
-    if sweep_steps < 2:
-        raise ConfigError(f"sweep.steps: must be >= 2, got {sweep_steps}")
-
-    objective = raw.get("objective", "welfare")
-    if objective not in ("welfare", "player_I", "player_II"):
-        raise ConfigError(f"objective: unknown objective {objective!r}")
-
-    fmt = raw.get("format", "csv")
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"format: expected 'csv' or 'json', got {fmt!r}")
-    out = raw.get("out")
-    if out is not None and not isinstance(out, str):
-        raise ConfigError("out: expected a directory path string")
-
-    return RunConfig(
-        game=game, game_source=game_source, gamma=gamma, mode=mode,
-        player_specs=player_specs, players=players, noise=noise,
-        search=search_cfg, search_space=search_space,
-        tournament=tournament, agents=tuple(a for a, _ in parsed_agents),
-        agent_dicts=tuple(d for _, d in parsed_agents),
-        experiment=experiment, sweep_steps=sweep_steps, objective=objective,
-        out=out, format=fmt,
-    )
+    except (ValueError, RecursionError) as exc:  # an over-long integer, too deep a nesting
+        raise ConfigError(f"unreadable JSON: {exc}") from None
+    return _build(_SCHEMA(raw, ""))
 
 
 def serialize_config(cfg: RunConfig) -> dict:
-    """Canonical dict form of a config; stable across round trips."""
-    if isinstance(cfg.game_source, str):
-        game = cfg.game_source
-    else:
-        game = {
-            "row_payoffs": [[float(x) for x in row] for row in cfg.game.row_payoffs],
-            "col_payoffs": [[float(x) for x in row] for row in cfg.game.col_payoffs],
-            "row_labels": list(cfg.game.row_labels),
-            "col_labels": list(cfg.game.col_labels),
-        }
-    return {
-        "game": game,
-        "gamma": cfg.gamma,
-        "entangler_mode": cfg.mode.value,
-        "players": list(cfg.player_specs),
-        "noise": {"kind": cfg.noise.kind.value, "p": cfg.noise.p,
-                  "location": cfg.noise.location.value},
-        "search": {"grid_resolution": cfg.search.grid_resolution,
-                   "eps_nash": cfg.search.eps_nash, "space": cfg.search_space},
-        "tournament": {"rounds": cfg.tournament.rounds, "seed": cfg.tournament.seed,
-                       "sampled_outcomes": cfg.tournament.sampled_outcomes,
-                       "experiment": cfg.experiment,
-                       "agents": [dict(d) for d in cfg.agent_dicts]},
-        "sweep": {"steps": cfg.sweep_steps},
-        "objective": cfg.objective,
-        "out": cfg.out,
-        "format": cfg.format,
-    }
+    """Canonical dict form of a config: what parse_config read, with every
+    default filled in; parsing its JSON gives the same settings."""
+    return copy.deepcopy(cfg.settings)
 
 
 def _fmt(x) -> str:
@@ -462,7 +433,7 @@ def _cmd_payoff(cfg: RunConfig):
     result = _profile_distribution(cfg)
     dist = [float(x) for x in result.distribution.probs]
     summary = {
-        "game": cfg.game_source if isinstance(cfg.game_source, str) else "inline",
+        "game": cfg.settings["game"] if isinstance(cfg.settings["game"], str) else "inline",
         "gamma": cfg.gamma,
         "entangler_mode": cfg.mode.value,
         "players": list(cfg.player_specs),
@@ -521,14 +492,15 @@ def _cmd_equilibria(cfg: RunConfig):
     # quantum sections: profile stability in the configured space, plus
     # the finite-menu equilibrium over the default strategy menu
     profile_check = None
+    space = cfg.settings["search"]["space"]
     if all(not isinstance(p, MixedQuantumStrategy) for p in cfg.players):
         u1, u2 = cfg.players
         is_eq, improvement = search_mod.verify_eps_nash(
-            game, cfg.gamma, cfg.mode, u1, u2, cfg.search_space, cfg.search)
+            game, cfg.gamma, cfg.mode, u1, u2, space, cfg.search)
         base = run_protocol(game, cfg.gamma, cfg.mode, u1, u2)
         profile_check = {
             "players": list(cfg.player_specs),
-            "space": cfg.search_space,
+            "space": space,
             "payoffs": [base.payoff_I, base.payoff_II],
             "is_epsilon_nash": is_eq,
             "max_improvement": improvement,
@@ -568,12 +540,12 @@ def _cmd_equilibria(cfg: RunConfig):
 
 def _cmd_landscape(cfg: RunConfig):
     gates = _pure_gates(cfg, "landscape")
+    space = cfg.settings["search"]["space"]
     columns, data = search_mod.payoff_landscape(
-        cfg.game, cfg.gamma, cfg.mode, cfg.search_space, gates[1], cfg.search,
-        responder=Player.I)
+        cfg.game, cfg.gamma, cfg.mode, space, gates[1], cfg.search, responder=Player.I)
     best = int(np.argmax(data[:, -1]))
     summary = {
-        "space": cfg.search_space,
+        "space": space,
         "opponent": cfg.player_specs[1],
         "gamma": cfg.gamma,
         "entangler_mode": cfg.mode.value,
@@ -586,12 +558,12 @@ def _cmd_landscape(cfg: RunConfig):
 
 def _cmd_sweep(cfg: RunConfig):
     gates = _pure_gates(cfg, "sweep")
-    columns, data = noise_mod.gamma_sweep(cfg.game, cfg.mode, gates[0], gates[1],
-                                          cfg.sweep_steps)
+    steps = cfg.settings["sweep"]["steps"]
+    columns, data = noise_mod.gamma_sweep(cfg.game, cfg.mode, gates[0], gates[1], steps)
     summary = {
         "players": list(cfg.player_specs),
         "entangler_mode": cfg.mode.value,
-        "steps": cfg.sweep_steps,
+        "steps": steps,
         "first_row": [float(x) for x in data[0]],
         "last_row": [float(x) for x in data[-1]],
     }
@@ -620,12 +592,13 @@ def _cmd_noise(cfg: RunConfig):
 
 def _cmd_correlated(cfg: RunConfig):
     game = cfg.game
-    mu = best_correlated(game, cfg.objective)
+    objective = cfg.settings["objective"]
+    mu = best_correlated(game, objective)
     a, b = game.payoff_vectors()
     value_i = float(mu.mu @ a)
     value_ii = float(mu.mu @ b)
     summary = {
-        "objective": cfg.objective,
+        "objective": objective,
         "mu": [float(x) for x in mu.mu],
         "payoffs": [value_i, value_ii],
         "welfare": value_i + value_ii,
@@ -641,7 +614,7 @@ def _cmd_correlated(cfg: RunConfig):
 
 
 def _cmd_tournament(cfg: RunConfig):
-    if cfg.experiment == "menu_advantage":
+    if cfg.settings["tournament"]["experiment"] == "menu_advantage":
         report = hft_mod.menu_advantage_experiment(cfg.game, cfg.tournament)
         columns = ("condition", "round", "gate_I", "gate_II", "payoff_I", "payoff_II",
                    "sampled_outcome")
@@ -670,7 +643,7 @@ def _cmd_tournament(cfg: RunConfig):
         "rounds": cfg.tournament.rounds,
         "seed": cfg.tournament.seed,
         "sampled_outcomes": cfg.tournament.sampled_outcomes,
-        "agents": [dict(d) for d in cfg.agent_dicts],
+        "agents": cfg.settings["tournament"]["agents"],
         "mean_payoffs": [result.mean_payoff_I, result.mean_payoff_II],
     }
     return summary, columns, rows
@@ -713,8 +686,9 @@ def dispatch(command: str, cfg: RunConfig, out_dir=None, fmt=None, quiet=False) 
     if command not in _COMMAND_IMPLS:
         print(f"error: unknown command {command!r}", file=sys.stderr)
         return EXIT_CONFIG
-    resolved_out = Path(out_dir or cfg.out or os.environ.get(ENV_OUT_DIR, DEFAULT_OUT_DIR))
-    resolved_fmt = fmt or cfg.format
+    resolved_out = Path(out_dir or cfg.settings["out"]
+                        or os.environ.get(ENV_OUT_DIR, DEFAULT_OUT_DIR))
+    resolved_fmt = fmt or cfg.settings["format"]
     try:
         summary, columns, rows = _COMMAND_IMPLS[command](cfg)
     except ConfigError as exc:
@@ -753,18 +727,23 @@ def main(argv=None) -> int:
     text = "{}"
     if args.config is not None:
         try:
-            with open(args.config) as fh:
+            with open(args.config, encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
             print(f"i/o error: cannot read config: {exc}", file=sys.stderr)
             return EXIT_IO
+        except UnicodeDecodeError as exc:
+            print(f"config error: config is not UTF-8 text: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
     try:
         cfg = parse_config(text)
+        if args.seed is not None:
+            settings = serialize_config(cfg)
+            settings["tournament"]["seed"] = args.seed
+            cfg = _build(settings)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if args.seed is not None:
-        cfg.tournament = dataclasses.replace(cfg.tournament, seed=args.seed)
     return dispatch(args.command, cfg, out_dir=args.out, fmt=args.format, quiet=args.quiet)
 
 

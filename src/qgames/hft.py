@@ -11,6 +11,7 @@ as mass 1 when sampling is on).
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, Optional
@@ -81,6 +82,8 @@ class TournamentConfig:
     def __post_init__(self):
         if self.rounds < 1:
             raise RangeError(f"rounds must be >= 1, got {self.rounds}")
+        if self.seed < 0:
+            raise RangeError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "gamma", clamp_gamma(self.gamma))
 
 
@@ -174,8 +177,9 @@ def play_tournament(game: Bimatrix, a1: AgentSpec, a2: AgentSpec,
                     cfg: TournamentConfig) -> TournamentResult:
     """Run a sequential tournament between two agents.
 
-    The outcome distributions of every menu pair are computed up
-    front in one table, so rounds only look them up.  Without outcome
+    Everything fixed per menu pair (the outcome distribution, its
+    cumulative sums, expected payoffs and defect masses) is computed up
+    front in one table, so rounds only look it up.  Without outcome
     sampling the recorded payoffs are the exact expected payoffs of
     each round's profile.
     """
@@ -187,33 +191,32 @@ def play_tournament(game: Bimatrix, a1: AgentSpec, a2: AgentSpec,
     m2 = np.array([entry.gate.matrix for entry in a2.menu])
     pair_probs = noisy_outcome_probs(cfg.gamma, cfg.mode, m1[:, None], m2[None, :], cfg.noise)
     a, b = game.payoff_vectors()
-    pay_i, pay_ii = (pair_probs @ a).tolist(), (pair_probs @ b).tolist()
-    table = [[(pair_probs[i1, i2], pay_i[i1][i2], pay_ii[i1][i2]) for i2 in range(len(m2))]
-             for i1 in range(len(m1))]
+    exp_i, exp_ii = (pair_probs @ a).tolist(), (pair_probs @ b).tolist()
+    mass_1 = (pair_probs[..., 1] + pair_probs[..., 3]).tolist()
+    mass_2 = (pair_probs[..., 2] + pair_probs[..., 3]).tolist()
+    cdf = np.cumsum(pair_probs, axis=-1).tolist()
+    table = [[(tuple(p), cdf[i1][i2], exp_i[i1][i2], exp_ii[i1][i2], mass_1[i1][i2], mass_2[i1][i2])
+              for i2, p in enumerate(row)] for i1, row in enumerate(pair_probs.tolist())]
+    cells = [game.cell(outcome >> 1, outcome & 1) for outcome in range(4)]
 
     records = []
     total_i = total_ii = 0.0
     for k in range(cfg.rounds):
         i1 = agent1.choose(rng)
         i2 = agent2.choose(rng)
-        probs, exp_i, exp_ii = table[i1][i2]
+        dist, pair_cdf, pay_i, pay_ii, defect_mass_1, defect_mass_2 = table[i1][i2]
         if cfg.sampled_outcomes:
-            outcome = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
-            outcome = min(outcome, 3)
-            pay_i, pay_ii = game.cell(outcome >> 1, outcome & 1)
-            defect_mass_1 = 1.0 if outcome & 1 else 0.0
-            defect_mass_2 = 1.0 if outcome >> 1 else 0.0
+            outcome = min(bisect_right(pair_cdf, rng.random()), 3)
+            pay_i, pay_ii = cells[outcome]
+            defect_mass_1 = float(outcome & 1)
+            defect_mass_2 = float(outcome >> 1)
         else:
             outcome = None
-            pay_i, pay_ii = exp_i, exp_ii
-            defect_mass_1 = float(probs[1] + probs[3])
-            defect_mass_2 = float(probs[2] + probs[3])
         agent1.observe(i1, defect_mass_1, pay_i)
         agent2.observe(i2, defect_mass_2, pay_ii)
         records.append(RoundRecord(
             index=k, gate_I=a1.menu[i1].name, gate_II=a2.menu[i2].name,
-            distribution=tuple(float(x) for x in probs),
-            sampled_outcome=outcome, payoff_I=pay_i, payoff_II=pay_ii))
+            distribution=dist, sampled_outcome=outcome, payoff_I=pay_i, payoff_II=pay_ii))
         total_i += pay_i
         total_ii += pay_ii
     return TournamentResult(records=tuple(records),

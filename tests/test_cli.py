@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import qgames.cli as cli
 from qgames import EntanglerMode, MixedQuantumStrategy, NoiseKind, run_protocol_noisy
@@ -111,6 +112,120 @@ class TestParseConfig:
         d1 = cli.serialize_config(cli.parse_config(text))
         d2 = cli.serialize_config(cli.parse_config(json.dumps(d1)))
         assert d1 == d2
+
+    def test_canonical_defaults(self):
+        agent = {"kind": "epsilon_greedy_bandit", "menu": ["C", "D", "Q"], "epsilon": 0.1,
+                 "learning_rate": 0.1, "trigger_threshold": 0.5}
+        assert cli.serialize_config(cli.parse_config("{}")) == {
+            "game": "pd", "gamma": math.pi / 2, "entangler_mode": "defect",
+            "players": ["C", "C"],
+            "noise": {"kind": "none", "p": 0.0, "location": "return"},
+            "search": {"grid_resolution": 64, "eps_nash": 1e-6, "space": "A"},
+            "tournament": {"rounds": 10000, "seed": 0, "sampled_outcomes": False,
+                           "experiment": None, "agents": [agent, agent]},
+            "sweep": {"steps": 50}, "objective": "welfare", "out": None, "format": "csv"}
+
+    def test_canonical_values(self):
+        # integral floats read as ints, ints as floats where a number is
+        # expected, and strategy specs are stripped
+        cfg = cli.parse_config(json.dumps({
+            "players": [" Q ", "C"], "noise": {"p": 1},
+            "tournament": {"rounds": 1e4, "seed": 7.0}}))
+        t = cli.serialize_config(cfg)["tournament"]
+        assert (t["rounds"], t["seed"]) == (10000, 7)
+        assert type(t["rounds"]) is int and type(t["seed"]) is int
+        assert cfg.tournament.rounds == 10000 and cfg.tournament.seed == 7
+        assert cli.serialize_config(cfg)["noise"]["p"] == 1.0
+        assert cfg.player_specs == ("Q", "C")
+
+
+# Arbitrary JSON, with dict keys drawn partly from the schema's own key
+# names and string leaves partly from values the schema accepts; and
+# canonical settings with one to three of their parts overwritten by
+# such JSON, so that many drawn configs are accepted and round-tripped.
+_TEMPLATE = cli.serialize_config(cli.parse_config(json.dumps(
+    {"game": {"row_payoffs": [[3, 0], [5, 1]], "col_payoffs": [[3, 5], [0, 1]]}})))
+_WORDS = ["pd", "hft", "pi/2", "3pi/4", ".pi", "C", "D", "Q", "A(0.3,pi/4)",
+          "B(pi/2,0,pi/2)", 'mixed:[[0.5,"C"],[0.5,"Q"]]', "defect", "pauli_x",
+          "per_qubit_depolarizing", "two_qubit_depolarizing", "forward", "A", "B",
+          "menu_advantage", "fixed", "grim_trigger", "tit_for_tat", "player_I", "json"]
+
+
+def _paths(value, path=()):
+    yield path
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, inner in items:
+        yield from _paths(inner, path + (key,))
+
+
+_PATHS = list(_paths(_TEMPLATE))[1:]
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    | st.sampled_from(_WORDS),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(sorted({p[-1] for p in _PATHS if isinstance(p[-1], str)}))
+                      | st.text(max_size=6), inner, max_size=5),
+    max_leaves=16)
+
+
+def _has(container, key) -> bool:
+    return (isinstance(container, dict) and key in container) or (
+        isinstance(container, list) and isinstance(key, int) and key < len(container))
+
+
+@st.composite
+def _edited(draw):
+    config = json.loads(json.dumps(_TEMPLATE))
+    plausible = (st.sampled_from(_WORDS) | st.integers(-2, 200) | st.floats(-0.5, 2)
+                 | st.booleans() | st.none())
+    edits = st.lists(st.tuples(st.sampled_from(_PATHS), plausible | _JSON),
+                     min_size=1, max_size=3)
+    for path, value in draw(edits):
+        target = config
+        for key in path[:-1]:
+            target = target[key] if _has(target, key) else None
+        if _has(target, path[-1]):  # an earlier edit may have replaced a parent
+            target[path[-1]] = value
+    return config
+
+
+@settings(derandomize=True, max_examples=500, deadline=None, database=None)
+@given(_JSON | _edited())
+@example({"tournament": {"rounds": math.nan, "seed": -math.inf}})
+@example({"sweep": {"steps": math.inf}, "search": {"grid_resolution": 1e300}})
+@example({"noise": {"p": 10 ** 400}})
+@example({"gamma": ".pi", "out": "\ud800"})
+@example({"tournament": {"agents": [{"menu": []}, {"menu": ['mixed:[[1,"C"]]']}]}})
+def test_any_json_is_a_config_or_a_config_error(value):
+    try:
+        cfg = cli.parse_config(json.dumps(value))
+    except ConfigError:
+        return
+    again = cli.parse_config(json.dumps(cli.serialize_config(cfg)))
+    assert again.settings == cfg.settings
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.from_regex(cli._PI_RE) | st.from_regex(cli._PARAM_STRATEGY_RE)
+       | st.floats().map(repr) | st.text())
+@example(".pi")
+@example("nan")
+@example("-inf")
+@example("1" * 400 + "pi")
+@example("A(.pi, 0)")
+@example('mixed:[[true, "C"]]')
+@example("mixed:" + "[" * 100_000)
+def test_any_angle_or_strategy_string_is_read_or_a_config_error(text):
+    try:
+        assert math.isfinite(cli.parse_angle(text))
+    except ConfigError:
+        pass
+    for mode in EntanglerMode:
+        try:
+            cli.parse_strategy(text, mode)
+        except ConfigError:
+            pass
 
 
 def run_main(args):
@@ -308,10 +423,45 @@ class TestExitCodes:
         {"search": {"seed": 0}},  # removed key
         {"search": {"eps_nash": math.nan}},
         {"search": {"eps_nash": math.inf}},
+        # values of the wrong JSON type; none may be converted
+        {"tournament": {"sampled_outcomes": "false"}},
+        {"tournament": {"seed": 1.7}},
+        {"tournament": {"rounds": True}},
+        {"sweep": {"steps": 2.9}},
+        {"players": ['mixed:[[true,"C"]]', "C"]},
+        {"tournament": {"seed": -1}},
+        # inputs that must not end in a traceback
+        {"gamma": ".pi"},
+        {"out": "a\u0000b"},
+        {"out": "\ud800"},
+        {"game": {"row_payoffs": [[3, 0], [5, 1]], "col_payoffs": [[3, 5], [0, 1]],
+                  "row_labels": ["\ud800", "x"]}},
     ])
     def test_malformed_config_is_2(self, tmp_path, capsys, config):
         cfgfile = tmp_path / "bad.json"
         cfgfile.write_text(json.dumps(config))
+        assert run_main(["payoff", "--config", str(cfgfile), "--out",
+                         str(tmp_path / "out"), "--quiet"]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_negative_seed_flag_is_2(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text('{"tournament": {"rounds": 5}}')
+        assert run_main(["tournament", "--config", str(cfgfile), "--out",
+                         str(tmp_path / "out"), "--seed", "-1", "--quiet"]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_non_utf8_config_is_2(self, tmp_path, capsys):
+        cfgfile = tmp_path / "bad.json"
+        cfgfile.write_bytes(b"\xff\xfe{")
+        assert run_main(["payoff", "--config", str(cfgfile), "--out",
+                         str(tmp_path / "out"), "--quiet"]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_deeply_nested_config_is_2(self, tmp_path, capsys):
+        cfgfile = tmp_path / "bad.json"
+        cfgfile.write_text('{"players": ' + "[" * 100_000 + "]" * 100_000 + "}")
         assert run_main(["payoff", "--config", str(cfgfile), "--out",
                          str(tmp_path / "out"), "--quiet"]) == 2
         assert "config error" in capsys.readouterr().err
