@@ -76,6 +76,7 @@ from .hft import (
     MenuAdvantageReport,
     NamedGate,
     RoundRecord,
+    RoundRow,
     TournamentConfig,
     TournamentResult,
     menu_advantage_experiment,

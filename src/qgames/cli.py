@@ -12,6 +12,7 @@ import argparse
 import copy
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -379,22 +380,71 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _csv_record(cells) -> str:
+    """The text csv.writer writes for one row, line terminator included."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(cells)
+    return buf.getvalue()
+
+
+_CSV_CHUNK_ROUNDS = 4096  # rounds per write: a few hundred kB, never the whole file
+
+
+class _RoundLog:
+    """Tournament rows: for each (head, result) block, one row per round
+    made of the `head` cells, the round index and the cells `tail(row)`
+    of the round's RoundRow.  Each distinct row is formatted, and quoted
+    for CSV, once; a round adds only its index."""
+
+    def __init__(self, blocks, tail):
+        self.blocks = blocks
+        self.tail = tail
+
+    def _blocks(self):
+        """Per block: the formatted head cells, the formatted tail cells of
+        each of the result's rows, and the result's round log."""
+        for head, result in self.blocks:
+            yield ([_fmt(x) for x in head],
+                   [[_fmt(x) for x in self.tail(row)] for row in result.rows], result.log)
+
+    def json_rows(self) -> list:
+        rows = []
+        for head, tails, log in self._blocks():
+            rows += [[*head, str(k), *tails[code]] for k, code in enumerate(log)]
+        return rows
+
+    def csv_chunks(self):
+        for head, tails, log in self._blocks():
+            prefix = _csv_record(head).removesuffix(csv.excel.lineterminator) + "," if head else ""
+            tails = ["," + _csv_record(cells) for cells in tails]
+            for start in range(0, len(log), _CSV_CHUNK_ROUNDS):
+                yield "".join([f"{prefix}{k}{tails[code]}" for k, code in
+                               enumerate(log[start:start + _CSV_CHUNK_ROUNDS], start)])
+
+
 def _write_reports(out_dir: Path, command: str, fmt: str, quiet: bool,
                    summary: dict, columns, rows) -> list:
+    """Write the summary JSON and the rows (a list of cell tuples, or a
+    _RoundLog) as CSV, or embedded in the JSON with fmt "json"."""
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     summary = dict(summary)
     summary["command"] = command
+    round_log = isinstance(rows, _RoundLog)
     if fmt == "json":
         summary["columns"] = list(columns)
-        summary["rows"] = [[_fmt(x) for x in row] for row in rows]
+        summary["rows"] = (rows.json_rows() if round_log
+                           else [[_fmt(x) for x in row] for row in rows])
     else:
         csv_path = out_dir / f"{command}.csv"
         with open(csv_path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(columns)
-            for row in rows:
-                writer.writerow([_fmt(x) for x in row])
+            if round_log:
+                fh.writelines(rows.csv_chunks())
+            else:
+                for row in rows:
+                    writer.writerow([_fmt(x) for x in row])
         written.append(csv_path)
     json_path = out_dir / f"{command}.json"
     with open(json_path, "w") as fh:
@@ -618,11 +668,9 @@ def _cmd_tournament(cfg: RunConfig):
         report = hft_mod.menu_advantage_experiment(cfg.game, cfg.tournament)
         columns = ("condition", "round", "gate_I", "gate_II", "payoff_I", "payoff_II",
                    "sampled_outcome")
-        rows = []
-        for condition, result in (("quantum", report.quantum), ("classical", report.classical)):
-            for r in result.records:
-                rows.append((condition, r.index, r.gate_I, r.gate_II,
-                             r.payoff_I, r.payoff_II, r.sampled_outcome))
+        rows = _RoundLog([(("quantum",), report.quantum), (("classical",), report.classical)],
+                         lambda r: (r.gate_I, r.gate_II, r.payoff_I, r.payoff_II,
+                                    r.sampled_outcome))
         summary = {
             "experiment": "menu_advantage",
             "rounds": cfg.tournament.rounds,
@@ -637,8 +685,8 @@ def _cmd_tournament(cfg: RunConfig):
     result = hft_mod.play_tournament(cfg.game, cfg.agents[0], cfg.agents[1], cfg.tournament)
     columns = ("round", "gate_I", "gate_II", "p00", "p01", "p10", "p11",
                "sampled_outcome", "payoff_I", "payoff_II")
-    rows = [(r.index, r.gate_I, r.gate_II, *r.distribution, r.sampled_outcome,
-             r.payoff_I, r.payoff_II) for r in result.records]
+    rows = _RoundLog([((), result)], lambda r: (r.gate_I, r.gate_II, *r.distribution,
+                                                r.sampled_outcome, r.payoff_I, r.payoff_II))
     summary = {
         "rounds": cfg.tournament.rounds,
         "seed": cfg.tournament.seed,

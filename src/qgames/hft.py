@@ -14,6 +14,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -87,8 +88,26 @@ class TournamentConfig:
         object.__setattr__(self, "gamma", clamp_gamma(self.gamma))
 
 
-@dataclass(frozen=True)
-class RoundRecord:
+class RoundRow(NamedTuple):
+    """What a round of a tournament shows: the gates played, the pair's
+    outcome distribution, the sampled outcome (None without sampling)
+    and the payoffs (the sampled cell's, or the expected ones)."""
+
+    gate_I: str
+    gate_II: str
+    distribution: tuple
+    sampled_outcome: Optional[int]
+    payoff_I: float
+    payoff_II: float
+
+
+class RoundRecord(NamedTuple):
+    """Round `index` of a tournament: its RoundRow with the index in front.
+
+    Built on demand by TournamentResult.records; while it plays, a
+    tournament stores per round only the index of the round's RoundRow.
+    """
+
     index: int
     gate_I: str
     gate_II: str
@@ -100,9 +119,24 @@ class RoundRecord:
 
 @dataclass(frozen=True)
 class TournamentResult:
-    records: tuple
+    """A tournament's round log, kept as one entry per round into a
+    table of the rows that can occur.
+
+    `rows` holds every distinct RoundRow once: one per menu pair, or,
+    with outcome sampling, one per menu pair and outcome.  `log[k]` is
+    the index in `rows` of round k.  `records` expands the two into one
+    RoundRecord per round.
+    """
+
+    rows: tuple
+    log: tuple
     mean_payoff_I: float
     mean_payoff_II: float
+
+    @cached_property
+    def records(self) -> tuple:
+        rows = self.rows
+        return tuple(RoundRecord(k, *rows[code]) for k, code in enumerate(self.log))
 
 
 class _Agent:
@@ -154,15 +188,19 @@ class _BanditAgent(_Agent):
 
     def __init__(self, spec):
         super().__init__(spec)
-        self.values = np.zeros(len(spec.menu))
+        self.values = [0.0] * len(spec.menu)
+        self.epsilon = spec.epsilon
+        self.learning_rate = spec.learning_rate
 
     def choose(self, rng):
-        if rng.random() < self.spec.epsilon:
-            return int(rng.integers(len(self.spec.menu)))
-        return int(np.argmax(self.values))  # first index wins ties
+        if rng.random() < self.epsilon:
+            return int(rng.integers(len(self.values)))
+        values = self.values
+        return values.index(max(values))  # first index wins ties
 
     def observe(self, own_index, opponent_defect_mass, reward):
-        self.values[own_index] += self.spec.learning_rate * (reward - self.values[own_index])
+        values = self.values
+        values[own_index] += self.learning_rate * (reward - values[own_index])
 
 
 _AGENT_CLASSES = {
@@ -179,13 +217,15 @@ def play_tournament(game: Bimatrix, a1: AgentSpec, a2: AgentSpec,
 
     Everything fixed per menu pair (the outcome distribution, its
     cumulative sums, expected payoffs and defect masses) is computed up
-    front in one table, so rounds only look it up.  Without outcome
-    sampling the recorded payoffs are the exact expected payoffs of
-    each round's profile.
+    front in one table, and so is every RoundRow a round can show.  A
+    round stores only the index of its row (see TournamentResult).
+    Without outcome sampling the recorded payoffs are the exact
+    expected payoffs of each round's profile.
     """
     rng = np.random.default_rng(cfg.seed)
     agent1 = _AGENT_CLASSES[a1.kind](a1)
     agent2 = _AGENT_CLASSES[a2.kind](a2)
+    sampled = cfg.sampled_outcomes
 
     m1 = np.array([entry.gate.matrix for entry in a1.menu])
     m2 = np.array([entry.gate.matrix for entry in a2.menu])
@@ -195,31 +235,39 @@ def play_tournament(game: Bimatrix, a1: AgentSpec, a2: AgentSpec,
     mass_1 = (pair_probs[..., 1] + pair_probs[..., 3]).tolist()
     mass_2 = (pair_probs[..., 2] + pair_probs[..., 3]).tolist()
     cdf = np.cumsum(pair_probs, axis=-1).tolist()
-    table = [[(tuple(p), cdf[i1][i2], exp_i[i1][i2], exp_ii[i1][i2], mass_1[i1][i2], mass_2[i1][i2])
-              for i2, p in enumerate(row)] for i1, row in enumerate(pair_probs.tolist())]
-    cells = [game.cell(outcome >> 1, outcome & 1) for outcome in range(4)]
+    # per outcome: the cell's payoffs and the defect masses it shows
+    cells = [game.cell(outcome >> 1, outcome & 1) + (float(outcome & 1), float(outcome >> 1))
+             for outcome in range(4)]
+    rows, table = [], []
+    for i1, probs_row in enumerate(pair_probs.tolist()):
+        table.append([])
+        for i2, probs in enumerate(probs_row):
+            pair = (a1.menu[i1].name, a2.menu[i2].name, tuple(probs))
+            table[i1].append((len(rows), cdf[i1][i2], exp_i[i1][i2], exp_ii[i1][i2],
+                              mass_1[i1][i2], mass_2[i1][i2]))
+            if sampled:
+                rows += [RoundRow(*pair, outcome, *cells[outcome][:2]) for outcome in range(4)]
+            else:
+                rows.append(RoundRow(*pair, None, exp_i[i1][i2], exp_ii[i1][i2]))
 
-    records = []
+    choose_1, choose_2 = agent1.choose, agent2.choose
+    observe_1, observe_2 = agent1.observe, agent2.observe
+    log = []
     total_i = total_ii = 0.0
-    for k in range(cfg.rounds):
-        i1 = agent1.choose(rng)
-        i2 = agent2.choose(rng)
-        dist, pair_cdf, pay_i, pay_ii, defect_mass_1, defect_mass_2 = table[i1][i2]
-        if cfg.sampled_outcomes:
+    for _ in range(cfg.rounds):
+        i1 = choose_1(rng)
+        i2 = choose_2(rng)
+        code, pair_cdf, pay_i, pay_ii, defect_mass_1, defect_mass_2 = table[i1][i2]
+        if sampled:
             outcome = min(bisect_right(pair_cdf, rng.random()), 3)
-            pay_i, pay_ii = cells[outcome]
-            defect_mass_1 = float(outcome & 1)
-            defect_mass_2 = float(outcome >> 1)
-        else:
-            outcome = None
-        agent1.observe(i1, defect_mass_1, pay_i)
-        agent2.observe(i2, defect_mass_2, pay_ii)
-        records.append(RoundRecord(
-            index=k, gate_I=a1.menu[i1].name, gate_II=a2.menu[i2].name,
-            distribution=dist, sampled_outcome=outcome, payoff_I=pay_i, payoff_II=pay_ii))
+            code += outcome
+            pay_i, pay_ii, defect_mass_1, defect_mass_2 = cells[outcome]
+        observe_1(i1, defect_mass_1, pay_i)
+        observe_2(i2, defect_mass_2, pay_ii)
+        log.append(code)
         total_i += pay_i
         total_ii += pay_ii
-    return TournamentResult(records=tuple(records),
+    return TournamentResult(rows=tuple(rows), log=tuple(log),
                             mean_payoff_I=total_i / cfg.rounds,
                             mean_payoff_II=total_ii / cfg.rounds)
 
@@ -234,7 +282,7 @@ class MenuAdvantageReport:
 
 
 def _tail_mean(result: TournamentResult, window: int) -> tuple:
-    tail = result.records[-window:]
+    tail = [result.rows[code] for code in result.log[-window:]]
     return (sum(r.payoff_I for r in tail) / len(tail),
             sum(r.payoff_II for r in tail) / len(tail))
 

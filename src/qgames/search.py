@@ -10,6 +10,7 @@ strategies visited in a cycle.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -251,12 +252,21 @@ def _dedup_menu(menu: Sequence[Gate1Q]) -> list:
 
 
 def default_menu(mode: EntanglerMode, points_per_axis: int = 5) -> list:
-    """Named gates C, D, Q plus a uniform set-B parameter grid."""
+    """Named gates C, D, Q plus a uniform set-B parameter grid.
+
+    The gates are built once per (mode, points_per_axis) and shared
+    (a Gate1Q is immutable); each call returns a new list of them.
+    """
+    return list(_default_menu(mode, points_per_axis))
+
+
+@functools.lru_cache(maxsize=16)
+def _default_menu(mode: EntanglerMode, points_per_axis: int) -> tuple:
     named = canonical_gates(mode)
     angles = np.linspace(-np.pi, np.pi, points_per_axis)
     grid = np.meshgrid(np.linspace(0, np.pi / 2, points_per_axis), angles, angles, indexing="ij")
     grid_gates = [Gate1Q(u) for u in strategy_matrix(*grid).reshape(-1, 2, 2)]
-    return [named.C, named.D, named.Q] + grid_gates
+    return (named.C, named.D, named.Q, *grid_gates)
 
 
 def _induced_tables(game, gamma, mode, reps):

@@ -1,4 +1,6 @@
 """Tests for config parsing, dispatch, and report emission."""
+import csv
+import hashlib
 import json
 import math
 import subprocess
@@ -404,6 +406,95 @@ class TestDispatch:
         cfgfile.write_text('{"game": "pd"}')
         assert run_main(["equilibria", "--config", str(cfgfile), "--quiet"]) == 0
         assert (tmp_path / "envout" / "equilibria.json").exists()
+
+
+_BANDIT_B_VS_GRIM_NOISY = {
+    "game": "hft", "gamma": 1.1, "entangler_mode": "pauli_x",
+    "noise": {"kind": "per_qubit_depolarizing", "p": 0.15},
+    "tournament": {"rounds": 1500, "seed": 11, "agents": [
+        {"kind": "epsilon_greedy_bandit", "menu": ["C", "B(0.7, 1.2, -0.4)", "Q"],
+         "epsilon": 0.2, "learning_rate": 0.3},
+        {"kind": "grim_trigger", "menu": ["Q", "D"], "trigger_threshold": 0.4}]}}
+_TFT_VS_BANDIT_SAMPLED = {
+    "game": "pd", "gamma": 0.8,
+    "tournament": {"rounds": 2000, "seed": 7, "sampled_outcomes": True, "agents": [
+        {"kind": "tit_for_tat", "menu": ["C", "D"]},
+        {"kind": "epsilon_greedy_bandit", "menu": ["D", "B(pi/4,0,pi/2)", "Q"],
+         "epsilon": 0.25}]}}
+_FIXED_B_VS_BANDIT_SAMPLED_NOISY = {
+    "game": "hft", "noise": {"kind": "two_qubit_depolarizing", "p": 0.4},
+    "tournament": {"rounds": 1000, "seed": 3, "sampled_outcomes": True, "agents": [
+        {"kind": "fixed", "menu": ["B(1,0.5,0.5)"]},
+        {"kind": "epsilon_greedy_bandit", "menu": ["C", "D"]}]}}
+_ADVANTAGE_NOISY = {
+    "game": "pd", "gamma": "pi/2", "noise": {"kind": "two_qubit_depolarizing", "p": 0.1},
+    "tournament": {"rounds": 1000, "seed": 5, "experiment": "menu_advantage"}}
+_ADVANTAGE_SAMPLED = {
+    "game": "hft", "gamma": 1.3, "entangler_mode": "pauli_x",
+    "tournament": {"rounds": 800, "seed": 9, "sampled_outcomes": True,
+                   "experiment": "menu_advantage"}}
+
+
+class TestTournamentReportBytes:
+    """The tournament round log and summary, pinned by sha256 digest."""
+
+    @pytest.mark.parametrize("config, fmt, digests", [
+        (_BANDIT_B_VS_GRIM_NOISY, "csv", {
+            "tournament.csv": "8650dc9ff3063eaf0b5570e97d55e47ebd5b952bf6e51c227f7362faba4aded5",
+            "tournament.json": "dfbfddbd8afe466c080a011a0e1fac05b0ed05d32186d583e77efde8ca043f75"}),
+        (_BANDIT_B_VS_GRIM_NOISY, "json", {
+            "tournament.json": "4a38dc213477979fcdddf68ae305a1551a0154e70873b6a6b997514bce9c6f0b"}),
+        (_TFT_VS_BANDIT_SAMPLED, "csv", {
+            "tournament.csv": "1eb94d1e59c1e860998ff89b6bec8475dcf31cccaf6ca00c01dd47c4cc6d6ac5",
+            "tournament.json": "5527141631861874d6004960edf8492534b2c3f225df2f8cd00b2ba5977dc22e"}),
+        (_FIXED_B_VS_BANDIT_SAMPLED_NOISY, "csv", {
+            "tournament.csv": "a16eb5d4728c4f715a62379e072868d9bf2a9a87675a4cd539ff1e8d04500009",
+            "tournament.json": "dd49189c5ed496ba0523e869fcec9f18df8822d0687f95c6d16cbaeb201d2fc6"}),
+        (_ADVANTAGE_NOISY, "csv", {
+            "tournament.csv": "eeffc9f462689c66e65c7a18f6f16a9336c7415a32cb4bbb5db959412ee9a0e8",
+            "tournament.json": "c374efbbaf8cab2b06fdc2de4f79448e599e82509f93332c7cb126b39c538dd0"}),
+        (_ADVANTAGE_NOISY, "json", {
+            "tournament.json": "60cd559a526bbeb515763c7e9e5d250cfcd1dfc60a5608c78b8ef79c3dc59a81"}),
+        (_ADVANTAGE_SAMPLED, "csv", {
+            "tournament.csv": "5e62bcad741fbaf648da79eaa8a0c83fd7de6cbb92af34227e3413cb34c4c1e5",
+            "tournament.json": "c80e1b9d9398faf474917e33471eb1614bcb2ac44dce404883ff4889464ab0bb"}),
+    ])
+    def test_report_digests(self, tmp_path, config, fmt, digests):
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert run_main(["tournament", "--config", str(cfgfile), "--out", str(out),
+                         "--format", fmt, "--quiet"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(digests)
+        got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in digests}
+        assert got == digests
+
+    @pytest.mark.parametrize("config", [_BANDIT_B_VS_GRIM_NOISY, _TFT_VS_BANDIT_SAMPLED,
+                                        _ADVANTAGE_SAMPLED])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_round_log_writes_what_per_cell_rows_write(self, tmp_path, config, fmt):
+        # reference: every round's cells formatted and quoted one by one
+        summary, columns, log = cli._cmd_tournament(cli.parse_config(json.dumps(config)))
+        per_cell = [(*head, r.index, *log.tail(r))
+                    for head, result in log.blocks for r in result.records]
+        for name, rows in (("log", log), ("cells", per_cell)):
+            cli._write_reports(tmp_path / name, "tournament", fmt, True, summary, columns, rows)
+        for path in (tmp_path / "cells").iterdir():
+            assert (tmp_path / "log" / path.name).read_bytes() == path.read_bytes()
+
+    def test_menu_gate_with_commas_is_quoted(self, tmp_path):
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(json.dumps(_BANDIT_B_VS_GRIM_NOISY))
+        out = tmp_path / "out"
+        assert run_main(["tournament", "--config", str(cfgfile), "--out", str(out),
+                         "--quiet"]) == 0
+        lines = (out / "tournament.csv").read_text().splitlines()
+        assert any(',"B(0.7, 1.2, -0.4)",' in line for line in lines)
+        with open(out / "tournament.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) == 1 + 1500
+        assert {r[1] for r in rows[1:]} <= {"C", "B(0.7, 1.2, -0.4)", "Q"}
+        assert [r[0] for r in rows[1:]] == [str(k) for k in range(1500)]
 
 
 class TestExitCodes:

@@ -1,10 +1,13 @@
 """Tests for the iterated-play tournament harness."""
+import hashlib
+
 import numpy as np
 import pytest
 
 from qgames import (
     AgentKind,
     AgentSpec,
+    Bimatrix,
     EntanglerMode,
     NamedGate,
     TournamentConfig,
@@ -13,6 +16,7 @@ from qgames import (
     menu_advantage_experiment,
     play_tournament,
 )
+from qgames import hft
 from qgames.errors import RangeError, ValidationError
 
 GAME = hft_game()
@@ -163,6 +167,33 @@ class TestReproducibility:
         res = play_tournament(GAME, bandit((C, D, Q), epsilon=0.5), bandit((C, D)), cfg)
         assert 0.0 <= res.mean_payoff_I <= 5.0
         assert 0.0 <= res.mean_payoff_II <= 5.0
+
+    def test_random_stream_order_pinned(self):
+        # agent 1's draws, agent 2's, then the outcome draw, every round
+        cfg = TournamentConfig(rounds=2000, gamma=1.2, mode=EntanglerMode.PAULI_X,
+                               seed=2024, sampled_outcomes=True)
+        res = play_tournament(GAME, bandit((C, D, Q), epsilon=0.3, lr=0.2),
+                              bandit((Q, C), epsilon=0.15, lr=0.4), cfg)
+        log = "\n".join(f"{r.gate_I},{r.gate_II},{r.sampled_outcome}" for r in res.records)
+        assert hashlib.sha256(log.encode()).hexdigest() == (
+            "3221682533d488935a10f98217ef7df96c4af53bbad3788b2c11375a60908b06")
+        assert (res.mean_payoff_I, res.mean_payoff_II) == (2.514, 2.824)
+
+
+class TestBanditTies:
+    def test_equal_values_pick_the_first_menu_entry(self):
+        zero = Bimatrix(row_payoffs=np.zeros((2, 2)), col_payoffs=np.zeros((2, 2)))
+        cfg = TournamentConfig(rounds=50, gamma=1.0, mode=EntanglerMode.DEFECT, seed=8)
+        res = play_tournament(zero, bandit((D, Q, C), epsilon=0.0), fixed(C), cfg)
+        assert all(r.gate_I == "D" for r in res.records)
+
+    def test_first_of_tied_maxima(self):
+        agent = hft._BanditAgent(bandit((C, D, Q), epsilon=0.0))
+        rng = np.random.default_rng(0)
+        agent.values = [0.5, 0.5, 0.5]
+        assert agent.choose(rng) == 0
+        agent.values = [0.2, 0.9, 0.9]
+        assert agent.choose(rng) == 1
 
 
 class TestMenuAdvantage:

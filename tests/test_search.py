@@ -19,6 +19,7 @@ from qgames import (
     verify_eps_nash,
 )
 from qgames.errors import RangeError, ValidationError
+from qgames.ewl import strategy_matrix
 
 PD = canonical_pd()
 MODES = list(EntanglerMode)
@@ -323,3 +324,38 @@ class TestMixedQuantumEquilibrium:
         with pytest.raises(ValidationError):
             mixed_quantum_equilibrium(PD, 0.0, EntanglerMode.DEFECT,
                                       [named.C, named.D], FAST, support_cap=1)
+
+
+class TestDefaultMenu:
+    @staticmethod
+    def uncached(mode, points_per_axis=5):
+        named = canonical_gates(mode)
+        angles = np.linspace(-np.pi, np.pi, points_per_axis)
+        grid = np.meshgrid(np.linspace(0, np.pi / 2, points_per_axis), angles, angles,
+                           indexing="ij")
+        return ([named.C.matrix, named.D.matrix, named.Q.matrix]
+                + list(strategy_matrix(*grid).reshape(-1, 2, 2)))
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("points", [2, 5])
+    def test_gates_bit_identical_to_a_fresh_build(self, mode, points):
+        for menu in (default_menu(mode, points), default_menu(mode, points)):
+            want = self.uncached(mode, points)
+            assert len(menu) == len(want) == 3 + points ** 3
+            assert all(g.matrix.tobytes() == w.tobytes() for g, w in zip(menu, want))
+
+    def test_repeat_calls_give_the_same_gates(self):
+        first = default_menu(EntanglerMode.DEFECT)
+        second = default_menu(EntanglerMode.DEFECT)
+        assert type(first) is list and type(second) is list
+        assert [g.matrix.tobytes() for g in first] == [g.matrix.tobytes() for g in second]
+
+    def test_mutating_the_returned_list_does_not_leak(self):
+        menu = default_menu(EntanglerMode.PAULI_X)
+        n = len(menu)
+        menu.clear()
+        again = default_menu(EntanglerMode.PAULI_X)
+        assert len(again) == n
+        again.append(again[0])
+        assert len(default_menu(EntanglerMode.PAULI_X)) == n
+        assert not default_menu(EntanglerMode.PAULI_X)[3].matrix.flags.writeable
