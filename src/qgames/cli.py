@@ -387,14 +387,14 @@ def _csv_record(cells) -> str:
     return buf.getvalue()
 
 
-_CSV_CHUNK_ROUNDS = 4096  # rounds per write: a few hundred kB, never the whole file
+_CHUNK_ROUNDS = 4096  # rounds per write: about a MB at most, never the whole file
 
 
 class _RoundLog:
     """Tournament rows: for each (head, result) block, one row per round
     made of the `head` cells, the round index and the cells `tail(row)`
     of the round's RoundRow.  Each distinct row is formatted, and quoted
-    for CSV, once; a round adds only its index."""
+    for CSV or JSON, once; a round adds only its index."""
 
     def __init__(self, blocks, tail):
         self.blocks = blocks
@@ -407,19 +407,27 @@ class _RoundLog:
             yield ([_fmt(x) for x in head],
                    [[_fmt(x) for x in self.tail(row)] for row in result.rows], result.log)
 
-    def json_rows(self) -> list:
-        rows = []
+    def json_chunks(self):
+        """The text json.dump(indent=2) writes for the list of rows as the
+        value of a top-level key."""
+        sep = "[\n"
         for head, tails, log in self._blocks():
-            rows += [[*head, str(k), *tails[code]] for k, code in enumerate(log)]
-        return rows
+            prefix = "    [\n" + "".join(f"      {json.dumps(x)},\n" for x in head) + '      "'
+            tails = ['"' + "".join(f",\n      {json.dumps(x)}" for x in cells) + "\n    ]"
+                     for cells in tails]
+            for start in range(0, len(log), _CHUNK_ROUNDS):
+                yield sep + ",\n".join([f"{prefix}{k}{tails[code]}" for k, code in
+                                        enumerate(log[start:start + _CHUNK_ROUNDS], start)])
+                sep = ",\n"
+        yield "[]" if sep == "[\n" else "\n  ]"
 
     def csv_chunks(self):
         for head, tails, log in self._blocks():
             prefix = _csv_record(head).removesuffix(csv.excel.lineterminator) + "," if head else ""
             tails = ["," + _csv_record(cells) for cells in tails]
-            for start in range(0, len(log), _CSV_CHUNK_ROUNDS):
+            for start in range(0, len(log), _CHUNK_ROUNDS):
                 yield "".join([f"{prefix}{k}{tails[code]}" for k, code in
-                               enumerate(log[start:start + _CSV_CHUNK_ROUNDS], start)])
+                               enumerate(log[start:start + _CHUNK_ROUNDS], start)])
 
 
 def _write_reports(out_dir: Path, command: str, fmt: str, quiet: bool,
@@ -433,8 +441,7 @@ def _write_reports(out_dir: Path, command: str, fmt: str, quiet: bool,
     round_log = isinstance(rows, _RoundLog)
     if fmt == "json":
         summary["columns"] = list(columns)
-        summary["rows"] = (rows.json_rows() if round_log
-                           else [[_fmt(x) for x in row] for row in rows])
+        summary["rows"] = [] if round_log else [[_fmt(x) for x in row] for row in rows]
     else:
         csv_path = out_dir / f"{command}.csv"
         with open(csv_path, "w", newline="") as fh:
@@ -448,7 +455,16 @@ def _write_reports(out_dir: Path, command: str, fmt: str, quiet: bool,
         written.append(csv_path)
     json_path = out_dir / f"{command}.json"
     with open(json_path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        if fmt == "json" and round_log:
+            # a top-level key is the only place a newline and two spaces
+            # precede a key, so this splits the text at the rows' place
+            before, after = json.dumps(summary, indent=2, sort_keys=True).split(
+                '\n  "rows": []', 1)
+            fh.write(before + '\n  "rows": ')
+            fh.writelines(rows.json_chunks())
+            fh.write(after)
+        else:
+            json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     written.append(json_path)
     if not quiet:

@@ -1,9 +1,14 @@
 """Iterated-play tournament harness for the trading game.
 
 Two agents repeatedly play the protocol over a finite gate menu.  A
-single seeded random stream drives each tournament and is consumed in
-a fixed order per round: agent 1's decision draws, agent 2's, then
-outcome sampling (when enabled), so runs are bit-for-bit reproducible.
+single seeded random stream drives each tournament: its draws are
+exactly those of numpy.random.default_rng(seed) (PCG64), one random()
+per epsilon test and per sampled outcome and one integers(len(menu))
+per exploration, consumed in a fixed order per round: agent 1's
+decision draws, agent 2's, then outcome sampling (when enabled), so
+runs are bit-for-bit reproducible.  The stream is read in blocks of raw
+PCG64 words (_Stream) that give the same values as numpy's scalar calls,
+so a seed's round log is the one those calls give.
 
 "Observed defection" for trigger-style agents is the outcome mass on
 the opponent's defect-labeled basis states (the sampled outcome counts
@@ -139,11 +144,71 @@ class TournamentResult:
         return tuple(RoundRecord(k, *rows[code]) for k, code in enumerate(self.log))
 
 
+_BLOCK_WORDS = 4096  # raw PCG64 words per refill: 32 kB
+
+
+class _Stream:
+    """The random() and integers(n) draws numpy.random.default_rng(seed)
+    makes, value for value, read from blocks of raw PCG64 words instead
+    of one numpy call per draw.
+
+    random() is numpy's next_double: the top 53 bits of a word, times
+    2**-53.  integers(n), for 1 <= n <= 2**32, is numpy's 32-bit Lemire
+    rejection on next_uint32, which hands out the low half of a word and
+    keeps the high half for the next 32-bit draw, across any random()
+    calls in between; n == 1 draws nothing.
+    """
+
+    def __init__(self, seed: int):
+        self._bits = np.random.default_rng(seed).bit_generator
+        self._words = np.empty(0, dtype=np.uint64)
+        self._doubles = []
+        self._next = 0  # index of the block's next unread word
+        self._high = None  # the kept high half of a word, if any
+
+    def _take(self) -> int:
+        """Index of the next unread word, refilling the block when spent."""
+        k = self._next
+        if k == len(self._doubles):
+            self._words = self._bits.random_raw(_BLOCK_WORDS)
+            self._doubles = ((self._words >> np.uint64(11)) * 2.0 ** -53).tolist()
+            k = 0
+        self._next = k + 1
+        return k
+
+    def random(self) -> float:
+        k = self._next
+        if k < len(self._doubles):  # _take() inlined: this is the per-round draw
+            self._next = k + 1
+            return self._doubles[k]
+        k = self._take()
+        return self._doubles[k]
+
+    def _uint32(self) -> int:
+        high = self._high
+        if high is not None:
+            self._high = None
+            return high
+        k = self._take()  # before reading _words: it may replace the block
+        word = int(self._words[k])
+        self._high = word >> 32
+        return word & 0xFFFFFFFF
+
+    def integers(self, n: int) -> int:
+        if n == 1:
+            return 0
+        threshold = (1 << 32) % n  # numpy's (2**32 - n) % n
+        while True:
+            m = self._uint32() * n
+            if m & 0xFFFFFFFF >= threshold:
+                return m >> 32
+
+
 class _Agent:
     def __init__(self, spec: AgentSpec):
         self.spec = spec
 
-    def choose(self, rng: np.random.Generator) -> int:
+    def choose(self, rng: _Stream) -> int:
         raise NotImplementedError
 
     def observe(self, own_index: int, opponent_defect_mass: float, reward: float) -> None:
@@ -222,7 +287,7 @@ def play_tournament(game: Bimatrix, a1: AgentSpec, a2: AgentSpec,
     Without outcome sampling the recorded payoffs are the exact
     expected payoffs of each round's profile.
     """
-    rng = np.random.default_rng(cfg.seed)
+    rng = _Stream(cfg.seed)
     agent1 = _AGENT_CLASSES[a1.kind](a1)
     agent2 = _AGENT_CLASSES[a2.kind](a2)
     sampled = cfg.sampled_outcomes
@@ -250,7 +315,7 @@ def play_tournament(game: Bimatrix, a1: AgentSpec, a2: AgentSpec,
             else:
                 rows.append(RoundRow(*pair, None, exp_i[i1][i2], exp_ii[i1][i2]))
 
-    choose_1, choose_2 = agent1.choose, agent2.choose
+    choose_1, choose_2, draw = agent1.choose, agent2.choose, rng.random
     observe_1, observe_2 = agent1.observe, agent2.observe
     log = []
     total_i = total_ii = 0.0
@@ -259,7 +324,7 @@ def play_tournament(game: Bimatrix, a1: AgentSpec, a2: AgentSpec,
         i2 = choose_2(rng)
         code, pair_cdf, pay_i, pay_ii, defect_mass_1, defect_mass_2 = table[i1][i2]
         if sampled:
-            outcome = min(bisect_right(pair_cdf, rng.random()), 3)
+            outcome = min(bisect_right(pair_cdf, draw()), 3)
             code += outcome
             pay_i, pay_ii, defect_mass_1, defect_mass_2 = cells[outcome]
         observe_1(i1, defect_mass_1, pay_i)

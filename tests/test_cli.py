@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import qgames.cli as cli
+import qgames.hft as hft_mod
 from qgames import EntanglerMode, MixedQuantumStrategy, NoiseKind, run_protocol_noisy
 from qgames.errors import ConfigError, ValidationError
 
@@ -495,6 +496,35 @@ class TestTournamentReportBytes:
         assert len(rows) == 1 + 1500
         assert {r[1] for r in rows[1:]} <= {"C", "B(0.7, 1.2, -0.4)", "Q"}
         assert [r[0] for r in rows[1:]] == [str(k) for k in range(1500)]
+
+
+class TestStreamedJsonRows:
+    """`--format json` writes the tournament rows in chunks; the text is
+    what json.dump writes for the same rows built in one list."""
+
+    def _same_as_per_cell(self, tmp_path, summary, columns, log):
+        per_cell = [(*head, r.index, *log.tail(r))
+                    for head, result in log.blocks for r in result.records]
+        for name, rows in (("log", log), ("cells", per_cell)):
+            cli._write_reports(tmp_path / name, "tournament", "json", True, summary, columns, rows)
+        want = (tmp_path / "cells" / "tournament.json").read_bytes()
+        assert (tmp_path / "log" / "tournament.json").read_bytes() == want
+        return json.loads(want)
+
+    def test_non_ascii_gate_name_and_chunk_edges(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_CHUNK_ROUNDS", 7)  # 50 rounds end mid-chunk
+        config = {"game": "pd", "tournament": {"rounds": 50, "seed": 1, "agents": [
+            {"kind": "epsilon_greedy_bandit", "menu": ["C", "B(\u0661, 0.5, 0)"], "epsilon": 0.5},
+            {"kind": "fixed", "menu": ["Q"]}]}}
+        report = self._same_as_per_cell(
+            tmp_path, *cli._cmd_tournament(cli.parse_config(json.dumps(config))))
+        assert "B(\u0661, 0.5, 0)" in {row[1] for row in report["rows"]}
+        assert [row[0] for row in report["rows"]] == [str(k) for k in range(50)]
+
+    def test_empty_round_log(self, tmp_path):
+        empty = hft_mod.TournamentResult(rows=(), log=(), mean_payoff_I=0.0, mean_payoff_II=0.0)
+        log = cli._RoundLog([(("quantum",), empty)], lambda r: (r.gate_I,))
+        assert self._same_as_per_cell(tmp_path, {"seed": 0}, ("round", "gate_I"), log)["rows"] == []
 
 
 class TestExitCodes:

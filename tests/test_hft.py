@@ -1,5 +1,6 @@
 """Tests for the iterated-play tournament harness."""
 import hashlib
+import random
 
 import numpy as np
 import pytest
@@ -223,3 +224,53 @@ class TestMenuAdvantage:
         report = menu_advantage_experiment(GAME, cfg)
         assert len(report.quantum.records) == 1
         assert len(report.classical.records) == 1
+
+
+class TestStream:
+    """hft._Stream against numpy itself: default_rng(seed) is the reference."""
+
+    @pytest.mark.parametrize("block_words", [hft._BLOCK_WORDS, 5])
+    @pytest.mark.parametrize("plan_seed", range(10))
+    def test_draws_match_default_rng(self, monkeypatch, block_words, plan_seed):
+        # a small block puts refills mid-plan, between and inside integer draws
+        monkeypatch.setattr(hft, "_BLOCK_WORDS", block_words)
+        plan = random.Random(plan_seed)
+        seed = plan.randrange(2**63)
+        ours, ref = hft._Stream(seed), np.random.default_rng(seed)
+        for step in range(plan.randrange(5000, 10000)):
+            if plan.random() < 0.5:
+                assert ours.random() == ref.random(), step
+            else:
+                # n near 2**32 rejects up to half of the 32-bit draws
+                n = (plan.choice((1, 2, 3, 5)) if plan.random() < 0.7
+                     else plan.choice((2**31, plan.randrange(2**31, 2**32), 2**32 - 1)))
+                assert ours.integers(n) == ref.integers(n), step
+
+
+def _agent(kind, menu):
+    return AgentSpec(kind=kind, menu=menu, epsilon=0.3, trigger_threshold=0.4)
+
+
+class TestTournamentMatchesDefaultRng:
+    """play_tournament on hft._Stream gives the log it gives on
+    numpy.random.default_rng itself."""
+
+    @pytest.mark.parametrize("kind_2", list(AgentKind))
+    @pytest.mark.parametrize("kind_1", list(AgentKind))
+    def test_same_rows_log_and_means(self, monkeypatch, kind_1, kind_2):
+        from qgames import NoiseKind, NoiseSpec, StrategyParamsB, gate_from_B
+        x = NamedGate("B(0.7, 1.2, -0.4)", gate_from_B(StrategyParamsB(0.7, 1.2, -0.4)))
+        gates = (Q, D, C, x)
+        monkeypatch.setattr(hft, "_BLOCK_WORDS", 61)  # refills fall mid-tournament
+        for sampled in (False, True):
+            for noise in (NoiseSpec(), NoiseSpec(kind=NoiseKind.PER_QUBIT_DEPOLARIZING, p=0.3)):
+                for size in range(1, 5):
+                    a1 = _agent(kind_1, gates[:size])
+                    a2 = _agent(kind_2, gates[size - 1:])  # sizes 1..4 against 4..1
+                    cfg = TournamentConfig(rounds=400, gamma=1.1, mode=EntanglerMode.PAULI_X,
+                                           noise=noise, seed=size, sampled_outcomes=sampled)
+                    ours = play_tournament(GAME, a1, a2, cfg)
+                    with monkeypatch.context() as m:
+                        m.setattr(hft, "_Stream", np.random.default_rng)
+                        ref = play_tournament(GAME, a1, a2, cfg)
+                    assert ours == ref, (sampled, noise, size)
