@@ -64,31 +64,31 @@ EXIT_IO = 4
 COMMANDS = ("payoff", "equilibria", "landscape", "sweep", "noise",
             "correlated", "tournament", "advantage")
 
-_PI_RE = re.compile(r"^\s*([+-]?\d*\.?\d*)\s*\*?\s*pi\s*(?:/\s*([+-]?\d*\.?\d+))?\s*$",
-                    re.IGNORECASE)
+# One ASCII grammar for every number in an angle string: sign, digits,
+# optional fraction and exponent (what repr() writes for a finite float).
+_NUMBER = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_NUMBER_RE = re.compile(rf"^\s*({_NUMBER})\s*$", re.ASCII)
+_PI_RE = re.compile(rf"^\s*({_NUMBER}|[+-]?)\s*\*?\s*pi\s*(?:/\s*({_NUMBER}))?\s*$",
+                    re.ASCII | re.IGNORECASE)
 
 
 def parse_angle(value, field: str = "angle") -> float:
     """Accept a finite radian number or an exact pi-fraction string."""
     if not isinstance(value, str):
         return _number(value, field)
-    m = _PI_RE.match(value)
-    try:
-        if m:
-            coef_txt, div_txt = m.group(1), m.group(2)
-            angle = float(coef_txt + "1" if coef_txt in ("", "+", "-") else coef_txt) * math.pi
-            if div_txt is not None:
-                angle /= float(div_txt)
-        else:
-            angle = float(value)
-    except (ValueError, ZeroDivisionError):
-        raise ConfigError(f"{field}: cannot parse angle {value!r}") from None
+    if m := _NUMBER_RE.fullmatch(value):
+        angle = float(m.group(1))
+    elif (m := _PI_RE.fullmatch(value)) and float(m.group(2) or 1) != 0:
+        coef, div = m.groups()
+        angle = float(coef + "1" if coef in ("", "+", "-") else coef) * math.pi / float(div or 1)
+    else:
+        raise ConfigError(f"{field}: cannot parse angle {value!r}")
     if not math.isfinite(angle):
         raise ConfigError(f"{field}: must be finite, got {value!r}")
     return angle
 
 
-_PARAM_STRATEGY_RE = re.compile(r"^\s*([AB])\s*\(([^)]*)\)\s*$")
+_PARAM_STRATEGY_RE = re.compile(r"^\s*([AB])\s*\(([^)]*)\)\s*$", re.ASCII)
 
 
 def parse_strategy(spec, mode: EntanglerMode, field: str = "strategy"
@@ -102,7 +102,7 @@ def parse_strategy(spec, mode: EntanglerMode, field: str = "strategy"
         m = _PARAM_STRATEGY_RE.match(text)
         if m:
             family, args_txt = m.group(1), m.group(2)
-            args = [parse_angle(a.strip(), field=f"{field}:{family}")
+            args = [parse_angle(a, field=f"{field}:{family}")
                     for a in args_txt.split(",") if a.strip() != ""]
             try:
                 if family == "A":
@@ -519,15 +519,10 @@ def describe_gate(gate: Gate1Q, mode: EntanglerMode) -> str:
     never affects outcomes.
     """
     named = canonical_gates(mode)
-    flat = gate.matrix.ravel()
-    k = int(np.argmax(np.abs(flat)))
+    key = search_mod.phase_canonical_key(gate.matrix)
     for name in ("C", "D", "Q"):
-        ref = getattr(named, name).matrix
-        anchor = ref.ravel()[k]
-        if abs(anchor) > 1e-9:
-            phase = flat[k] / anchor
-            if abs(abs(phase) - 1.0) < 1e-9 and np.abs(gate.matrix - phase * ref).max() < 1e-9:
-                return name
+        if search_mod.phase_canonical_key(getattr(named, name).matrix) == key:
+            return name
     m = gate.matrix
     theta = float(np.arctan2(abs(m[0, 1]), abs(m[0, 0])))
     alpha = float(np.angle(m[0, 0])) if abs(m[0, 0]) > 1e-12 else 0.0

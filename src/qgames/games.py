@@ -174,16 +174,6 @@ def expected_payoff(game: Bimatrix, profile: MixedProfile) -> tuple:
     return float(w @ a), float(w @ b)
 
 
-def _row_payoff_gap(A: np.ndarray, q: float) -> float:
-    """Player I's payoff of row 0 minus row 1 against q on column 0."""
-    return (A[0, 0] - A[1, 0]) * q + (A[0, 1] - A[1, 1]) * (1 - q)
-
-
-def _col_payoff_gap(B: np.ndarray, p: float) -> float:
-    """Player II's payoff of column 0 minus column 1 against p on row 0."""
-    return (B[0, 0] - B[0, 1]) * p + (B[1, 0] - B[1, 1]) * (1 - p)
-
-
 def _is_equilibrium(game: Bimatrix, p: float, q: float, eps: float) -> bool:
     A, B = game.row_payoffs, game.col_payoffs
     base_i, base_ii = expected_payoff(game, MixedProfile(p, q))

@@ -221,34 +221,39 @@ def symmetric_equilibrium_gate(game: Bimatrix, gamma: float, mode: EntanglerMode
 
 
 def advantage_threshold(game: Bimatrix, mode: EntanglerMode, noise_kind: NoiseKind,
-                        cfg: SearchConfig, gamma: float = np.pi / 2,
-                        limit: float = 2.5, p_tol: float = 1e-3) -> ThresholdResult:
-    """Smallest noise level at which the symmetric quantum equilibrium
-    payoff drops below the limit, by bisection on p.
+                        cfg: SearchConfig, gamma: float = np.pi / 2) -> ThresholdResult:
+    """Smallest noise level p at which the symmetric quantum equilibrium
+    payoff falls to the limit (T+S)/2 of the game's row payoffs, the
+    payoff of alternating exploitation in repeated play.
 
     The equilibrium profile is located noiselessly in set A; its payoff
-    is then tracked under the channel.  If the payoff never crosses the
-    limit on [0, 1] the result reports no threshold.
+    is then tracked under the channel.  The channel's Pauli weights are
+    polynomials of degree at most 2 in p, so the payoff is the quadratic
+    through its values at p = 0, 1/2 and 1, and the threshold is its
+    smallest root in [0, 1], in closed form.  kind=NONE reports no
+    threshold, as does a payoff that stays above the limit on [0, 1].
     """
     gate = symmetric_equilibrium_gate(game, gamma, mode, cfg)
+    limit = float(game.row_payoffs[1, 0] + game.row_payoffs[0, 1]) / 2.0
+    y0, y_half, y1 = (
+        run_protocol_noisy(game, gamma, mode, gate, gate, NoiseSpec(kind=noise_kind, p=p)).payoff_I
+        for p in (0.0, 0.5, 1.0))
+    if noise_kind == NoiseKind.NONE:
+        return ThresholdResult(False, None, y0, y1, limit, gate)
+    if y0 <= limit:
+        return ThresholdResult(True, 0.0, y0, y1, limit, gate)
 
-    def payoff_at(p: float) -> float:
-        spec = NoiseSpec(kind=noise_kind, p=p)
-        return run_protocol_noisy(game, gamma, mode, gate, gate, spec).payoff_I
-
-    lo_pay = payoff_at(0.0)
-    hi_pay = payoff_at(1.0)
-    if noise_kind != NoiseKind.NONE and lo_pay <= limit:
-        return ThresholdResult(True, 0.0, lo_pay, hi_pay, limit, gate)
-    if noise_kind == NoiseKind.NONE or hi_pay > limit:
-        # The payoff never crosses the limit on [0, 1].
-        return ThresholdResult(False, None, lo_pay, hi_pay, limit, gate)
-
-    lo, hi = 0.0, 1.0
-    while hi - lo > p_tol:
-        mid = (lo + hi) / 2.0
-        if payoff_at(mid) > limit:
-            lo = mid
-        else:
-            hi = mid
-    return ThresholdResult(True, (lo + hi) / 2.0, lo_pay, hi_pay, limit, gate)
+    # payoff(p) - limit = c p^2 + b p + d, d > 0.  The smallest positive
+    # root is 2d / (sqrt(disc) - b), also for c = 0, without cancellation.
+    # tol is the rounding of a payoff: a minimum, or an end value at p = 1,
+    # within tol of the limit reaches it.
+    c, b, d = 2.0 * (y0 - 2.0 * y_half + y1), 4.0 * y_half - 3.0 * y0 - y1, y0 - limit
+    tol = 64 * np.finfo(float).eps * float(np.abs(game.row_payoffs).max())
+    disc = b * b - 4.0 * c * d
+    if abs(disc) <= 4.0 * abs(c) * tol:
+        disc = 0.0
+    denom = np.sqrt(disc) - b if disc >= 0 else 0.0
+    p_star = 2.0 * d / denom if denom > 0 else np.inf
+    if p_star > 1.0 and y1 - limit > tol:
+        return ThresholdResult(False, None, y0, y1, limit, gate)
+    return ThresholdResult(True, float(min(p_star, 1.0)), y0, y1, limit, gate)

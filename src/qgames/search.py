@@ -226,7 +226,7 @@ class MixedEquilibriumResult:
     method: str  # "pure_fixed_point" or "support_enumeration"
 
 
-def _phase_canonical_key(matrix: np.ndarray, decimals: int = 10) -> tuple:
+def phase_canonical_key(matrix: np.ndarray, decimals: int = 10) -> tuple:
     """Hashable gate key invariant under global phase."""
     flat = matrix.ravel()
     k = int(np.argmax(np.abs(flat)))
@@ -244,7 +244,7 @@ def _dedup_menu(menu: Sequence[Gate1Q]) -> list:
     """
     reps, seen = [], set()
     for g in menu:
-        key = _phase_canonical_key(g.matrix)
+        key = phase_canonical_key(g.matrix)
         if key not in seen:
             seen.add(key)
             reps.append(g)

@@ -163,7 +163,7 @@ def test_criterion_08_hft_mapping():
 
 def test_criterion_09_noise_endpoints_and_threshold():
     with criterion(9, "two-qubit depolarizing endpoints exact; threshold "
-                      "bisection reproducible to 1e-3 (pinned 2/3)"):
+                      "exact and reproducible (pinned 2/3)"):
         named = canonical_gates(EntanglerMode.DEFECT)
         full = run_protocol_noisy(PD, np.pi / 2, EntanglerMode.DEFECT, named.Q, named.Q,
                                   NoiseSpec(kind=NoiseKind.TWO_QUBIT_DEPOLARIZING, p=1.0))
@@ -180,7 +180,7 @@ def test_criterion_09_noise_endpoints_and_threshold():
                 for _ in range(2)]
         assert runs[0].found and runs[1].found
         assert runs[0].p_star == runs[1].p_star
-        assert abs(runs[0].p_star - 2 / 3) < 2e-3
+        assert abs(runs[0].p_star - 2 / 3) < 1e-12
 
 
 def test_criterion_10_property_suites():

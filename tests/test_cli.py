@@ -1,5 +1,6 @@
 """Tests for config parsing, dispatch, and report emission."""
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -29,12 +30,20 @@ class TestParseAngle:
         assert cli.parse_angle("0.75") == 0.75
 
     def test_rejects_garbage(self):
-        with pytest.raises(ConfigError):
-            cli.parse_angle("two pi")
-        with pytest.raises(ConfigError):
-            cli.parse_angle("pi/0")
-        with pytest.raises(ConfigError):
-            cli.parse_angle(float("nan"))
+        # Python's float() reads underscores, non-ASCII digits and spaces,
+        # "inf" and "nan"; the angle grammar reads none of them
+        for text in ("two pi", "pi/0", float("nan"), "1_0", "\u0661", "\u0661pi", "pi/\u0662",
+                     "\uff12", "\u2003 2", "inf", "nan", "0x10", "1e", ".pi"):
+            with pytest.raises(ConfigError):
+                cli.parse_angle(text)
+
+    def test_float_repr_reads_back(self):
+        # strategy specs are often written as f"A({theta!r},{phi!r})"
+        for x in (1e-05, -0.0, 0.5, 1.5707963267948966, 1e300, 5e-324, -2.5e-10):
+            got = cli.parse_angle(repr(x))
+            assert got == x and math.copysign(1, got) == math.copysign(1, x)
+        for text, x in ((".5", 0.5), ("3.", 3.0), (" +1E+2 ", 100.0), ("pi/2.", math.pi / 2)):
+            assert cli.parse_angle(text) == x
 
 
 class TestParseStrategy:
@@ -375,7 +384,21 @@ class TestDispatch:
                          "--quiet"]) == 0
         summary = json.loads((out / "advantage.json").read_text())
         assert summary["found"] is True
-        assert abs(summary["p_star"] - 2 / 3) < 2e-3
+        assert abs(summary["p_star"] - 2 / 3) < 1e-12
+
+    def test_advantage_limit_scales_with_the_game(self, tmp_path):
+        # the PD with every payoff times 10: the limit (T+S)/2 is 25
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(json.dumps({
+            "game": {"row_payoffs": [[30, 0], [50, 10]], "col_payoffs": [[30, 50], [0, 10]]},
+            "noise": {"kind": "two_qubit_depolarizing", "p": 0},
+            "search": {"grid_resolution": 16}}))
+        out = tmp_path / "out"
+        assert run_main(["advantage", "--config", str(cfgfile), "--out", str(out),
+                         "--quiet"]) == 0
+        summary = json.loads((out / "advantage.json").read_text())
+        assert summary["limit"] == 25.0 and summary["found"] is True
+        assert abs(summary["p_star"] - 2 / 3) < 1e-12
 
     def test_byte_identical_reruns(self, tmp_path):
         cfgfile = tmp_path / "run.json"
@@ -514,10 +537,14 @@ class TestStreamedJsonRows:
     def test_non_ascii_gate_name_and_chunk_edges(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "_CHUNK_ROUNDS", 7)  # 50 rounds end mid-chunk
         config = {"game": "pd", "tournament": {"rounds": 50, "seed": 1, "agents": [
-            {"kind": "epsilon_greedy_bandit", "menu": ["C", "B(\u0661, 0.5, 0)"], "epsilon": 0.5},
+            {"kind": "epsilon_greedy_bandit", "menu": ["C", "B(1, 0.5, 0)"], "epsilon": 0.5},
             {"kind": "fixed", "menu": ["Q"]}]}}
-        report = self._same_as_per_cell(
-            tmp_path, *cli._cmd_tournament(cli.parse_config(json.dumps(config))))
+        cfg = cli.parse_config(json.dumps(config))
+        # configs take ASCII angles only; a library menu names gates freely
+        first = cfg.agents[0]
+        renamed = (first.menu[0], hft_mod.NamedGate("B(\u0661, 0.5, 0)", first.menu[1].gate))
+        cfg.agents = (dataclasses.replace(first, menu=renamed), cfg.agents[1])
+        report = self._same_as_per_cell(tmp_path, *cli._cmd_tournament(cfg))
         assert "B(\u0661, 0.5, 0)" in {row[1] for row in report["rows"]}
         assert [row[0] for row in report["rows"]] == [str(k) for k in range(50)]
 
@@ -557,6 +584,15 @@ class TestExitCodes:
         {"out": "\ud800"},
         {"game": {"row_payoffs": [[3, 0], [5, 1]], "col_payoffs": [[3, 5], [0, 1]],
                   "row_labels": ["\ud800", "x"]}},
+        # numbers outside the ASCII angle grammar
+        {"gamma": "1_0"},
+        {"gamma": "\u0661"},
+        {"gamma": "\u0661pi"},
+        {"gamma": "pi/\u0662"},
+        {"gamma": "\uff12"},
+        {"gamma": "\u2003 2"},
+        {"players": ["A(\u0661, 0)", "C"]},
+        {"players": ["A(1,\u2003 1)", "C"]},
     ])
     def test_malformed_config_is_2(self, tmp_path, capsys, config):
         cfgfile = tmp_path / "bad.json"

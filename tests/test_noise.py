@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from qgames import (
+    Bimatrix,
     ChannelLocation,
     DensityMatrix2Q,
     EntanglerMode,
@@ -19,11 +20,12 @@ from qgames import (
     entangler,
     gamma_sweep,
     gate_from_B,
+    hft_game,
     run_protocol,
     run_protocol_noisy,
     tensor,
 )
-from qgames.errors import RangeError, ValidationError
+from qgames.errors import ConvergenceError, RangeError, ValidationError
 from qgames.noise import symmetric_equilibrium_gate
 
 PD = canonical_pd()
@@ -259,6 +261,24 @@ class TestGammaSweep:
             gamma_sweep(PD, EntanglerMode.DEFECT, named.C, named.C, steps=1)
 
 
+def inline_game(rows):
+    """A symmetric game: the column player's payoffs are the transpose."""
+    rows = np.array(rows, dtype=float)
+    return Bimatrix(row_payoffs=rows, col_payoffs=rows.T)
+
+
+PER_QUBIT, TWO_QUBIT = NoiseKind.PER_QUBIT_DEPOLARIZING, NoiseKind.TWO_QUBIT_DEPOLARIZING
+# the payoff of the located (Q, Q)-like profile crosses (T+S)/2 = 2.5
+# at these levels in the PD and the HFT game, in both modes:
+# 4/3 p^2 - 2p + 3 per qubit, 3 - 3p/4 for the two-qubit channel
+EXACT_P_STAR = {PER_QUBIT: (3 - np.sqrt(3)) / 4, TWO_QUBIT: 2 / 3}
+# payoff dips to 2.375 at p = 3/4 and ends at 2.556, against a limit of 2.5
+TWO_CROSSING = [[4, 0], [5, 0.5]]
+# per-qubit payoffs with a minimum of exactly (T+S)/2, at p = 3/4; under
+# the two-qubit channel they reach (T+S)/2 exactly at p = 1
+TANGENT = ([[3, 0], [4, 1]], [[3, 0], [5, 2]], [[4, 0], [5, 1]], [[3, 1], [4, 2]])
+
+
 class TestAdvantageThreshold:
     def test_symmetric_equilibrium_gate_is_q_in_defect_mode(self):
         gate = symmetric_equilibrium_gate(PD, np.pi / 2, EntanglerMode.DEFECT, SEARCH)
@@ -274,21 +294,21 @@ class TestAdvantageThreshold:
                                   NoiseKind.TWO_QUBIT_DEPOLARIZING, SEARCH)
         assert res.found
         # payoff(p) = 3 - 0.75 p crosses 2.5 at p = 2/3
-        assert abs(res.p_star - 2 / 3) < 2e-3
+        assert abs(res.p_star - 2 / 3) < 1e-12
         assert abs(res.payoff_full_noise - 9 / 4) < 1e-12
 
     def test_per_qubit_threshold_pinned(self):
         res = advantage_threshold(PD, EntanglerMode.DEFECT,
                                   NoiseKind.PER_QUBIT_DEPOLARIZING, SEARCH)
         assert res.found
-        assert abs(res.p_star - 0.3169872981) < 2e-3
+        assert abs(res.p_star - (3 - np.sqrt(3)) / 4) < 1e-12
 
     def test_reproducible_to_tolerance(self):
         r1 = advantage_threshold(PD, EntanglerMode.DEFECT,
                                  NoiseKind.TWO_QUBIT_DEPOLARIZING, SEARCH)
         r2 = advantage_threshold(PD, EntanglerMode.DEFECT,
                                  NoiseKind.TWO_QUBIT_DEPOLARIZING, SEARCH)
-        assert r1.p_star == r2.p_star  # deterministic bisection
+        assert r1.p_star == r2.p_star  # deterministic closed form
 
     def test_pauli_x_mode_same_threshold(self):
         # The symmetric set-A equilibrium differs per mode, but the
@@ -296,4 +316,91 @@ class TestAdvantageThreshold:
         res = advantage_threshold(PD, EntanglerMode.PAULI_X,
                                   NoiseKind.TWO_QUBIT_DEPOLARIZING, SEARCH)
         assert res.found
-        assert abs(res.p_star - 2 / 3) < 2e-3
+        assert abs(res.p_star - 2 / 3) < 1e-12
+
+    @pytest.mark.parametrize("game", [PD, hft_game()], ids=["pd", "hft"])
+    @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
+    @pytest.mark.parametrize("kind", [PER_QUBIT, TWO_QUBIT], ids=lambda k: k.value)
+    def test_p_star_exact(self, game, mode, kind):
+        res = advantage_threshold(game, mode, kind, SEARCH)
+        assert res.found and res.limit == 2.5
+        assert abs(res.p_star - EXACT_P_STAR[kind]) < 1e-12
+
+    def test_limit_follows_the_game(self):
+        # every PD payoff times 10: the limit is 25, not 2.5
+        res = advantage_threshold(inline_game([[30, 0], [50, 10]]), EntanglerMode.DEFECT,
+                                  TWO_QUBIT, SEARCH)
+        assert res.limit == 25.0
+        assert res.found and abs(res.p_star - 2 / 3) < 1e-12
+
+    def test_second_crossing_is_not_needed(self):
+        # the payoff ends above the limit, but dips below it first
+        res = advantage_threshold(inline_game(TWO_CROSSING), EntanglerMode.DEFECT,
+                                  PER_QUBIT, SEARCH)
+        assert res.payoff_full_noise > res.limit == 2.5
+        assert res.found and abs(res.p_star - (39 - 3 * np.sqrt(13)) / 52) < 1e-12
+
+    @pytest.mark.parametrize("rows", TANGENT, ids=str)
+    @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
+    def test_touching_the_limit_counts(self, rows, mode):
+        # the float discriminants of these four are 0, +-1e-15: a touch
+        # within rounding is found at the same place in every one of them
+        res = advantage_threshold(inline_game(rows), mode, PER_QUBIT, SEARCH)
+        assert res.found and abs(res.p_star - 0.75) < 1e-6
+        res = advantage_threshold(inline_game(rows), mode, TWO_QUBIT, SEARCH)
+        assert res.found and res.p_star == 1.0
+
+    @pytest.mark.parametrize("scale, shift", [(0.1, 0.0), (7.0, -3.0), (1e3, 1e4),
+                                              (1e-3, -0.2), (3.3, 1e3)])
+    def test_affine_payoff_change_keeps_p_star(self, scale, shift):
+        for rows, tol in ([[[3, 0], [5, 1]], 1e-12], [TWO_CROSSING, 1e-12],
+                          *([r, 1e-6] for r in TANGENT)):
+            for kind in (PER_QUBIT, TWO_QUBIT):
+                base = advantage_threshold(inline_game(rows), EntanglerMode.DEFECT, kind, SEARCH)
+                moved = advantage_threshold(inline_game(np.array(rows) * scale + shift),
+                                            EntanglerMode.DEFECT, kind, SEARCH)
+                assert moved.found == base.found
+                assert abs(moved.p_star - base.p_star) < tol, (rows, kind)
+                assert abs(moved.limit - (base.limit * scale + shift)) < 1e-12 * abs(moved.limit)
+
+    def test_dense_grid_oracle(self):
+        """Seeded games with T > R > P > S: the threshold is the first
+        level of a dense p grid at which the payoff of the located
+        profile is at or below (T+S)/2, to the grid's spacing."""
+        rng = np.random.default_rng(2024)
+        grid = np.linspace(0.0, 1.0, 201)
+        seen = {"zero": 0, "inside": 0, "none": 0}
+        for _ in range(10):
+            s, p, r, t = np.sort(rng.uniform(-2.0, 6.0, 4))
+            game = inline_game([[r, s], [t, p]])
+            limit = (t + s) / 2
+            for mode in MODES:
+                try:
+                    gate = symmetric_equilibrium_gate(game, np.pi / 2, mode, SEARCH)
+                except ConvergenceError:
+                    # no threshold without a located profile
+                    with pytest.raises(ConvergenceError):
+                        advantage_threshold(game, mode, PER_QUBIT, SEARCH)
+                    continue
+                for kind in (PER_QUBIT, TWO_QUBIT):
+                    res = advantage_threshold(game, mode, kind, SEARCH)
+
+                    def payoff(q, kind=kind, gate=gate):
+                        return run_protocol_noisy(game, np.pi / 2, mode, gate, gate,
+                                                  NoiseSpec(kind=kind, p=q)).payoff_I
+                    pays = np.array([payoff(q) for q in grid])
+                    below = np.flatnonzero(pays <= limit)
+                    if not res.found:
+                        seen["none"] += 1
+                        assert below.size == 0
+                        continue
+                    if res.p_star == 0.0:
+                        seen["zero"] += 1
+                        assert pays[0] <= limit
+                        continue
+                    seen["inside"] += 1
+                    assert abs(payoff(res.p_star) - limit) < 1e-9
+                    assert np.all(pays[grid < res.p_star] > limit - 1e-9)
+                    if below.size:
+                        assert res.p_star <= grid[below[0]]
+        assert min(seen.values()) >= 2, seen
