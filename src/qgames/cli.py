@@ -519,9 +519,10 @@ def describe_gate(gate: Gate1Q, mode: EntanglerMode) -> str:
     never affects outcomes.
     """
     named = canonical_gates(mode)
-    key = search_mod.phase_canonical_key(gate.matrix)
-    for name in ("C", "D", "Q"):
-        if search_mod.phase_canonical_key(getattr(named, name).matrix) == key:
+    key, *named_keys = search_mod.phase_canonical_keys(
+        np.array([gate.matrix, named.C.matrix, named.D.matrix, named.Q.matrix]))
+    for name, named_key in zip(("C", "D", "Q"), named_keys):
+        if named_key == key:
             return name
     m = gate.matrix
     theta = float(np.arctan2(abs(m[0, 1]), abs(m[0, 0])))

@@ -12,6 +12,7 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -140,10 +141,14 @@ class PureState2Q:
         a = np.array(amps, dtype=np.complex128)
         if a.shape != (4,):
             raise ValidationError(f"PureState2Q: expected 4 amplitudes, got shape {a.shape}")
-        if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
+        norm = float(np.vdot(a, a).real)
+        # a finite norm implies finite amplitudes; an overflowing norm
+        # of finite ones (1e200) is reported as not normalized below
+        if not math.isfinite(norm) and not (
+                np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
             raise ValidationError("PureState2Q: amplitudes must be finite")
-        norm_err = abs(float(np.sum(np.abs(a) ** 2)) - 1.0)
-        if norm_err > tol.state_atol:
+        norm_err = abs(norm - 1.0)
+        if not norm_err <= tol.state_atol:
             raise ValidationError(
                 f"PureState2Q is not normalized (|norm^2 - 1| = {norm_err:.3e})")
         a.setflags(write=False)
@@ -177,11 +182,13 @@ class OutcomeDistribution:
         p = np.asarray(probs, dtype=np.float64)
         if p.shape != (4,):
             raise ValidationError(f"OutcomeDistribution: expected 4 probabilities, got {p.shape}")
-        if not np.all(np.isfinite(p)):
+        p0, p1, p2, p3 = values = p.tolist()
+        if not all(map(math.isfinite, values)):
             raise ValidationError("OutcomeDistribution: probabilities must be finite")
-        if p.min() < -tol.state_atol or p.max() > 1.0 + tol.state_atol:
-            raise ValidationError(f"OutcomeDistribution: probabilities outside [0,1]: {p.tolist()}")
-        if abs(float(p.sum()) - 1.0) > tol.state_atol:
+        if min(values) < -tol.state_atol or max(values) > 1.0 + tol.state_atol:
+            raise ValidationError(f"OutcomeDistribution: probabilities outside [0,1]: {values}")
+        # summed in the order numpy's p.sum() adds four values
+        if abs(p0 + p1 + p2 + p3 - 1.0) > tol.state_atol:
             raise ValidationError(f"OutcomeDistribution does not sum to 1 (sum={p.sum()!r})")
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)

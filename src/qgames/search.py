@@ -226,29 +226,45 @@ class MixedEquilibriumResult:
     method: str  # "pure_fixed_point" or "support_enumeration"
 
 
-def phase_canonical_key(matrix: np.ndarray, decimals: int = 10) -> tuple:
-    """Hashable gate key invariant under global phase."""
-    flat = matrix.ravel()
-    k = int(np.argmax(np.abs(flat)))
-    phase = flat[k] / abs(flat[k])
-    canon = np.round(flat / phase, decimals) + 0.0  # normalize -0.0
-    return tuple(zip(canon.real.tolist(), canon.imag.tolist()))
+def phase_canonical_keys(matrices: np.ndarray) -> list:
+    """Hashable global-phase keys of an (n, 2, 2) stack of gates.
+
+    Each gate is divided by the phase of its largest-magnitude entry
+    (the first one on a tie) and rounded to 10 decimals, so gates that
+    differ only by a global phase get equal keys: tuples of four
+    (real, imag) pairs in row-major order.  Where the largest entries
+    tie in exact arithmetic (|U00| = |U11| on every set-B gate), the
+    entry chosen follows their last-bit rounding, so a phase multiple
+    can still get another key.  The whole stack is keyed in one pass,
+    with the same arithmetic per gate as keying it alone: the lead
+    entry's modulus is np.hypot, which rounds like abs() of a complex
+    scalar, where np.abs of a complex array may differ by an ulp.
+    """
+    flat = np.asarray(matrices).reshape(-1, 4)
+    lead = flat[np.arange(len(flat)), np.argmax(np.abs(flat), axis=1)]
+    phase = lead / np.hypot(lead.real, lead.imag)
+    canon = np.round(flat / phase[:, None], 10) + 0.0  # normalize -0.0
+    # one (real, imag) iterator per matrix entry, zipped into a key per gate
+    columns = map(zip, canon.real.T.tolist(), canon.imag.T.tolist())
+    return list(zip(*columns))
 
 
-def _dedup_menu(menu: Sequence[Gate1Q]) -> list:
-    """First-occurrence representatives of phase-equivalent gates.
+def _dedup_menu(menu: Sequence[Gate1Q]) -> tuple:
+    """(reps, matrices): first-occurrence representatives of the menu's
+    phase-equivalent gates, in menu order, and their stacked matrices.
 
     A global phase on either player's gate cannot change the outcome
     distribution, so equivalent menu entries induce identical rows of
-    the finite game.
+    the finite game.  The menu is stacked once and keyed by one
+    phase_canonical_keys call.
     """
-    reps, seen = [], set()
-    for g in menu:
-        key = phase_canonical_key(g.matrix)
+    stack = np.array([g.matrix for g in menu])
+    keep, seen = [], set()
+    for i, key in enumerate(phase_canonical_keys(stack)):
         if key not in seen:
             seen.add(key)
-            reps.append(g)
-    return reps
+            keep.append(i)
+    return [menu[i] for i in keep], stack[keep]
 
 
 def default_menu(mode: EntanglerMode, points_per_axis: int = 5) -> list:
@@ -269,8 +285,9 @@ def _default_menu(mode: EntanglerMode, points_per_axis: int) -> tuple:
     return (named.C, named.D, named.Q, *grid_gates)
 
 
-def _induced_tables(game, gamma, mode, reps):
-    u = np.array([g.matrix for g in reps])
+def _induced_tables(game, gamma, mode, u):
+    """Payoff tables (pi, pii) of the finite game between the gate
+    matrices u[n, 2, 2]: entry [i, j] is the payoff of u[i] against u[j]."""
     probs = np.abs(outcome_amplitudes(gamma, mode, u[:, None], u[None, :])) ** 2
     a, b = game.payoff_vectors()
     return probs @ a, probs @ b
@@ -356,8 +373,8 @@ def mixed_quantum_equilibrium(game: Bimatrix, gamma: float, mode: EntanglerMode,
     if len(menu) > cap:
         raise ValidationError(f"menu size {len(menu)} exceeds support cap {cap}")
     gamma = clamp_gamma(gamma)
-    reps = _dedup_menu(menu)
-    pi, pii = _induced_tables(game, gamma, mode, reps)
+    reps, u = _dedup_menu(menu)
+    pi, pii = _induced_tables(game, gamma, mode, u)
     eps = cfg.eps_nash
 
     def result_from(xf, yf, vi, vii, method):

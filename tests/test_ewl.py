@@ -283,7 +283,7 @@ class TestOutcomeAmplitudes:
         a, b = PD.payoff_vectors()
         for rng, gamma, mode in kernel_cases(3005, 8):
             reps = [Gate1Q(u) for u in random_gates(rng, 5)]
-            pi, pii = _induced_tables(PD, gamma, mode, reps)
+            pi, pii = _induced_tables(PD, gamma, mode, np.array([g.matrix for g in reps]))
             for i, u in enumerate(reps):
                 for j, v in enumerate(reps):
                     probs = np.abs(oracle_amplitudes(gamma, mode, u, v)) ** 2

@@ -213,6 +213,51 @@ class TestValidation:
         with pytest.raises(ValidationError):
             OutcomeDistribution([-0.1, 0.6, 0.5, 0])
 
+    @pytest.mark.parametrize("amps, message", [
+        ([np.nan, 0, 0, 0], "PureState2Q: amplitudes must be finite"),
+        ([1, 0, np.inf, 0], "PureState2Q: amplitudes must be finite"),
+        ([1, 0, 0, -np.inf], "PureState2Q: amplitudes must be finite"),
+        ([complex(0, -np.inf), 0, 0, 0], "PureState2Q: amplitudes must be finite"),
+        ([1e200, 0, 0, 0], "PureState2Q is not normalized (|norm^2 - 1| = inf)"),
+        ([np.sqrt(1 + 2e-9), 0, 0, 0],
+         "PureState2Q is not normalized (|norm^2 - 1| = 2.000e-09)"),
+        ([0, S2, 0, S2 * np.sqrt(1 - 4e-9)],
+         "PureState2Q is not normalized (|norm^2 - 1| = 2.000e-09)"),
+        ([1, 0, 0], "PureState2Q: expected 4 amplitudes, got shape (3,)"),
+        ([[1, 0], [0, 0]], "PureState2Q: expected 4 amplitudes, got shape (2, 2)"),
+    ])
+    def test_state_rejection_messages(self, amps, message):
+        with pytest.raises(ValidationError) as err:
+            PureState2Q(amps)
+        assert type(err.value) is ValidationError and str(err.value) == message
+
+    def test_state_accepts_norm_within_tolerance(self):
+        for amps in ([np.sqrt(1 + 5e-10), 0, 0, 0], [0, 0, 1j * np.sqrt(1 - 5e-10), 0]):
+            assert PureState2Q(amps).amps.tolist() == np.array(amps, dtype=complex).tolist()
+
+    @pytest.mark.parametrize("probs, message", [
+        ([np.nan, 0, 0, 1], "OutcomeDistribution: probabilities must be finite"),
+        ([0, np.inf, 0, 1], "OutcomeDistribution: probabilities must be finite"),
+        ([-2e-9, 0.5, 0.5, 2e-9],
+         "OutcomeDistribution: probabilities outside [0,1]: [-2e-09, 0.5, 0.5, 2e-09]"),
+        ([1 + 2e-9, 0, 0, 0],
+         "OutcomeDistribution: probabilities outside [0,1]: [1.000000002, 0.0, 0.0, 0.0]"),
+        ([0.5, 0.5 + 2e-9, 0, 0], "OutcomeDistribution does not sum to 1 "
+         f"(sum={np.float64(0.5 + (0.5 + 2e-9))!r})"),
+        ([0.25, 0.25, 0.25, 0.25 - 2e-9], "OutcomeDistribution does not sum to 1 "
+         f"(sum={np.float64(0.75 + (0.25 - 2e-9))!r})"),
+        ([0.5, 0.5], "OutcomeDistribution: expected 4 probabilities, got (2,)"),
+    ])
+    def test_distribution_rejection_messages(self, probs, message):
+        with pytest.raises(ValidationError) as err:
+            OutcomeDistribution(probs)
+        assert type(err.value) is ValidationError and str(err.value) == message
+
+    def test_distribution_accepts_the_tolerance_edges(self):
+        for probs in ([-1e-9, 0.5, 0.5, 1e-9], [1 + 1e-9, 0, 0, -1e-9],
+                      [0.5, 0.5 + 5e-10, 0, 0], [0.25, 0.25, 0.25, 0.25 - 5e-10]):
+            assert OutcomeDistribution(probs).probs.tolist() == probs
+
     def test_values_immutable(self):
         g = Gate1Q(I2)
         with pytest.raises(AttributeError):

@@ -18,7 +18,8 @@ from qgames import (
     run_protocol_mixed,
     verify_eps_nash,
 )
-from qgames.errors import RangeError, ValidationError
+from qgames import search
+from qgames.errors import ConvergenceError, RangeError, ValidationError
 from qgames.ewl import strategy_matrix
 
 PD = canonical_pd()
@@ -359,3 +360,99 @@ class TestDefaultMenu:
         again.append(again[0])
         assert len(default_menu(EntanglerMode.PAULI_X)) == n
         assert not default_menu(EntanglerMode.PAULI_X)[3].matrix.flags.writeable
+
+
+def reference_phase_key(matrix):
+    """The per-gate phase rule, kept as the oracle for phase_canonical_keys."""
+    flat = matrix.ravel()
+    k = int(np.argmax(np.abs(flat)))
+    phase = flat[k] / abs(flat[k])
+    canon = np.round(flat / phase, 10) + 0.0
+    return tuple(zip(canon.real.tolist(), canon.imag.tolist()))
+
+
+def reference_dedup(menu):
+    """First occurrences under reference_phase_key, one gate at a time,
+    and their stacked matrices."""
+    reps, seen = [], set()
+    for g in menu:
+        key = reference_phase_key(g.matrix)
+        if key not in seen:
+            seen.add(key)
+            reps.append(g)
+    return reps, np.array([g.matrix for g in reps])
+
+
+def random_b_gates(seed, n):
+    """n seeded set-B gate matrices, each times a random global phase."""
+    rng = np.random.default_rng(seed)
+    u = strategy_matrix(rng.uniform(0, np.pi / 2, n), rng.uniform(-np.pi, np.pi, n),
+                        rng.uniform(-np.pi, np.pi, n))
+    return u * np.exp(1j * rng.uniform(-np.pi, np.pi, n))[:, None, None]
+
+
+class TestPhaseCanonicalKeys:
+    """The batched phase rule against the per-gate loop it replaced."""
+
+    @staticmethod
+    def assert_keys_match(stack):
+        want = [reference_phase_key(m) for m in stack]
+        assert search.phase_canonical_keys(stack) == want
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("points", range(2, 10))
+    def test_default_menus(self, mode, points):
+        menu = default_menu(mode, points)
+        self.assert_keys_match(np.array([g.matrix for g in menu]))
+        reps, stack = search._dedup_menu(menu)
+        want, want_stack = reference_dedup(menu)
+        assert len(reps) == len(want) and all(g is w for g, w in zip(reps, want))
+        assert stack.tobytes() == want_stack.tobytes()
+
+    def test_random_b_gates_with_global_phases(self):
+        self.assert_keys_match(random_b_gates(8001, 2000))
+
+    def test_magnitude_ties_take_the_first_entry(self):
+        hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+        ties = np.array([strategy_matrix(np.pi / 4, 0.0, 0.0),
+                         strategy_matrix(np.pi / 4, np.pi / 2, -np.pi / 3),
+                         hadamard, 1j * hadamard, np.exp(0.3j) * hadamard,
+                         np.exp(2.5j) * np.array([[1, 1j], [1j, 1]]) / np.sqrt(2)])
+        self.assert_keys_match(ties)
+        # |H| is exactly 1/sqrt 2 everywhere: the first entry sets the phase
+        assert search.phase_canonical_keys(hadamard[None])[0][0] == (0.7071067812, 0.0)
+        lattice = strategy_matrix(*np.meshgrid(np.linspace(0, np.pi / 2, 9),
+                                               np.linspace(-np.pi, np.pi, 9),
+                                               np.linspace(-np.pi, np.pi, 9),
+                                               indexing="ij")).reshape(-1, 2, 2)
+        self.assert_keys_match(lattice)
+
+    def test_lead_modulus_rounds_like_the_scalar_abs(self):
+        # gates on which a lead modulus one ulp off the scalar abs(), as
+        # np.abs of a complex array can give, moves a rounded digit
+        for seed, index in ((10000, 157441), (10001, 49580), (10004, 6580)):
+            self.assert_keys_match(random_b_gates(seed, 200_000)[[index]])
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_equilibria_equal_with_the_reference_dedup(self, mode, monkeypatch):
+        menu = default_menu(mode)
+        gammas = np.random.default_rng(8003).uniform(0, np.pi / 2, 10)
+        gammas = np.append(gammas, [0.0, 0.8, np.pi / 2])
+
+        def solve_all():
+            out = []
+            for gamma in gammas:
+                try:
+                    res = mixed_quantum_equilibrium(PD, gamma, mode, menu, FAST)
+                except ConvergenceError as err:
+                    out.append(str(err))
+                    continue
+                out.append((res.method, res.payoff_I, res.payoff_II,
+                            [(w, g.matrix.tobytes()) for w, g in res.strategy_I.support],
+                            [(w, g.matrix.tobytes()) for w, g in res.strategy_II.support]))
+            return out
+
+        got = solve_all()
+        monkeypatch.setattr(search, "_dedup_menu", reference_dedup)
+        assert solve_all() == got
+        assert any(isinstance(r, tuple) for r in got)
