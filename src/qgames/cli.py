@@ -131,7 +131,7 @@ def parse_strategy(spec, mode: EntanglerMode, field: str = "strategy"
                     raise ConfigError(f"{field}: nested mixed strategies are not supported")
                 support.append((_number(weight, f"{field}:mixed weight"), gate))
             try:
-                return MixedQuantumStrategy(support, max_support=len(support))
+                return MixedQuantumStrategy(support)
             except ValidationError as exc:
                 raise ConfigError(f"{field}: {exc}") from exc
         raise ConfigError(f"{field}: unknown strategy spec {spec!r}")

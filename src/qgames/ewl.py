@@ -191,9 +191,7 @@ class MixedQuantumStrategy:
 
     __slots__ = ("support",)
 
-    DEFAULT_MAX_SUPPORT = 4
-
-    def __init__(self, support, max_support: Optional[int] = DEFAULT_MAX_SUPPORT):
+    def __init__(self, support):
         entries = []
         total = 0.0
         for weight, gate in support:
@@ -206,9 +204,6 @@ class MixedQuantumStrategy:
             total += w
         if not entries:
             raise ValidationError("mixed strategy needs a nonempty support")
-        if max_support is not None and len(entries) > max_support:
-            raise ValidationError(
-                f"mixed-strategy support size {len(entries)} exceeds cap {max_support}")
         if abs(total - 1.0) > 1e-9:
             raise ValidationError(f"mixed-strategy weights sum to {total!r}, expected 1")
         object.__setattr__(self, "support", tuple(entries))
@@ -218,7 +213,7 @@ class MixedQuantumStrategy:
 
     @classmethod
     def point_mass(cls, gate: Gate1Q) -> "MixedQuantumStrategy":
-        return cls([(1.0, gate)], max_support=1)
+        return cls([(1.0, gate)])
 
     def __len__(self):
         return len(self.support)

@@ -53,7 +53,7 @@ class JointDistribution:
     __slots__ = ("mu",)
 
     def __init__(self, mu):
-        m = np.asarray(mu, dtype=np.float64)
+        m = np.array(mu, dtype=np.float64)
         if m.shape != (4,):
             raise ValidationError(f"JointDistribution: expected 4 weights, got {m.shape}")
         if not np.all(np.isfinite(m)):
@@ -92,7 +92,7 @@ class Bimatrix:
 
     def __post_init__(self):
         for name in ("row_payoffs", "col_payoffs"):
-            m = np.asarray(getattr(self, name), dtype=np.float64)
+            m = np.array(getattr(self, name), dtype=np.float64)
             if m.shape != (2, 2):
                 raise ValidationError(f"Bimatrix.{name} must be 2x2, got {m.shape}")
             if not np.all(np.isfinite(m)):

@@ -179,7 +179,7 @@ class OutcomeDistribution:
     __slots__ = ("probs",)
 
     def __init__(self, probs, *, tol: Tolerances = TOLERANCES):
-        p = np.asarray(probs, dtype=np.float64)
+        p = np.array(probs, dtype=np.float64)
         if p.shape != (4,):
             raise ValidationError(f"OutcomeDistribution: expected 4 probabilities, got {p.shape}")
         p0, p1, p2, p3 = values = p.tolist()

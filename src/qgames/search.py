@@ -78,14 +78,15 @@ _SUPPORTS = {
 }
 
 
-def _responder_amplitudes(game, gamma, mode, opponent: Gate1Q, responder: Player, u):
+def _responder_amplitudes(game, gamma, mode, opponent, responder: Player, u):
     """(amplitudes[..., 4], payvec) with the responder's stack of gates
-    u[..., 2, 2] on its side of the circuit and the opponent broadcast
-    on the other; |amplitudes|^2 @ payvec are the responder's payoffs."""
+    u[..., 2, 2] on its side of the circuit and the opponent's gate
+    matrices broadcast on the other; |amplitudes|^2 @ payvec are the
+    responder's payoffs."""
     a, b = game.payoff_vectors()
     if responder == Player.I:
-        return outcome_amplitudes(gamma, mode, u, opponent.matrix), a
-    return outcome_amplitudes(gamma, mode, opponent.matrix, u), b
+        return outcome_amplitudes(gamma, mode, u, opponent), a
+    return outcome_amplitudes(gamma, mode, opponent, u), b
 
 
 def _responder_payoffs(game, gamma, mode, opponent, responder, u) -> np.ndarray:
@@ -98,16 +99,18 @@ def _grid_axes(space: str, resolution: int):
 
 
 def _payoff_form(game, gamma, mode, opponent, responder) -> np.ndarray:
-    """M[k,l] = Re sum_o pay_o conj(psi_k,o) psi_l,o, where psi_k are the
-    outcome amplitudes of basis gate B_k: the payoff of U = sum_k x_k B_k
+    """M[..., k, l] = Re sum_o pay_o conj(psi_k,o) psi_l,o, where psi_k
+    are the outcome amplitudes of basis gate B_k against each opponent
+    gate matrix of opponent[..., 2, 2]: the payoff of U = sum_k x_k B_k
     is x^T M x."""
-    psi, payvec = _responder_amplitudes(game, gamma, mode, opponent, responder,
-                                        _QUATERNION_BASIS)
-    return ((psi.conj() * payvec) @ psi.T).real
+    psi, payvec = _responder_amplitudes(game, gamma, mode, opponent[..., None, :, :],
+                                        responder, _QUATERNION_BASIS)
+    return ((psi.conj() * payvec) @ np.swapaxes(psi, -1, -2)).real
 
 
 def _exact_optimum(m: np.ndarray, space: str) -> np.ndarray:
-    """Unit 4-vector maximising x^T m x over the space.
+    """Unit 4-vectors x[...] maximising x^T m x over the space, for a
+    stack of forms m[..., 4, 4].
 
     A maximiser with support S is an eigenvector of m[S, S]; if that
     eigenspace is degenerate it also meets a lower face, so the values
@@ -117,18 +120,18 @@ def _exact_optimum(m: np.ndarray, space: str) -> np.ndarray:
     """
     blocks = []
     for s in _SUPPORTS[space]:
-        _, vecs = np.linalg.eigh(m[np.ix_(s, s)])
-        x = np.zeros((len(s), 4))
-        x[:, s] = vecs.T
+        _, vecs = np.linalg.eigh(m[..., s, :][..., s])
+        x = np.zeros(vecs.shape[:-2] + (len(s), 4))
+        x[..., s] = np.swapaxes(vecs, -1, -2)
         blocks.append(x)
-    x = np.concatenate(blocks)
-    lead = x[np.arange(len(x)), np.argmax(np.abs(x), axis=1)]
-    x *= np.sign(lead)[:, None]
+    x = np.concatenate(blocks, axis=-2)
+    x *= np.sign(np.take_along_axis(x, np.argmax(np.abs(x), axis=-1)[..., None], axis=-1))
     if space == "A":
         x = np.clip(x, 0.0, None)
-        x /= np.linalg.norm(x, axis=1, keepdims=True)
-    values = np.einsum("ni,ij,nj->n", x, m, x)
-    return x[int(np.argmax(values))] + 0.0  # normalize -0.0
+        x /= np.linalg.norm(x, axis=-1, keepdims=True)
+    values = np.einsum("...ni,...ij,...nj->...n", x, m, x)
+    best = np.argmax(values, axis=-1)[..., None, None]
+    return np.take_along_axis(x, best, axis=-2)[..., 0, :] + 0.0  # normalize -0.0
 
 
 def _angles(x: np.ndarray) -> tuple:
@@ -154,7 +157,7 @@ def best_response(game: Bimatrix, gamma: float, mode: EntanglerMode,
     if isinstance(space, str):
         if space not in _SPACE_BOUNDS:
             raise ValidationError(f"space must be 'A', 'B', or a gate menu, got {space!r}")
-        m = _payoff_form(game, gamma, mode, opponent_gate, responder)
+        m = _payoff_form(game, gamma, mode, opponent_gate.matrix, responder)
         x = _exact_optimum(m, space)
         payoff = float(x @ m @ x)
         theta, alpha, beta = _angles(x)
@@ -167,7 +170,7 @@ def best_response(game: Bimatrix, gamma: float, mode: EntanglerMode,
         menu = list(space)
         if not menu:
             raise ValidationError("menu space must be nonempty")
-        values = _responder_payoffs(game, gamma, mode, opponent_gate, responder,
+        values = _responder_payoffs(game, gamma, mode, opponent_gate.matrix, responder,
                                     np.array([g.matrix for g in menu]))
         payoff, idx = -np.inf, 0
         for k, v in enumerate(values.tolist()):
@@ -177,7 +180,7 @@ def best_response(game: Bimatrix, gamma: float, mode: EntanglerMode,
 
     improvement = 0.0
     if incumbent is not None:
-        base = float(_responder_payoffs(game, gamma, mode, opponent_gate, responder,
+        base = float(_responder_payoffs(game, gamma, mode, opponent_gate.matrix, responder,
                                         incumbent.matrix))
         improvement = max(0.0, payoff - base)
     return BestResponse(responder=responder, params=params, gate=gate,
@@ -208,7 +211,7 @@ def payoff_landscape(game: Bimatrix, gamma: float, mode: EntanglerMode,
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
     beta = pts[:, 2] if space == "B" else 0.0
-    vals = _responder_payoffs(game, clamp_gamma(gamma), mode, fixed_opponent, responder,
+    vals = _responder_payoffs(game, clamp_gamma(gamma), mode, fixed_opponent.matrix, responder,
                               strategy_matrix(pts[:, 0], pts[:, 1], beta))
     data = np.column_stack([pts, vals])
     names = ("theta", "phi", "payoff") if space == "A" else ("theta", "alpha", "beta", "payoff")
@@ -229,24 +232,14 @@ class MixedEquilibriumResult:
 def phase_canonical_keys(matrices: np.ndarray) -> list:
     """Hashable global-phase keys of an (n, 2, 2) stack of gates.
 
-    Each gate is divided by the phase of its largest-magnitude entry
-    (the first one on a tie) and rounded to 10 decimals, so gates that
-    differ only by a global phase get equal keys: tuples of four
-    (real, imag) pairs in row-major order.  Where the largest entries
-    tie in exact arithmetic (|U00| = |U11| on every set-B gate), the
-    entry chosen follows their last-bit rounding, so a phase multiple
-    can still get another key.  The whole stack is keyed in one pass,
-    with the same arithmetic per gate as keying it alone: the lead
-    entry's modulus is np.hypot, which rounds like abs() of a complex
-    scalar, where np.abs of a complex array may differ by an ulp.
+    A gate's entries u_i fix the products u_i conj(u_j), and those fix
+    the gate up to a global phase, which they do not depend on.  Each
+    gate is keyed by the bytes of its 16 products rounded to 10
+    decimals, so gates that differ only by a global phase get equal keys.
     """
-    flat = np.asarray(matrices).reshape(-1, 4)
-    lead = flat[np.arange(len(flat)), np.argmax(np.abs(flat), axis=1)]
-    phase = lead / np.hypot(lead.real, lead.imag)
-    canon = np.round(flat / phase[:, None], 10) + 0.0  # normalize -0.0
-    # one (real, imag) iterator per matrix entry, zipped into a key per gate
-    columns = map(zip, canon.real.T.tolist(), canon.imag.T.tolist())
-    return list(zip(*columns))
+    flat = np.asarray(matrices, dtype=np.complex128).reshape(-1, 4)
+    products = np.round(flat[:, :, None] * flat[:, None, :].conj(), 10) + 0.0  # normalize -0.0
+    return [row.tobytes() for row in products]
 
 
 def _dedup_menu(menu: Sequence[Gate1Q]) -> tuple:
@@ -355,8 +348,7 @@ def _solve_support(pi, pii, r_sub, c_sub, eps):
 
 
 def mixed_quantum_equilibrium(game: Bimatrix, gamma: float, mode: EntanglerMode,
-                              menu: Sequence[Gate1Q], cfg: SearchConfig,
-                              support_cap: Optional[int] = None) -> MixedEquilibriumResult:
+                              menu: Sequence[Gate1Q], cfg: SearchConfig) -> MixedEquilibriumResult:
     """Equilibrium of the finite game induced by a gate menu.
 
     Pure best-response dynamics run first; a pure fixed point is
@@ -369,9 +361,6 @@ def mixed_quantum_equilibrium(game: Bimatrix, gamma: float, mode: EntanglerMode,
     menu = list(menu)
     if not menu:
         raise ValidationError("menu must be nonempty")
-    cap = len(menu) if support_cap is None else support_cap
-    if len(menu) > cap:
-        raise ValidationError(f"menu size {len(menu)} exceeds support cap {cap}")
     gamma = clamp_gamma(gamma)
     reps, u = _dedup_menu(menu)
     pi, pii = _induced_tables(game, gamma, mode, u)
@@ -381,14 +370,14 @@ def mixed_quantum_equilibrium(game: Bimatrix, gamma: float, mode: EntanglerMode,
         sup1 = [(float(w), reps[i]) for i, w in enumerate(xf) if w > 1e-12]
         sup2 = [(float(w), reps[j]) for j, w in enumerate(yf) if w > 1e-12]
         return MixedEquilibriumResult(
-            strategy_I=MixedQuantumStrategy(sup1, max_support=cap),
-            strategy_II=MixedQuantumStrategy(sup2, max_support=cap),
+            strategy_I=MixedQuantumStrategy(sup1),
+            strategy_II=MixedQuantumStrategy(sup2),
             payoff_I=vi, payoff_II=vii, method=method)
 
     state = (0, 0)
     trace = [state]
     seen = {state: 0}
-    for _ in range(len(reps) ** 2 + 4):
+    while True:  # a deterministic map on at most n^2 states revisits one
         i = _argmax_first(pi[:, state[1]])
         j = _argmax_first(pii[i, :])
         new = (i, j)
@@ -407,8 +396,6 @@ def mixed_quantum_equilibrium(game: Bimatrix, gamma: float, mode: EntanglerMode,
         seen[new] = len(trace)
         trace.append(new)
         state = new
-    else:
-        raise ConvergenceError(f"best-response dynamics did not terminate; trace={trace}")
 
     start = seen[trace[-1]]
     cycle = trace[start:]

@@ -386,6 +386,19 @@ class TestDispatch:
         assert summary["found"] is True
         assert abs(summary["p_star"] - 2 / 3) < 1e-12
 
+    def test_advantage_found_at_low_entanglement(self, tmp_path):
+        # (D, D) is the symmetric equilibrium at gamma 0.3; its payoff 1
+        # is below the limit 2.5 already without noise
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(json.dumps({
+            "game": "pd", "gamma": 0.3, "entangler_mode": "defect",
+            "noise": {"kind": "two_qubit_depolarizing"}}))
+        out = tmp_path / "out"
+        assert run_main(["advantage", "--config", str(cfgfile), "--out", str(out),
+                         "--quiet"]) == 0
+        summary = json.loads((out / "advantage.json").read_text())
+        assert summary["found"] is True and summary["p_star"] == 0.0
+
     def test_advantage_limit_scales_with_the_game(self, tmp_path):
         # the PD with every payoff times 10: the limit (T+S)/2 is 25
         cfgfile = tmp_path / "run.json"

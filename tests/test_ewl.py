@@ -344,10 +344,15 @@ class TestMixedStrategies:
         with pytest.raises(ValidationError):
             MixedQuantumStrategy([(0.5, named.C), (0.4, named.D)])
 
-    def test_support_cap_enforced(self):
-        named = canonical_gates(EntanglerMode.DEFECT)
-        entries = [(0.2, named.C), (0.2, named.D), (0.2, named.Q),
-                   (0.2, named.C), (0.2, named.D)]
-        with pytest.raises(ValidationError):
-            MixedQuantumStrategy(entries)  # default cap is 4
-        assert len(MixedQuantumStrategy(entries, max_support=5)) == 5
+    def test_five_entry_mixture_matches_the_explicit_sum(self):
+        a, b = PD.payoff_vectors()
+        for rng, gamma, mode in kernel_cases(3007, 5):
+            w1, g1 = rng.dirichlet(np.ones(5)), random_gates(rng, 5)
+            w2, g2 = rng.dirichlet(np.ones(2)), random_gates(rng, 2)
+            m1 = MixedQuantumStrategy(list(zip(w1, g1)))
+            assert len(m1) == 5
+            r = run_protocol_mixed(PD, gamma, mode, m1, MixedQuantumStrategy(list(zip(w2, g2))))
+            want = sum(x * y * run_protocol(PD, gamma, mode, u, v).distribution.probs
+                       for x, u in zip(w1, g1) for y, v in zip(w2, g2))
+            assert np.abs(r.distribution.probs - want).max() < 1e-12
+            assert abs(r.payoff_I - want @ a) < 1e-12 and abs(r.payoff_II - want @ b) < 1e-12

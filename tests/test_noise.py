@@ -7,6 +7,7 @@ from qgames import (
     ChannelLocation,
     DensityMatrix2Q,
     EntanglerMode,
+    Gate1Q,
     NoiseKind,
     NoiseSpec,
     PureState2Q,
@@ -21,11 +22,14 @@ from qgames import (
     gamma_sweep,
     gate_from_B,
     hft_game,
+    outcome_amplitudes,
     run_protocol,
     run_protocol_noisy,
     tensor,
+    verify_eps_nash,
 )
 from qgames.errors import ConvergenceError, RangeError, ValidationError
+from qgames.ewl import strategy_matrix
 from qgames.noise import symmetric_equilibrium_gate
 
 PD = canonical_pd()
@@ -279,10 +283,65 @@ TWO_CROSSING = [[4, 0], [5, 0.5]]
 TANGENT = ([[3, 0], [4, 1]], [[3, 0], [5, 2]], [[4, 0], [5, 1]], [[3, 1], [4, 2]])
 
 
-class TestAdvantageThreshold:
-    def test_symmetric_equilibrium_gate_is_q_in_defect_mode(self):
+def ranked_candidates(game, gamma, mode, n):
+    """The n x n set-A grid gates, ranked by symmetric payoff with ties
+    in grid order, as symmetric_equilibrium_gate ranks them."""
+    tt, pp = np.meshgrid(np.linspace(0, np.pi / 2, n), np.linspace(0, np.pi / 2, n),
+                         indexing="ij")
+    pts = np.stack([tt.ravel(), pp.ravel()], axis=1)
+    u = strategy_matrix(pts[:, 0], pts[:, 1], 0.0)
+    payoffs = np.abs(outcome_amplitudes(gamma, mode, u, u)) ** 2 @ game.payoff_vectors()[0]
+    return [Gate1Q(strategy_matrix(*pts[k], 0.0)) for k in np.argsort(-payoffs, kind="stable")]
+
+
+def first_verified(game, gamma, mode, cfg):
+    """The oracle: verify_eps_nash on every ranked candidate in turn."""
+    for gate in ranked_candidates(game, gamma, mode, cfg.grid_resolution):
+        if verify_eps_nash(game, gamma, mode, gate, gate, "A", cfg)[0]:
+            return gate
+    raise ConvergenceError("no grid candidate verifies")
+
+
+class TestSymmetricEquilibriumGate:
+    def test_is_q_in_defect_mode(self):
         gate = symmetric_equilibrium_gate(PD, np.pi / 2, EntanglerMode.DEFECT, SEARCH)
         assert np.abs(gate.matrix - np.diag([1j, -1j])).max() < 1e-9
+
+    @pytest.mark.parametrize("game, cfg", [
+        (PD, SEARCH), (hft_game(), SEARCH),
+        # player II's regrets doubled and a loose eps: candidates pass at
+        # other ranks, and only if both players' regrets are checked
+        (Bimatrix(PD.row_payoffs, 2 * PD.col_payoffs + 1),
+         SearchConfig(grid_resolution=16, eps_nash=0.3)),
+    ], ids=["pd", "hft", "pd-scaled-II"])
+    @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
+    def test_equals_verifying_every_ranked_candidate(self, game, cfg, mode):
+        gammas = np.append(np.random.default_rng(909).uniform(0, np.pi / 2, 4),
+                           [0.3, 0.55, 0.59, np.pi / 2])
+        outcomes = set()
+        for gamma in gammas:
+            try:
+                want = first_verified(game, gamma, mode, cfg)
+            except ConvergenceError:
+                outcomes.add("none")
+                with pytest.raises(ConvergenceError):
+                    symmetric_equilibrium_gate(game, gamma, mode, cfg)
+                continue
+            outcomes.add("found")
+            got = symmetric_equilibrium_gate(game, gamma, mode, cfg)
+            assert got.matrix.tobytes() == want.matrix.tobytes(), gamma
+        assert "found" in outcomes
+        assert "none" in outcomes or cfg is not SEARCH
+
+    def test_defection_below_the_twelfth_candidate(self):
+        # at gamma = 0.3 (D, D) is the equilibrium, ranked far below the
+        # top dozen symmetric payoffs
+        gate = symmetric_equilibrium_gate(PD, 0.3, EntanglerMode.DEFECT, SearchConfig())
+        named = canonical_gates(EntanglerMode.DEFECT)
+        assert np.abs(gate.matrix - named.D.matrix).max() < 1e-12
+
+
+class TestAdvantageThreshold:
 
     def test_none_kind_reports_no_threshold(self):
         res = advantage_threshold(PD, EntanglerMode.DEFECT, NoiseKind.NONE, SEARCH)

@@ -3,9 +3,11 @@ import numpy as np
 import pytest
 
 from qgames import (
+    Bimatrix,
     EntanglerMode,
     Gate1Q,
     Gate2Q,
+    JointDistribution,
     OutcomeDistribution,
     PureState2Q,
     apply,
@@ -190,6 +192,21 @@ class TestMeasure:
                           EntanglerMode.DEFECT if rng.random() < 0.5 else EntanglerMode.PAULI_X)
             p = measure(apply(g, s)).probs
             assert abs(p.sum() - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("build, field", [
+    (OutcomeDistribution, "probs"),
+    (JointDistribution, "mu"),
+    (lambda m: Bimatrix(m.reshape(2, 2), np.eye(2)), "row_payoffs"),
+    (lambda m: Bimatrix(np.eye(2), m.reshape(2, 2)), "col_payoffs"),
+], ids=["OutcomeDistribution", "JointDistribution", "Bimatrix.row", "Bimatrix.col"])
+def test_validated_types_copy_their_input(build, field):
+    mine = np.full(4, 0.25)
+    stored = getattr(build(mine), field)
+    mine[0] = 1.0  # the caller's array stays writable
+    assert stored.ravel()[0] == 0.25
+    with pytest.raises(ValueError):
+        stored[(0,) * stored.ndim] = 1.0
 
 
 class TestValidation:

@@ -4,6 +4,7 @@ import pytest
 
 from qgames import (
     EntanglerMode,
+    Gate1Q,
     Player,
     SearchConfig,
     StrategyParamsB,
@@ -186,6 +187,19 @@ class TestExactSolverOracle:
                 replay = run_protocol(PD, gamma, mode, opp, br.gate).payoff_II
             assert abs(replay - br.payoff) < 1e-12
 
+    @pytest.mark.parametrize("space", ["A", "B"])
+    def test_a_stack_of_forms_solves_like_each_form(self, space):
+        rng = np.random.default_rng(2105)
+        opp = random_b_gates(2106, 300)
+        for mode in MODES:
+            for responder in Player:
+                m = search._payoff_form(PD, rng.uniform(0, np.pi / 2), mode, opp, responder)
+                x = search._exact_optimum(m, space)
+                assert x.shape == (300, 4)
+                each = np.array([search._exact_optimum(f, space) for f in m])
+                assert x.tobytes() == each.tobytes()
+                assert search._exact_optimum(m[:1], space).tobytes() == each[:1].tobytes()
+
 
 class TestVerifyEpsNash:
     def test_cc_fails_in_classical_menu(self):
@@ -320,12 +334,6 @@ class TestMixedQuantumEquilibrium:
         with pytest.raises(ValidationError):
             mixed_quantum_equilibrium(PD, 0.0, EntanglerMode.DEFECT, [], FAST)
 
-    def test_support_cap_precondition(self):
-        named = canonical_gates(EntanglerMode.DEFECT)
-        with pytest.raises(ValidationError):
-            mixed_quantum_equilibrium(PD, 0.0, EntanglerMode.DEFECT,
-                                      [named.C, named.D], FAST, support_cap=1)
-
 
 class TestDefaultMenu:
     @staticmethod
@@ -362,76 +370,77 @@ class TestDefaultMenu:
         assert not default_menu(EntanglerMode.PAULI_X)[3].matrix.flags.writeable
 
 
-def reference_phase_key(matrix):
-    """The per-gate phase rule, kept as the oracle for phase_canonical_keys."""
-    flat = matrix.ravel()
-    k = int(np.argmax(np.abs(flat)))
-    phase = flat[k] / abs(flat[k])
-    canon = np.round(flat / phase, 10) + 0.0
-    return tuple(zip(canon.real.tolist(), canon.imag.tolist()))
-
-
 def reference_dedup(menu):
-    """First occurrences under reference_phase_key, one gate at a time,
-    and their stacked matrices."""
-    reps, seen = [], set()
+    """First occurrences of the menu's gates up to a global phase, one
+    pair at a time: unitaries U, V differ only by a phase exactly when
+    |tr(U^dagger V)| = 2.  Returns them and their stacked matrices."""
+    reps = []
     for g in menu:
-        key = reference_phase_key(g.matrix)
-        if key not in seen:
-            seen.add(key)
+        if all(abs(np.trace(r.matrix.conj().T @ g.matrix)) < 2 - 1e-9 for r in reps):
             reps.append(g)
     return reps, np.array([g.matrix for g in reps])
 
 
 def random_b_gates(seed, n):
-    """n seeded set-B gate matrices, each times a random global phase."""
+    """n seeded set-B gate matrices."""
     rng = np.random.default_rng(seed)
-    u = strategy_matrix(rng.uniform(0, np.pi / 2, n), rng.uniform(-np.pi, np.pi, n),
-                        rng.uniform(-np.pi, np.pi, n))
-    return u * np.exp(1j * rng.uniform(-np.pi, np.pi, n))[:, None, None]
+    return strategy_matrix(rng.uniform(0, np.pi / 2, n), rng.uniform(-np.pi, np.pi, n),
+                           rng.uniform(-np.pi, np.pi, n))
+
+
+def random_phases(seed, n):
+    return np.exp(1j * np.random.default_rng(seed).uniform(-np.pi, np.pi, n))[:, None, None]
+
+
+HADAMARD = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+# gates with entries of equal modulus, where no entry leads
+TIES = [HADAMARD, strategy_matrix(np.pi / 4, 0.0, 0.0),
+        strategy_matrix(np.pi / 4, np.pi / 2, -np.pi / 3),
+        np.array([[1, 1j], [1j, 1]]) / np.sqrt(2)]
 
 
 class TestPhaseCanonicalKeys:
-    """The batched phase rule against the per-gate loop it replaced."""
-
-    @staticmethod
-    def assert_keys_match(stack):
-        want = [reference_phase_key(m) for m in stack]
-        assert search.phase_canonical_keys(stack) == want
+    """Keys are invariant under a global phase and separate gates that
+    differ by more than one."""
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("points", range(2, 10))
     def test_default_menus(self, mode, points):
         menu = default_menu(mode, points)
-        self.assert_keys_match(np.array([g.matrix for g in menu]))
         reps, stack = search._dedup_menu(menu)
         want, want_stack = reference_dedup(menu)
         assert len(reps) == len(want) and all(g is w for g, w in zip(reps, want))
         assert stack.tobytes() == want_stack.tobytes()
 
-    def test_random_b_gates_with_global_phases(self):
-        self.assert_keys_match(random_b_gates(8001, 2000))
+    @pytest.mark.parametrize("mode", MODES)
+    def test_phase_multiples_of_the_default_menu_add_no_representative(self, mode):
+        menu = default_menu(mode)
+        reps, _ = search._dedup_menu(menu)
+        more, _ = search._dedup_menu(menu + [Gate1Q(g.matrix * np.exp(0.7j)) for g in menu])
+        assert more == reps
 
-    def test_magnitude_ties_take_the_first_entry(self):
-        hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-        ties = np.array([strategy_matrix(np.pi / 4, 0.0, 0.0),
-                         strategy_matrix(np.pi / 4, np.pi / 2, -np.pi / 3),
-                         hadamard, 1j * hadamard, np.exp(0.3j) * hadamard,
-                         np.exp(2.5j) * np.array([[1, 1j], [1j, 1]]) / np.sqrt(2)])
-        self.assert_keys_match(ties)
-        # |H| is exactly 1/sqrt 2 everywhere: the first entry sets the phase
-        assert search.phase_canonical_keys(hadamard[None])[0][0] == (0.7071067812, 0.0)
-        lattice = strategy_matrix(*np.meshgrid(np.linspace(0, np.pi / 2, 9),
-                                               np.linspace(-np.pi, np.pi, 9),
-                                               np.linspace(-np.pi, np.pi, 9),
-                                               indexing="ij")).reshape(-1, 2, 2)
-        self.assert_keys_match(lattice)
+    def test_random_b_gates_under_random_phases(self):
+        u = random_b_gates(8001, 2000)
+        keys = search.phase_canonical_keys(u)
+        assert search.phase_canonical_keys(u * random_phases(8002, 2000)) == keys
+        assert search.phase_canonical_keys(-u) == keys
+        assert len(set(keys)) == len(keys)
 
-    def test_lead_modulus_rounds_like_the_scalar_abs(self):
-        # gates on which a lead modulus one ulp off the scalar abs(), as
-        # np.abs of a complex array can give, moves a rounded digit
-        for seed, index in ((10000, 157441), (10001, 49580), (10004, 6580)):
-            self.assert_keys_match(random_b_gates(seed, 200_000)[[index]])
+    @pytest.mark.parametrize("tie", range(len(TIES)))
+    def test_magnitude_ties(self, tie):
+        u = TIES[tie]
+        key = search.phase_canonical_keys(u[None])[0]
+        for seed in range(5):
+            assert set(search.phase_canonical_keys(u * random_phases(seed, 100))) == {key}
+        others = np.array([v for k, v in enumerate(TIES) if k != tie])
+        assert key not in search.phase_canonical_keys(others)
+
+    def test_named_gates_are_told_apart(self):
+        for mode in MODES:
+            named = canonical_gates(mode)
+            keys = search.phase_canonical_keys(
+                np.array([named.C.matrix, named.D.matrix, named.Q.matrix]))
+            assert len(set(keys)) == 3
 
     @pytest.mark.parametrize("mode", MODES)
     def test_equilibria_equal_with_the_reference_dedup(self, mode, monkeypatch):
