@@ -13,7 +13,6 @@ from .qcore import (
     Gate2Q,
     OutcomeDistribution,
     PureState2Q,
-    Tolerances,
     apply,
     dagger,
     entangler,

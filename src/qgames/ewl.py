@@ -25,19 +25,16 @@ from .games import Bimatrix
 from .qcore import (
     DEFECT_GATE,
     SIGMA_X,
-    TOLERANCES,
     EntanglerMode,
     Gate1Q,
     OutcomeDistribution,
     PureState2Q,
-    Tolerances,
+    _Value,
     clamp_gamma,
     entangler_generator,
     gate_matrix,
 )
 
-# closed-form gates must be unitary at the identity tolerance
-_GATE_TOL = Tolerances(unitary_atol=TOLERANCES.identity_atol)
 _KET00 = np.array([1.0, 0.0, 0.0, 0.0], dtype=np.complex128)
 
 
@@ -94,13 +91,13 @@ def strategy_matrix(theta, alpha, beta) -> np.ndarray:
 
 def gate_from_A(params: StrategyParamsA) -> Gate1Q:
     """[[e^{i phi} cos t, sin t], [-sin t, e^{-i phi} cos t]]."""
-    return Gate1Q(strategy_matrix(params.theta, params.phi, 0.0), tol=_GATE_TOL)
+    return Gate1Q(strategy_matrix(params.theta, params.phi, 0.0))
 
 
 def gate_from_B(params: StrategyParamsB) -> Gate1Q:
     """[[e^{i a} cos t, e^{i b} sin t], [-e^{-i b} sin t, e^{-i a} cos t]];
     reduces to the set-A gate at beta=0."""
-    return Gate1Q(strategy_matrix(params.theta, params.alpha, params.beta), tol=_GATE_TOL)
+    return Gate1Q(strategy_matrix(params.theta, params.alpha, params.beta))
 
 
 class CanonicalGates(NamedTuple):
@@ -118,12 +115,12 @@ def canonical_gates(mode: EntanglerMode) -> CanonicalGates:
     the classical game at every gamma.  PAULI_X pairs with i*sigma_x,
     DEFECT with [[0,1],[-1,0]] (the set-A gate at theta=pi/2).
     """
-    c = Gate1Q(np.eye(2, dtype=np.complex128), tol=_GATE_TOL)
-    q = Gate1Q(np.diag([1j, -1j]), tol=_GATE_TOL)
+    c = Gate1Q(np.eye(2, dtype=np.complex128))
+    q = Gate1Q(np.diag([1j, -1j]))
     if mode == EntanglerMode.PAULI_X:
-        d = Gate1Q(1j * SIGMA_X, tol=_GATE_TOL)
+        d = Gate1Q(1j * SIGMA_X)
     elif mode == EntanglerMode.DEFECT:
-        d = Gate1Q(DEFECT_GATE, tol=_GATE_TOL)
+        d = Gate1Q(DEFECT_GATE)
     else:
         raise ValidationError(f"unknown entangler mode: {mode!r}")
     return CanonicalGates(C=c, D=d, Q=q)
@@ -186,7 +183,7 @@ def run_protocol(game: Bimatrix, gamma: float, mode: EntanglerMode,
     return ProtocolResult.score(game, np.abs(state.amps) ** 2, state)
 
 
-class MixedQuantumStrategy:
+class MixedQuantumStrategy(_Value):
     """A finite probability mixture over 1-qubit strategies."""
 
     __slots__ = ("support",)
@@ -207,9 +204,6 @@ class MixedQuantumStrategy:
         if abs(total - 1.0) > 1e-9:
             raise ValidationError(f"mixed-strategy weights sum to {total!r}, expected 1")
         object.__setattr__(self, "support", tuple(entries))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MixedQuantumStrategy is immutable")
 
     @classmethod
     def point_mass(cls, gate: Gate1Q) -> "MixedQuantumStrategy":

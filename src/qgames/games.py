@@ -19,6 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import RangeError, ValidationError
+from .qcore import _Value
 
 _EPS_DEFAULT = 1e-9
 
@@ -46,7 +47,7 @@ class MixedProfile:
                 raise RangeError(f"MixedProfile.{name}={v!r} outside [0,1]")
 
 
-class JointDistribution:
+class JointDistribution(_Value):
     """A distribution over the four pure profiles, flat order
     [(0,0), (0,1), (1,0), (1,1)]."""
 
@@ -65,9 +66,6 @@ class JointDistribution:
         m.setflags(write=False)
         object.__setattr__(self, "mu", m)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("JointDistribution is immutable")
-
     def prob(self, row: int, col: int) -> float:
         return float(self.mu[2 * row + col])
 
@@ -76,9 +74,6 @@ class JointDistribution:
         m = np.zeros(4)
         m[2 * profile.row + profile.col] = 1.0
         return cls(m)
-
-    def __repr__(self):
-        return f"JointDistribution({self.mu.tolist()!r})"
 
 
 @dataclass(frozen=True)

@@ -24,12 +24,12 @@ from .qcore import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    _ATOL,
     EntanglerMode,
     Gate1Q,
     OutcomeDistribution,
     PureState2Q,
-    Tolerances,
-    TOLERANCES,
+    _Value,
     clamp_gamma,
     gate_matrix,
 )
@@ -64,31 +64,28 @@ class NoiseSpec:
         object.__setattr__(self, "p", p)
 
 
-class DensityMatrix2Q:
+class DensityMatrix2Q(_Value):
     """A validated two-qubit density matrix: Hermitian, unit trace,
     positive semidefinite (within tolerance)."""
 
     __slots__ = ("entries",)
 
-    def __init__(self, entries, *, tol: Tolerances = TOLERANCES):
+    def __init__(self, entries):
         m = np.array(entries, dtype=np.complex128)
         if m.shape != (4, 4):
             raise ValidationError(f"DensityMatrix2Q must be 4x4, got {m.shape}")
         if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
             raise ValidationError("DensityMatrix2Q entries must be finite")
-        if np.abs(m - m.conj().T).max() > tol.state_atol:
+        if np.abs(m - m.conj().T).max() > _ATOL:
             raise ValidationError("DensityMatrix2Q is not Hermitian")
         tr = complex(np.trace(m))
-        if abs(tr - 1.0) > tol.state_atol:
+        if abs(tr - 1.0) > _ATOL:
             raise ValidationError(f"DensityMatrix2Q trace is {tr!r}, expected 1")
         eigs = np.linalg.eigvalsh((m + m.conj().T) / 2)
-        if eigs.min() < -tol.state_atol:
+        if eigs.min() < -_ATOL:
             raise ValidationError(f"DensityMatrix2Q has negative eigenvalue {eigs.min()!r}")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DensityMatrix2Q is immutable")
 
     @classmethod
     def from_pure(cls, state: PureState2Q) -> "DensityMatrix2Q":

@@ -13,7 +13,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -21,20 +20,8 @@ import numpy as np
 from .errors import RangeError, ValidationError
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Single record of the numeric tolerances used for validation.
-
-    state_atol / unitary_atol guard stored values; identity_atol is the
-    tighter bound used for closed-form identities.
-    """
-
-    state_atol: float = 1e-9
-    unitary_atol: float = 1e-9
-    identity_atol: float = 1e-12
-
-
-TOLERANCES = Tolerances()
+# the bound of every state, distribution and unitary check
+_ATOL = 1e-9
 
 GAMMA_MIN = 0.0
 GAMMA_MAX = np.pi / 2
@@ -73,34 +60,60 @@ def _as_complex_matrix(value, dim: int, who: str) -> np.ndarray:
     return m
 
 
-def _check_unitary(m: np.ndarray, who: str, atol: float) -> None:
+def _check_unitary(m: np.ndarray, who: str) -> None:
     err = np.abs(m.conj().T @ m - np.eye(m.shape[0])).max()
-    if err > atol:
-        raise ValidationError(f"{who} is not unitary (max deviation {err:.3e} > {atol:.1e})")
+    if err > _ATOL:
+        raise ValidationError(f"{who} is not unitary (max deviation {err:.3e} > {_ATOL:.1e})")
 
 
-class Gate1Q:
-    """A validated 2x2 unitary; the carrier for player strategies."""
+class _Value:
+    """Base of the validated value types.  Each stores one field, named
+    first in its __slots__, set once by __init__ through
+    object.__setattr__; an array field is stored read-only."""
 
-    __slots__ = ("matrix",)
+    __slots__ = ()
 
-    def __init__(self, matrix, *, tol: Tolerances = TOLERANCES):
-        m = _as_complex_matrix(matrix, 2, "Gate1Q")
-        _check_unitary(m, "Gate1Q", tol.unitary_atol)
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __repr__(self):
+        value = getattr(self, self.__slots__[0])
+        if isinstance(value, np.ndarray):
+            value = value.tolist()
+        return f"{type(self).__name__}({value!r})"
+
+
+class _Unitary(_Value):
+    """A validated _dim x _dim unitary; Gate1Q and Gate2Q fix _dim."""
+
+    __slots__ = ()
+
+    def __init__(self, matrix):
+        who = type(self).__name__
+        m = _as_complex_matrix(matrix, self._dim, who)
+        _check_unitary(m, who)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Gate1Q is immutable")
+    def dagger(self):
+        return type(self)(self.matrix.conj().T)
 
-    def dagger(self) -> "Gate1Q":
-        return Gate1Q(self.matrix.conj().T)
+    def __matmul__(self, other):
+        return type(self)(self.matrix @ other.matrix)
 
-    def __matmul__(self, other: "Gate1Q") -> "Gate1Q":
-        return Gate1Q(self.matrix @ other.matrix)
 
-    def __repr__(self):
-        return f"Gate1Q({self.matrix.tolist()!r})"
+class Gate1Q(_Unitary):
+    """A validated 2x2 unitary; the carrier for player strategies."""
+
+    __slots__ = ("matrix",)
+    _dim = 2
+
+
+class Gate2Q(_Unitary):
+    """A validated 4x4 unitary; referee operators and joint strategies."""
+
+    __slots__ = ("matrix",)
+    _dim = 4
 
 
 def gate_matrix(u) -> np.ndarray:
@@ -108,36 +121,12 @@ def gate_matrix(u) -> np.ndarray:
     return (u if isinstance(u, Gate1Q) else Gate1Q(u)).matrix
 
 
-class Gate2Q:
-    """A validated 4x4 unitary; referee operators and joint strategies."""
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix, *, tol: Tolerances = TOLERANCES):
-        m = _as_complex_matrix(matrix, 4, "Gate2Q")
-        _check_unitary(m, "Gate2Q", tol.unitary_atol)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Gate2Q is immutable")
-
-    def dagger(self) -> "Gate2Q":
-        return Gate2Q(self.matrix.conj().T)
-
-    def __matmul__(self, other: "Gate2Q") -> "Gate2Q":
-        return Gate2Q(self.matrix @ other.matrix)
-
-    def __repr__(self):
-        return f"Gate2Q({self.matrix.tolist()!r})"
-
-
-class PureState2Q:
+class PureState2Q(_Value):
     """A normalized two-qubit state vector."""
 
     __slots__ = ("amps",)
 
-    def __init__(self, amps, *, tol: Tolerances = TOLERANCES):
+    def __init__(self, amps):
         a = np.array(amps, dtype=np.complex128)
         if a.shape != (4,):
             raise ValidationError(f"PureState2Q: expected 4 amplitudes, got shape {a.shape}")
@@ -148,14 +137,11 @@ class PureState2Q:
                 np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
             raise ValidationError("PureState2Q: amplitudes must be finite")
         norm_err = abs(norm - 1.0)
-        if not norm_err <= tol.state_atol:
+        if not norm_err <= _ATOL:
             raise ValidationError(
                 f"PureState2Q is not normalized (|norm^2 - 1| = {norm_err:.3e})")
         a.setflags(write=False)
         object.__setattr__(self, "amps", a)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PureState2Q is immutable")
 
     @classmethod
     def basis(cls, index: int) -> "PureState2Q":
@@ -169,35 +155,26 @@ class PureState2Q:
     def ket00(cls) -> "PureState2Q":
         return cls.basis(0)
 
-    def __repr__(self):
-        return f"PureState2Q({self.amps.tolist()!r})"
 
-
-class OutcomeDistribution:
+class OutcomeDistribution(_Value):
     """Probabilities over the four measurement outcomes, basis order."""
 
     __slots__ = ("probs",)
 
-    def __init__(self, probs, *, tol: Tolerances = TOLERANCES):
+    def __init__(self, probs):
         p = np.array(probs, dtype=np.float64)
         if p.shape != (4,):
             raise ValidationError(f"OutcomeDistribution: expected 4 probabilities, got {p.shape}")
         p0, p1, p2, p3 = values = p.tolist()
         if not all(map(math.isfinite, values)):
             raise ValidationError("OutcomeDistribution: probabilities must be finite")
-        if min(values) < -tol.state_atol or max(values) > 1.0 + tol.state_atol:
+        if min(values) < -_ATOL or max(values) > 1.0 + _ATOL:
             raise ValidationError(f"OutcomeDistribution: probabilities outside [0,1]: {values}")
         # summed in the order numpy's p.sum() adds four values
-        if abs(p0 + p1 + p2 + p3 - 1.0) > tol.state_atol:
+        if abs(p0 + p1 + p2 + p3 - 1.0) > _ATOL:
             raise ValidationError(f"OutcomeDistribution does not sum to 1 (sum={p.sum()!r})")
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OutcomeDistribution is immutable")
-
-    def __repr__(self):
-        return f"OutcomeDistribution({self.probs.tolist()!r})"
 
 
 def tensor(u, v) -> Gate2Q:
@@ -208,8 +185,8 @@ def tensor(u, v) -> Gate2Q:
     """
     mu = u.matrix if isinstance(u, Gate1Q) else _as_complex_matrix(u, 2, "tensor: left operand")
     mv = v.matrix if isinstance(v, Gate1Q) else _as_complex_matrix(v, 2, "tensor: right operand")
-    _check_unitary(mu, "tensor: left operand", TOLERANCES.unitary_atol)
-    _check_unitary(mv, "tensor: right operand", TOLERANCES.unitary_atol)
+    _check_unitary(mu, "tensor: left operand")
+    _check_unitary(mv, "tensor: right operand")
     return Gate2Q(np.kron(mu, mv))
 
 

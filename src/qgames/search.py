@@ -143,7 +143,7 @@ def _angles(x: np.ndarray) -> tuple:
 
 def best_response(game: Bimatrix, gamma: float, mode: EntanglerMode,
                   opponent_gate: Gate1Q, responder: Player,
-                  space: Union[str, Sequence[Gate1Q]], cfg: SearchConfig,
+                  space: Union[str, Sequence[Gate1Q]],
                   incumbent: Optional[Gate1Q] = None) -> BestResponse:
     """Best reply of one player against a fixed opponent gate.
 
@@ -191,8 +191,8 @@ def verify_eps_nash(game: Bimatrix, gamma: float, mode: EntanglerMode,
                     u1: Gate1Q, u2: Gate1Q,
                     space: Union[str, Sequence[Gate1Q]], cfg: SearchConfig) -> tuple:
     """(is_equilibrium, max_improvement) for the profile (u1, u2)."""
-    br1 = best_response(game, gamma, mode, u2, Player.I, space, cfg, incumbent=u1)
-    br2 = best_response(game, gamma, mode, u1, Player.II, space, cfg, incumbent=u2)
+    br1 = best_response(game, gamma, mode, u2, Player.I, space, incumbent=u1)
+    br2 = best_response(game, gamma, mode, u1, Player.II, space, incumbent=u2)
     worst = max(br1.improvement, br2.improvement)
     return worst <= cfg.eps_nash, worst
 

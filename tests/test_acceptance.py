@@ -114,7 +114,7 @@ def test_criterion_05_dilemma_restored_in_full_space():
         for mode in MODES:
             named = canonical_gates(mode)
             br = best_response(PD, np.pi / 2, mode, named.Q, Player.I, "B",
-                               DEFAULT_SEARCH, incumbent=named.Q)
+                               incumbent=named.Q)
             assert br.payoff > 3.5
             assert abs(br.payoff - 5.0) < 1e-6  # oracle-pinned optimum
             assert br.improvement > 1.9
@@ -233,7 +233,6 @@ def test_criterion_10_property_suites():
             assert np.abs(got - base).max() < 1e-12
 
         # widening the strategy space never hurts the best response
-        exact = SearchConfig(grid_resolution=6, eps_nash=1e-6)
         for _ in range(500):
             opp = gate_from_B(StrategyParamsB(rng.uniform(0, np.pi / 2),
                                               rng.uniform(-np.pi, np.pi),
@@ -241,8 +240,8 @@ def test_criterion_10_property_suites():
             gamma = rng.uniform(0, np.pi / 2)
             mode = MODES[int(rng.integers(2))]
             responder = Player.I if rng.random() < 0.5 else Player.II
-            bra = best_response(PD, gamma, mode, opp, responder, "A", exact)
-            brb = best_response(PD, gamma, mode, opp, responder, "B", exact)
+            bra = best_response(PD, gamma, mode, opp, responder, "A")
+            brb = best_response(PD, gamma, mode, opp, responder, "B")
             assert brb.payoff >= bra.payoff - 1e-9
 
         # sanity for the Kraus set itself: completeness sum is identity

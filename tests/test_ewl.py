@@ -115,6 +115,23 @@ class TestCanonicalGates:
         assert np.allclose(canonical_gates(EntanglerMode.PAULI_X).D.matrix, 1j * SIGMA_X)
         assert np.allclose(canonical_gates(EntanglerMode.DEFECT).D.matrix, DEFECT_GATE)
 
+    def test_closed_form_gates_unitary_to_1e_12(self):
+        # tighter than the 1e-9 every Gate1Q is checked against
+        def deviation(g):
+            return np.abs(g.matrix.conj().T @ g.matrix - np.eye(2)).max()
+
+        for mode in MODES:
+            assert max(map(deviation, canonical_gates(mode))) <= 1e-12
+        rng = np.random.default_rng(1012)
+        thetas = np.append(np.linspace(0, np.pi / 2, 9), rng.uniform(0, np.pi / 2, 8))
+        phases = np.append(np.linspace(-np.pi, np.pi, 9), rng.uniform(-np.pi, np.pi, 8))
+        for theta in thetas:
+            for phi in thetas:
+                assert deviation(gate_from_A(StrategyParamsA(theta, phi))) <= 1e-12
+            for alpha in phases:
+                for beta in phases:
+                    assert deviation(gate_from_B(StrategyParamsB(theta, alpha, beta))) <= 1e-12
+
     def test_cooperation_pays_3_at_any_gamma(self):
         for mode in MODES:
             named = canonical_gates(mode)

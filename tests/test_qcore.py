@@ -4,10 +4,12 @@ import pytest
 
 from qgames import (
     Bimatrix,
+    DensityMatrix2Q,
     EntanglerMode,
     Gate1Q,
     Gate2Q,
     JointDistribution,
+    MixedQuantumStrategy,
     OutcomeDistribution,
     PureState2Q,
     apply,
@@ -276,8 +278,33 @@ class TestValidation:
             assert OutcomeDistribution(probs).probs.tolist() == probs
 
     def test_values_immutable(self):
-        g = Gate1Q(I2)
-        with pytest.raises(AttributeError):
-            g.matrix = np.eye(2)
-        with pytest.raises(ValueError):
-            g.matrix[0, 0] = 5
+        ket = PureState2Q([S2, 0, 0, 1j * S2])
+        mixed = MixedQuantumStrategy([(0.5, Gate1Q(I2)), (0.5, Gate1Q(SIGMA_X))])
+        values = [
+            (Gate1Q(I2), "matrix", "Gate1Q([[(1+0j), 0j], [0j, (1+0j)]])"),
+            (Gate2Q(np.eye(4)), "matrix",
+             "Gate2Q([[(1+0j), 0j, 0j, 0j], [0j, (1+0j), 0j, 0j], "
+             "[0j, 0j, (1+0j), 0j], [0j, 0j, 0j, (1+0j)]])"),
+            (ket, "amps", "PureState2Q([(0.7071067811865475+0j), 0j, 0j, 0.7071067811865475j])"),
+            (OutcomeDistribution([0.5, 0, 0, 0.5]), "probs",
+             "OutcomeDistribution([0.5, 0.0, 0.0, 0.5])"),
+            (JointDistribution([0.25, 0.25, 0.5, 0]), "mu",
+             "JointDistribution([0.25, 0.25, 0.5, 0.0])"),
+            (DensityMatrix2Q.from_pure(ket), "entries", None),
+            (mixed, "support", None),
+        ]
+        for value, field, want_repr in values:
+            name = type(value).__name__
+            for attr in (field, "other"):
+                with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+                    setattr(value, attr, getattr(value, field))
+            arrays = [getattr(value, field)]
+            if value is mixed:
+                arrays = [g.matrix for _, g in mixed.support]
+            for a in arrays:
+                with pytest.raises(ValueError):
+                    a[(0,) * a.ndim] = 5
+            text = repr(value)
+            assert text.startswith(f"{name}(")
+            if want_repr is not None:
+                assert text == want_repr

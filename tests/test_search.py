@@ -78,12 +78,12 @@ class TestBatchEvaluator:
 class TestBestResponse:
     def test_vs_c_at_gamma_zero_defects_for_5(self):
         named = canonical_gates(EntanglerMode.DEFECT)
-        br = best_response(PD, 0.0, EntanglerMode.DEFECT, named.C, Player.I, "A", FAST)
+        br = best_response(PD, 0.0, EntanglerMode.DEFECT, named.C, Player.I, "A")
         assert abs(br.payoff - 5.0) < 1e-9
 
     def test_vs_q_in_space_a_capped_at_3_defect_mode(self):
         named = canonical_gates(EntanglerMode.DEFECT)
-        br = best_response(PD, np.pi / 2, EntanglerMode.DEFECT, named.Q, Player.I, "A", FAST)
+        br = best_response(PD, np.pi / 2, EntanglerMode.DEFECT, named.Q, Player.I, "A")
         assert br.payoff <= 3.0 + 1e-6
         assert abs(br.payoff - 3.0) < 1e-9
 
@@ -91,19 +91,19 @@ class TestBestResponse:
         # Regression for the documented generator discrepancy: the
         # set-A defect gate reaches payoff 5 against Q here.
         named = canonical_gates(EntanglerMode.PAULI_X)
-        br = best_response(PD, np.pi / 2, EntanglerMode.PAULI_X, named.Q, Player.I, "A", FAST)
+        br = best_response(PD, np.pi / 2, EntanglerMode.PAULI_X, named.Q, Player.I, "A")
         assert abs(br.payoff - 5.0) < 1e-9
 
     def test_vs_q_in_space_b_restores_dilemma(self):
         for mode in MODES:
             named = canonical_gates(mode)
-            br = best_response(PD, np.pi / 2, mode, named.Q, Player.I, "B", FAST)
+            br = best_response(PD, np.pi / 2, mode, named.Q, Player.I, "B")
             assert br.payoff > 3.5
             assert abs(br.payoff - 5.0) < 1e-6  # pinned optimum
 
     def test_improvement_vs_incumbent(self):
         named = canonical_gates(EntanglerMode.DEFECT)
-        br = best_response(PD, 0.0, EntanglerMode.DEFECT, named.C, Player.I, "A", FAST,
+        br = best_response(PD, 0.0, EntanglerMode.DEFECT, named.C, Player.I, "A",
                            incumbent=named.C)
         assert abs(br.improvement - 2.0) < 1e-9
 
@@ -111,7 +111,7 @@ class TestBestResponse:
         named = canonical_gates(EntanglerMode.DEFECT)
         menu = [named.C, named.D, named.Q]
         br = best_response(PD, np.pi / 2, EntanglerMode.DEFECT, named.D, Player.I,
-                           menu, FAST)
+                           menu)
         assert br.params is None
         assert phase_equal(br.gate, named.Q)
         assert abs(br.payoff - 5.0) < 1e-12
@@ -125,14 +125,14 @@ class TestBestResponse:
             gamma = rng.uniform(0, np.pi / 2)
             mode = MODES[int(rng.integers(2))]
             responder = Player.I if rng.random() < 0.5 else Player.II
-            bra = best_response(PD, gamma, mode, opp, responder, "A", TINY)
-            brb = best_response(PD, gamma, mode, opp, responder, "B", TINY)
+            bra = best_response(PD, gamma, mode, opp, responder, "A")
+            brb = best_response(PD, gamma, mode, opp, responder, "B")
             assert brb.payoff >= bra.payoff - 1e-9
 
     def test_deterministic_given_config(self):
         named = canonical_gates(EntanglerMode.DEFECT)
         runs = [best_response(PD, np.pi / 2, EntanglerMode.DEFECT, named.Q,
-                              Player.I, "B", FAST) for _ in range(2)]
+                              Player.I, "B") for _ in range(2)]
         assert runs[0].payoff == runs[1].payoff
         assert runs[0].params == runs[1].params
 
@@ -142,7 +142,7 @@ class TestBestResponse:
         opp = gate_from_B(StrategyParamsB(0.008270721071061176, 2.0183376786311342,
                                           1.8665422699470895))
         br = best_response(PD, 0.7350305051058598, EntanglerMode.PAULI_X, opp, Player.I,
-                           "B", FAST)
+                           "B")
         assert abs(br.payoff - 4.999870821593708) < 1e-12
         replay = run_protocol(PD, 0.7350305051058598, EntanglerMode.PAULI_X, br.gate, opp)
         assert abs(replay.payoff_I - br.payoff) < 1e-12
@@ -150,7 +150,7 @@ class TestBestResponse:
     def test_invalid_space(self):
         named = canonical_gates(EntanglerMode.DEFECT)
         with pytest.raises(ValidationError):
-            best_response(PD, 0.0, EntanglerMode.DEFECT, named.C, Player.I, "Z", FAST)
+            best_response(PD, 0.0, EntanglerMode.DEFECT, named.C, Player.I, "Z")
 
     def test_config_validation(self):
         with pytest.raises(RangeError):
@@ -176,7 +176,7 @@ class TestExactSolverOracle:
             mode = MODES[k % 2]
             responder = (Player.I, Player.II)[(k // 2) % 2]
             space = "AB"[(k // 4) % 2]
-            br = best_response(PD, gamma, mode, opp, responder, space, FAST)
+            br = best_response(PD, gamma, mode, opp, responder, space)
             grid = SearchConfig(grid_resolution=self.GRID[space])
             _, data = payoff_landscape(PD, gamma, mode, space, opp, grid, responder=responder)
             grid_max = data[:, -1].max()
@@ -233,9 +233,9 @@ class TestVerifyEpsNash:
     def test_symmetric_improvements_match(self):
         named = canonical_gates(EntanglerMode.DEFECT)
         br1 = best_response(PD, np.pi / 2, EntanglerMode.DEFECT, named.Q, Player.I,
-                            "B", FAST, incumbent=named.Q)
+                            "B", incumbent=named.Q)
         br2 = best_response(PD, np.pi / 2, EntanglerMode.DEFECT, named.Q, Player.II,
-                            "B", FAST, incumbent=named.Q)
+                            "B", incumbent=named.Q)
         assert abs(br1.improvement - br2.improvement) < 1e-6
 
 
@@ -333,6 +333,37 @@ class TestMixedQuantumEquilibrium:
     def test_empty_menu_rejected(self):
         with pytest.raises(ValidationError):
             mixed_quantum_equilibrium(PD, 0.0, EntanglerMode.DEFECT, [], FAST)
+
+    def test_widened_support_enumeration_decides(self, monkeypatch):
+        # the dynamics' cycle supports hold no equilibrium here; the
+        # supports of everything visited hold a 3+3 one
+        rng = np.random.default_rng(9)
+        menu = [Gate1Q(m) for m in strategy_matrix(rng.uniform(0, np.pi / 2, 8),
+                                                    rng.uniform(-np.pi, np.pi, 8),
+                                                    rng.uniform(-np.pi, np.pi, 8))]
+        gamma = rng.uniform(0, np.pi / 2)
+        assert abs(gamma - 1.386797) < 1e-6
+        found = []
+        enumerate_supports = search._support_equilibria
+
+        def spy(*args):
+            equilibria = enumerate_supports(*args)
+            found.append(len(equilibria))
+            return equilibria
+
+        monkeypatch.setattr(search, "_support_equilibria", spy)
+        mode = EntanglerMode.PAULI_X
+        res = mixed_quantum_equilibrium(PD, gamma, mode, menu, FAST)
+        assert len(found) == 2 and found[0] == 0 and found[1] > 0
+        assert res.method == "support_enumeration"
+        assert len(res.strategy_I) == 3 and len(res.strategy_II) == 3
+        assert abs(res.payoff_I - 2.2627646300872053) < 1e-12
+        assert abs(res.payoff_II - 2.2627646300872057) < 1e-12
+        for g in menu:
+            dev_i = mixture_payoff_against(PD, gamma, mode, g, res.strategy_II, Player.I)
+            dev_ii = mixture_payoff_against(PD, gamma, mode, g, res.strategy_I, Player.II)
+            assert dev_i - res.payoff_I <= FAST.eps_nash
+            assert dev_ii - res.payoff_II <= FAST.eps_nash
 
 
 class TestDefaultMenu:
