@@ -6,7 +6,11 @@ Measurement outcome |ab> maps to the game cell (row=a, col=b), i.e.
 bit 0 is the first strategy label (C / Buy) and bit 1 the second.
 Every evaluation in the package (single runs, mixtures, menu tables,
 sweeps, best responses, noisy runs, tournaments) goes through one
-broadcast kernel, outcome_amplitudes.
+broadcast kernel, outcome_amplitudes.  In both entangler modes
+J|00> = c|00> + i s|11> (c, s = cos, sin of gamma/2) and the generator
+G is a signed reversal of the basis, so the kernel needs no 4x4
+matrix: one einsum holds its only rounding product, and every other
+step multiplies by c, i*s or +-1.
 
 Two named strategy families are provided: the two-parameter set A
 (theta, phi) and its three-parameter superset B (theta, alpha, beta),
@@ -15,6 +19,7 @@ not the half-angle convention.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -35,12 +40,16 @@ from .qcore import (
     gate_matrix,
 )
 
-_KET00 = np.array([1.0, 0.0, 0.0, 0.0], dtype=np.complex128)
+# Each generator is a signed reversal of the basis: its only nonzero
+# entries are G[3 - k, k] = +-1, so (psi @ G)[k] = sign[k] * psi[3 - k]
+# (sx (x) sx: all +1; Dg (x) Dg: -1 on |01> and |10>).  Read-only views.
+_REVERSAL_SIGNS = {mode: entangler_generator(mode)[::-1].diagonal().real
+                   for mode in EntanglerMode}
 
 
 def _check_range(name: str, value: float, lo: float, hi: float) -> float:
     v = float(value)
-    if not np.isfinite(v) or v < lo - 1e-12 or v > hi + 1e-12:
+    if not math.isfinite(v) or v < lo - 1e-12 or v > hi + 1e-12:
         raise RangeError(f"{name}={value!r} outside [{lo:.6g}, {hi:.6g}]")
     return min(max(v, lo), hi)
 
@@ -156,20 +165,30 @@ def outcome_amplitudes(gamma, mode: EntanglerMode, u1, u2) -> np.ndarray:
 
     u1[..., 2, 2] and u2[..., 2, 2] broadcast against each other, and
     gamma (a scalar or an array) against their stack shape; the result
-    is [..., 4].  J|00> reshaped to the 2x2 matrix m0 turns the local
-    pair into U1 @ m0 @ U2^T, and right-multiplying its flattening by
-    conj(J) = cos(g/2) I - i sin(g/2) G applies J-dagger (the generator
-    G is real).  Nothing is validated: callers pass unitary gates and
-    gamma in [0, pi/2].
+    is [..., 4].  Nothing is validated: callers pass unitary gates and
+    gamma in [0, pi/2]; an unknown mode raises ValidationError.
+
+    J|00> = c|00> + i s|11> reshaped to a 2x2 matrix is diag(c, i s),
+    so the local pair gives U1 diag(c, i s) U2^T: u2 scaled column-wise
+    by (c, i s), then one einsum against u1.  J-dagger is c I - i s G,
+    and G is a signed reversal of the basis, applied by indexing.
+    The only rounding product, u1 times the scaled u2, stays inside
+    einsum, whose complex product is the textbook one; numpy's `*` may
+    fuse multiply-adds and round differently.  Every other product is
+    by c + 0j, 0 + i s or +-1, exact in either arithmetic, so the
+    amplitudes are bit-identical to multiplying out the 2x2 matrices
+    with einsum; menu tables with exact payoff ties rely on that.
     """
-    gen = entangler_generator(mode)
+    try:
+        sign = _REVERSAL_SIGNS[mode]
+    except (KeyError, TypeError):
+        raise ValidationError(f"unknown entangler mode: {mode!r}") from None
     half = np.asarray(gamma, dtype=np.float64)[..., None] / 2
-    c, s = np.cos(half), np.sin(half)
-    m0 = (c * _KET00 + 1j * s * gen[:, 0]).reshape(half.shape[:-1] + (2, 2))
-    # einsum, not matmul: numpy's matmul is slow on stacks of 2x2 matrices
-    psi = np.einsum("...ij,...jk->...ik", u1, np.einsum("...jl,...kl->...jk", m0, u2))
+    diag = np.concatenate((np.cos(half), 1j * np.sin(half)), axis=-1)
+    c, i_s = diag[..., :1], diag[..., 1:]
+    psi = np.einsum("...ij,...kj->...ik", u1, u2 * diag[..., None, :])
     psi = psi.reshape(psi.shape[:-2] + (4,))
-    return c * psi - 1j * s * (psi @ gen)
+    return c * psi - i_s * (psi[..., ::-1] * sign)
 
 
 def run_protocol(game: Bimatrix, gamma: float, mode: EntanglerMode,

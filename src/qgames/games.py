@@ -107,8 +107,9 @@ class Bimatrix:
         return self.cell(self.row_labels.index(row_label), self.col_labels.index(col_label))
 
     def payoff_vectors(self) -> tuple:
-        """Flattened per-outcome payoffs in joint-distribution order."""
-        return self.row_payoffs.ravel().copy(), self.col_payoffs.ravel().copy()
+        """Flattened per-outcome payoffs in joint-distribution order:
+        read-only views of the stored tables, so no call copies them."""
+        return self.row_payoffs.ravel(), self.col_payoffs.ravel()
 
 
 def canonical_pd() -> Bimatrix:

@@ -193,7 +193,7 @@ def tensor(u, v) -> Gate2Q:
 def clamp_gamma(gamma: float) -> float:
     """Validate the entanglement angle, absorbing <1e-12 rounding spill."""
     g = float(gamma)
-    if not np.isfinite(g):
+    if not math.isfinite(g):
         raise RangeError("gamma must be finite")
     if g < GAMMA_MIN:
         if GAMMA_MIN - g >= _GAMMA_CLAMP:

@@ -244,20 +244,31 @@ def phase_canonical_keys(matrices: np.ndarray) -> list:
 
 def _dedup_menu(menu: Sequence[Gate1Q]) -> tuple:
     """(reps, matrices): first-occurrence representatives of the menu's
-    phase-equivalent gates, in menu order, and their stacked matrices.
+    phase-equivalent gates, in menu order, as a tuple, and their stacked
+    matrices, read-only.
 
     A global phase on either player's gate cannot change the outcome
     distribution, so equivalent menu entries induce identical rows of
     the finite game.  The menu is stacked once and keyed by one
     phase_canonical_keys call.
     """
+    return _dedup_gates(tuple(menu))
+
+
+# Gates hash and compare by identity and the cache holds them, so a hit
+# returns the result computed for the same (immutable) gate objects; a
+# menu asked for repeatedly, like default_menu's, is deduplicated once.
+@functools.lru_cache(maxsize=16)
+def _dedup_gates(menu: tuple) -> tuple:
     stack = np.array([g.matrix for g in menu])
     keep, seen = [], set()
     for i, key in enumerate(phase_canonical_keys(stack)):
         if key not in seen:
             seen.add(key)
             keep.append(i)
-    return [menu[i] for i in keep], stack[keep]
+    stack = stack[keep]
+    stack.setflags(write=False)
+    return tuple(menu[i] for i in keep), stack
 
 
 def default_menu(mode: EntanglerMode, points_per_axis: int = 5) -> list:

@@ -24,8 +24,9 @@ from qgames import (
 )
 from qgames.errors import RangeError, ValidationError
 from qgames.ewl import strategy_matrix
-from qgames.qcore import DEFECT_GATE, SIGMA_X
-from qgames.search import _induced_tables
+from qgames.noise import _PAULIS
+from qgames.qcore import DEFECT_GATE, SIGMA_X, entangler_generator
+from qgames.search import _QUATERNION_BASIS, _induced_tables
 
 PD = canonical_pd()
 MODES = list(EntanglerMode)
@@ -36,6 +37,24 @@ def oracle_amplitudes(gamma, mode, u1, u2):
     j = entangler(gamma, mode)
     state = apply(tensor(u1, u2), apply(j, PureState2Q.ket00()))
     return apply(dagger(j), state).amps
+
+
+KET00 = np.array([1.0, 0.0, 0.0, 0.0], dtype=np.complex128)
+
+
+def reference_kernel(gamma, mode, u1, u2):
+    """The two-einsum kernel outcome_amplitudes replaced, kept verbatim
+    as its bit-identity reference: J|00> reshaped to the 2x2 matrix m0
+    turns the local pair into U1 @ m0 @ U2^T, and right-multiplying its
+    flattening by conj(J) = cos(g/2) I - i sin(g/2) G applies J-dagger."""
+    gen = entangler_generator(mode)
+    half = np.asarray(gamma, dtype=np.float64)[..., None] / 2
+    c, s = np.cos(half), np.sin(half)
+    m0 = (c * KET00 + 1j * s * gen[:, 0]).reshape(half.shape[:-1] + (2, 2))
+    # einsum, not matmul: numpy's matmul is slow on stacks of 2x2 matrices
+    psi = np.einsum("...ij,...jk->...ik", u1, np.einsum("...jl,...kl->...jk", m0, u2))
+    psi = psi.reshape(psi.shape[:-2] + (4,))
+    return c * psi - 1j * s * (psi @ gen)
 
 
 def random_gates(rng, n):
@@ -311,6 +330,14 @@ class TestOutcomeAmplitudes:
                 probs = np.abs(oracle_amplitudes(g, mode, reps[0], reps[1])) ** 2
                 assert abs(pay_i - probs @ a) < 1e-12 and abs(pay_ii - probs @ b) < 1e-12
 
+    @pytest.mark.parametrize("mode", ["pauli_x", "defect", None, [1]])
+    def test_unknown_mode_rejected(self, mode):
+        c = np.eye(2, dtype=np.complex128)
+        with pytest.raises(ValidationError, match="unknown entangler mode: "):
+            outcome_amplitudes(0.5, mode, c, c)
+        with pytest.raises(ValidationError, match="unknown entangler mode: "):
+            run_protocol(PD, 0.5, mode, c, c)
+
     def test_run_protocol_validates_raw_matrices(self):
         named = canonical_gates(EntanglerMode.DEFECT)
         with pytest.raises(ValidationError):
@@ -320,6 +347,68 @@ class TestOutcomeAmplitudes:
         raw = run_protocol(PD, 0.5, EntanglerMode.DEFECT, named.Q.matrix, named.D.matrix)
         wrapped = run_protocol(PD, 0.5, EntanglerMode.DEFECT, named.Q, named.D)
         assert np.array_equal(raw.final_state.amps, wrapped.final_state.amps)
+
+
+@pytest.mark.parametrize("mode", MODES)
+class TestBitIdentity:
+    """outcome_amplitudes gives the bytes of reference_kernel, signed
+    zeros included, on every input shape the package passes it.  Menu
+    tables have exact payoff ties, so a last-ulp difference can change
+    which equilibrium is found."""
+
+    @staticmethod
+    def assert_same_bytes(gamma, mode, u1, u2):
+        out = outcome_amplitudes(gamma, mode, u1, u2)
+        ref = reference_kernel(gamma, mode, u1, u2)
+        assert out.shape == ref.shape and out.tobytes() == ref.tobytes()
+
+    def test_scalars_and_tables(self, mode):
+        for rng, gamma, _ in kernel_cases(3101, 20):
+            rows, cols = random_gates(rng, 5), random_gates(rng, 6)
+            for u, v in zip(rows, cols):
+                self.assert_same_bytes(gamma, mode, u, v)
+            self.assert_same_bytes(gamma, mode, rows[:, None], cols[None, :])
+
+    def test_array_gamma(self, mode):
+        rng = np.random.default_rng(3102)
+        gammas = np.linspace(0, np.pi / 2, 101)
+        u, v = random_gates(rng, 2)
+        self.assert_same_bytes(gammas, mode, u, v)
+        self.assert_same_bytes(gammas, mode, random_gates(rng, 101), v)
+        for gamma in (0.0, np.pi / 2):
+            self.assert_same_bytes(gamma, mode, u, v)
+            self.assert_same_bytes(np.array([gamma]), mode, u, v)
+
+    def test_payoff_form_and_pauli_row_shapes(self, mode):
+        rng = np.random.default_rng(3103)
+        for gamma in (0.0, 0.9, np.pi / 2):
+            opponents = random_gates(rng, 7)[..., None, :, :]
+            self.assert_same_bytes(gamma, mode, _QUATERNION_BASIS, opponents)
+            self.assert_same_bytes(gamma, mode, opponents, _QUATERNION_BASIS)
+            u1 = random_gates(rng, 3)[:, None, None, :, :]
+            u2 = random_gates(rng, 2)[None, :, None, :, :]
+            for left, right in ((_PAULIS @ u1, _PAULIS @ u2), (u1 @ _PAULIS, u2 @ _PAULIS)):
+                self.assert_same_bytes(gamma, mode, left[..., :, None, :, :],
+                                       right[..., None, :, :, :])
+
+    def test_named_gates(self, mode):
+        named = [g.matrix for g in canonical_gates(mode)]
+        for gamma in (0.0, 0.4, 1.1, np.pi / 2):
+            for u in named:
+                for v in named:
+                    self.assert_same_bytes(gamma, mode, u, v)
+
+    def test_set_b_gates_with_signed_zeros(self, mode):
+        angles = np.linspace(-np.pi, np.pi, 9)
+        grid = np.meshgrid([0.0, np.pi / 2], angles, angles, indexing="ij")
+        gates = strategy_matrix(*grid).reshape(-1, 2, 2)
+        parts = gates.view(np.float64)
+        assert np.any((parts == 0) & np.signbit(parts))
+        for gamma in (0.0, 0.7, np.pi / 2):
+            self.assert_same_bytes(gamma, mode, gates[:, None], gates[None, :])
+            for u in gates[::5]:
+                for v in gates[::7]:
+                    self.assert_same_bytes(gamma, mode, u, v)
 
 
 class TestMixedStrategies:

@@ -330,6 +330,34 @@ class TestMixedQuantumEquilibrium:
         assert r1.payoff_I == r2.payoff_I and r1.payoff_II == r2.payoff_II
         assert [w for w, _ in r1.strategy_I.support] == [w for w, _ in r2.strategy_I.support]
 
+    def test_menu_cache_gives_identical_results(self):
+        def summary(res):
+            return (res.method, res.payoff_I, res.payoff_II,
+                    [[(w, id(g)) for w, g in s.support] for s in (res.strategy_I, res.strategy_II)])
+
+        mode = EntanglerMode.DEFECT
+        menus = [default_menu(mode), [Gate1Q(m) for m in random_b_gates(33, 8)]]
+        gammas = [np.pi / 2, 1.0]
+        want = []
+        for menu, gamma in zip(menus, gammas):
+            search._dedup_gates.cache_clear()
+            want.append(summary(mixed_quantum_equilibrium(PD, gamma, mode, menu, FAST)))
+        for menu, gamma, first in zip(menus, gammas, want):
+            caller = list(menu)
+            assert summary(mixed_quantum_equilibrium(PD, gamma, mode, caller, FAST)) == first
+            assert summary(mixed_quantum_equilibrium(PD, gamma, mode, caller, FAST)) == first
+            assert summary(mixed_quantum_equilibrium(PD, gamma, mode, list(menu), FAST)) == first
+            caller.reverse()
+            caller.pop()
+            mutated = summary(mixed_quantum_equilibrium(PD, gamma, mode, caller, FAST))
+            search._dedup_gates.cache_clear()
+            assert summary(mixed_quantum_equilibrium(PD, gamma, mode, caller, FAST)) == mutated
+            assert summary(mixed_quantum_equilibrium(PD, gamma, mode, menu, FAST)) == first
+            reps, stack = search._dedup_menu(menu)
+            assert type(reps) is tuple and not stack.flags.writeable
+            again = search._dedup_menu(list(menu))
+            assert again[0] == reps and again[1] is stack
+
     def test_empty_menu_rejected(self):
         with pytest.raises(ValidationError):
             mixed_quantum_equilibrium(PD, 0.0, EntanglerMode.DEFECT, [], FAST)
