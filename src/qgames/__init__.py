@@ -59,12 +59,10 @@ from .search import (
 )
 from .noise import (
     ChannelLocation,
-    DensityMatrix2Q,
     NoiseKind,
     NoiseSpec,
     ThresholdResult,
     advantage_threshold,
-    apply_noise,
     gamma_sweep,
     noisy_outcome_probs,
     run_protocol_noisy,

@@ -430,6 +430,18 @@ class _RoundLog:
                                enumerate(log[start:start + _CHUNK_ROUNDS], start)])
 
 
+def _finite(value) -> bool:
+    """Whether every float in a report value (dicts, lists and tuples of
+    cells) is finite; JSON has no Infinity or NaN."""
+    if isinstance(value, (float, np.floating)):
+        return math.isfinite(value)
+    if isinstance(value, dict):
+        value = value.values()
+    elif not isinstance(value, (list, tuple)):
+        return True
+    return all(_finite(x) for x in value)
+
+
 def _write_reports(out_dir: Path, command: str, fmt: str, quiet: bool,
                    summary: dict, columns, rows) -> list:
     """Write the summary JSON and the rows (a list of cell tuples, or a
@@ -751,11 +763,19 @@ def dispatch(command: str, cfg: RunConfig, out_dir=None, fmt=None, quiet=False) 
     resolved_fmt = fmt or cfg.settings["format"]
     try:
         summary, columns, rows = _COMMAND_IMPLS[command](cfg)
+        cells = ([rows.tail(row) for _, result in rows.blocks for row in result.rows]
+                 if isinstance(rows, _RoundLog) else rows)
+        if not _finite([summary, cells]):
+            raise RangeError("the result overflows the float range: a report would hold "
+                             "a non-finite number")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except QGamesError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except MemoryError as exc:
+        print(f"error: the result is too large to allocate: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     try:
         _write_reports(resolved_out, command, resolved_fmt, quiet, summary, columns, rows)

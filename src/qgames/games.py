@@ -225,7 +225,7 @@ def mixed_nash(game: Bimatrix, eps: float = _EPS_DEFAULT) -> list:
             interval = _interval_where(dA, eA, sign=+1 if i == 0 else -1)
             if interval is not None:
                 lo, hi = interval
-                flag = hi - lo > eps
+                flag = bool(hi - lo > eps)
                 candidates.append((1.0 - i, lo, flag))
                 candidates.append((1.0 - i, hi, flag))
     # Column pure / row mixed components: need A's column j constant.
@@ -234,7 +234,7 @@ def mixed_nash(game: Bimatrix, eps: float = _EPS_DEFAULT) -> list:
             interval = _interval_where(dB, eB, sign=+1 if j == 0 else -1)
             if interval is not None:
                 lo, hi = interval
-                flag = hi - lo > eps
+                flag = bool(hi - lo > eps)
                 candidates.append((lo, 1.0 - j, flag))
                 candidates.append((hi, 1.0 - j, flag))
 

@@ -5,8 +5,8 @@ P_a (x) P_b (Nielsen & Chuang 8.3), and a Pauli on the return channel
 (after the players' gates) or the forward channel (after the
 entangler) is one more local strategy pair, (P_a U1) (x) (P_b U2) or
 (U1 P_a) (x) (U2 P_b).  A noisy run is therefore a weighted sum of 16
-rows of the protocol kernel; nothing is sampled.  DensityMatrix2Q and
-apply_noise keep the Kraus density-matrix form as the exact reference.
+rows of the protocol kernel; nothing is sampled.  The tests check it
+against a Kraus density-matrix reference (tests/kraus.py).
 """
 from __future__ import annotations
 
@@ -24,12 +24,8 @@ from .qcore import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    _ATOL,
     EntanglerMode,
     Gate1Q,
-    OutcomeDistribution,
-    PureState2Q,
-    _Value,
     clamp_gamma,
     gate_matrix,
 )
@@ -62,65 +58,6 @@ class NoiseSpec:
         if not (0.0 <= p <= 1.0):
             raise RangeError(f"noise probability p={self.p!r} outside [0,1]")
         object.__setattr__(self, "p", p)
-
-
-class DensityMatrix2Q(_Value):
-    """A validated two-qubit density matrix: Hermitian, unit trace,
-    positive semidefinite (within tolerance)."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        m = np.array(entries, dtype=np.complex128)
-        if m.shape != (4, 4):
-            raise ValidationError(f"DensityMatrix2Q must be 4x4, got {m.shape}")
-        if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
-            raise ValidationError("DensityMatrix2Q entries must be finite")
-        if np.abs(m - m.conj().T).max() > _ATOL:
-            raise ValidationError("DensityMatrix2Q is not Hermitian")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > _ATOL:
-            raise ValidationError(f"DensityMatrix2Q trace is {tr!r}, expected 1")
-        eigs = np.linalg.eigvalsh((m + m.conj().T) / 2)
-        if eigs.min() < -_ATOL:
-            raise ValidationError(f"DensityMatrix2Q has negative eigenvalue {eigs.min()!r}")
-        m.setflags(write=False)
-        object.__setattr__(self, "entries", m)
-
-    @classmethod
-    def from_pure(cls, state: PureState2Q) -> "DensityMatrix2Q":
-        return cls(np.outer(state.amps, state.amps.conj()))
-
-    def diagonal_distribution(self) -> OutcomeDistribution:
-        return OutcomeDistribution(np.real(np.diag(self.entries)))
-
-
-def depolarizing_kraus_1q(p: float) -> list:
-    """Kraus set {sqrt(1-p) I, sqrt(p/3) X, sqrt(p/3) Y, sqrt(p/3) Z}."""
-    if not (0.0 <= p <= 1.0):
-        raise RangeError(f"p={p!r} outside [0,1]")
-    w = np.sqrt(p / 3.0)
-    return [np.sqrt(1.0 - p) * I2, w * SIGMA_X, w * SIGMA_Y, w * SIGMA_Z]
-
-
-def _apply_kind(rho: np.ndarray, spec: NoiseSpec) -> np.ndarray:
-    if spec.kind == NoiseKind.NONE or spec.p == 0.0:
-        return rho
-    if spec.kind == NoiseKind.TWO_QUBIT_DEPOLARIZING:
-        return (1.0 - spec.p) * rho + spec.p * np.trace(rho).real * np.eye(4) / 4.0
-    kraus = depolarizing_kraus_1q(spec.p)
-    for position in (0, 1):
-        acc = np.zeros_like(rho)
-        for k in kraus:
-            full = np.kron(k, I2) if position == 0 else np.kron(I2, k)
-            acc += full @ rho @ full.conj().T
-        rho = acc
-    return rho
-
-
-def apply_noise(rho: DensityMatrix2Q, spec: NoiseSpec) -> DensityMatrix2Q:
-    """Exact Kraus-sum application of the configured channel."""
-    return DensityMatrix2Q(_apply_kind(rho.entries, spec))
 
 
 _PAULIS = np.stack([I2, SIGMA_X, SIGMA_Y, SIGMA_Z])

@@ -118,6 +118,8 @@ def _exact_optimum(m: np.ndarray, space: str) -> np.ndarray:
     positive; set-A candidates are then clipped to the octant, which
     keeps nonnegative eigenvectors and makes the rest feasible.
     """
+    if not np.isfinite(m).all():  # eigh may fail to converge on inf entries
+        raise RangeError("the payoff form overflows the float range: the payoffs are too large")
     blocks = []
     for s in _SUPPORTS[space]:
         _, vecs = np.linalg.eigh(m[..., s, :][..., s])

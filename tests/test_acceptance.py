@@ -35,12 +35,12 @@ from qgames import (
     run_protocol,
     run_protocol_noisy,
     advantage_threshold,
-    apply_noise,
-    DensityMatrix2Q,
     TournamentConfig,
     verify_eps_nash,
 )
-from qgames.noise import depolarizing_kraus_1q
+from qgames.noise import _PAULIS, _pauli_weights
+
+from kraus import depolarizing_kraus_1q
 
 PD = canonical_pd()
 MODES = list(EntanglerMode)
@@ -207,15 +207,19 @@ def test_criterion_10_property_suites():
             r = run_protocol(PD, rng.uniform(0, np.pi / 2), mode, u, v)
             assert abs(np.abs(r.final_state.amps ** 2).sum() - 1.0) < 1e-10
 
-        # channels preserve trace and positivity at 1e-9
+        # the library's channels, sum_ab w_ab (P_a x P_b) rho (P_a x P_b)-dagger,
+        # preserve trace and positivity at 1e-9
         kinds = (NoiseKind.PER_QUBIT_DEPOLARIZING, NoiseKind.TWO_QUBIT_DEPOLARIZING)
+        paulis = [np.kron(a, b) for a in _PAULIS for b in _PAULIS]
         for _ in range(500):
             z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            rho = DensityMatrix2Q((z @ z.conj().T) / np.trace(z @ z.conj().T).real)
-            out = apply_noise(rho, NoiseSpec(kind=kinds[int(rng.integers(2))],
-                                             p=float(rng.uniform(0, 1))))
-            assert abs(np.trace(out.entries).real - 1.0) < 1e-9
-            assert np.linalg.eigvalsh(out.entries).min() > -1e-9
+            rho = (z @ z.conj().T) / np.trace(z @ z.conj().T).real
+            w = _pauli_weights(NoiseSpec(kind=kinds[int(rng.integers(2))],
+                                         p=float(rng.uniform(0, 1))))
+            out = sum(wk * op @ rho @ op.conj().T for wk, op in zip(w.ravel(), paulis))
+            assert np.abs(out - out.conj().T).max() < 1e-9
+            assert abs(np.trace(out).real - 1.0) < 1e-9
+            assert np.linalg.eigvalsh(out).min() > -1e-9
 
         # global phases never change the outcome distribution
         for _ in range(500):

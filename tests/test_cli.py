@@ -1,11 +1,17 @@
 """Tests for config parsing, dispatch, and report emission."""
+import contextlib
 import csv
 import dataclasses
+import functools
 import hashlib
+import io
 import json
 import math
+import operator
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -186,14 +192,32 @@ def _has(container, key) -> bool:
         isinstance(container, list) and isinstance(key, int) and key < len(container))
 
 
+def _plausible(old):
+    return (st.sampled_from(_WORDS) | st.integers(-2, 200) | st.floats(-0.5, 2)
+            | st.booleans() | st.none() | _JSON)
+
+
+def _like(old):
+    """A value of the JSON type of `old`, one the schema often accepts."""
+    if isinstance(old, bool):
+        return st.booleans()
+    if isinstance(old, int):
+        return st.integers(0, 200)
+    if isinstance(old, float):
+        return st.floats(0, 1.5)
+    if isinstance(old, str) or old is None:
+        return st.sampled_from(_WORDS) | st.none()
+    return st.just(old)
+
+
 @st.composite
-def _edited(draw):
+def _edited(draw, values=_plausible):
+    """The template with one to three of its parts replaced by a draw
+    from values(the template's own value there)."""
     config = json.loads(json.dumps(_TEMPLATE))
-    plausible = (st.sampled_from(_WORDS) | st.integers(-2, 200) | st.floats(-0.5, 2)
-                 | st.booleans() | st.none())
-    edits = st.lists(st.tuples(st.sampled_from(_PATHS), plausible | _JSON),
-                     min_size=1, max_size=3)
-    for path, value in draw(edits):
+    edit = st.sampled_from(_PATHS).flatmap(lambda path: st.tuples(
+        st.just(path), values(functools.reduce(operator.getitem, path, _TEMPLATE))))
+    for path, value in draw(st.lists(edit, min_size=1, max_size=3)):
         target = config
         for key in path[:-1]:
             target = target[key] if _has(target, key) else None
@@ -649,6 +673,31 @@ class TestExitCodes:
         assert run_main(["payoff", "--config", str(cfgfile), "--out",
                          str(tmp_path / "out"), "--quiet"]) == 3
 
+    # Sizes past the 64-bit address space: numpy refuses them before it
+    # allocates anything.
+    @pytest.mark.parametrize("command, config", [
+        ("sweep", {"sweep": {"steps": 1e14}}),
+        ("landscape", {"search": {"grid_resolution": 1000000, "space": "B"}}),
+    ])
+    def test_unallocatable_result_is_3(self, tmp_path, capsys, command, config):
+        cfgfile = tmp_path / "big.json"
+        cfgfile.write_text(json.dumps(config))
+        assert run_main([command, "--config", str(cfgfile), "--out",
+                         str(tmp_path / "out"), "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_non_finite_result_is_3_and_writes_nothing(self, tmp_path, capsys):
+        # the welfare 1.7e308 + 1.7e308 overflows to inf
+        cfgfile = tmp_path / "huge.json"
+        cfgfile.write_text(json.dumps(_OVERFLOWING_GAME))
+        assert run_main(["correlated", "--config", str(cfgfile), "--out",
+                         str(tmp_path / "out"), "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_io_error_is_4(self, tmp_path):
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a directory")
@@ -668,6 +717,47 @@ class TestExitCodes:
                          "--seed", "99", "--quiet"]) == 0
         summary = json.loads((out / "tournament.json").read_text())
         assert summary["seed"] == 99
+
+
+_OVERFLOWING_GAME = {"game": {"row_payoffs": [[1.7e308, 0], [1.7e308, 0]],
+                               "col_payoffs": [[1.7e308, 0], [0, 1]]}}
+_CAPS = (("search", "grid_resolution", 16), ("tournament", "rounds", 200),
+         ("sweep", "steps", 50))
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(st.sampled_from(cli.COMMANDS), _edited(_like),
+       st.none() | st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                            min_size=8, max_size=8))
+@example("correlated", _OVERFLOWING_GAME, None)
+@example("equilibria", {"game": {"row_payoffs": [[0, 0], [0, 0]],  # degenerate mixed Nash
+                                 "col_payoffs": [[1, 0], [0, 1]]}}, None)
+@example("advantage", {"gamma": 0.4640788838864936, "game": {  # inf in a payoff form
+    "row_payoffs": [[-1e308, 1e308], [1.0, 1.7976931348623157e308]],
+    "col_payoffs": [[1.7976931348623157e308, 1.7976931348623157e308], [-1e308, -1e308]]}}, None)
+def test_any_accepted_config_exits_0_2_or_3_with_strict_json(command, value, payoffs):
+    if payoffs is not None and isinstance(value.get("game"), dict):
+        value["game"]["row_payoffs"] = [payoffs[0:2], payoffs[2:4]]
+        value["game"]["col_payoffs"] = [payoffs[4:6], payoffs[6:8]]
+    try:
+        config = cli.serialize_config(cli.parse_config(json.dumps(value)))
+    except ConfigError:
+        return
+    for section, key, cap in _CAPS:
+        config[section][key] = min(config[section][key], cap)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfgfile, out = Path(tmp) / "run.json", Path(tmp) / "out"
+        cfgfile.write_text(json.dumps(config))
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = cli.main([command, "--config", str(cfgfile), "--out", str(out), "--quiet"])
+        assert code in (0, 2, 3), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        for report in out.glob("*.json"):
+            json.loads(report.read_text(), parse_constant=_reject_constant)
 
 
 class TestConsoleScript:

@@ -5,32 +5,28 @@ import pytest
 from qgames import (
     Bimatrix,
     ChannelLocation,
-    DensityMatrix2Q,
     EntanglerMode,
     Gate1Q,
     NoiseKind,
     NoiseSpec,
-    PureState2Q,
     SearchConfig,
     StrategyParamsB,
     advantage_threshold,
-    apply,
-    apply_noise,
     canonical_gates,
     canonical_pd,
-    entangler,
     gamma_sweep,
     gate_from_B,
     hft_game,
     outcome_amplitudes,
     run_protocol,
     run_protocol_noisy,
-    tensor,
     verify_eps_nash,
 )
 from qgames.errors import ConvergenceError, RangeError, ValidationError
 from qgames.ewl import strategy_matrix
-from qgames.noise import symmetric_equilibrium_gate
+from qgames.noise import _PAULIS, _pauli_weights, symmetric_equilibrium_gate
+
+from kraus import apply_channel, kraus_probs
 
 PD = canonical_pd()
 MODES = list(EntanglerMode)
@@ -40,27 +36,20 @@ SEARCH = SearchConfig(grid_resolution=16, eps_nash=1e-6)
 def random_density(rng):
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     rho = a @ a.conj().T
-    return DensityMatrix2Q(rho / np.trace(rho).real)
+    return rho / np.trace(rho).real
+
+
+def pauli_channel(rho, spec):
+    """The library's channel on a density matrix: the sum over a, b of
+    w_ab (P_a x P_b) rho (P_a x P_b)-dagger, with its own Paulis and weights."""
+    ops = [np.kron(a, b) for a in _PAULIS for b in _PAULIS]
+    return sum(w * op @ rho @ op.conj().T for w, op in zip(_pauli_weights(spec).ravel(), ops))
 
 
 def random_gate(rng):
     return gate_from_B(StrategyParamsB(rng.uniform(0, np.pi / 2),
                                        rng.uniform(-np.pi, np.pi),
                                        rng.uniform(-np.pi, np.pi)))
-
-
-def kraus_probs(gamma, mode, u1, u2, spec):
-    """Reference run on density matrices: the channel's Kraus sum
-    (apply_noise) inserted at its location."""
-    j = entangler(gamma, mode).matrix
-    u = tensor(u1, u2).matrix
-    rho = DensityMatrix2Q.from_pure(apply(entangler(gamma, mode), PureState2Q.ket00()))
-    if spec.location == ChannelLocation.FORWARD:
-        rho = apply_noise(rho, spec)
-    rho = DensityMatrix2Q(u @ rho.entries @ u.conj().T)
-    if spec.location == ChannelLocation.RETURN:
-        rho = apply_noise(rho, spec)
-    return DensityMatrix2Q(j.conj().T @ rho.entries @ j).diagonal_distribution().probs
 
 
 class TestNoiseSpec:
@@ -79,22 +68,6 @@ class TestNoiseSpec:
         with pytest.raises(ValidationError):
             run_protocol_noisy(PD, 0.0, EntanglerMode.DEFECT, named.C, named.C,
                                {"kind": "none"})
-
-
-class TestDensityMatrix:
-    def test_requires_hermitian(self):
-        m = np.eye(4, dtype=complex)
-        m[0, 1] = 1j
-        with pytest.raises(ValidationError):
-            DensityMatrix2Q(m)
-
-    def test_requires_unit_trace(self):
-        with pytest.raises(ValidationError):
-            DensityMatrix2Q(np.eye(4) / 2)
-
-    def test_requires_positive(self):
-        with pytest.raises(ValidationError):
-            DensityMatrix2Q(np.diag([1.5, -0.5, 0, 0]))
 
 
 class TestChannels:
@@ -146,9 +119,11 @@ class TestChannels:
             rho = random_density(rng)
             spec = NoiseSpec(kind=kinds[int(rng.integers(2))],
                              p=float(rng.uniform(0, 1)))
-            out = apply_noise(rho, spec)  # constructor enforces the invariants
-            assert abs(np.trace(out.entries).real - 1.0) < 1e-9
-            assert np.linalg.eigvalsh(out.entries).min() >= -1e-9
+            out = pauli_channel(rho, spec)
+            assert np.abs(out - apply_channel(rho, spec.kind, spec.p)).max() < 1e-12
+            assert np.abs(out - out.conj().T).max() < 1e-9
+            assert abs(np.trace(out).real - 1.0) < 1e-9
+            assert np.linalg.eigvalsh(out).min() >= -1e-9
 
     def test_positivity_along_protocol_steps(self):
         rng = np.random.default_rng(60)
@@ -207,7 +182,7 @@ class TestPauliMixtureOracle:
                     u, v = random_gate(rng), random_gate(rng)
                     gamma = rng.uniform(0, np.pi / 2)
                     mode = MODES[int(rng.integers(2))]
-                    want = kraus_probs(gamma, mode, u, v, spec)
+                    want = kraus_probs(gamma, mode, u, v, kind, float(p), location)
                     got = run_protocol_noisy(PD, gamma, mode, u, v, spec)
                     assert np.abs(got.distribution.probs - want).max() < 1e-12
                     assert abs(got.payoff_I - want @ a) < 1e-12
@@ -222,8 +197,7 @@ class TestPauliMixtureOracle:
                 for _ in range(10):
                     u, v = random_gate(rng), random_gate(rng)
                     p, gamma = float(rng.uniform(0, 1)), rng.uniform(0, np.pi / 2)
-                    ret, fwd = (kraus_probs(gamma, mode, u, v,
-                                            NoiseSpec(kind=kind, p=p, location=loc))
+                    ret, fwd = (kraus_probs(gamma, mode, u, v, kind, p, loc)
                                 for loc in self.LOCATIONS)
                     assert np.abs(ret - fwd).max() < 1e-12
 

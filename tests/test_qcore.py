@@ -4,7 +4,6 @@ import pytest
 
 from qgames import (
     Bimatrix,
-    DensityMatrix2Q,
     EntanglerMode,
     Gate1Q,
     Gate2Q,
@@ -290,7 +289,6 @@ class TestValidation:
              "OutcomeDistribution([0.5, 0.0, 0.0, 0.5])"),
             (JointDistribution([0.25, 0.25, 0.5, 0]), "mu",
              "JointDistribution([0.25, 0.25, 0.5, 0.0])"),
-            (DensityMatrix2Q.from_pure(ket), "entries", None),
             (mixed, "support", None),
         ]
         for value, field, want_repr in values:
