@@ -5,9 +5,10 @@ and correlated equilibria.  Strategy index 0 is the cooperative-style
 label (C / Buy), index 1 the defect-style label (D / Sell); the same
 ordering is used for measurement outcomes by the protocol modules.
 
-The correlated-equilibrium optimizer enumerates the polytope's vertices
-in exact rational arithmetic, so no LP solver is involved and results
-are reproducible bit for bit.
+Nash equilibria and the correlated-equilibrium optimizer both enumerate
+vertices in exact rational arithmetic on the float payoffs, with no
+tolerance and no LP solver: only the final conversion of a weight to a
+float rounds, and results are reproducible bit for bit.
 """
 from __future__ import annotations
 
@@ -170,91 +171,43 @@ def expected_payoff(game: Bimatrix, profile: MixedProfile) -> tuple:
     return float(w @ a), float(w @ b)
 
 
-def _is_equilibrium(game: Bimatrix, p: float, q: float, eps: float) -> bool:
-    A, B = game.row_payoffs, game.col_payoffs
-    base_i, base_ii = expected_payoff(game, MixedProfile(p, q))
-    best_i = max(A[0, 0] * q + A[0, 1] * (1 - q), A[1, 0] * q + A[1, 1] * (1 - q))
-    best_ii = max(B[0, 0] * p + B[1, 0] * (1 - p), B[0, 1] * p + B[1, 1] * (1 - p))
-    return best_i - base_i <= eps and best_ii - base_ii <= eps
+def _exact(table: np.ndarray) -> list:
+    """The entries of a payoff table as Fractions, nested like the table."""
+    return [[Fraction(float(x)) for x in row] for row in table]
 
 
-def _interval_where(slope: float, intercept: float, lo=0.0, hi=1.0, sign=+1):
-    """Solution interval of sign*(slope*x + intercept) >= 0 within [lo, hi]."""
-    s, c = sign * slope, sign * intercept
-    if abs(s) < 1e-15:
-        return (lo, hi) if c >= -1e-15 else None
-    x0 = -c / s
-    if s > 0:
-        lo = max(lo, x0)
-    else:
-        hi = min(hi, x0)
-    return (lo, hi) if lo <= hi + 1e-15 else None
+def mixed_nash(game: Bimatrix) -> list:
+    """All Nash equilibria of the 2x2 game, in exact rational arithmetic.
 
-
-def mixed_nash(game: Bimatrix, eps: float = _EPS_DEFAULT) -> list:
-    """All Nash equilibria of the 2x2 game by support enumeration.
-
-    Pure profiles are checked directly; the interior candidate comes
-    from the two indifference equations.  Degenerate games whose
-    equilibria form components are reported through the components'
-    extreme points, each flagged degenerate.  The result is sorted by
-    (p, q) and never empty.
+    Player I's gain from strategy 0 over strategy 1 is linear in q, and
+    Player II's is linear in p, so every vertex of the equilibrium set
+    has p in {0, 1, p*} and q in {0, 1, q*}, where p* and q* are the
+    interior roots of those gains.  The at most nine candidates are
+    checked exactly.  Degenerate games whose equilibria form components
+    are reported through the components' vertices, each flagged
+    degenerate: a vertex is flagged iff another vertex has the same p or
+    the same q, since the equilibrium set meets every axis-parallel line
+    in an interval.  The result is sorted by (p, q) and never empty.
     """
-    A, B = game.row_payoffs, game.col_payoffs
-    scale = max(1.0, float(np.abs(A).max()), float(np.abs(B).max()))
-    tol = eps * scale
+    (a00, a01), (a10, a11) = _exact(game.row_payoffs)
+    (b00, b01), (b10, b11) = _exact(game.col_payoffs)
+    gain_i = (a00 - a10 - a01 + a11, a01 - a11)  # slope and intercept in q
+    gain_ii = (b00 - b01 - b10 + b11, b10 - b11)  # slope and intercept in p
 
-    candidates = []  # (p, q, degenerate)
-    for i, j in itertools.product(range(2), range(2)):
-        candidates.append((1.0 - i, 1.0 - j, False))
+    def weights(slope, intercept):  # 0, 1 and the gain's root if it lies between
+        roots = [-intercept / slope] if slope else []
+        return [Fraction(0), Fraction(1)] + [r for r in roots if 0 < r < 1]
 
-    # Interior: row indifference fixes q, column indifference fixes p.
-    dA = (A[0, 0] - A[1, 0]) - (A[0, 1] - A[1, 1])
-    eA = A[0, 1] - A[1, 1]
-    dB = (B[0, 0] - B[0, 1]) - (B[1, 0] - B[1, 1])
-    eB = B[1, 0] - B[1, 1]
-    if abs(dA) > tol and abs(dB) > tol:
-        q_star = -eA / dA
-        p_star = -eB / dB
-        if -1e-12 <= q_star <= 1 + 1e-12 and -1e-12 <= p_star <= 1 + 1e-12:
-            candidates.append((min(max(p_star, 0.0), 1.0), min(max(q_star, 0.0), 1.0), False))
+    def is_best_reply(weight, slope, intercept, other):
+        gain = slope * other + intercept
+        return (gain <= 0 or weight == 1) and (gain >= 0 or weight == 0)
 
-    # Row pure / column mixed components: need B's row i constant.
-    for i in range(2):
-        if abs(B[i, 0] - B[i, 1]) <= tol:
-            interval = _interval_where(dA, eA, sign=+1 if i == 0 else -1)
-            if interval is not None:
-                lo, hi = interval
-                flag = bool(hi - lo > eps)
-                candidates.append((1.0 - i, lo, flag))
-                candidates.append((1.0 - i, hi, flag))
-    # Column pure / row mixed components: need A's column j constant.
-    for j in range(2):
-        if abs(A[0, j] - A[1, j]) <= tol:
-            interval = _interval_where(dB, eB, sign=+1 if j == 0 else -1)
-            if interval is not None:
-                lo, hi = interval
-                flag = bool(hi - lo > eps)
-                candidates.append((lo, 1.0 - j, flag))
-                candidates.append((hi, 1.0 - j, flag))
-
-    found = []
-    for p, q, flag in candidates:
-        p = min(max(p, 0.0), 1.0)
-        q = min(max(q, 0.0), 1.0)
-        if not _is_equilibrium(game, p, q, tol):
-            continue
-        merged = False
-        for k, existing in enumerate(found):
-            if abs(existing.p - p) <= 1e-9 and abs(existing.q - q) <= 1e-9:
-                if flag and not existing.degenerate:
-                    found[k] = MixedProfile(existing.p, existing.q, True)
-                merged = True
-                break
-        if not merged:
-            found.append(MixedProfile(p, q, flag))
-    found.sort(key=lambda m: (m.p, m.q))
-    return found
+    vertices = sorted((p, q) for p in weights(*gain_ii) for q in weights(*gain_i)
+                      if is_best_reply(p, *gain_i, q) and is_best_reply(q, *gain_ii, p))
+    # another vertex, distinct, shares p or q iff it shares exactly one of them
+    return [MixedProfile(float(p), float(q),
+                         any((p2 == p) != (q2 == q) for p2, q2 in vertices))
+            for p, q in vertices]
 
 
 def is_correlated_equilibrium(game: Bimatrix, mu: JointDistribution,
@@ -263,34 +216,28 @@ def is_correlated_equilibrium(game: Bimatrix, mu: JointDistribution,
 
     For each player and each recommendation with positive marginal,
     following the recommendation must be an eps-best reply against the
-    conditional distribution of the opponent's recommendation.
+    conditional distribution of the opponent's recommendation.  The
+    constraints are best_correlated's, evaluated exactly at the given
+    weights.
     """
     if eps < 0:
         raise RangeError(f"eps must be nonnegative, got {eps!r}")
-    A, B = game.row_payoffs, game.col_payoffs
-    for i in range(2):
-        marginal = mu.prob(i, 0) + mu.prob(i, 1)
-        if marginal <= 0:
-            continue
-        keep = sum(mu.prob(i, j) * A[i, j] for j in range(2)) / marginal
-        dev = sum(mu.prob(i, j) * A[1 - i, j] for j in range(2)) / marginal
-        if dev - keep > eps:
-            return False
-    for j in range(2):
-        marginal = mu.prob(0, j) + mu.prob(1, j)
-        if marginal <= 0:
-            continue
-        keep = sum(mu.prob(i, j) * B[i, j] for i in range(2)) / marginal
-        dev = sum(mu.prob(i, j) * B[i, 1 - j] for i in range(2)) / marginal
-        if dev - keep > eps:
+    weights = [Fraction(float(x)) for x in mu.mu]
+    for row, cells in zip(_ce_constraint_rows(game), _CE_RECOMMENDED):
+        marginal = sum(weights[k] for k in cells)
+        if marginal > 0 and sum(row[k] * weights[k] for k in cells) / marginal < -eps:
             return False
     return True
 
 
+# The cells where each row of _ce_constraint_rows applies: the row
+# player told 0, told 1, then the column player told 0, told 1.
+_CE_RECOMMENDED = ((0, 1), (2, 3), (0, 2), (1, 3))
+
+
 def _ce_constraint_rows(game: Bimatrix) -> list:
     """Incentive constraints a.mu >= 0 of the CE polytope, exact."""
-    A = [[Fraction(float(x)) for x in row] for row in game.row_payoffs]
-    B = [[Fraction(float(x)) for x in row] for row in game.col_payoffs]
+    A, B = _exact(game.row_payoffs), _exact(game.col_payoffs)
     rows = []
     for i in range(2):  # row player told i, deviation to 1-i
         coef = [Fraction(0)] * 4

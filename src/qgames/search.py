@@ -108,6 +108,11 @@ def _payoff_form(game, gamma, mode, opponent, responder) -> np.ndarray:
     return ((psi.conj() * payvec) @ np.swapaxes(psi, -1, -2)).real
 
 
+def _require_finite(what: str, *arrays) -> None:
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise RangeError(f"{what} overflows the float range: the payoffs are too large")
+
+
 def _exact_optimum(m: np.ndarray, space: str) -> np.ndarray:
     """Unit 4-vectors x[...] maximising x^T m x over the space, for a
     stack of forms m[..., 4, 4].
@@ -118,8 +123,7 @@ def _exact_optimum(m: np.ndarray, space: str) -> np.ndarray:
     positive; set-A candidates are then clipped to the octant, which
     keeps nonnegative eigenvectors and makes the rest feasible.
     """
-    if not np.isfinite(m).all():  # eigh may fail to converge on inf entries
-        raise RangeError("the payoff form overflows the float range: the payoffs are too large")
+    _require_finite("the payoff form", m)  # eigh may fail to converge on inf entries
     blocks = []
     for s in _SUPPORTS[space]:
         _, vecs = np.linalg.eigh(m[..., s, :][..., s])
@@ -174,11 +178,8 @@ def best_response(game: Bimatrix, gamma: float, mode: EntanglerMode,
             raise ValidationError("menu space must be nonempty")
         values = _responder_payoffs(game, gamma, mode, opponent_gate.matrix, responder,
                                     np.array([g.matrix for g in menu]))
-        payoff, idx = -np.inf, 0
-        for k, v in enumerate(values.tolist()):
-            if v > payoff + _TIE_TOL:
-                payoff, idx = v, k
-        params, gate = None, menu[idx]
+        idx = _argmax_first(values)
+        payoff, params, gate = values[idx], None, menu[idx]
 
     improvement = 0.0
     if incumbent is not None:
@@ -342,6 +343,7 @@ def _solve_support(pi, pii, r_sub, c_sub, eps):
             x = np.linalg.solve(m2, rhs)[:k]
         except np.linalg.LinAlgError:
             return None
+        _require_finite("the support solution", x, y)
         if x.min() < -1e-9 or y.min() < -1e-9:
             return None
         x = np.clip(x, 0.0, None)
@@ -377,6 +379,7 @@ def mixed_quantum_equilibrium(game: Bimatrix, gamma: float, mode: EntanglerMode,
     gamma = clamp_gamma(gamma)
     reps, u = _dedup_menu(menu)
     pi, pii = _induced_tables(game, gamma, mode, u)
+    _require_finite("the menu payoff table", pi, pii)
     eps = cfg.eps_nash
 
     def result_from(xf, yf, vi, vii, method):

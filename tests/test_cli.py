@@ -227,7 +227,7 @@ def _edited(draw, values=_plausible):
 
 
 @settings(derandomize=True, max_examples=500, deadline=None, database=None)
-@given(_JSON | _edited())
+@given(_JSON | _edited() | _edited(_like))
 @example({"tournament": {"rounds": math.nan, "seed": -math.inf}})
 @example({"sweep": {"steps": math.inf}, "search": {"grid_resolution": 1e300}})
 @example({"noise": {"p": 10 ** 400}})
@@ -696,6 +696,21 @@ class TestExitCodes:
                          str(tmp_path / "out"), "--quiet"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_overflowing_support_solution_is_3(self, tmp_path, capsys):
+        # the menu tables are finite, but solving a mixed support's
+        # indifference equations overflows to NaN
+        cfgfile = tmp_path / "huge.json"
+        cfgfile.write_text(json.dumps({
+            "game": {"row_payoffs": [[1.0, 3.0], [1e308, 1.7976931348623157e308]],
+                     "col_payoffs": [[1.7976931348623157e308, 1.0], [3.0, 5e-324]]},
+            "gamma": 0.25358614542561453, "entangler_mode": "pauli_x"}))
+        assert run_main(["equilibria", "--config", str(cfgfile), "--out",
+                         str(tmp_path / "out"), "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "overflows the float range" in err
         assert not (tmp_path / "out").exists()
 
     def test_io_error_is_4(self, tmp_path):

@@ -2,8 +2,12 @@
 
 best_correlated is cross-checked against an independent LP solve
 (scipy.linprog); mixed_nash against a brute-force grid best-reply
-oracle at resolution 1e-3 plus an exact best-reply check.
+oracle at resolution 1e-3, exact rational regrets, and the earlier
+tolerance-based implementation kept below as a reference.
 """
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -49,6 +53,137 @@ def all_equal_game(value=0.0):
 def random_game(rng):
     return Bimatrix(row_payoffs=rng.uniform(-5, 5, (2, 2)),
                     col_payoffs=rng.uniform(-5, 5, (2, 2)))
+
+
+def wide_scale_game(rng):
+    """Payoffs of either sign with magnitudes 10**U(-3, 12)."""
+    x = rng.choice([-1.0, 1.0], 8) * 10.0 ** rng.uniform(-3, 12, 8)
+    return Bimatrix(row_payoffs=x[:4].reshape(2, 2), col_payoffs=x[4:].reshape(2, 2))
+
+
+def small_integer_games(values=(0.0, 1.0, 2.0)):
+    for cells in itertools.product(values, repeat=8):
+        yield Bimatrix(row_payoffs=np.reshape(cells[:4], (2, 2)),
+                       col_payoffs=np.reshape(cells[4:], (2, 2)))
+
+
+def exact_regrets(game, p, q):
+    """Each player's gain from the best pure deviation at (p, q), and the
+    slope of that player's gain of strategy 0 over 1 in the opponent's
+    weight, all in exact rational arithmetic."""
+    A = [[Fraction(float(x)) for x in row] for row in game.row_payoffs]
+    B = [[Fraction(float(x)) for x in row] for row in game.col_payoffs]
+    p, q = Fraction(p), Fraction(q)
+    row = [A[i][0] * q + A[i][1] * (1 - q) for i in range(2)]
+    col = [B[0][j] * p + B[1][j] * (1 - p) for j in range(2)]
+    return ((max(row) - p * row[0] - (1 - p) * row[1],
+             max(col) - q * col[0] - (1 - q) * col[1]),
+            (A[0][0] - A[1][0] - A[0][1] + A[1][1],
+             B[0][0] - B[0][1] - B[1][0] + B[1][1]))
+
+
+# The tolerance-based mixed_nash and is_correlated_equilibrium that the
+# exact versions replaced, verbatim: the exact ones must agree with them
+# wherever float arithmetic was exact enough to decide.
+def _reference_is_equilibrium(game: Bimatrix, p: float, q: float, eps: float) -> bool:
+    A, B = game.row_payoffs, game.col_payoffs
+    base_i, base_ii = expected_payoff(game, MixedProfile(p, q))
+    best_i = max(A[0, 0] * q + A[0, 1] * (1 - q), A[1, 0] * q + A[1, 1] * (1 - q))
+    best_ii = max(B[0, 0] * p + B[1, 0] * (1 - p), B[0, 1] * p + B[1, 1] * (1 - p))
+    return best_i - base_i <= eps and best_ii - base_ii <= eps
+
+
+def _reference_interval_where(slope: float, intercept: float, lo=0.0, hi=1.0, sign=+1):
+    """Solution interval of sign*(slope*x + intercept) >= 0 within [lo, hi]."""
+    s, c = sign * slope, sign * intercept
+    if abs(s) < 1e-15:
+        return (lo, hi) if c >= -1e-15 else None
+    x0 = -c / s
+    if s > 0:
+        lo = max(lo, x0)
+    else:
+        hi = min(hi, x0)
+    return (lo, hi) if lo <= hi + 1e-15 else None
+
+
+def reference_mixed_nash(game: Bimatrix, eps: float = 1e-9) -> list:
+    A, B = game.row_payoffs, game.col_payoffs
+    scale = max(1.0, float(np.abs(A).max()), float(np.abs(B).max()))
+    tol = eps * scale
+
+    candidates = []  # (p, q, degenerate)
+    for i, j in itertools.product(range(2), range(2)):
+        candidates.append((1.0 - i, 1.0 - j, False))
+
+    # Interior: row indifference fixes q, column indifference fixes p.
+    dA = (A[0, 0] - A[1, 0]) - (A[0, 1] - A[1, 1])
+    eA = A[0, 1] - A[1, 1]
+    dB = (B[0, 0] - B[0, 1]) - (B[1, 0] - B[1, 1])
+    eB = B[1, 0] - B[1, 1]
+    if abs(dA) > tol and abs(dB) > tol:
+        q_star = -eA / dA
+        p_star = -eB / dB
+        if -1e-12 <= q_star <= 1 + 1e-12 and -1e-12 <= p_star <= 1 + 1e-12:
+            candidates.append((min(max(p_star, 0.0), 1.0), min(max(q_star, 0.0), 1.0), False))
+
+    # Row pure / column mixed components: need B's row i constant.
+    for i in range(2):
+        if abs(B[i, 0] - B[i, 1]) <= tol:
+            interval = _reference_interval_where(dA, eA, sign=+1 if i == 0 else -1)
+            if interval is not None:
+                lo, hi = interval
+                flag = bool(hi - lo > eps)
+                candidates.append((1.0 - i, lo, flag))
+                candidates.append((1.0 - i, hi, flag))
+    # Column pure / row mixed components: need A's column j constant.
+    for j in range(2):
+        if abs(A[0, j] - A[1, j]) <= tol:
+            interval = _reference_interval_where(dB, eB, sign=+1 if j == 0 else -1)
+            if interval is not None:
+                lo, hi = interval
+                flag = bool(hi - lo > eps)
+                candidates.append((lo, 1.0 - j, flag))
+                candidates.append((hi, 1.0 - j, flag))
+
+    found = []
+    for p, q, flag in candidates:
+        p = min(max(p, 0.0), 1.0)
+        q = min(max(q, 0.0), 1.0)
+        if not _reference_is_equilibrium(game, p, q, tol):
+            continue
+        merged = False
+        for k, existing in enumerate(found):
+            if abs(existing.p - p) <= 1e-9 and abs(existing.q - q) <= 1e-9:
+                if flag and not existing.degenerate:
+                    found[k] = MixedProfile(existing.p, existing.q, True)
+                merged = True
+                break
+        if not merged:
+            found.append(MixedProfile(p, q, flag))
+    found.sort(key=lambda m: (m.p, m.q))
+    return found
+
+
+def reference_is_correlated_equilibrium(game: Bimatrix, mu: JointDistribution,
+                                        eps: float = 1e-9) -> bool:
+    A, B = game.row_payoffs, game.col_payoffs
+    for i in range(2):
+        marginal = mu.prob(i, 0) + mu.prob(i, 1)
+        if marginal <= 0:
+            continue
+        keep = sum(mu.prob(i, j) * A[i, j] for j in range(2)) / marginal
+        dev = sum(mu.prob(i, j) * A[1 - i, j] for j in range(2)) / marginal
+        if dev - keep > eps:
+            return False
+    for j in range(2):
+        marginal = mu.prob(0, j) + mu.prob(1, j)
+        if marginal <= 0:
+            continue
+        keep = sum(mu.prob(i, j) * B[i, j] for i in range(2)) / marginal
+        dev = sum(mu.prob(i, j) * B[i, 1 - j] for i in range(2)) / marginal
+        if dev - keep > eps:
+            return False
+    return True
 
 
 def lp_best_correlated(game: Bimatrix, obj: np.ndarray):
@@ -219,6 +354,58 @@ class TestMixedNash:
                 assert max(imp_i, imp_ii) <= 5e-3 * scale
 
 
+    def test_equals_reference_on_every_game_with_payoffs_0_1_2(self):
+        degenerate = 0
+        for g in small_integer_games():
+            eqs = mixed_nash(g)
+            assert eqs == reference_mixed_nash(g), (g.row_payoffs, g.col_payoffs)
+            degenerate += any(e.degenerate for e in eqs)
+        assert degenerate == 4293
+
+    def test_wide_scale_games_have_exact_regret_zero(self):
+        # The reference's payoff-scaled tolerance listed profiles that are
+        # not equilibria on games like these.  An interior weight is a
+        # rational rounded to a float, off by at most 2**-54, so the
+        # opponent's regret there is at most its gain's slope times that.
+        rng = np.random.default_rng(7)
+        wrong_at_reference = 0
+        for _ in range(500):
+            g = wide_scale_game(rng)
+            eqs = mixed_nash(g)
+            corners = sorted((e.p, e.q) for e in eqs if {e.p, e.q} <= {0.0, 1.0})
+            assert corners == sorted((1.0 - r, 1.0 - c) for r, c in pure_nash(g))
+            for e in eqs:
+                regrets, slopes = exact_regrets(g, e.p, e.q)
+                if {e.p, e.q} <= {0.0, 1.0}:
+                    assert regrets == (0, 0)
+                for regret, slope in zip(regrets, slopes):
+                    assert 0 <= regret <= abs(slope) * Fraction(1, 2 ** 54)
+            wrong_at_reference += any(
+                {e.p, e.q} <= {0.0, 1.0} and exact_regrets(g, e.p, e.q)[0] != (0, 0)
+                for e in reference_mixed_nash(g))
+        assert wrong_at_reference > 0
+
+    def test_twelve_orders_of_magnitude(self):
+        g = Bimatrix(row_payoffs=np.array([[1e12, 0.0], [2.0, 1.0]]),
+                     col_payoffs=np.array([[0.0, 1.0], [0.0, 1e12]]))
+        assert mixed_nash(g) == [MixedProfile(0.0, 0.0, False)]
+        assert reference_mixed_nash(g) == [MixedProfile(0.0, 0.0, True),
+                                           MixedProfile(1.0, 0.0, True),
+                                           MixedProfile(1.0, 1.0, True)]
+
+    def test_interior_weights_are_correctly_rounded(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            g = random_game(rng)
+            for e in mixed_nash(g):
+                if 0 < e.p < 1 and 0 < e.q < 1:
+                    A = [[Fraction(float(x)) for x in row] for row in g.row_payoffs]
+                    B = [[Fraction(float(x)) for x in row] for row in g.col_payoffs]
+                    q_star = (A[1][1] - A[0][1]) / (A[0][0] - A[1][0] - A[0][1] + A[1][1])
+                    p_star = (B[1][1] - B[1][0]) / (B[0][0] - B[0][1] - B[1][0] + B[1][1])
+                    assert (e.p, e.q) == (float(p_star), float(q_star))
+
+
 class TestCorrelated:
     def test_point_mass_dd_is_ce_for_pd(self):
         pd = canonical_pd()
@@ -280,3 +467,19 @@ class TestCorrelated:
             for prof in pure_nash(g):
                 mu = JointDistribution.point_mass(prof)
                 assert is_correlated_equilibrium(g, mu, eps=0.0)
+
+    def test_verdicts_equal_reference_on_games_with_payoffs_0_1_2(self):
+        games = list(small_integer_games())
+        rng = np.random.default_rng(15)
+        candidates = [JointDistribution([0.25] * 4)]
+        candidates += [JointDistribution.point_mass(PureProfile(i, j))
+                       for i in range(2) for j in range(2)]
+        verdicts = set()
+        for k in rng.choice(len(games), 300, replace=False):
+            g = games[k]
+            for mu in candidates + [best_correlated(g, name)
+                                    for name in ("welfare", "player_I", "player_II")]:
+                verdict = is_correlated_equilibrium(g, mu)
+                assert verdict == reference_is_correlated_equilibrium(g, mu)
+                verdicts.add(verdict)
+        assert verdicts == {True, False}

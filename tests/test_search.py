@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from qgames import (
+    Bimatrix,
     EntanglerMode,
     Gate1Q,
     Player,
@@ -115,6 +116,18 @@ class TestBestResponse:
         assert br.params is None
         assert phase_equal(br.gate, named.Q)
         assert abs(br.payoff - 5.0) < 1e-12
+
+    def test_menu_ties_follow_the_dynamics_rule(self):
+        # menu payoffs 0, 0.6e-10 and 1.2e-10: the first within the tie
+        # tolerance of the maximum wins, as in the best-response dynamics,
+        # not the end of a chain of near-ties
+        game = Bimatrix(row_payoffs=np.array([[0.0, 0.0], [1.2e-10, 0.0]]),
+                        col_payoffs=np.zeros((2, 2)))
+        named = canonical_gates(EntanglerMode.DEFECT)
+        menu = [named.C, Gate1Q(strategy_matrix(np.pi / 4, 0.0, 0.0)), named.D]
+        br = best_response(game, 0.0, EntanglerMode.DEFECT, named.C, Player.I, menu)
+        assert br.gate is menu[1]
+        assert abs(br.payoff - 0.6e-10) < 1e-20
 
     def test_space_b_dominates_space_a_500_seeds(self):
         rng = np.random.default_rng(555)
@@ -357,6 +370,15 @@ class TestMixedQuantumEquilibrium:
             assert type(reps) is tuple and not stack.flags.writeable
             again = search._dedup_menu(list(menu))
             assert again[0] == reps and again[1] is stack
+
+    def test_overflowing_menu_table_is_a_range_error(self):
+        # every payoff is the largest float; the table's weighted sums of
+        # outcome probabilities round past it at this gamma
+        top = np.full((2, 2), np.finfo(float).max)
+        game = Bimatrix(row_payoffs=top, col_payoffs=top)
+        mode = EntanglerMode.DEFECT
+        with np.errstate(over="ignore"), pytest.raises(RangeError, match="menu payoff table overflows"):
+            mixed_quantum_equilibrium(game, 0.7, mode, default_menu(mode), FAST)
 
     def test_empty_menu_rejected(self):
         with pytest.raises(ValidationError):
