@@ -7,18 +7,7 @@ from .errors import (
     RangeError,
     ValidationError,
 )
-from .qcore import (
-    EntanglerMode,
-    Gate1Q,
-    Gate2Q,
-    OutcomeDistribution,
-    PureState2Q,
-    apply,
-    dagger,
-    entangler,
-    measure,
-    tensor,
-)
+from .qcore import EntanglerMode, Gate1Q, OutcomeDistribution, PureState2Q
 from .games import (
     Bimatrix,
     JointDistribution,

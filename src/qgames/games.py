@@ -218,14 +218,18 @@ def is_correlated_equilibrium(game: Bimatrix, mu: JointDistribution,
     following the recommendation must be an eps-best reply against the
     conditional distribution of the opponent's recommendation.  The
     constraints are best_correlated's, evaluated exactly at the given
-    weights.
+    weights.  Rounding an exact vertex to float weights moves a
+    constraint by up to 4 * 2^-52 * max|payoff|, so that much is added
+    to eps: the verdict does not depend on the payoff unit.
     """
     if eps < 0:
         raise RangeError(f"eps must be nonnegative, got {eps!r}")
+    scale = max(np.abs(game.row_payoffs).max(), np.abs(game.col_payoffs).max())
+    bound = -(Fraction(eps) + Fraction(scale) * 4 / 2 ** 52)
     weights = [Fraction(float(x)) for x in mu.mu]
     for row, cells in zip(_ce_constraint_rows(game), _CE_RECOMMENDED):
         marginal = sum(weights[k] for k in cells)
-        if marginal > 0 and sum(row[k] * weights[k] for k in cells) / marginal < -eps:
+        if marginal > 0 and sum(row[k] * weights[k] for k in cells) / marginal < bound:
             return False
     return True
 

@@ -16,9 +16,12 @@ as mass 1 when sampling is on).
 """
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Optional
 
@@ -332,9 +335,22 @@ def play_tournament(game: Bimatrix, a1: AgentSpec, a2: AgentSpec,
         log.append(code)
         total_i += pay_i
         total_ii += pay_ii
+    mean_i, mean_ii = _mean_payoffs(rows, log, total_i, total_ii)
     return TournamentResult(rows=tuple(rows), log=tuple(log),
-                            mean_payoff_I=total_i / cfg.rounds,
-                            mean_payoff_II=total_ii / cfg.rounds)
+                            mean_payoff_I=mean_i, mean_payoff_II=mean_ii)
+
+
+def _mean_payoffs(rows, log, total_i: float, total_ii: float) -> tuple:
+    """Mean payoffs of the rounds in log, whose payoffs sum to the two
+    totals.  Where a total overflows the float range, each mean is the
+    exact mean of the rounds' payoffs, rounded once."""
+    n = len(log)
+    means = (total_i / n, total_ii / n)
+    if all(map(math.isfinite, means)):
+        return means
+    counts = Counter(log).items()
+    return (float(sum(c * Fraction(rows[code].payoff_I) for code, c in counts) / n),
+            float(sum(c * Fraction(rows[code].payoff_II) for code, c in counts) / n))
 
 
 @dataclass(frozen=True)
@@ -347,9 +363,9 @@ class MenuAdvantageReport:
 
 
 def _tail_mean(result: TournamentResult, window: int) -> tuple:
-    tail = [result.rows[code] for code in result.log[-window:]]
-    return (sum(r.payoff_I for r in tail) / len(tail),
-            sum(r.payoff_II for r in tail) / len(tail))
+    rows, tail = result.rows, result.log[-window:]
+    return _mean_payoffs(rows, tail, sum(rows[code].payoff_I for code in tail),
+                         sum(rows[code].payoff_II for code in tail))
 
 
 def menu_advantage_experiment(game: Bimatrix, cfg: TournamentConfig) -> MenuAdvantageReport:

@@ -1,14 +1,16 @@
-"""Exact complex linear algebra for two-qubit protocol states.
+"""Validated values and constants of the two-qubit protocol.
 
 Conventions used throughout the package:
   * State vectors are length-4 complex128 arrays over the computational
     basis in the fixed order |00>, |01>, |10>, |11>.
   * The left bit belongs to Player I (row player), the right bit to
     Player II (column player).
-  * 1-qubit gates are 2x2 complex128 matrices, 2-qubit gates 4x4; a
-    tensor product's left factor acts on Player I's qubit.
-  * Everything is evaluated exactly (no sampling); measurement returns
-    the full Born-rule distribution.
+  * 1-qubit gates are 2x2 complex128 matrices; in U1 (x) U2 the left
+    factor acts on Player I's qubit.
+  * The entangler is J(g) = cos(g/2) I + i sin(g/2) G; _GENERATORS
+    holds the one definition of G per EntanglerMode.
+  * Everything is evaluated exactly (no sampling); an
+    OutcomeDistribution is the full Born-rule distribution.
 """
 from __future__ import annotations
 
@@ -51,21 +53,6 @@ for _m in (I2, SIGMA_X, SIGMA_Y, SIGMA_Z, DEFECT_GATE):
     _m.setflags(write=False)
 
 
-def _as_complex_matrix(value, dim: int, who: str) -> np.ndarray:
-    m = np.array(value, dtype=np.complex128)
-    if m.shape != (dim, dim):
-        raise ValidationError(f"{who}: expected a {dim}x{dim} matrix, got shape {m.shape}")
-    if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
-        raise ValidationError(f"{who}: entries must be finite")
-    return m
-
-
-def _check_unitary(m: np.ndarray, who: str) -> None:
-    err = np.abs(m.conj().T @ m - np.eye(m.shape[0])).max()
-    if err > _ATOL:
-        raise ValidationError(f"{who} is not unitary (max deviation {err:.3e} > {_ATOL:.1e})")
-
-
 class _Value:
     """Base of the validated value types.  Each stores one field, named
     first in its __slots__, set once by __init__ through
@@ -83,37 +70,23 @@ class _Value:
         return f"{type(self).__name__}({value!r})"
 
 
-class _Unitary(_Value):
-    """A validated _dim x _dim unitary; Gate1Q and Gate2Q fix _dim."""
-
-    __slots__ = ()
-
-    def __init__(self, matrix):
-        who = type(self).__name__
-        m = _as_complex_matrix(matrix, self._dim, who)
-        _check_unitary(m, who)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    def dagger(self):
-        return type(self)(self.matrix.conj().T)
-
-    def __matmul__(self, other):
-        return type(self)(self.matrix @ other.matrix)
-
-
-class Gate1Q(_Unitary):
+class Gate1Q(_Value):
     """A validated 2x2 unitary; the carrier for player strategies."""
 
     __slots__ = ("matrix",)
-    _dim = 2
 
-
-class Gate2Q(_Unitary):
-    """A validated 4x4 unitary; referee operators and joint strategies."""
-
-    __slots__ = ("matrix",)
-    _dim = 4
+    def __init__(self, matrix):
+        m = np.array(matrix, dtype=np.complex128)
+        if m.shape != (2, 2):
+            raise ValidationError(f"Gate1Q: expected a 2x2 matrix, got shape {m.shape}")
+        if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
+            raise ValidationError("Gate1Q: entries must be finite")
+        err = np.abs(m.conj().T @ m - I2).max()
+        if err > _ATOL:
+            raise ValidationError(
+                f"Gate1Q is not unitary (max deviation {err:.3e} > {_ATOL:.1e})")
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
 
 
 def gate_matrix(u) -> np.ndarray:
@@ -143,18 +116,6 @@ class PureState2Q(_Value):
         a.setflags(write=False)
         object.__setattr__(self, "amps", a)
 
-    @classmethod
-    def basis(cls, index: int) -> "PureState2Q":
-        if index not in (0, 1, 2, 3):
-            raise RangeError(f"basis index must be in 0..3, got {index}")
-        a = np.zeros(4, dtype=np.complex128)
-        a[index] = 1.0
-        return cls(a)
-
-    @classmethod
-    def ket00(cls) -> "PureState2Q":
-        return cls.basis(0)
-
 
 class OutcomeDistribution(_Value):
     """Probabilities over the four measurement outcomes, basis order."""
@@ -175,19 +136,6 @@ class OutcomeDistribution(_Value):
             raise ValidationError(f"OutcomeDistribution does not sum to 1 (sum={p.sum()!r})")
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
-
-
-def tensor(u, v) -> Gate2Q:
-    """Kronecker product of two 1-qubit gates.
-
-    The left factor acts on Player I's qubit.  Inputs may be Gate1Q or
-    raw 2x2 matrices; each operand is validated and named on failure.
-    """
-    mu = u.matrix if isinstance(u, Gate1Q) else _as_complex_matrix(u, 2, "tensor: left operand")
-    mv = v.matrix if isinstance(v, Gate1Q) else _as_complex_matrix(v, 2, "tensor: right operand")
-    _check_unitary(mu, "tensor: left operand")
-    _check_unitary(mv, "tensor: right operand")
-    return Gate2Q(np.kron(mu, mv))
 
 
 def clamp_gamma(gamma: float) -> float:
@@ -219,29 +167,3 @@ def entangler_generator(mode: EntanglerMode) -> np.ndarray:
         return _GENERATORS[mode]
     except (KeyError, TypeError):
         raise ValidationError(f"unknown entangler mode: {mode!r}") from None
-
-
-def entangler(gamma: float, mode: EntanglerMode = EntanglerMode.PAULI_X) -> Gate2Q:
-    """The referee's entangling gate cos(g/2) I4 + i sin(g/2) G(mode).
-
-    gamma=0 gives the identity (classical play); gamma=pi/2 maximal
-    entanglement.
-    """
-    g = clamp_gamma(gamma)
-    gen = entangler_generator(mode)
-    return Gate2Q(np.cos(g / 2) * np.eye(4, dtype=np.complex128) + 1j * np.sin(g / 2) * gen)
-
-
-def dagger(g: Gate2Q) -> Gate2Q:
-    """Conjugate transpose; the referee's disentangling gate."""
-    return g.dagger()
-
-
-def apply(g: Gate2Q, s: PureState2Q) -> PureState2Q:
-    """Apply a 4x4 unitary to a state vector."""
-    return PureState2Q(g.matrix @ s.amps)
-
-
-def measure(s: PureState2Q) -> OutcomeDistribution:
-    """Born-rule probabilities over the computational basis."""
-    return OutcomeDistribution(np.abs(s.amps) ** 2)

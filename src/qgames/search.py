@@ -31,8 +31,6 @@ from .ewl import (
 from .games import Bimatrix
 from .qcore import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, EntanglerMode, Gate1Q, clamp_gamma
 
-_TIE_TOL = 1e-10
-
 
 class Player(Enum):
     I = 1
@@ -178,7 +176,7 @@ def best_response(game: Bimatrix, gamma: float, mode: EntanglerMode,
             raise ValidationError("menu space must be nonempty")
         values = _responder_payoffs(game, gamma, mode, opponent_gate.matrix, responder,
                                     np.array([g.matrix for g in menu]))
-        idx = _argmax_first(values)
+        idx = int(np.argmax(values))
         payoff, params, gate = values[idx], None, menu[idx]
 
     improvement = 0.0
@@ -300,11 +298,6 @@ def _induced_tables(game, gamma, mode, u):
     return probs @ a, probs @ b
 
 
-def _argmax_first(values: np.ndarray) -> int:
-    best = float(np.max(values))
-    return int(np.nonzero(values >= best - _TIE_TOL)[0][0])
-
-
 def _support_equilibria(pi, pii, rows, cols, eps):
     """Equal-size support enumeration restricted to given strategy sets."""
     found = []
@@ -394,8 +387,8 @@ def mixed_quantum_equilibrium(game: Bimatrix, gamma: float, mode: EntanglerMode,
     trace = [state]
     seen = {state: 0}
     while True:  # a deterministic map on at most n^2 states revisits one
-        i = _argmax_first(pi[:, state[1]])
-        j = _argmax_first(pii[i, :])
+        i = int(np.argmax(pi[:, state[1]]))  # the first exact maximum
+        j = int(np.argmax(pii[i, :]))
         new = (i, j)
         if new == state:
             xf = np.zeros(len(reps))

@@ -7,8 +7,10 @@ the two (Nielsen & Chuang 8.3).
 """
 import numpy as np
 
-from qgames import ChannelLocation, NoiseKind, entangler, tensor
+from qgames import ChannelLocation, NoiseKind
 from qgames.qcore import I2, SIGMA_X, SIGMA_Y, SIGMA_Z
+
+from circuit import entangler, local_pair
 
 
 def depolarizing_kraus_1q(p):
@@ -37,8 +39,8 @@ def kraus_probs(gamma, mode, u1, u2, kind, p, location):
     """Outcome probabilities of the protocol J-dagger (U1 x U2) J |00>,
     run on a density matrix, with the channel inserted after the players'
     gates (RETURN) or after the entangler (FORWARD)."""
-    j = entangler(gamma, mode).matrix
-    u = tensor(u1, u2).matrix
+    j = entangler(gamma, mode)
+    u = local_pair(u1, u2)
     rho = np.outer(j[:, 0], j[:, 0].conj())  # J|00>
     if location == ChannelLocation.FORWARD:
         rho = apply_channel(rho, kind, p)

@@ -13,17 +13,14 @@ from qgames import (
     NoiseSpec,
     Player,
     PureProfile,
-    PureState2Q,
     SearchConfig,
     StrategyParamsA,
     StrategyParamsB,
-    apply,
     best_correlated,
     best_response,
     canonical_gates,
     canonical_pd,
     default_menu,
-    entangler,
     gate_from_A,
     gate_from_B,
     Gate1Q,
@@ -40,6 +37,7 @@ from qgames import (
 )
 from qgames.noise import _PAULIS, _pauli_weights
 
+from circuit import entangled_ket
 from kraus import depolarizing_kraus_1q
 
 PD = canonical_pd()
@@ -59,9 +57,9 @@ def criterion(num, text):
 
 def test_criterion_01_maximally_entangled_state():
     with criterion(1, "J(pi/2) |00> = (1, 0, 0, i)/sqrt(2) within 1e-12"):
-        state = apply(entangler(np.pi / 2, EntanglerMode.PAULI_X), PureState2Q.ket00())
+        state = entangled_ket(np.pi / 2, EntanglerMode.PAULI_X)
         expected = np.array([1 / np.sqrt(2), 0, 0, 1j / np.sqrt(2)])
-        assert np.abs(state.amps - expected).max() < 1e-12
+        assert np.abs(state - expected).max() < 1e-12
 
 
 def test_criterion_02_classical_limit_at_gamma_zero():

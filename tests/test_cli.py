@@ -698,6 +698,23 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("tournament", [
+        {"rounds": 50, "agents": [{"kind": "fixed"}, {"kind": "fixed"}]},
+        {"rounds": 50, "experiment": "menu_advantage"},
+    ], ids=["fixed", "menu_advantage"])
+    def test_tournament_mean_of_huge_payoffs_is_0(self, tmp_path, tournament):
+        # every payoff 1e308: the round total overflows, the mean does not
+        cfgfile = tmp_path / "huge.json"
+        cfgfile.write_text(json.dumps({
+            "game": {"row_payoffs": [[1e308] * 2] * 2, "col_payoffs": [[1e308] * 2] * 2},
+            "tournament": tournament}))
+        out = tmp_path / "out"
+        assert run_main(["tournament", "--config", str(cfgfile), "--out", str(out),
+                         "--quiet"]) == 0
+        summary = json.loads((out / "tournament.json").read_text())
+        means = [value for key, value in summary.items() if "mean" in key]
+        assert means and all(mean == [1e308, 1e308] for mean in means)
+
     def test_overflowing_support_solution_is_3(self, tmp_path, capsys):
         # the menu tables are finite, but solving a mixed support's
         # indifference equations overflows to NaN

@@ -6,21 +6,16 @@ from qgames import (
     EntanglerMode,
     Gate1Q,
     MixedQuantumStrategy,
-    PureState2Q,
     StrategyParamsA,
     StrategyParamsB,
-    apply,
     canonical_gates,
     canonical_pd,
-    dagger,
-    entangler,
     gamma_sweep,
     gate_from_A,
     gate_from_B,
     outcome_amplitudes,
     run_protocol,
     run_protocol_mixed,
-    tensor,
 )
 from qgames.errors import RangeError, ValidationError
 from qgames.ewl import strategy_matrix
@@ -28,18 +23,10 @@ from qgames.noise import _PAULIS
 from qgames.qcore import DEFECT_GATE, SIGMA_X, entangler_generator
 from qgames.search import _QUATERNION_BASIS, _induced_tables
 
+from circuit import KET00, born_probs, final_amplitudes
+
 PD = canonical_pd()
 MODES = list(EntanglerMode)
-
-
-def oracle_amplitudes(gamma, mode, u1, u2):
-    """The explicit 4x4 circuit J-dagger (U1 x U2) J |00>."""
-    j = entangler(gamma, mode)
-    state = apply(tensor(u1, u2), apply(j, PureState2Q.ket00()))
-    return apply(dagger(j), state).amps
-
-
-KET00 = np.array([1.0, 0.0, 0.0, 0.0], dtype=np.complex128)
 
 
 def reference_kernel(gamma, mode, u1, u2):
@@ -281,7 +268,7 @@ class TestOutcomeAmplitudes:
             u, v = random_gates(rng, 2)
             got = outcome_amplitudes(gamma, mode, u, v)
             assert got.shape == (4,)
-            assert np.abs(got - oracle_amplitudes(gamma, mode, u, v)).max() < 1e-12
+            assert np.abs(got - final_amplitudes(gamma, mode, u, v)).max() < 1e-12
 
     def test_stack_against_one_gate(self):
         for rng, gamma, mode in kernel_cases(3002, 50):
@@ -290,8 +277,8 @@ class TestOutcomeAmplitudes:
             right = outcome_amplitudes(gamma, mode, v, stack)
             assert left.shape == right.shape == (5, 4)
             for k, u in enumerate(stack):
-                assert np.abs(left[k] - oracle_amplitudes(gamma, mode, u, v)).max() < 1e-12
-                assert np.abs(right[k] - oracle_amplitudes(gamma, mode, v, u)).max() < 1e-12
+                assert np.abs(left[k] - final_amplitudes(gamma, mode, u, v)).max() < 1e-12
+                assert np.abs(right[k] - final_amplitudes(gamma, mode, v, u)).max() < 1e-12
 
     def test_outer_broadcast(self):
         for rng, gamma, mode in kernel_cases(3003, 50):
@@ -300,7 +287,7 @@ class TestOutcomeAmplitudes:
             assert got.shape == (3, 4, 4)
             for i, u in enumerate(rows):
                 for j, v in enumerate(cols):
-                    want = oracle_amplitudes(gamma, mode, u, v)
+                    want = final_amplitudes(gamma, mode, u, v)
                     assert np.abs(got[i, j] - want).max() < 1e-12
 
     def test_array_gamma(self):
@@ -312,22 +299,23 @@ class TestOutcomeAmplitudes:
             paired = outcome_amplitudes(gammas, mode, stack, v)
             assert one_pair.shape == paired.shape == (3, 4)
             for k, g in enumerate(gammas):
-                assert np.abs(one_pair[k] - oracle_amplitudes(g, mode, u, v)).max() < 1e-12
-                assert np.abs(paired[k] - oracle_amplitudes(g, mode, stack[k], v)).max() < 1e-12
+                assert np.abs(one_pair[k] - final_amplitudes(g, mode, u, v)).max() < 1e-12
+                assert np.abs(paired[k] - final_amplitudes(g, mode, stack[k], v)).max() < 1e-12
 
     def test_induced_tables_and_sweep_match_oracle(self):
         a, b = PD.payoff_vectors()
         for rng, gamma, mode in kernel_cases(3005, 8):
             reps = [Gate1Q(u) for u in random_gates(rng, 5)]
-            pi, pii = _induced_tables(PD, gamma, mode, np.array([g.matrix for g in reps]))
-            for i, u in enumerate(reps):
-                for j, v in enumerate(reps):
-                    probs = np.abs(oracle_amplitudes(gamma, mode, u, v)) ** 2
+            mats = np.array([g.matrix for g in reps])
+            pi, pii = _induced_tables(PD, gamma, mode, mats)
+            for i, u in enumerate(mats):
+                for j, v in enumerate(mats):
+                    probs = born_probs(final_amplitudes(gamma, mode, u, v))
                     assert abs(pi[i, j] - probs @ a) < 1e-12
                     assert abs(pii[i, j] - probs @ b) < 1e-12
             _, rows = gamma_sweep(PD, mode, reps[0], reps[1], steps=9)
             for g, pay_i, pay_ii in rows:
-                probs = np.abs(oracle_amplitudes(g, mode, reps[0], reps[1])) ** 2
+                probs = born_probs(final_amplitudes(g, mode, mats[0], mats[1]))
                 assert abs(pay_i - probs @ a) < 1e-12 and abs(pay_ii - probs @ b) < 1e-12
 
     @pytest.mark.parametrize("mode", ["pauli_x", "defect", None, [1]])
@@ -428,7 +416,7 @@ class TestMixedStrategies:
             g1, g2 = random_gates(rng, 3), random_gates(rng, 4)
             m1 = MixedQuantumStrategy(list(zip(w1, g1)))
             m2 = MixedQuantumStrategy(list(zip(w2, g2)))
-            want = sum(x * y * np.abs(oracle_amplitudes(gamma, mode, u, v)) ** 2
+            want = sum(x * y * born_probs(final_amplitudes(gamma, mode, u, v))
                        for x, u in zip(w1, g1) for y, v in zip(w2, g2))
             r = run_protocol_mixed(PD, gamma, mode, m1, m2)
             assert np.abs(r.distribution.probs - want).max() < 1e-12

@@ -61,6 +61,12 @@ def wide_scale_game(rng):
     return Bimatrix(row_payoffs=x[:4].reshape(2, 2), col_payoffs=x[4:].reshape(2, 2))
 
 
+def huge_scale_game(rng):
+    """Payoffs of either sign with magnitudes U(0.5, 1.5) * 1e300."""
+    x = rng.choice([-1.0, 1.0], 8) * rng.uniform(0.5, 1.5, 8) * 1e300
+    return Bimatrix(row_payoffs=x[:4].reshape(2, 2), col_payoffs=x[4:].reshape(2, 2))
+
+
 def small_integer_games(values=(0.0, 1.0, 2.0)):
     for cells in itertools.product(values, repeat=8):
         yield Bimatrix(row_payoffs=np.reshape(cells[:4], (2, 2)),
@@ -467,6 +473,20 @@ class TestCorrelated:
             for prof in pure_nash(g):
                 mu = JointDistribution.point_mass(prof)
                 assert is_correlated_equilibrium(g, mu, eps=0.0)
+
+    @pytest.mark.parametrize("draw", [wide_scale_game, huge_scale_game])
+    def test_optimizer_output_is_a_ce_at_every_payoff_scale(self, draw):
+        # the float weights of an exact vertex move a constraint by up to
+        # 4 * 2^-52 * max|payoff|, beyond an absolute eps of 1e-9 on
+        # these games; the float evaluation misjudges some of them
+        rng = np.random.default_rng(7)
+        misjudged = 0
+        for k in range(200):
+            g = draw(rng)
+            mu = best_correlated(g, ("welfare", "player_I", "player_II")[k % 3])
+            assert is_correlated_equilibrium(g, mu)
+            misjudged += not reference_is_correlated_equilibrium(g, mu)
+        assert misjudged > 0
 
     def test_verdicts_equal_reference_on_games_with_payoffs_0_1_2(self):
         games = list(small_integer_games())

@@ -182,7 +182,7 @@ class TestPauliMixtureOracle:
                     u, v = random_gate(rng), random_gate(rng)
                     gamma = rng.uniform(0, np.pi / 2)
                     mode = MODES[int(rng.integers(2))]
-                    want = kraus_probs(gamma, mode, u, v, kind, float(p), location)
+                    want = kraus_probs(gamma, mode, u.matrix, v.matrix, kind, float(p), location)
                     got = run_protocol_noisy(PD, gamma, mode, u, v, spec)
                     assert np.abs(got.distribution.probs - want).max() < 1e-12
                     assert abs(got.payoff_I - want @ a) < 1e-12
@@ -197,7 +197,7 @@ class TestPauliMixtureOracle:
                 for _ in range(10):
                     u, v = random_gate(rng), random_gate(rng)
                     p, gamma = float(rng.uniform(0, 1)), rng.uniform(0, np.pi / 2)
-                    ret, fwd = (kraus_probs(gamma, mode, u, v, kind, p, loc)
+                    ret, fwd = (kraus_probs(gamma, mode, u.matrix, v.matrix, kind, p, loc)
                                 for loc in self.LOCATIONS)
                     assert np.abs(ret - fwd).max() < 1e-12
 

@@ -118,16 +118,19 @@ class TestBestResponse:
         assert abs(br.payoff - 5.0) < 1e-12
 
     def test_menu_ties_follow_the_dynamics_rule(self):
-        # menu payoffs 0, 0.6e-10 and 1.2e-10: the first within the tie
-        # tolerance of the maximum wins, as in the best-response dynamics,
-        # not the end of a chain of near-ties
+        # menu payoffs 0, 0.6e-10 and 1.2e-10: the exact maximum wins at
+        # any payoff scale, and of equal maxima the first, as in the
+        # best-response dynamics
         game = Bimatrix(row_payoffs=np.array([[0.0, 0.0], [1.2e-10, 0.0]]),
                         col_payoffs=np.zeros((2, 2)))
         named = canonical_gates(EntanglerMode.DEFECT)
         menu = [named.C, Gate1Q(strategy_matrix(np.pi / 4, 0.0, 0.0)), named.D]
         br = best_response(game, 0.0, EntanglerMode.DEFECT, named.C, Player.I, menu)
-        assert br.gate is menu[1]
-        assert abs(br.payoff - 0.6e-10) < 1e-20
+        assert br.gate is menu[2]
+        assert br.payoff == 1.2e-10
+        tied = [named.C, named.D, Gate1Q(-named.D.matrix)]
+        br = best_response(game, 0.0, EntanglerMode.DEFECT, named.C, Player.I, tied)
+        assert br.gate is tied[1] and br.payoff == 1.2e-10
 
     def test_space_b_dominates_space_a_500_seeds(self):
         rng = np.random.default_rng(555)
