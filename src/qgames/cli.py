@@ -5,6 +5,11 @@ Angles in configs may be given as radians or as exact "pi" fractions
 "Q"), parametric ("A(theta,phi)", "B(theta,alpha,beta)"), or mixtures
 ("mixed:[[0.5,\"C\"],[0.5,\"Q\"]]").  Identical configs produce
 byte-identical report files.
+
+A command imports the functions it calls from `noise`, `search` and `hft`
+when it runs, so a `qgames` process loads only its own command's code;
+every config is still read and validated in full, through
+`qgames.specs`.
 """
 from __future__ import annotations
 
@@ -23,9 +28,6 @@ from typing import Optional, Union
 
 import numpy as np
 
-from . import hft as hft_mod
-from . import noise as noise_mod
-from . import search as search_mod
 from .errors import ConfigError, QGamesError, RangeError, ValidationError
 from .ewl import (
     MixedQuantumStrategy,
@@ -48,10 +50,18 @@ from .games import (
     pareto_optimal,
     pure_nash,
 )
-from .hft import AgentKind, AgentSpec, NamedGate, TournamentConfig
-from .noise import ChannelLocation, NoiseKind, NoiseSpec
 from .qcore import EntanglerMode, Gate1Q, clamp_gamma
-from .search import Player, SearchConfig
+from .specs import (
+    AgentKind,
+    AgentSpec,
+    ChannelLocation,
+    NamedGate,
+    NoiseKind,
+    NoiseSpec,
+    Player,
+    SearchConfig,
+    TournamentConfig,
+)
 
 ENV_OUT_DIR = "QGAMES_OUT"
 DEFAULT_OUT_DIR = "reports"
@@ -499,11 +509,12 @@ def _profile_distribution(cfg: RunConfig) -> ProtocolResult:
     """Distribution/payoffs for the configured profile, handling noise
     and mixtures uniformly: one noisy table over both supports (a pure
     strategy is a point mass), averaged exactly."""
+    from .noise import noisy_outcome_probs
+
     as_mixed = [p if isinstance(p, MixedQuantumStrategy) else MixedQuantumStrategy.point_mass(p)
                 for p in cfg.players]
     (w1, u1), (w2, u2) = (m.stacked() for m in as_mixed)
-    probs = noise_mod.noisy_outcome_probs(cfg.gamma, cfg.mode, u1[:, None], u2[None, :],
-                                          cfg.noise)
+    probs = noisy_outcome_probs(cfg.gamma, cfg.mode, u1[:, None], u2[None, :], cfg.noise)
     return ProtocolResult.score(cfg.game, np.einsum("i,j,ijk->k", w1, w2, probs))
 
 
@@ -530,8 +541,10 @@ def describe_gate(gate: Gate1Q, mode: EntanglerMode) -> str:
     The description identifies the gate up to a global phase, which
     never affects outcomes.
     """
+    from .search import phase_canonical_keys
+
     named = canonical_gates(mode)
-    key, *named_keys = search_mod.phase_canonical_keys(
+    key, *named_keys = phase_canonical_keys(
         np.array([gate.matrix, named.C.matrix, named.D.matrix, named.Q.matrix]))
     for name, named_key in zip(("C", "D", "Q"), named_keys):
         if named_key == key:
@@ -544,6 +557,8 @@ def describe_gate(gate: Gate1Q, mode: EntanglerMode) -> str:
 
 
 def _cmd_equilibria(cfg: RunConfig):
+    from .search import default_menu, mixed_quantum_equilibrium, verify_eps_nash
+
     game = cfg.game
     pure = pure_nash(game)
     pareto = pareto_optimal(game)
@@ -569,7 +584,7 @@ def _cmd_equilibria(cfg: RunConfig):
     space = cfg.settings["search"]["space"]
     if all(not isinstance(p, MixedQuantumStrategy) for p in cfg.players):
         u1, u2 = cfg.players
-        is_eq, improvement = search_mod.verify_eps_nash(
+        is_eq, improvement = verify_eps_nash(
             game, cfg.gamma, cfg.mode, u1, u2, space, cfg.search)
         base = run_protocol(game, cfg.gamma, cfg.mode, u1, u2)
         profile_check = {
@@ -582,8 +597,8 @@ def _cmd_equilibria(cfg: RunConfig):
         rows.append(("quantum_profile", cfg.player_specs[0], cfg.player_specs[1],
                      "", "", base.payoff_I, base.payoff_II, is_eq))
 
-    menu = search_mod.default_menu(cfg.mode)
-    eq = search_mod.mixed_quantum_equilibrium(game, cfg.gamma, cfg.mode, menu, cfg.search)
+    menu = default_menu(cfg.mode)
+    eq = mixed_quantum_equilibrium(game, cfg.gamma, cfg.mode, menu, cfg.search)
     support_i = [[w, describe_gate(g, cfg.mode)] for w, g in eq.strategy_I.support]
     support_ii = [[w, describe_gate(g, cfg.mode)] for w, g in eq.strategy_II.support]
     for w, name in support_i:
@@ -613,9 +628,11 @@ def _cmd_equilibria(cfg: RunConfig):
 
 
 def _cmd_landscape(cfg: RunConfig):
+    from .search import payoff_landscape
+
     gates = _pure_gates(cfg, "landscape")
     space = cfg.settings["search"]["space"]
-    columns, data = search_mod.payoff_landscape(
+    columns, data = payoff_landscape(
         cfg.game, cfg.gamma, cfg.mode, space, gates[1], cfg.search, responder=Player.I)
     best = int(np.argmax(data[:, -1]))
     summary = {
@@ -631,9 +648,11 @@ def _cmd_landscape(cfg: RunConfig):
 
 
 def _cmd_sweep(cfg: RunConfig):
+    from .noise import gamma_sweep
+
     gates = _pure_gates(cfg, "sweep")
     steps = cfg.settings["sweep"]["steps"]
-    columns, data = noise_mod.gamma_sweep(cfg.game, cfg.mode, gates[0], gates[1], steps)
+    columns, data = gamma_sweep(cfg.game, cfg.mode, gates[0], gates[1], steps)
     summary = {
         "players": list(cfg.player_specs),
         "entangler_mode": cfg.mode.value,
@@ -645,9 +664,10 @@ def _cmd_sweep(cfg: RunConfig):
 
 
 def _cmd_noise(cfg: RunConfig):
+    from .noise import run_protocol_noisy
+
     gates = _pure_gates(cfg, "noise")
-    result = noise_mod.run_protocol_noisy(cfg.game, cfg.gamma, cfg.mode,
-                                          gates[0], gates[1], cfg.noise)
+    result = run_protocol_noisy(cfg.game, cfg.gamma, cfg.mode, gates[0], gates[1], cfg.noise)
     dist = [float(x) for x in result.distribution.probs]
     summary = {
         "players": list(cfg.player_specs),
@@ -688,8 +708,10 @@ def _cmd_correlated(cfg: RunConfig):
 
 
 def _cmd_tournament(cfg: RunConfig):
+    from .hft import menu_advantage_experiment, play_tournament
+
     if cfg.settings["tournament"]["experiment"] == "menu_advantage":
-        report = hft_mod.menu_advantage_experiment(cfg.game, cfg.tournament)
+        report = menu_advantage_experiment(cfg.game, cfg.tournament)
         columns = ("condition", "round", "gate_I", "gate_II", "payoff_I", "payoff_II",
                    "sampled_outcome")
         rows = _RoundLog([(("quantum",), report.quantum), (("classical",), report.classical)],
@@ -706,7 +728,7 @@ def _cmd_tournament(cfg: RunConfig):
             "classical_tail_mean": list(report.classical_tail_mean),
         }
         return summary, columns, rows
-    result = hft_mod.play_tournament(cfg.game, cfg.agents[0], cfg.agents[1], cfg.tournament)
+    result = play_tournament(cfg.game, cfg.agents[0], cfg.agents[1], cfg.tournament)
     columns = ("round", "gate_I", "gate_II", "p00", "p01", "p10", "p11",
                "sampled_outcome", "payoff_I", "payoff_II")
     rows = _RoundLog([((), result)], lambda r: (r.gate_I, r.gate_II, *r.distribution,
@@ -722,8 +744,9 @@ def _cmd_tournament(cfg: RunConfig):
 
 
 def _cmd_advantage(cfg: RunConfig):
-    result = noise_mod.advantage_threshold(cfg.game, cfg.mode, cfg.noise.kind,
-                                           cfg.search, gamma=cfg.gamma)
+    from .noise import advantage_threshold
+
+    result = advantage_threshold(cfg.game, cfg.mode, cfg.noise.kind, cfg.search, gamma=cfg.gamma)
     summary = {
         "noise_kind": cfg.noise.kind.value,
         "gamma": cfg.gamma,

@@ -19,81 +19,17 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import RangeError, ValidationError
 from .ewl import canonical_gates
 from .games import Bimatrix
-from .noise import NoiseSpec, noisy_outcome_probs
-from .qcore import EntanglerMode, Gate1Q, clamp_gamma
-
-
-class NamedGate(NamedTuple):
-    name: str
-    gate: Gate1Q
-
-
-class AgentKind(Enum):
-    FIXED = "fixed"
-    GRIM_TRIGGER = "grim_trigger"
-    TIT_FOR_TAT = "tit_for_tat"
-    EPSILON_GREEDY_BANDIT = "epsilon_greedy_bandit"
-
-
-@dataclass(frozen=True)
-class AgentSpec:
-    """Menu-based agent description.
-
-    fixed plays menu[0] forever. grim_trigger and tit_for_tat treat
-    menu[0] as the cooperative gate and menu[-1] as the punishment.
-    epsilon_greedy_bandit learns action values over the whole menu.
-    """
-
-    kind: AgentKind
-    menu: tuple
-    epsilon: float = 0.1
-    learning_rate: float = 0.1
-    trigger_threshold: float = 0.5
-
-    def __post_init__(self):
-        if not isinstance(self.kind, AgentKind):
-            raise ValidationError(f"kind must be an AgentKind, got {self.kind!r}")
-        menu = tuple(self.menu)
-        if not menu:
-            raise ValidationError("agent menu must be nonempty")
-        for entry in menu:
-            if not isinstance(entry, NamedGate) or not isinstance(entry.gate, Gate1Q):
-                raise ValidationError(f"menu entries must be NamedGate, got {entry!r}")
-        object.__setattr__(self, "menu", menu)
-        if not (0.0 <= self.epsilon <= 1.0):
-            raise RangeError(f"epsilon={self.epsilon!r} outside [0,1]")
-        if not (0.0 < self.learning_rate <= 1.0):
-            raise RangeError(f"learning_rate={self.learning_rate!r} outside (0,1]")
-        if not (0.0 <= self.trigger_threshold <= 1.0):
-            raise RangeError(f"trigger_threshold={self.trigger_threshold!r} outside [0,1]")
-
-
-@dataclass(frozen=True)
-class TournamentConfig:
-    rounds: int
-    gamma: float = np.pi / 2
-    mode: EntanglerMode = EntanglerMode.DEFECT
-    noise: NoiseSpec = field(default_factory=NoiseSpec)
-    seed: int = 0
-    sampled_outcomes: bool = False
-
-    def __post_init__(self):
-        if self.rounds < 1:
-            raise RangeError(f"rounds must be >= 1, got {self.rounds}")
-        if self.seed < 0:
-            raise RangeError(f"seed must be >= 0, got {self.seed}")
-        object.__setattr__(self, "gamma", clamp_gamma(self.gamma))
+from .noise import noisy_outcome_probs
+from .specs import AgentKind, AgentSpec, NamedGate, TournamentConfig
 
 
 class RoundRow(NamedTuple):

@@ -11,7 +11,6 @@ against a Kraus density-matrix reference (tests/kraus.py).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional
 
 import numpy as np
@@ -29,36 +28,7 @@ from .qcore import (
     clamp_gamma,
     gate_matrix,
 )
-from .search import Player, SearchConfig, _exact_optimum, _payoff_form
-
-
-class NoiseKind(Enum):
-    NONE = "none"
-    PER_QUBIT_DEPOLARIZING = "per_qubit_depolarizing"
-    TWO_QUBIT_DEPOLARIZING = "two_qubit_depolarizing"
-
-
-class ChannelLocation(Enum):
-    RETURN = "return"    # after player gates, before the disentangler
-    FORWARD = "forward"  # after the entangler, before player gates
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    kind: NoiseKind = NoiseKind.NONE
-    p: float = 0.0
-    location: ChannelLocation = ChannelLocation.RETURN
-
-    def __post_init__(self):
-        if not isinstance(self.kind, NoiseKind):
-            raise ValidationError(f"kind must be a NoiseKind, got {self.kind!r}")
-        if not isinstance(self.location, ChannelLocation):
-            raise ValidationError(f"location must be a ChannelLocation, got {self.location!r}")
-        p = float(self.p)
-        if not (0.0 <= p <= 1.0):
-            raise RangeError(f"noise probability p={self.p!r} outside [0,1]")
-        object.__setattr__(self, "p", p)
-
+from .specs import ChannelLocation, NoiseKind, NoiseSpec, Player, SearchConfig
 
 _PAULIS = np.stack([I2, SIGMA_X, SIGMA_Y, SIGMA_Z])
 
@@ -137,6 +107,8 @@ def symmetric_equilibrium_gate(game: Bimatrix, gamma: float, mode: EntanglerMode
     Regrets come from one batched exact optimum per block of candidates,
     the blocks growing fourfold from 16 so an early equilibrium is cheap.
     """
+    from .search import _exact_optimum, _payoff_form  # only `advantage` needs the solver
+
     gamma = clamp_gamma(gamma)
     n = cfg.grid_resolution
     thetas = np.linspace(0, np.pi / 2, n)

@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -30,26 +28,7 @@ from .ewl import (
 )
 from .games import Bimatrix
 from .qcore import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, EntanglerMode, Gate1Q, clamp_gamma
-
-
-class Player(Enum):
-    I = 1
-    II = 2
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    """Grid points per axis (landscapes, candidate grids) and the
-    epsilon-Nash tolerance; best responses are exact and use no grid."""
-
-    grid_resolution: int = 64
-    eps_nash: float = 1e-6
-
-    def __post_init__(self):
-        if self.grid_resolution < 2:
-            raise RangeError(f"grid_resolution must be >= 2, got {self.grid_resolution}")
-        if not (math.isfinite(self.eps_nash) and self.eps_nash > 0):
-            raise RangeError(f"eps_nash must be positive and finite, got {self.eps_nash}")
+from .specs import Player, SearchConfig
 
 
 @dataclass(frozen=True)
@@ -416,6 +395,16 @@ def mixed_quantum_equilibrium(game: Bimatrix, gamma: float, mode: EntanglerMode,
         cols = sorted({j for _, j in trace})
         equilibria = _support_equilibria(pi, pii, rows, cols, eps)
     if not equilibria:
+        # the table's entries are rounded by up to this much (as in
+        # games.is_correlated_equilibrium), so a smaller eps can reject
+        # every exact equilibrium
+        rounding = 4 * 2.0 ** -52 * float(max(np.abs(game.row_payoffs).max(),
+                                              np.abs(game.col_payoffs).max()))
+        if eps < rounding:
+            raise ConvergenceError(
+                f"no menu equilibrium was found at eps_nash={eps!r}, which is below the "
+                f"rounding of the menu payoff table (4 * 2^-52 * max|payoff| = {rounding:.3g}); "
+                "scale eps_nash with the payoffs")
         raise ConvergenceError(
             "best-response dynamics cycled and no equilibrium was found on the "
             f"visited supports; trace={trace}")

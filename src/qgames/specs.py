@@ -1,0 +1,130 @@
+"""The validated value types a run configuration is built from.
+
+Every command builds all of them, whichever layer it runs: the search
+settings (`Player`, `SearchConfig`), the noise channel (`NoiseKind`,
+`ChannelLocation`, `NoiseSpec`) and the tournament set-up (`NamedGate`,
+`AgentKind`, `AgentSpec`, `TournamentConfig`).  They live here, apart
+from the code that uses them, so that reading a config loads no
+solver; `qgames.search`, `qgames.noise` and `qgames.hft` re-export them.
+"""
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+from enum import Enum
+from typing import NamedTuple
+
+import numpy as np
+
+from .errors import RangeError, ValidationError
+from .qcore import EntanglerMode, Gate1Q, clamp_gamma
+
+
+class Player(Enum):
+    I = 1
+    II = 2
+
+
+@dataclass(frozen=True)
+class SearchConfig:
+    """Grid points per axis (landscapes, candidate grids) and the
+    epsilon-Nash tolerance; best responses are exact and use no grid."""
+
+    grid_resolution: int = 64
+    eps_nash: float = 1e-6
+
+    def __post_init__(self):
+        if self.grid_resolution < 2:
+            raise RangeError(f"grid_resolution must be >= 2, got {self.grid_resolution}")
+        if not (math.isfinite(self.eps_nash) and self.eps_nash > 0):
+            raise RangeError(f"eps_nash must be positive and finite, got {self.eps_nash}")
+
+
+class NoiseKind(Enum):
+    NONE = "none"
+    PER_QUBIT_DEPOLARIZING = "per_qubit_depolarizing"
+    TWO_QUBIT_DEPOLARIZING = "two_qubit_depolarizing"
+
+
+class ChannelLocation(Enum):
+    RETURN = "return"    # after player gates, before the disentangler
+    FORWARD = "forward"  # after the entangler, before player gates
+
+
+@dataclass(frozen=True)
+class NoiseSpec:
+    kind: NoiseKind = NoiseKind.NONE
+    p: float = 0.0
+    location: ChannelLocation = ChannelLocation.RETURN
+
+    def __post_init__(self):
+        if not isinstance(self.kind, NoiseKind):
+            raise ValidationError(f"kind must be a NoiseKind, got {self.kind!r}")
+        if not isinstance(self.location, ChannelLocation):
+            raise ValidationError(f"location must be a ChannelLocation, got {self.location!r}")
+        p = float(self.p)
+        if not (0.0 <= p <= 1.0):
+            raise RangeError(f"noise probability p={self.p!r} outside [0,1]")
+        object.__setattr__(self, "p", p)
+
+
+class NamedGate(NamedTuple):
+    name: str
+    gate: Gate1Q
+
+
+class AgentKind(Enum):
+    FIXED = "fixed"
+    GRIM_TRIGGER = "grim_trigger"
+    TIT_FOR_TAT = "tit_for_tat"
+    EPSILON_GREEDY_BANDIT = "epsilon_greedy_bandit"
+
+
+@dataclass(frozen=True)
+class AgentSpec:
+    """Menu-based agent description.
+
+    fixed plays menu[0] forever. grim_trigger and tit_for_tat treat
+    menu[0] as the cooperative gate and menu[-1] as the punishment.
+    epsilon_greedy_bandit learns action values over the whole menu.
+    """
+
+    kind: AgentKind
+    menu: tuple
+    epsilon: float = 0.1
+    learning_rate: float = 0.1
+    trigger_threshold: float = 0.5
+
+    def __post_init__(self):
+        if not isinstance(self.kind, AgentKind):
+            raise ValidationError(f"kind must be an AgentKind, got {self.kind!r}")
+        menu = tuple(self.menu)
+        if not menu:
+            raise ValidationError("agent menu must be nonempty")
+        for entry in menu:
+            if not isinstance(entry, NamedGate) or not isinstance(entry.gate, Gate1Q):
+                raise ValidationError(f"menu entries must be NamedGate, got {entry!r}")
+        object.__setattr__(self, "menu", menu)
+        if not (0.0 <= self.epsilon <= 1.0):
+            raise RangeError(f"epsilon={self.epsilon!r} outside [0,1]")
+        if not (0.0 < self.learning_rate <= 1.0):
+            raise RangeError(f"learning_rate={self.learning_rate!r} outside (0,1]")
+        if not (0.0 <= self.trigger_threshold <= 1.0):
+            raise RangeError(f"trigger_threshold={self.trigger_threshold!r} outside [0,1]")
+
+
+@dataclass(frozen=True)
+class TournamentConfig:
+    rounds: int
+    gamma: float = np.pi / 2
+    mode: EntanglerMode = EntanglerMode.DEFECT
+    noise: NoiseSpec = field(default_factory=NoiseSpec)
+    seed: int = 0
+    sampled_outcomes: bool = False
+
+    def __post_init__(self):
+        if self.rounds < 1:
+            raise RangeError(f"rounds must be >= 1, got {self.rounds}")
+        if self.seed < 0:
+            raise RangeError(f"seed must be >= 0, got {self.seed}")
+        object.__setattr__(self, "gamma", clamp_gamma(self.gamma))

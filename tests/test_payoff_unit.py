@@ -104,6 +104,37 @@ def test_scaled_pd_reproducer_is_the_pure_fixed_point(tmp_path):
     assert base["payoffs"] == [1.0032464219351869, 1.0032464219351869]
 
 
+def run_equilibria(tmp_path, capsys, config) -> tuple:
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config))
+    rc = cli.main(["equilibria", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                   "--quiet"])
+    return rc, capsys.readouterr().err
+
+
+def test_eps_below_the_table_rounding_is_named(tmp_path, capsys):
+    # the PD times 1e12 at gamma 1.1: the default eps_nash 1e-6 lies below
+    # the rounding of the menu table, 4 * 2^-52 * 5e12 = 0.00444, and no
+    # equilibrium passes it; eps_nash scaled with the payoffs finds one
+    config = {"game": inline(scaled(PD, 1e12)), "gamma": 1.1}
+    rc, err = run_equilibria(tmp_path, capsys, config)
+    assert rc == 3
+    assert err == ("error: no menu equilibrium was found at eps_nash=1e-06, which is below "
+                   "the rounding of the menu payoff table (4 * 2^-52 * max|payoff| = "
+                   "0.00444); scale eps_nash with the payoffs\n")
+    rc, err = run_equilibria(tmp_path, capsys, {**config, "search": {"eps_nash": EPS * 1e12}})
+    assert (rc, err) == (0, "")
+
+
+def test_a_cycle_above_the_table_rounding_keeps_its_message(tmp_path, capsys):
+    # the unscaled PD at gamma 0.8: eps_nash is far above the rounding
+    rc, err = run_equilibria(tmp_path, capsys, {"gamma": 0.8})
+    assert rc == 3
+    assert err.startswith("error: best-response dynamics cycled and no equilibrium was found "
+                          "on the visited supports; trace=")
+    assert "rounding" not in err
+
+
 # -- every command ------------------------------------------------------------
 
 # the summary keys whose numbers are payoffs
