@@ -266,12 +266,13 @@ def _solve_exact(M: list, b: list):
         if pivot is None:
             return None
         M[col], M[pivot] = M[pivot], M[col]
+        # the pivot row is 0 left of col, so no entry left of col changes
         inv = M[col][col]
-        M[col] = [x / inv for x in M[col]]
+        M[col][col:] = [x / inv for x in M[col][col:]]
         for r in range(n):
             if r != col and M[r][col] != 0:
                 factor = M[r][col]
-                M[r] = [x - factor * y for x, y in zip(M[r], M[col])]
+                M[r][col:] = [x - factor * y for x, y in zip(M[r][col:], M[col][col:])]
     return [M[r][n] for r in range(n)]
 
 
@@ -285,7 +286,10 @@ def best_correlated(game: Bimatrix, objective: str = "welfare") -> JointDistribu
     The polytope lives in the 3-simplex and is cut by the four
     nonnegativity and the incentive constraints; every vertex is the
     solution of three active constraints plus the normalization, so all
-    candidates are enumerated and compared in rational arithmetic.
+    candidates are enumerated and compared in rational arithmetic.  An
+    active nonnegativity constraint holds its coordinate at 0, so each
+    candidate is solved on the coordinates left free: three of them leave
+    one, set to 1 by the normalization, two leave a 2-unknown system.
     Ties are broken toward the lexicographically smallest distribution.
     """
     if objective not in _OBJECTIVES:
@@ -299,28 +303,31 @@ def best_correlated(game: Bimatrix, objective: str = "welfare") -> JointDistribu
     else:
         obj = B
 
-    nonneg = [[Fraction(1 if k == i else 0) for k in range(4)] for i in range(4)]
-    constraints = nonneg + _ce_constraint_rows(game)
-    ones = [Fraction(1)] * 4
-
+    incentive = _ce_constraint_rows(game)
+    zero, one = Fraction(0), Fraction(1)
     best_val = None
     best_mu = None
     seen = set()
-    for combo in itertools.combinations(range(len(constraints)), 3):
-        M = [constraints[c] for c in combo] + [ones]
-        sol = _solve_exact(M, [Fraction(0)] * 3 + [Fraction(1)])
-        if sol is None:
+    # constraints 0-3: mu[k] >= 0; 4-7: the incentive rows
+    for combo in itertools.combinations(range(8), 3):
+        free = [k for k in range(4) if k not in combo]
+        M = [[incentive[c - 4][k] for k in free] for c in combo if c >= 4] + [[one] * len(free)]
+        x = _solve_exact(M, [zero] * (len(free) - 1) + [one])
+        if x is None:
             continue
+        sol = [zero] * 4
+        for k, v in zip(free, x):
+            sol[k] = v
         key = tuple(sol)
         if key in seen:
             continue
         seen.add(key)
-        if any(x < 0 for x in sol):
+        if any(v < 0 for v in x):
             continue
-        if any(sum(c * x for c, x in zip(row, sol)) < 0 for row in constraints):
+        if any(sum(c * v for c, v in zip(row, sol)) < 0 for row in incentive):
             continue
-        val = sum(o * x for o, x in zip(obj, sol))
+        val = sum(o * v for o, v in zip(obj, sol))
         if best_val is None or val > best_val or (val == best_val and key < best_mu):
             best_val, best_mu = val, key
     # The polytope always contains the Nash equilibria, so a vertex exists.
-    return JointDistribution([float(x) for x in best_mu])
+    return JointDistribution([float(v) for v in best_mu])

@@ -1,7 +1,8 @@
 """Iterated-play tournament harness for the trading game.
 
-Two agents repeatedly play the protocol over a finite gate menu.  A
-single seeded random stream drives each tournament: its draws are
+Two agents repeatedly play the protocol over a finite gate menu, both
+in one round loop (play_tournament); AgentSpec states each kind's rule.
+A single seeded random stream drives each tournament: its draws are
 exactly those of numpy.random.default_rng(seed) (PCG64), one random()
 per epsilon test and per sampled outcome and one integers(len(menu))
 per exploration, consumed in a fixed order per round: agent 1's
@@ -9,10 +10,6 @@ decision draws, agent 2's, then outcome sampling (when enabled), so
 runs are bit-for-bit reproducible.  The stream is read in blocks of raw
 PCG64 words (_Stream) that give the same values as numpy's scalar calls,
 so a seed's round log is the one those calls give.
-
-"Observed defection" for trigger-style agents is the outcome mass on
-the opponent's defect-labeled basis states (the sampled outcome counts
-as mass 1 when sampling is on).
 """
 from __future__ import annotations
 
@@ -96,10 +93,14 @@ class _Stream:
     rejection on next_uint32, which hands out the low half of a word and
     keeps the high half for the next 32-bit draw, across any random()
     calls in between; n == 1 draws nothing.
+
+    The generator is made at the first refill, so a tournament that
+    draws nothing never imports numpy.random.
     """
 
     def __init__(self, seed: int):
-        self._bits = np.random.default_rng(seed).bit_generator
+        self._seed = seed
+        self._bits = None
         self._words = np.empty(0, dtype=np.uint64)
         self._doubles = []
         self._next = 0  # index of the block's next unread word
@@ -109,6 +110,8 @@ class _Stream:
         """Index of the next unread word, refilling the block when spent."""
         k = self._next
         if k == len(self._doubles):
+            if self._bits is None:
+                self._bits = np.random.default_rng(self._seed).bit_generator
             self._words = self._bits.random_raw(_BLOCK_WORDS)
             self._doubles = ((self._words >> np.uint64(11)) * 2.0 ** -53).tolist()
             k = 0
@@ -143,78 +146,6 @@ class _Stream:
                 return m >> 32
 
 
-class _Agent:
-    def __init__(self, spec: AgentSpec):
-        self.spec = spec
-
-    def choose(self, rng: _Stream) -> int:
-        raise NotImplementedError
-
-    def observe(self, own_index: int, opponent_defect_mass: float, reward: float) -> None:
-        pass
-
-
-class _FixedAgent(_Agent):
-    def choose(self, rng):
-        return 0
-
-
-class _GrimTriggerAgent(_Agent):
-    """Cooperates until opponent-defect mass first exceeds the
-    threshold, then punishes forever."""
-
-    def __init__(self, spec):
-        super().__init__(spec)
-        self.triggered = False
-
-    def choose(self, rng):
-        return len(self.spec.menu) - 1 if self.triggered else 0
-
-    def observe(self, own_index, opponent_defect_mass, reward):
-        if opponent_defect_mass > self.spec.trigger_threshold:
-            self.triggered = True
-
-
-class _TitForTatAgent(_Agent):
-    def __init__(self, spec):
-        super().__init__(spec)
-        self.retaliate = False
-
-    def choose(self, rng):
-        return len(self.spec.menu) - 1 if self.retaliate else 0
-
-    def observe(self, own_index, opponent_defect_mass, reward):
-        self.retaliate = opponent_defect_mass > self.spec.trigger_threshold
-
-
-class _BanditAgent(_Agent):
-    """Constant-step epsilon-greedy value learner over the menu."""
-
-    def __init__(self, spec):
-        super().__init__(spec)
-        self.values = [0.0] * len(spec.menu)
-        self.epsilon = spec.epsilon
-        self.learning_rate = spec.learning_rate
-
-    def choose(self, rng):
-        if rng.random() < self.epsilon:
-            return int(rng.integers(len(self.values)))
-        values = self.values
-        return values.index(max(values))  # first index wins ties
-
-    def observe(self, own_index, opponent_defect_mass, reward):
-        values = self.values
-        values[own_index] += self.learning_rate * (reward - values[own_index])
-
-
-_AGENT_CLASSES = {
-    AgentKind.FIXED: _FixedAgent,
-    AgentKind.GRIM_TRIGGER: _GrimTriggerAgent,
-    AgentKind.TIT_FOR_TAT: _TitForTatAgent,
-    AgentKind.EPSILON_GREEDY_BANDIT: _BanditAgent,
-}
-
-
 def play_tournament(game: Bimatrix, a1: AgentSpec, a2: AgentSpec,
                     cfg: TournamentConfig) -> TournamentResult:
     """Run a sequential tournament between two agents.
@@ -227,8 +158,6 @@ def play_tournament(game: Bimatrix, a1: AgentSpec, a2: AgentSpec,
     expected payoffs of each round's profile.
     """
     rng = _Stream(cfg.seed)
-    agent1 = _AGENT_CLASSES[a1.kind](a1)
-    agent2 = _AGENT_CLASSES[a2.kind](a2)
     sampled = cfg.sampled_outcomes
 
     m1 = np.array([entry.gate.matrix for entry in a1.menu])
@@ -238,7 +167,10 @@ def play_tournament(game: Bimatrix, a1: AgentSpec, a2: AgentSpec,
     exp_i, exp_ii = (pair_probs @ a).tolist(), (pair_probs @ b).tolist()
     mass_1 = (pair_probs[..., 1] + pair_probs[..., 3]).tolist()
     mass_2 = (pair_probs[..., 2] + pair_probs[..., 3]).tolist()
-    cdf = np.cumsum(pair_probs, axis=-1).tolist()
+    # a sampled outcome is the count of these cuts at or below the draw;
+    # leaving out the last cumulative sum, which rounding can put below 1,
+    # sends every draw above the third cut to outcome 3
+    cuts = np.cumsum(pair_probs, axis=-1)[..., :3].tolist()
     # per outcome: the cell's payoffs and the defect masses it shows
     cells = [game.cell(outcome >> 1, outcome & 1) + (float(outcome & 1), float(outcome >> 1))
              for outcome in range(4)]
@@ -247,28 +179,56 @@ def play_tournament(game: Bimatrix, a1: AgentSpec, a2: AgentSpec,
         table.append([])
         for i2, probs in enumerate(probs_row):
             pair = (a1.menu[i1].name, a2.menu[i2].name, tuple(probs))
-            table[i1].append((len(rows), cdf[i1][i2], exp_i[i1][i2], exp_ii[i1][i2],
+            table[i1].append((len(rows), cuts[i1][i2], exp_i[i1][i2], exp_ii[i1][i2],
                               mass_1[i1][i2], mass_2[i1][i2]))
             if sampled:
                 rows += [RoundRow(*pair, outcome, *cells[outcome][:2]) for outcome in range(4)]
             else:
                 rows.append(RoundRow(*pair, None, exp_i[i1][i2], exp_ii[i1][i2]))
 
-    choose_1, choose_2, draw = agent1.choose, agent2.choose, rng.random
-    observe_1, observe_2 = agent1.observe, agent2.observe
+    # Each seat's rule (AgentSpec) and state are locals of one loop, so a
+    # round calls no Python function but its draws.  A trigger agent plays
+    # menu[-1] while `punish` is set; a fixed agent never sets it.
+    learns_1, learns_2 = (spec.kind is AgentKind.EPSILON_GREEDY_BANDIT for spec in (a1, a2))
+    grim_1, grim_2 = (spec.kind is AgentKind.GRIM_TRIGGER for spec in (a1, a2))
+    tft_1, tft_2 = (spec.kind is AgentKind.TIT_FOR_TAT for spec in (a1, a2))
+    n_1, n_2 = len(a1.menu), len(a2.menu)
+    last_1, last_2 = n_1 - 1, n_2 - 1
+    epsilon_1, rate_1, threshold_1 = a1.epsilon, a1.learning_rate, a1.trigger_threshold
+    epsilon_2, rate_2, threshold_2 = a2.epsilon, a2.learning_rate, a2.trigger_threshold
+    values_1, values_2 = [0.0] * n_1, [0.0] * n_2
+    punish_1 = punish_2 = False
+    draw, integers = rng.random, rng.integers
     log = []
+    append = log.append
     total_i = total_ii = 0.0
     for _ in range(cfg.rounds):
-        i1 = choose_1(rng)
-        i2 = choose_2(rng)
-        code, pair_cdf, pay_i, pay_ii, defect_mass_1, defect_mass_2 = table[i1][i2]
+        if learns_1:  # explore on a draw below epsilon, else the first exact maximum
+            i1 = int(integers(n_1)) if draw() < epsilon_1 else values_1.index(max(values_1))
+        else:
+            i1 = last_1 if punish_1 else 0
+        if learns_2:
+            i2 = int(integers(n_2)) if draw() < epsilon_2 else values_2.index(max(values_2))
+        else:
+            i2 = last_2 if punish_2 else 0
+        code, pair_cuts, pay_i, pay_ii, defect_mass_1, defect_mass_2 = table[i1][i2]
         if sampled:
-            outcome = min(bisect_right(pair_cdf, draw()), 3)
+            outcome = bisect_right(pair_cuts, draw())
             code += outcome
             pay_i, pay_ii, defect_mass_1, defect_mass_2 = cells[outcome]
-        observe_1(i1, defect_mass_1, pay_i)
-        observe_2(i2, defect_mass_2, pay_ii)
-        log.append(code)
+        if learns_1:
+            values_1[i1] += rate_1 * (pay_i - values_1[i1])
+        elif grim_1:
+            punish_1 = punish_1 or defect_mass_1 > threshold_1
+        elif tft_1:
+            punish_1 = defect_mass_1 > threshold_1
+        if learns_2:
+            values_2[i2] += rate_2 * (pay_ii - values_2[i2])
+        elif grim_2:
+            punish_2 = punish_2 or defect_mass_2 > threshold_2
+        elif tft_2:
+            punish_2 = defect_mass_2 > threshold_2
+        append(code)
         total_i += pay_i
         total_ii += pay_ii
     mean_i, mean_ii = _mean_payoffs(rows, log, total_i, total_ii)

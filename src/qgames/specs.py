@@ -82,11 +82,21 @@ class AgentKind(Enum):
 
 @dataclass(frozen=True)
 class AgentSpec:
-    """Menu-based agent description.
+    """A tournament agent: its kind, gate menu and parameters, and the
+    rule each kind plays by.
 
-    fixed plays menu[0] forever. grim_trigger and tit_for_tat treat
-    menu[0] as the cooperative gate and menu[-1] as the punishment.
-    epsilon_greedy_bandit learns action values over the whole menu.
+    fixed plays menu[0] forever.  grim_trigger and tit_for_tat treat
+    menu[0] as the cooperative gate and menu[-1] as the punishment, and
+    watch the opponent's defect mass of each round: the outcome mass on
+    the opponent's defect-labeled states, or the sampled outcome's 0 or
+    1 when outcomes are sampled.  grim_trigger punishes in every round
+    after the first round where that mass exceeds trigger_threshold;
+    tit_for_tat punishes in each round right after one where it does.
+    epsilon_greedy_bandit keeps one value per menu entry, starting at 0.
+    It explores a uniformly drawn entry when a random() draw falls below
+    epsilon, and otherwise plays the first entry of greatest value; the
+    played entry's value then moves learning_rate of the way to the
+    round's payoff.
     """
 
     kind: AgentKind

@@ -481,11 +481,12 @@ class TestCorrelated:
         # these games; the float evaluation misjudges some of them
         rng = np.random.default_rng(7)
         misjudged = 0
-        for k in range(200):
+        for _ in range(200):
             g = draw(rng)
-            mu = best_correlated(g, ("welfare", "player_I", "player_II")[k % 3])
-            assert is_correlated_equilibrium(g, mu)
-            misjudged += not reference_is_correlated_equilibrium(g, mu)
+            for objective in ("welfare", "player_I", "player_II"):
+                mu = best_correlated(g, objective)
+                assert is_correlated_equilibrium(g, mu)
+                misjudged += not reference_is_correlated_equilibrium(g, mu)
         assert misjudged > 0
 
     def test_verdicts_equal_reference_on_games_with_payoffs_0_1_2(self):

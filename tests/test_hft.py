@@ -189,12 +189,14 @@ class TestBanditTies:
         assert all(r.gate_I == "D" for r in res.records)
 
     def test_first_of_tied_maxima(self):
-        agent = hft._BanditAgent(bandit((C, D, Q), epsilon=0.0))
-        rng = np.random.default_rng(0)
-        agent.values = [0.5, 0.5, 0.5]
-        assert agent.choose(rng) == 0
-        agent.values = [0.2, 0.9, 0.9]
-        assert agent.choose(rng) == 1
+        # gamma 0 plays the gates classically: against C, the arm C pays -2
+        # and both D arms -1, so with learning rate 1 the values read
+        # [-2, 0, 0] after round 1 and [-2, -1, -1] after round 3
+        game = Bimatrix(row_payoffs=[[-2.0, 0.0], [-1.0, 0.0]], col_payoffs=np.zeros((2, 2)))
+        menu = (C, D, NamedGate("D2", NAMED.D))
+        cfg = TournamentConfig(rounds=6, gamma=0.0, mode=EntanglerMode.DEFECT, seed=0)
+        res = play_tournament(game, bandit(menu, epsilon=0.0, lr=1.0), fixed(C), cfg)
+        assert [r.gate_I for r in res.records] == ["C", "D", "D2", "D", "D", "D"]
 
 
 class TestMenuAdvantage:
@@ -274,3 +276,40 @@ class TestTournamentMatchesDefaultRng:
                         m.setattr(hft, "_Stream", np.random.default_rng)
                         ref = play_tournament(GAME, a1, a2, cfg)
                     assert ours == ref, (sampled, noise, size)
+
+
+def _random_agent(plan, kind, menu):
+    """An agent with epsilon, learning rate and threshold drawn from plan,
+    each taking its end values (epsilon 0 or 1, rate 1, threshold 0 or 1)
+    in about a third of the draws."""
+    return AgentSpec(kind=kind, menu=menu,
+                     epsilon=plan.choice((0.0, 1.0, plan.random())),
+                     learning_rate=plan.choice((1.0, 1.0 - plan.random())),
+                     trigger_threshold=plan.choice((0.0, 1.0, plan.random())))
+
+
+class TestLoopMatchesReference:
+    """play_tournament against the class-per-agent loop of
+    tests/tournament_ref.py, on the same stream."""
+
+    @pytest.mark.parametrize("kind_2", list(AgentKind))
+    @pytest.mark.parametrize("kind_1", list(AgentKind))
+    def test_same_rows_log_and_means(self, monkeypatch, kind_1, kind_2):
+        from qgames import NoiseKind, NoiseSpec, StrategyParamsB, gate_from_B
+        from tournament_ref import play_tournament_ref
+
+        monkeypatch.setattr(hft, "_BLOCK_WORDS", 37)  # refills fall mid-tournament
+        plan = random.Random(f"{kind_1.value}:{kind_2.value}")
+        x = NamedGate("X", gate_from_B(StrategyParamsB(0.7, 1.2, -0.4)))
+        gates = [C, D, Q, x]
+        for sampled in (False, True):
+            for noise in (NoiseSpec(), NoiseSpec(kind=NoiseKind.TWO_QUBIT_DEPOLARIZING,
+                                                 p=plan.random())):
+                for size in range(1, 5):
+                    a1 = _random_agent(plan, kind_1, tuple(plan.sample(gates, size)))
+                    a2 = _random_agent(plan, kind_2, tuple(plan.sample(gates, plan.randint(1, 4))))
+                    cfg = TournamentConfig(rounds=300, gamma=plan.uniform(0, np.pi / 2),
+                                           mode=plan.choice(list(EntanglerMode)), noise=noise,
+                                           seed=plan.randrange(2**32), sampled_outcomes=sampled)
+                    want = play_tournament_ref(GAME, a1, a2, cfg, hft._Stream(cfg.seed))
+                    assert play_tournament(GAME, a1, a2, cfg) == want, (sampled, noise, a1, a2)

@@ -61,16 +61,20 @@ ADDED = {
 }
 
 
+def fresh_env() -> dict:
+    """The environment of a fresh interpreter that imports qgames from SRC."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+
+
 def loaded_after(code: str) -> list:
     """The qgames submodules a fresh interpreter has loaded after `code`;
     `-X importtime` must list each of them, so that it shows what a
     command's imports cost."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", "-c", code + "\nimport json, sys\n"
          "print(json.dumps(sorted(m[7:] for m in sys.modules if m.startswith('qgames.'))))"],
-        env=env, capture_output=True, text=True, timeout=120)
+        env=fresh_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.splitlines()[-1])
     timed = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
@@ -102,6 +106,41 @@ class TestImportFootprint:
 
     def test_every_command_is_listed(self):
         assert sorted(ADDED) == sorted(cli.COMMANDS)
+
+
+def numpy_random_loaded_after(code: str) -> bool:
+    """Whether a fresh interpreter has imported numpy.random after `code`."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code + "\nimport sys\nprint('numpy.random' in sys.modules)"],
+        env=fresh_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1] == "True"
+
+
+class TestLazyBitGenerator:
+    """A tournament that draws nothing never imports numpy.random, which
+    costs about 10 ms a process on numpy 2.x; one that draws does."""
+
+    @pytest.fixture(scope="class", autouse=True)
+    def numpy_random_is_lazy(self):
+        if numpy_random_loaded_after("import numpy"):
+            pytest.skip("import numpy loads numpy.random (numpy 1.x)")
+
+    @staticmethod
+    def loads_numpy_random(tmp_path, agents) -> bool:
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"tournament": {"rounds": 100, "agents": agents}}))
+        return numpy_random_loaded_after(
+            "from qgames.cli import main\n"
+            f"assert main(['tournament', '--config', {str(config)!r}, "
+            f"'--out', {str(tmp_path)!r}, '--quiet']) == 0")
+
+    def test_fixed_vs_tit_for_tat_unsampled_skips_it(self, tmp_path):
+        agents = [{"kind": "fixed", "menu": ["C"]}, {"kind": "tit_for_tat", "menu": ["C", "D"]}]
+        assert not self.loads_numpy_random(tmp_path, agents)
+
+    def test_bandits_load_it(self, tmp_path):
+        assert self.loads_numpy_random(tmp_path, [{}, {}])
 
 
 class TestPackageSurface:
