@@ -34,6 +34,7 @@ from .qcore import (
     Gate1Q,
     OutcomeDistribution,
     PureState2Q,
+    _ATOL,
     _Value,
     clamp_gamma,
     entangler_generator,
@@ -220,7 +221,7 @@ class MixedQuantumStrategy(_Value):
             total += w
         if not entries:
             raise ValidationError("mixed strategy needs a nonempty support")
-        if abs(total - 1.0) > 1e-9:
+        if abs(total - 1.0) > _ATOL:
             raise ValidationError(f"mixed-strategy weights sum to {total!r}, expected 1")
         object.__setattr__(self, "support", tuple(entries))
 

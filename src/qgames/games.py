@@ -20,9 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import RangeError, ValidationError
-from .qcore import _Value
-
-_EPS_DEFAULT = 1e-9
+from .qcore import _ATOL, _Value
 
 
 class PureProfile(NamedTuple):
@@ -60,9 +58,9 @@ class JointDistribution(_Value):
             raise ValidationError(f"JointDistribution: expected 4 weights, got {m.shape}")
         if not np.all(np.isfinite(m)):
             raise ValidationError("JointDistribution: weights must be finite")
-        if m.min() < -_EPS_DEFAULT:
+        if m.min() < -_ATOL:
             raise ValidationError(f"JointDistribution: negative weight {m.min()!r}")
-        if abs(float(m.sum()) - 1.0) > _EPS_DEFAULT:
+        if abs(float(m.sum()) - 1.0) > _ATOL:
             raise ValidationError(f"JointDistribution does not sum to 1 (sum={m.sum()!r})")
         m.setflags(write=False)
         object.__setattr__(self, "mu", m)
@@ -211,7 +209,7 @@ def mixed_nash(game: Bimatrix) -> list:
 
 
 def is_correlated_equilibrium(game: Bimatrix, mu: JointDistribution,
-                              eps: float = _EPS_DEFAULT) -> bool:
+                              eps: float = 1e-9) -> bool:
     """Check the incentive constraints of a correlated equilibrium.
 
     For each player and each recommendation with positive marginal,
@@ -224,14 +222,20 @@ def is_correlated_equilibrium(game: Bimatrix, mu: JointDistribution,
     """
     if eps < 0:
         raise RangeError(f"eps must be nonnegative, got {eps!r}")
-    scale = max(np.abs(game.row_payoffs).max(), np.abs(game.col_payoffs).max())
-    bound = -(Fraction(eps) + Fraction(scale) * 4 / 2 ** 52)
+    bound = -(Fraction(eps) + _rounding(game))
     weights = [Fraction(float(x)) for x in mu.mu]
     for row, cells in zip(_ce_constraint_rows(game), _CE_RECOMMENDED):
         marginal = sum(weights[k] for k in cells)
         if marginal > 0 and sum(row[k] * weights[k] for k in cells) / marginal < bound:
             return False
     return True
+
+
+def _rounding(game: Bimatrix) -> Fraction:
+    """4 * 2^-52 * max|payoff|, exact: how far rounding can move a sum of
+    the game's payoffs weighted by probabilities."""
+    scale = max(np.abs(game.row_payoffs).max(), np.abs(game.col_payoffs).max())
+    return Fraction(scale) * 4 / 2 ** 52
 
 
 # The cells where each row of _ce_constraint_rows applies: the row

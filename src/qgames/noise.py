@@ -107,14 +107,12 @@ def symmetric_equilibrium_gate(game: Bimatrix, gamma: float, mode: EntanglerMode
     Regrets come from one batched exact optimum per block of candidates,
     the blocks growing fourfold from 16 so an early equilibrium is cheap.
     """
-    from .search import _exact_optimum, _payoff_form  # only `advantage` needs the solver
+    # only `advantage` needs the solver
+    from .search import _exact_optimum, _grid_points, _payoff_form
 
     gamma = clamp_gamma(gamma)
     n = cfg.grid_resolution
-    thetas = np.linspace(0, np.pi / 2, n)
-    phis = np.linspace(0, np.pi / 2, n)
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    pts = np.stack([tt.ravel(), pp.ravel()], axis=1)
+    pts = _grid_points("A", n)
     u = strategy_matrix(pts[:, 0], pts[:, 1], 0.0)
     a, b = game.payoff_vectors()
     probs = np.abs(outcome_amplitudes(gamma, mode, u, u)) ** 2

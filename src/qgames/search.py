@@ -6,7 +6,8 @@ real quadratic form x^T M x, maximised by an eigenvector (set A, the
 octant {x1 = 0; x0, x2, x3 >= 0}, by one of a principal submatrix).
 The finite-menu mixed-equilibrium solver runs best-response dynamics on
 the induced bimatrix and falls back to support enumeration over the
-strategies visited in a cycle.
+strategies of the cycle they reach, then, widened, over every strategy
+they visited.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from .ewl import (
     outcome_amplitudes,
     strategy_matrix,
 )
-from .games import Bimatrix
+from .games import Bimatrix, _rounding
 from .qcore import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, EntanglerMode, Gate1Q, clamp_gamma
 from .specs import Player, SearchConfig
 
@@ -71,8 +72,11 @@ def _responder_payoffs(game, gamma, mode, opponent, responder, u) -> np.ndarray:
     return np.abs(amps) ** 2 @ payvec
 
 
-def _grid_axes(space: str, resolution: int):
-    return [np.linspace(lo, hi, resolution) for lo, hi in _SPACE_BOUNDS[space]]
+def _grid_points(space: str, n: int) -> np.ndarray:
+    """The space's grid of n values per parameter, one point per row, in
+    row-major axis order."""
+    axes = [np.linspace(lo, hi, n) for lo, hi in _SPACE_BOUNDS[space]]
+    return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
 
 
 def _payoff_form(game, gamma, mode, opponent, responder) -> np.ndarray:
@@ -187,9 +191,7 @@ def payoff_landscape(game: Bimatrix, gamma: float, mode: EntanglerMode,
     """
     if space not in _SPACE_BOUNDS:
         raise ValidationError(f"landscape space must be 'A' or 'B', got {space!r}")
-    axes = _grid_axes(space, cfg.grid_resolution)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    pts = _grid_points(space, cfg.grid_resolution)
     beta = pts[:, 2] if space == "B" else 0.0
     vals = _responder_payoffs(game, clamp_gamma(gamma), mode, fixed_opponent.matrix, responder,
                               strategy_matrix(pts[:, 0], pts[:, 1], beta))
@@ -222,7 +224,11 @@ def phase_canonical_keys(matrices: np.ndarray) -> list:
     return [row.tobytes() for row in products]
 
 
-def _dedup_menu(menu: Sequence[Gate1Q]) -> tuple:
+# Gates hash and compare by identity and the cache holds them, so a hit
+# returns the result computed for the same (immutable) gate objects; a
+# menu asked for repeatedly, like default_menu's, is deduplicated once.
+@functools.lru_cache(maxsize=16)
+def _dedup_menu(menu: tuple) -> tuple:
     """(reps, matrices): first-occurrence representatives of the menu's
     phase-equivalent gates, in menu order, as a tuple, and their stacked
     matrices, read-only.
@@ -232,14 +238,6 @@ def _dedup_menu(menu: Sequence[Gate1Q]) -> tuple:
     the finite game.  The menu is stacked once and keyed by one
     phase_canonical_keys call.
     """
-    return _dedup_gates(tuple(menu))
-
-
-# Gates hash and compare by identity and the cache holds them, so a hit
-# returns the result computed for the same (immutable) gate objects; a
-# menu asked for repeatedly, like default_menu's, is deduplicated once.
-@functools.lru_cache(maxsize=16)
-def _dedup_gates(menu: tuple) -> tuple:
     stack = np.array([g.matrix for g in menu])
     keep, seen = [], set()
     for i, key in enumerate(phase_canonical_keys(stack)):
@@ -290,6 +288,22 @@ def _support_equilibria(pi, pii, rows, cols, eps):
     return found
 
 
+def _indifferent_mix(table):
+    """Weights w summing to 1 that make every row of table @ w equal, from
+    the bordered (k+1)x(k+1) system; None if it is singular."""
+    k = len(table)
+    m = np.zeros((k + 1, k + 1))
+    m[:k, :k] = table
+    m[:k, k] = -1.0
+    m[k, :k] = 1.0
+    rhs = np.zeros(k + 1)
+    rhs[k] = 1.0
+    try:
+        return np.linalg.solve(m, rhs)[:k]
+    except np.linalg.LinAlgError:
+        return None
+
+
 def _solve_support(pi, pii, r_sub, c_sub, eps):
     k = len(r_sub)
     if k == 1:
@@ -297,23 +311,11 @@ def _solve_support(pi, pii, r_sub, c_sub, eps):
         y = np.array([1.0])
     else:
         # Column mix makes supported rows indifferent, and vice versa.
-        m = np.zeros((k + 1, k + 1))
-        m[:k, :k] = pi[np.ix_(r_sub, c_sub)]
-        m[:k, k] = -1.0
-        m[k, :k] = 1.0
-        rhs = np.zeros(k + 1)
-        rhs[k] = 1.0
-        try:
-            y = np.linalg.solve(m, rhs)[:k]
-        except np.linalg.LinAlgError:
+        y = _indifferent_mix(pi[np.ix_(r_sub, c_sub)])
+        if y is None:
             return None
-        m2 = np.zeros((k + 1, k + 1))
-        m2[:k, :k] = pii[np.ix_(r_sub, c_sub)].T
-        m2[:k, k] = -1.0
-        m2[k, :k] = 1.0
-        try:
-            x = np.linalg.solve(m2, rhs)[:k]
-        except np.linalg.LinAlgError:
+        x = _indifferent_mix(pii[np.ix_(r_sub, c_sub)].T)
+        if x is None:
             return None
         _require_finite("the support solution", x, y)
         if x.min() < -1e-9 or y.min() < -1e-9:
@@ -342,10 +344,12 @@ def mixed_quantum_equilibrium(game: Bimatrix, gamma: float, mode: EntanglerMode,
     returned directly.  When the dynamics cycle, equal-size support
     enumeration over the cycle's strategies recovers the mixed
     equilibria, each checked against every menu strategy at eps_nash;
-    among the survivors the one with the largest payoff sum is
-    returned (players coordinating on the best available equilibrium).
+    when the cycle holds none, the enumeration widens to every strategy
+    the dynamics visited.  Among the survivors the one with the largest
+    payoff sum is returned (players coordinating on the best available
+    equilibrium).
     """
-    menu = list(menu)
+    menu = tuple(menu)
     if not menu:
         raise ValidationError("menu must be nonempty")
     gamma = clamp_gamma(gamma)
@@ -353,14 +357,6 @@ def mixed_quantum_equilibrium(game: Bimatrix, gamma: float, mode: EntanglerMode,
     pi, pii = _induced_tables(game, gamma, mode, u)
     _require_finite("the menu payoff table", pi, pii)
     eps = cfg.eps_nash
-
-    def result_from(xf, yf, vi, vii, method):
-        sup1 = [(float(w), reps[i]) for i, w in enumerate(xf) if w > 1e-12]
-        sup2 = [(float(w), reps[j]) for j, w in enumerate(yf) if w > 1e-12]
-        return MixedEquilibriumResult(
-            strategy_I=MixedQuantumStrategy(sup1),
-            strategy_II=MixedQuantumStrategy(sup2),
-            payoff_I=vi, payoff_II=vii, method=method)
 
     state = (0, 0)
     trace = [state]
@@ -370,36 +366,29 @@ def mixed_quantum_equilibrium(game: Bimatrix, gamma: float, mode: EntanglerMode,
         j = int(np.argmax(pii[i, :]))
         new = (i, j)
         if new == state:
-            xf = np.zeros(len(reps))
-            yf = np.zeros(len(reps))
-            xf[i], yf[j] = 1.0, 1.0
-            if float(np.max(pi[:, j])) - pi[i, j] <= eps and \
-               float(np.max(pii[i, :])) - pii[i, j] <= eps:
-                return result_from(xf, yf, float(pi[i, j]), float(pii[i, j]),
-                                   "pure_fixed_point")
-            break  # argmax fixpoint that is not an equilibrium: degenerate ties
-        if new in seen:
-            trace.append(new)
-            break
-        seen[new] = len(trace)
+            # each gate is the first exact maximum against the other, so
+            # both regrets are exactly 0.0, below every eps_nash > 0
+            return MixedEquilibriumResult(
+                strategy_I=MixedQuantumStrategy.point_mass(reps[i]),
+                strategy_II=MixedQuantumStrategy.point_mass(reps[j]),
+                payoff_I=float(pi[i, j]), payoff_II=float(pii[i, j]), method="pure_fixed_point")
         trace.append(new)
+        if new in seen:
+            break
+        seen[new] = len(trace) - 1
         state = new
 
-    start = seen[trace[-1]]
-    cycle = trace[start:]
-    rows = sorted({i for i, _ in cycle})
-    cols = sorted({j for _, j in cycle})
-    equilibria = _support_equilibria(pi, pii, rows, cols, eps)
-    if not equilibria:  # widen to everything the dynamics visited
-        rows = sorted({i for i, _ in trace})
-        cols = sorted({j for _, j in trace})
-        equilibria = _support_equilibria(pi, pii, rows, cols, eps)
-    if not equilibria:
+    cycle = trace[seen[trace[-1]]:]
+    for visited in (cycle, trace):
+        equilibria = _support_equilibria(pi, pii, sorted({i for i, _ in visited}),
+                                         sorted({j for _, j in visited}), eps)
+        if equilibria:
+            break
+    else:
         # the table's entries are rounded by up to this much (as in
         # games.is_correlated_equilibrium), so a smaller eps can reject
         # every exact equilibrium
-        rounding = 4 * 2.0 ** -52 * float(max(np.abs(game.row_payoffs).max(),
-                                              np.abs(game.col_payoffs).max()))
+        rounding = float(_rounding(game))
         if eps < rounding:
             raise ConvergenceError(
                 f"no menu equilibrium was found at eps_nash={eps!r}, which is below the "
@@ -411,4 +400,9 @@ def mixed_quantum_equilibrium(game: Bimatrix, gamma: float, mode: EntanglerMode,
     equilibria.sort(key=lambda e: (-(e[2] + e[3]),
                                    tuple(np.round(e[0], 12)), tuple(np.round(e[1], 12))))
     xf, yf, vi, vii = equilibria[0]
-    return result_from(xf, yf, vi, vii, "support_enumeration")
+    sup1 = [(float(w), reps[i]) for i, w in enumerate(xf) if w > 1e-12]
+    sup2 = [(float(w), reps[j]) for j, w in enumerate(yf) if w > 1e-12]
+    return MixedEquilibriumResult(
+        strategy_I=MixedQuantumStrategy(sup1),
+        strategy_II=MixedQuantumStrategy(sup2),
+        payoff_I=vi, payoff_II=vii, method="support_enumeration")

@@ -356,7 +356,7 @@ class TestMixedQuantumEquilibrium:
         gammas = [np.pi / 2, 1.0]
         want = []
         for menu, gamma in zip(menus, gammas):
-            search._dedup_gates.cache_clear()
+            search._dedup_menu.cache_clear()
             want.append(summary(mixed_quantum_equilibrium(PD, gamma, mode, menu, FAST)))
         for menu, gamma, first in zip(menus, gammas, want):
             caller = list(menu)
@@ -366,12 +366,12 @@ class TestMixedQuantumEquilibrium:
             caller.reverse()
             caller.pop()
             mutated = summary(mixed_quantum_equilibrium(PD, gamma, mode, caller, FAST))
-            search._dedup_gates.cache_clear()
+            search._dedup_menu.cache_clear()
             assert summary(mixed_quantum_equilibrium(PD, gamma, mode, caller, FAST)) == mutated
             assert summary(mixed_quantum_equilibrium(PD, gamma, mode, menu, FAST)) == first
-            reps, stack = search._dedup_menu(menu)
+            reps, stack = search._dedup_menu(tuple(menu))
             assert type(reps) is tuple and not stack.flags.writeable
-            again = search._dedup_menu(list(menu))
+            again = search._dedup_menu(tuple(menu))
             assert again[0] == reps and again[1] is stack
 
     def test_overflowing_menu_table_is_a_range_error(self):
@@ -417,6 +417,42 @@ class TestMixedQuantumEquilibrium:
             dev_ii = mixture_payoff_against(PD, gamma, mode, g, res.strategy_I, Player.II)
             assert dev_i - res.payoff_I <= FAST.eps_nash
             assert dev_ii - res.payoff_II <= FAST.eps_nash
+
+    def test_pure_fixed_points_have_zero_regret_under_ties(self):
+        # the solver returns a fixed point of the dynamics unchecked: each
+        # gate is the first exact maximum against the other, so neither
+        # player gains exactly 0.0 by any row or column of the table
+        constant = Bimatrix(np.full((2, 2), 3.0), np.full((2, 2), 3.0))
+        fixed = tied = 0
+        for seed in range(120):
+            rng = np.random.default_rng(seed)
+            mode = MODES[seed % 2]
+            named = canonical_gates(mode)
+            base = [named.C, named.D, named.Q, *map(Gate1Q, random_b_gates(seed, 3))]
+            phased = [Gate1Q(g.matrix * np.exp(1j * rng.uniform(-np.pi, np.pi)))
+                      for g in base[::2]]
+            menu = base + base[1::2] + phased
+            rng.shuffle(menu)
+            game = constant if seed == 0 else Bimatrix(rng.integers(-1, 2, (2, 2)),
+                                                      rng.integers(-1, 2, (2, 2)))
+            gamma = rng.choice([0.0, np.pi / 4, np.pi / 2, rng.uniform(0, np.pi / 2)])
+            try:
+                res = mixed_quantum_equilibrium(game, gamma, mode, menu, FAST)
+            except ConvergenceError:
+                continue
+            if res.method != "pure_fixed_point":
+                continue
+            reps, u = search._dedup_menu(tuple(menu))
+            pi, pii = search._induced_tables(game, gamma, mode, u)
+            (_, g1), = res.strategy_I.support
+            (_, g2), = res.strategy_II.support
+            i, j = reps.index(g1), reps.index(g2)
+            assert (res.payoff_I, res.payoff_II) == (pi[i, j], pii[i, j])
+            assert pi[:, j].max() - pi[i, j] == 0.0
+            assert pii[i, :].max() - pii[i, j] == 0.0
+            fixed += 1
+            tied += (pi[:, j] == pi[i, j]).sum() > 1 or (pii[i, :] == pii[i, j]).sum() > 1
+        assert fixed >= 60 and tied >= 20
 
 
 class TestDefaultMenu:
@@ -491,7 +527,7 @@ class TestPhaseCanonicalKeys:
     @pytest.mark.parametrize("points", range(2, 10))
     def test_default_menus(self, mode, points):
         menu = default_menu(mode, points)
-        reps, stack = search._dedup_menu(menu)
+        reps, stack = search._dedup_menu(tuple(menu))
         want, want_stack = reference_dedup(menu)
         assert len(reps) == len(want) and all(g is w for g, w in zip(reps, want))
         assert stack.tobytes() == want_stack.tobytes()
@@ -499,8 +535,8 @@ class TestPhaseCanonicalKeys:
     @pytest.mark.parametrize("mode", MODES)
     def test_phase_multiples_of_the_default_menu_add_no_representative(self, mode):
         menu = default_menu(mode)
-        reps, _ = search._dedup_menu(menu)
-        more, _ = search._dedup_menu(menu + [Gate1Q(g.matrix * np.exp(0.7j)) for g in menu])
+        reps, _ = search._dedup_menu(tuple(menu))
+        more, _ = search._dedup_menu(tuple(menu + [Gate1Q(g.matrix * np.exp(0.7j)) for g in menu]))
         assert more == reps
 
     def test_random_b_gates_under_random_phases(self):
