@@ -397,6 +397,23 @@ def _csv_record(cells) -> str:
     return buf.getvalue()
 
 
+class _Rows(list):
+    """A report table of cell tuples.  Every table checks and writes
+    itself: `finite()`, `csv_chunks()` (the records after the header) and
+    `json_chunks()` (the text json.dump(indent=2) writes for its rows as
+    the value of a top-level key)."""
+
+    def finite(self) -> bool:
+        return _finite(self)
+
+    def csv_chunks(self):
+        return (_csv_record([_fmt(x) for x in row]) for row in self)
+
+    def json_chunks(self):
+        # one level deeper than on its own: JSON escapes a string's newlines
+        yield json.dumps([[_fmt(x) for x in row] for row in self], indent=2).replace("\n", "\n  ")
+
+
 _CHUNK_ROUNDS = 4096  # rounds per write: about a MB at most, never the whole file
 
 
@@ -417,9 +434,10 @@ class _RoundLog:
             yield ([_fmt(x) for x in head],
                    [[_fmt(x) for x in self.tail(row)] for row in result.rows], result.log)
 
+    def finite(self) -> bool:
+        return _finite([self.tail(row) for _, result in self.blocks for row in result.rows])
+
     def json_chunks(self):
-        """The text json.dump(indent=2) writes for the list of rows as the
-        value of a top-level key."""
         sep = "[\n"
         for head, tails, log in self._blocks():
             prefix = "    [\n" + "".join(f"      {json.dumps(x)},\n" for x in head) + '      "'
@@ -453,41 +471,30 @@ def _finite(value) -> bool:
 
 
 def _write_reports(out_dir: Path, command: str, fmt: str, quiet: bool,
-                   summary: dict, columns, rows) -> list:
-    """Write the summary JSON and the rows (a list of cell tuples, or a
-    _RoundLog) as CSV, or embedded in the JSON with fmt "json"."""
+                   summary: dict, columns, table) -> list:
+    """Write the summary JSON and the table's rows as CSV, or embedded in
+    the JSON with fmt "json"."""
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    summary = dict(summary)
-    summary["command"] = command
-    round_log = isinstance(rows, _RoundLog)
+    summary = {**summary, "command": command}
     if fmt == "json":
-        summary["columns"] = list(columns)
-        summary["rows"] = [] if round_log else [[_fmt(x) for x in row] for row in rows]
+        summary.update(columns=list(columns), rows=[])
     else:
         csv_path = out_dir / f"{command}.csv"
-        with open(csv_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(columns)
-            if round_log:
-                fh.writelines(rows.csv_chunks())
-            else:
-                for row in rows:
-                    writer.writerow([_fmt(x) for x in row])
+        with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(_csv_record(columns))
+            fh.writelines(table.csv_chunks())
         written.append(csv_path)
+    text = json.dumps(summary, indent=2, sort_keys=True)
     json_path = out_dir / f"{command}.json"
     with open(json_path, "w") as fh:
-        if fmt == "json" and round_log:
+        if fmt == "json":
             # a top-level key is the only place a newline and two spaces
             # precede a key, so this splits the text at the rows' place
-            before, after = json.dumps(summary, indent=2, sort_keys=True).split(
-                '\n  "rows": []', 1)
+            before, text = text.split('\n  "rows": []', 1)
             fh.write(before + '\n  "rows": ')
-            fh.writelines(rows.json_chunks())
-            fh.write(after)
-        else:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+            fh.writelines(table.json_chunks())
+        fh.write(text + "\n")
     written.append(json_path)
     if not quiet:
         for path in written:
@@ -531,8 +538,7 @@ def _cmd_payoff(cfg: RunConfig):
         "distribution": dist,
     }
     columns = ("payoff_I", "payoff_II", "p00", "p01", "p10", "p11")
-    rows = [(result.payoff_I, result.payoff_II, *dist)]
-    return summary, columns, rows
+    return summary, columns, _Rows([(result.payoff_I, result.payoff_II, *dist)])
 
 
 def describe_gate(gate: Gate1Q, mode: EntanglerMode) -> str:
@@ -565,15 +571,12 @@ def _cmd_equilibria(cfg: RunConfig):
     mixed = mixed_nash(game)
     columns = ("type", "label_I", "label_II", "p", "q",
                "payoff_I", "payoff_II", "flag")
-    rows = []
-    for prof in pure:
-        a, b = game.cell(*prof)
-        rows.append(("pure_nash", game.row_labels[prof.row], game.col_labels[prof.col],
-                     1.0 - prof.row, 1.0 - prof.col, a, b, False))
-    for prof in pareto:
-        a, b = game.cell(*prof)
-        rows.append(("pareto_optimal", game.row_labels[prof.row], game.col_labels[prof.col],
-                     1.0 - prof.row, 1.0 - prof.col, a, b, False))
+    rows = _Rows()
+    for kind, profiles in (("pure_nash", pure), ("pareto_optimal", pareto)):
+        for prof in profiles:
+            a, b = game.cell(*prof)
+            rows.append((kind, game.row_labels[prof.row], game.col_labels[prof.col],
+                         1.0 - prof.row, 1.0 - prof.col, a, b, False))
     for m in mixed:
         a, b = expected_payoff(game, m)
         rows.append(("mixed_nash", "", "", m.p, m.q, a, b, m.degenerate))
@@ -644,7 +647,7 @@ def _cmd_landscape(cfg: RunConfig):
         "max_payoff": float(data[best, -1]),
         "argmax": [float(x) for x in data[best, :-1]],
     }
-    return summary, columns, [tuple(row) for row in data]
+    return summary, columns, _Rows(data.tolist())
 
 
 def _cmd_sweep(cfg: RunConfig):
@@ -660,7 +663,7 @@ def _cmd_sweep(cfg: RunConfig):
         "first_row": [float(x) for x in data[0]],
         "last_row": [float(x) for x in data[-1]],
     }
-    return summary, columns, [tuple(row) for row in data]
+    return summary, columns, _Rows(data.tolist())
 
 
 def _cmd_noise(cfg: RunConfig):
@@ -679,9 +682,8 @@ def _cmd_noise(cfg: RunConfig):
         "distribution": dist,
     }
     columns = ("kind", "p", "location", "payoff_I", "payoff_II", "p00", "p01", "p10", "p11")
-    rows = [(cfg.noise.kind.value, cfg.noise.p, cfg.noise.location.value,
-             result.payoff_I, result.payoff_II, *dist)]
-    return summary, columns, rows
+    return summary, columns, _Rows([(cfg.noise.kind.value, cfg.noise.p, cfg.noise.location.value,
+                                     result.payoff_I, result.payoff_II, *dist)])
 
 
 def _cmd_correlated(cfg: RunConfig):
@@ -699,12 +701,8 @@ def _cmd_correlated(cfg: RunConfig):
         "is_correlated_equilibrium": is_correlated_equilibrium(game, mu),
     }
     columns = ("row_label", "col_label", "mu", "payoff_I", "payoff_II")
-    rows = []
-    for i in range(2):
-        for j in range(2):
-            pa, pb = game.cell(i, j)
-            rows.append((game.row_labels[i], game.col_labels[j], mu.prob(i, j), pa, pb))
-    return summary, columns, rows
+    return summary, columns, _Rows((game.row_labels[i], game.col_labels[j], mu.prob(i, j),
+                                    *game.cell(i, j)) for i in range(2) for j in range(2))
 
 
 def _cmd_tournament(cfg: RunConfig):
@@ -759,9 +757,9 @@ def _cmd_advantage(cfg: RunConfig):
     }
     columns = ("noise_kind", "found", "p_star", "payoff_noiseless", "payoff_full_noise",
                "limit")
-    rows = [(cfg.noise.kind.value, result.found, result.p_star,
-             result.payoff_noiseless, result.payoff_full_noise, result.limit)]
-    return summary, columns, rows
+    return summary, columns, _Rows([(cfg.noise.kind.value, result.found, result.p_star,
+                                     result.payoff_noiseless, result.payoff_full_noise,
+                                     result.limit)])
 
 
 _COMMAND_IMPLS = {
@@ -785,10 +783,11 @@ def dispatch(command: str, cfg: RunConfig, out_dir=None, fmt=None, quiet=False) 
                         or os.environ.get(ENV_OUT_DIR, DEFAULT_OUT_DIR))
     resolved_fmt = fmt or cfg.settings["format"]
     try:
-        summary, columns, rows = _COMMAND_IMPLS[command](cfg)
-        cells = ([rows.tail(row) for _, result in rows.blocks for row in result.rows]
-                 if isinstance(rows, _RoundLog) else rows)
-        if not _finite([summary, cells]):
+        # an overflow surfaces as a non-finite number, which the checks
+        # below turn into a RangeError, so numpy need not warn about it
+        with np.errstate(over="ignore", invalid="ignore"):
+            summary, columns, table = _COMMAND_IMPLS[command](cfg)
+        if not (_finite(summary) and table.finite()):
             raise RangeError("the result overflows the float range: a report would hold "
                              "a non-finite number")
     except ConfigError as exc:
@@ -801,7 +800,7 @@ def dispatch(command: str, cfg: RunConfig, out_dir=None, fmt=None, quiet=False) 
         print(f"error: the result is too large to allocate: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     try:
-        _write_reports(resolved_out, command, resolved_fmt, quiet, summary, columns, rows)
+        _write_reports(resolved_out, command, resolved_fmt, quiet, summary, columns, table)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -8,6 +8,8 @@ import io
 import json
 import math
 import operator
+import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -21,6 +23,7 @@ import qgames.cli as cli
 import qgames.hft as hft_mod
 from qgames import EntanglerMode, MixedQuantumStrategy, NoiseKind, run_protocol_noisy
 from qgames.errors import ConfigError, ValidationError
+from report_ref import write_reports as write_reference_reports
 
 
 class TestParseAngle:
@@ -496,6 +499,37 @@ _ADVANTAGE_SAMPLED = {
                    "experiment": "menu_advantage"}}
 
 
+def _assert_same_reports(got: Path, want: Path):
+    assert sorted(p.name for p in got.iterdir()) == sorted(p.name for p in want.iterdir())
+    for path in want.iterdir():
+        assert (got / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+def _readme_configs() -> dict:
+    """The configs of the README's examples, by file name."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    examples = text.split("### Examples", 1)[1].split("\n## ", 1)[0]
+    return {name: json.loads(body) for body, name in re.findall(r"echo '(.*)' > (\S+)", examples)}
+
+
+_REPORT_CONFIGS = {"default": {}, **_readme_configs()}
+
+
+@pytest.mark.parametrize("name", sorted(_REPORT_CONFIGS))
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_reports_are_the_reference_writers_bytes(tmp_path, command, name):
+    """Every command, in both formats, writes what the per-cell reference
+    writer (tests/report_ref.py) writes for the same result."""
+    text = json.dumps(_REPORT_CONFIGS[name])
+    summary, columns, table = cli._COMMAND_IMPLS[command](cli.parse_config(text))
+    (tmp_path / "run.json").write_text(text)
+    for fmt in ("csv", "json"):
+        write_reference_reports(tmp_path / "ref" / fmt, command, fmt, summary, columns, table)
+        assert run_main([command, "--config", str(tmp_path / "run.json"), "--out",
+                         str(tmp_path / fmt), "--format", fmt, "--quiet"]) == 0
+        _assert_same_reports(tmp_path / fmt, tmp_path / "ref" / fmt)
+
+
 class TestTournamentReportBytes:
     """The tournament round log and summary, pinned by sha256 digest."""
 
@@ -534,14 +568,10 @@ class TestTournamentReportBytes:
                                         _ADVANTAGE_SAMPLED])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_round_log_writes_what_per_cell_rows_write(self, tmp_path, config, fmt):
-        # reference: every round's cells formatted and quoted one by one
         summary, columns, log = cli._cmd_tournament(cli.parse_config(json.dumps(config)))
-        per_cell = [(*head, r.index, *log.tail(r))
-                    for head, result in log.blocks for r in result.records]
-        for name, rows in (("log", log), ("cells", per_cell)):
-            cli._write_reports(tmp_path / name, "tournament", fmt, True, summary, columns, rows)
-        for path in (tmp_path / "cells").iterdir():
-            assert (tmp_path / "log" / path.name).read_bytes() == path.read_bytes()
+        cli._write_reports(tmp_path / "log", "tournament", fmt, True, summary, columns, log)
+        write_reference_reports(tmp_path / "cells", "tournament", fmt, summary, columns, log)
+        _assert_same_reports(tmp_path / "log", tmp_path / "cells")
 
     def test_menu_gate_with_commas_is_quoted(self, tmp_path):
         cfgfile = tmp_path / "run.json"
@@ -563,13 +593,10 @@ class TestStreamedJsonRows:
     what json.dump writes for the same rows built in one list."""
 
     def _same_as_per_cell(self, tmp_path, summary, columns, log):
-        per_cell = [(*head, r.index, *log.tail(r))
-                    for head, result in log.blocks for r in result.records]
-        for name, rows in (("log", log), ("cells", per_cell)):
-            cli._write_reports(tmp_path / name, "tournament", "json", True, summary, columns, rows)
-        want = (tmp_path / "cells" / "tournament.json").read_bytes()
-        assert (tmp_path / "log" / "tournament.json").read_bytes() == want
-        return json.loads(want)
+        cli._write_reports(tmp_path / "log", "tournament", "json", True, summary, columns, log)
+        write_reference_reports(tmp_path / "cells", "tournament", "json", summary, columns, log)
+        _assert_same_reports(tmp_path / "log", tmp_path / "cells")
+        return json.loads((tmp_path / "cells" / "tournament.json").read_bytes())
 
     def test_non_ascii_gate_name_and_chunk_edges(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "_CHUNK_ROUNDS", 7)  # 50 rounds end mid-chunk
@@ -715,6 +742,22 @@ class TestExitCodes:
         means = [value for key, value in summary.items() if "mean" in key]
         assert means and all(mean == [1e308, 1e308] for mean in means)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["advantage", "equilibria", "landscape", "sweep"])
+    def test_overflow_is_3_without_numpy_warnings(self, tmp_path, capsys, command):
+        # every payoff the float max: the kernels overflow, which numpy
+        # would warn about (an exception under -W error) before exit 3
+        cfgfile = tmp_path / "huge.json"
+        cfgfile.write_text(json.dumps({
+            "game": {"row_payoffs": [[1.7976931348623157e308] * 2] * 2,
+                     "col_payoffs": [[1.7976931348623157e308] * 2] * 2},
+            "noise": {"kind": "two_qubit_depolarizing"}}))
+        assert run_main([command, "--config", str(cfgfile), "--out",
+                         str(tmp_path / "out"), "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_overflowing_support_solution_is_3(self, tmp_path, capsys):
         # the menu tables are finite, but solving a mixed support's
         # indifference equations overflows to NaN
@@ -801,6 +844,21 @@ class TestConsoleScript:
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_csv_is_utf8_under_an_ascii_locale(self, tmp_path):
+        # reports are UTF-8 whatever the locale; an ASCII one used to end
+        # a non-ASCII label in a UnicodeEncodeError (exit 1)
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(json.dumps({"game": {
+            "row_payoffs": [[3, 0], [5, 1]], "col_payoffs": [[3, 5], [0, 1]],
+            "row_labels": ["\u6f22", "D"]}}))
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "qgames.cli", "correlated", "--config", str(cfgfile),
+             "--out", str(out), "--quiet"],
+            capture_output=True, text=True, env={**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0"})
+        assert proc.returncode == 0, proc.stderr
+        assert (out / "correlated.csv").read_text(encoding="utf-8").splitlines()[1][0] == "\u6f22"
 
     def test_entry_point_runs(self, tmp_path):
         cfgfile = tmp_path / "run.json"
