@@ -35,7 +35,7 @@ from .specs import Player, SearchConfig
 @dataclass(frozen=True)
 class BestResponse:
     responder: Player
-    params: Union[StrategyParamsA, StrategyParamsB, None]
+    params: Union[StrategyParamsA, StrategyParamsB]
     gate: Gate1Q
     payoff: float
     improvement: float
@@ -128,52 +128,42 @@ def _angles(x: np.ndarray) -> tuple:
     return theta, float(np.arctan2(x[3], x[0])), float(np.arctan2(x[1], x[2]))
 
 
+def _require_space(space) -> None:
+    if space not in ("A", "B"):  # a tuple, so an unhashable space is refused too
+        raise ValidationError(f"space must be 'A' or 'B', got {space!r}")
+
+
 def best_response(game: Bimatrix, gamma: float, mode: EntanglerMode,
-                  opponent_gate: Gate1Q, responder: Player,
-                  space: Union[str, Sequence[Gate1Q]],
+                  opponent_gate: Gate1Q, responder: Player, space: str,
                   incumbent: Optional[Gate1Q] = None) -> BestResponse:
     """Best reply of one player against a fixed opponent gate.
 
-    space is "A", "B", or an explicit finite menu of gates.  For the
-    parametric spaces the optimum is exact (an eigenproblem, see the
+    space is "A" or "B".  The optimum is exact (an eigenproblem, see the
     module docstring), so the B payoff never falls below the A payoff.
     improvement is relative to the optional incumbent gate and clamped
-    at zero.
+    at zero.  Over a finite menu of gates, mixed_quantum_equilibrium's
+    dynamics take the first exact maximum of the induced table.
     """
+    _require_space(space)
     gamma = clamp_gamma(gamma)
-    if isinstance(space, str):
-        if space not in _SPACE_BOUNDS:
-            raise ValidationError(f"space must be 'A', 'B', or a gate menu, got {space!r}")
-        m = _payoff_form(game, gamma, mode, opponent_gate.matrix, responder)
-        x = _exact_optimum(m, space)
-        payoff = float(x @ m @ x)
-        theta, alpha, beta = _angles(x)
-        if space == "A":
-            params = StrategyParamsA(theta=theta, phi=alpha)
-        else:
-            params = StrategyParamsB(theta=theta, alpha=alpha, beta=beta)
-        gate = Gate1Q(strategy_matrix(theta, alpha, beta))
-    else:
-        menu = list(space)
-        if not menu:
-            raise ValidationError("menu space must be nonempty")
-        values = _responder_payoffs(game, gamma, mode, opponent_gate.matrix, responder,
-                                    np.array([g.matrix for g in menu]))
-        idx = int(np.argmax(values))
-        payoff, params, gate = values[idx], None, menu[idx]
-
+    m = _payoff_form(game, gamma, mode, opponent_gate.matrix, responder)
+    x = _exact_optimum(m, space)
+    payoff = float(x @ m @ x)
+    theta, alpha, beta = _angles(x)
+    params = (StrategyParamsA(theta=theta, phi=alpha) if space == "A"
+              else StrategyParamsB(theta=theta, alpha=alpha, beta=beta))
     improvement = 0.0
     if incumbent is not None:
         base = float(_responder_payoffs(game, gamma, mode, opponent_gate.matrix, responder,
                                         incumbent.matrix))
         improvement = max(0.0, payoff - base)
-    return BestResponse(responder=responder, params=params, gate=gate,
-                        payoff=float(payoff), improvement=float(improvement))
+    return BestResponse(responder=responder, params=params,
+                        gate=Gate1Q(strategy_matrix(theta, alpha, beta)),
+                        payoff=payoff, improvement=float(improvement))
 
 
 def verify_eps_nash(game: Bimatrix, gamma: float, mode: EntanglerMode,
-                    u1: Gate1Q, u2: Gate1Q,
-                    space: Union[str, Sequence[Gate1Q]], cfg: SearchConfig) -> tuple:
+                    u1: Gate1Q, u2: Gate1Q, space: str, cfg: SearchConfig) -> tuple:
     """(is_equilibrium, max_improvement) for the profile (u1, u2)."""
     br1 = best_response(game, gamma, mode, u2, Player.I, space, incumbent=u1)
     br2 = best_response(game, gamma, mode, u1, Player.II, space, incumbent=u2)
@@ -189,8 +179,7 @@ def payoff_landscape(game: Bimatrix, gamma: float, mode: EntanglerMode,
     Returns (column_names, data); rows are in row-major axis order so
     repeated runs emit identical tables.
     """
-    if space not in _SPACE_BOUNDS:
-        raise ValidationError(f"landscape space must be 'A' or 'B', got {space!r}")
+    _require_space(space)
     pts = _grid_points(space, cfg.grid_resolution)
     beta = pts[:, 2] if space == "B" else 0.0
     vals = _responder_payoffs(game, clamp_gamma(gamma), mode, fixed_opponent.matrix, responder,
@@ -249,20 +238,23 @@ def _dedup_menu(menu: tuple) -> tuple:
     return tuple(menu[i] for i in keep), stack
 
 
-def default_menu(mode: EntanglerMode, points_per_axis: int = 5) -> list:
+_MENU_POINTS = 5  # values per axis of default_menu's set-B grid
+
+
+def default_menu(mode: EntanglerMode) -> list:
     """Named gates C, D, Q plus a uniform set-B parameter grid.
 
-    The gates are built once per (mode, points_per_axis) and shared
-    (a Gate1Q is immutable); each call returns a new list of them.
+    The gates are built once per mode and shared (a Gate1Q is
+    immutable); each call returns a new list of them.
     """
-    return list(_default_menu(mode, points_per_axis))
+    return list(_default_menu(mode))
 
 
-@functools.lru_cache(maxsize=16)
-def _default_menu(mode: EntanglerMode, points_per_axis: int) -> tuple:
+@functools.cache
+def _default_menu(mode: EntanglerMode) -> tuple:
     named = canonical_gates(mode)
-    angles = np.linspace(-np.pi, np.pi, points_per_axis)
-    grid = np.meshgrid(np.linspace(0, np.pi / 2, points_per_axis), angles, angles, indexing="ij")
+    angles = np.linspace(-np.pi, np.pi, _MENU_POINTS)
+    grid = np.meshgrid(np.linspace(0, np.pi / 2, _MENU_POINTS), angles, angles, indexing="ij")
     grid_gates = [Gate1Q(u) for u in strategy_matrix(*grid).reshape(-1, 2, 2)]
     return (named.C, named.D, named.Q, *grid_gates)
 
@@ -379,9 +371,12 @@ def mixed_quantum_equilibrium(game: Bimatrix, gamma: float, mode: EntanglerMode,
         state = new
 
     cycle = trace[seen[trace[-1]]:]
-    for visited in (cycle, trace):
-        equilibria = _support_equilibria(pi, pii, sorted({i for i, _ in visited}),
-                                         sorted({j for _, j in visited}), eps)
+    # (rows, cols) of the cycle, then of everything visited; when the
+    # trace adds no strategy to the cycle, its enumeration runs once
+    supports = dict.fromkeys((tuple(sorted({i for i, _ in v})), tuple(sorted({j for _, j in v})))
+                             for v in (cycle, trace))
+    for rows, cols in supports:
+        equilibria = _support_equilibria(pi, pii, rows, cols, eps)
         if equilibria:
             break
     else:

@@ -108,30 +108,6 @@ class TestBestResponse:
                            incumbent=named.C)
         assert abs(br.improvement - 2.0) < 1e-9
 
-    def test_menu_space(self):
-        named = canonical_gates(EntanglerMode.DEFECT)
-        menu = [named.C, named.D, named.Q]
-        br = best_response(PD, np.pi / 2, EntanglerMode.DEFECT, named.D, Player.I,
-                           menu)
-        assert br.params is None
-        assert phase_equal(br.gate, named.Q)
-        assert abs(br.payoff - 5.0) < 1e-12
-
-    def test_menu_ties_follow_the_dynamics_rule(self):
-        # menu payoffs 0, 0.6e-10 and 1.2e-10: the exact maximum wins at
-        # any payoff scale, and of equal maxima the first, as in the
-        # best-response dynamics
-        game = Bimatrix(row_payoffs=np.array([[0.0, 0.0], [1.2e-10, 0.0]]),
-                        col_payoffs=np.zeros((2, 2)))
-        named = canonical_gates(EntanglerMode.DEFECT)
-        menu = [named.C, Gate1Q(strategy_matrix(np.pi / 4, 0.0, 0.0)), named.D]
-        br = best_response(game, 0.0, EntanglerMode.DEFECT, named.C, Player.I, menu)
-        assert br.gate is menu[2]
-        assert br.payoff == 1.2e-10
-        tied = [named.C, named.D, Gate1Q(-named.D.matrix)]
-        br = best_response(game, 0.0, EntanglerMode.DEFECT, named.C, Player.I, tied)
-        assert br.gate is tied[1] and br.payoff == 1.2e-10
-
     def test_space_b_dominates_space_a_500_seeds(self):
         rng = np.random.default_rng(555)
         for _ in range(500):
@@ -167,6 +143,21 @@ class TestBestResponse:
         named = canonical_gates(EntanglerMode.DEFECT)
         with pytest.raises(ValidationError):
             best_response(PD, 0.0, EntanglerMode.DEFECT, named.C, Player.I, "Z")
+
+    @pytest.mark.parametrize("space", [["A"], "gates", None, "C"],
+                             ids=["list", "gates", "None", "C"])
+    @pytest.mark.parametrize("call", [
+        lambda g, space: best_response(PD, 0.0, EntanglerMode.DEFECT, g, Player.I, space),
+        lambda g, space: verify_eps_nash(PD, 0.0, EntanglerMode.DEFECT, g, g, space, FAST),
+        lambda g, space: payoff_landscape(PD, 0.0, EntanglerMode.DEFECT, space, g, FAST),
+    ], ids=["best_response", "verify_eps_nash", "payoff_landscape"])
+    def test_space_other_than_a_or_b_is_a_validation_error(self, call, space):
+        # a gate list, or any unhashable value, gets the same error as "C"
+        named = canonical_gates(EntanglerMode.DEFECT)
+        if space == "gates":
+            space = [named.C, named.D, named.Q]
+        with pytest.raises(ValidationError, match="space must be 'A' or 'B'"):
+            call(named.C, space)
 
     def test_config_validation(self):
         with pytest.raises(RangeError):
@@ -219,9 +210,9 @@ class TestExactSolverOracle:
 
 class TestVerifyEpsNash:
     def test_cc_fails_in_classical_menu(self):
+        # at gamma 0 set A holds the classical game: defecting gains 5 - 3
         named = canonical_gates(EntanglerMode.DEFECT)
-        ok, imp = verify_eps_nash(PD, 0.0, EntanglerMode.DEFECT, named.C, named.C,
-                                  [named.C, named.D], FAST)
+        ok, imp = verify_eps_nash(PD, 0.0, EntanglerMode.DEFECT, named.C, named.C, "A", FAST)
         assert not ok
         assert abs(imp - 2.0) < 1e-12
 
@@ -418,6 +409,29 @@ class TestMixedQuantumEquilibrium:
             assert dev_i - res.payoff_I <= FAST.eps_nash
             assert dev_ii - res.payoff_II <= FAST.eps_nash
 
+    def test_support_enumeration_runs_once_when_the_trace_adds_nothing(self, monkeypatch):
+        # the trace's first state (0, 0) lies outside the cycle, but its
+        # row and column are the cycle's, so widening would repeat the search
+        rng = np.random.default_rng(11)
+        menu = [Gate1Q(m) for m in strategy_matrix(rng.uniform(0, np.pi / 2, 8),
+                                                    rng.uniform(-np.pi, np.pi, 8),
+                                                    rng.uniform(-np.pi, np.pi, 8))]
+        gamma = rng.uniform(0, np.pi / 2)
+        calls = []
+        enumerate_supports = search._support_equilibria
+
+        def spy(pi, pii, rows, cols, eps):
+            calls.append((tuple(rows), tuple(cols)))
+            return enumerate_supports(pi, pii, rows, cols, eps)
+
+        monkeypatch.setattr(search, "_support_equilibria", spy)
+        with pytest.raises(ConvergenceError) as err:
+            mixed_quantum_equilibrium(PD, gamma, EntanglerMode.DEFECT, menu, FAST)
+        assert calls == [((0, 1, 5), (0, 1, 5))]
+        assert str(err.value) == (
+            "best-response dynamics cycled and no equilibrium was found on the visited "
+            "supports; trace=[(0, 0), (1, 5), (0, 1), (5, 0), (1, 5)]")
+
     def test_pure_fixed_points_have_zero_regret_under_ties(self):
         # the solver returns a fixed point of the dynamics unchecked: each
         # gate is the first exact maximum against the other, so neither
@@ -466,11 +480,10 @@ class TestDefaultMenu:
                 + list(strategy_matrix(*grid).reshape(-1, 2, 2)))
 
     @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("points", [2, 5])
-    def test_gates_bit_identical_to_a_fresh_build(self, mode, points):
-        for menu in (default_menu(mode, points), default_menu(mode, points)):
-            want = self.uncached(mode, points)
-            assert len(menu) == len(want) == 3 + points ** 3
+    def test_gates_bit_identical_to_a_fresh_build(self, mode):
+        for menu in (default_menu(mode), default_menu(mode)):
+            want = self.uncached(mode)
+            assert len(menu) == len(want) == 3 + 5 ** 3
             assert all(g.matrix.tobytes() == w.tobytes() for g, w in zip(menu, want))
 
     def test_repeat_calls_give_the_same_gates(self):
@@ -526,7 +539,7 @@ class TestPhaseCanonicalKeys:
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("points", range(2, 10))
     def test_default_menus(self, mode, points):
-        menu = default_menu(mode, points)
+        menu = [Gate1Q(u) for u in TestDefaultMenu.uncached(mode, points)]
         reps, stack = search._dedup_menu(tuple(menu))
         want, want_stack = reference_dedup(menu)
         assert len(reps) == len(want) and all(g is w for g, w in zip(reps, want))
