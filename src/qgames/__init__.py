@@ -15,13 +15,12 @@ _HOMES = {
               "is_correlated_equilibrium", "mixed_nash", "pareto_optimal", "pure_nash"),
     "ewl": ("CanonicalGates", "MixedQuantumStrategy", "ProtocolResult", "StrategyParamsA",
             "StrategyParamsB", "canonical_gates", "gate_from_A", "gate_from_B",
-            "outcome_amplitudes", "run_protocol", "run_protocol_mixed"),
+            "noisy_outcome_probs", "outcome_amplitudes", "run_protocol", "run_protocol_mixed"),
     "specs": ("AgentKind", "AgentSpec", "ChannelLocation", "NamedGate", "NoiseKind",
               "NoiseSpec", "Player", "SearchConfig", "TournamentConfig"),
     "search": ("BestResponse", "MixedEquilibriumResult", "best_response", "default_menu",
                "mixed_quantum_equilibrium", "payoff_landscape", "verify_eps_nash"),
-    "noise": ("ThresholdResult", "advantage_threshold", "gamma_sweep", "noisy_outcome_probs",
-              "run_protocol_noisy"),
+    "noise": ("ThresholdResult", "advantage_threshold", "gamma_sweep", "run_protocol_noisy"),
     "hft": ("MenuAdvantageReport", "RoundRecord", "RoundRow", "TournamentResult",
             "menu_advantage_experiment", "play_tournament"),
 }

@@ -6,10 +6,11 @@ Angles in configs may be given as radians or as exact "pi" fractions
 ("mixed:[[0.5,\"C\"],[0.5,\"Q\"]]").  Identical configs produce
 byte-identical report files.
 
-A command imports the functions it calls from `noise`, `search` and `hft`
-when it runs, so a `qgames` process loads only its own command's code;
-every config is still read and validated in full, through
-`qgames.specs`.
+A command scores no profile itself (`payoff` calls `run_protocol_mixed`)
+and imports what it calls from `noise`, `search` and `hft` when it runs,
+so a `qgames` process loads only its own command's code; every config is
+still read and validated in full, through `qgames.specs`, whose types
+hold the schema's defaults.
 """
 from __future__ import annotations
 
@@ -31,13 +32,13 @@ import numpy as np
 from .errors import ConfigError, QGamesError, RangeError, ValidationError
 from .ewl import (
     MixedQuantumStrategy,
-    ProtocolResult,
     StrategyParamsA,
     StrategyParamsB,
     canonical_gates,
     gate_from_A,
     gate_from_B,
     run_protocol,
+    run_protocol_mixed,
 )
 from .games import (
     Bimatrix,
@@ -262,9 +263,9 @@ def _game(value, where: str):
 _AGENT = _section({
     "kind": ("epsilon_greedy_bandit", _one_of(*(k.value for k in AgentKind))),
     "menu": (["C", "D", "Q"], _list_of(_strategy)),
-    "epsilon": (0.1, _number),
-    "learning_rate": (0.1, _number),
-    "trigger_threshold": (0.5, _number),
+    "epsilon": (AgentSpec.epsilon, _number),
+    "learning_rate": (AgentSpec.learning_rate, _number),
+    "trigger_threshold": (AgentSpec.trigger_threshold, _number),
 })
 
 _SCHEMA = _section({
@@ -273,19 +274,19 @@ _SCHEMA = _section({
     "entangler_mode": ("defect", _one_of(*(m.value for m in EntanglerMode))),
     "players": (["C", "C"], _list_of(_strategy, 2)),
     "noise": {
-        "kind": ("none", _one_of(*(k.value for k in NoiseKind))),
-        "p": (0.0, _number),
-        "location": ("return", _one_of(*(c.value for c in ChannelLocation))),
+        "kind": (NoiseSpec.kind.value, _one_of(*(k.value for k in NoiseKind))),
+        "p": (NoiseSpec.p, _number),
+        "location": (NoiseSpec.location.value, _one_of(*(c.value for c in ChannelLocation))),
     },
     "search": {
-        "grid_resolution": (64, _integer),
-        "eps_nash": (1e-6, _number),
+        "grid_resolution": (SearchConfig.grid_resolution, _integer),
+        "eps_nash": (SearchConfig.eps_nash, _number),
         "space": ("A", _one_of("A", "B")),
     },
     "tournament": {
         "rounds": (10000, _integer),
-        "seed": (0, _integer),
-        "sampled_outcomes": (False, _boolean),
+        "seed": (TournamentConfig.seed, _integer),
+        "sampled_outcomes": (TournamentConfig.sampled_outcomes, _boolean),
         "experiment": (None, _one_of(None, "menu_advantage")),
         "agents": ([{}, {}], _list_of(_AGENT, 2)),
     },
@@ -512,21 +513,10 @@ def _pure_gates(cfg: RunConfig, command: str) -> tuple:
     return tuple(gates)
 
 
-def _profile_distribution(cfg: RunConfig) -> ProtocolResult:
-    """Distribution/payoffs for the configured profile, handling noise
-    and mixtures uniformly: one noisy table over both supports (a pure
-    strategy is a point mass), averaged exactly."""
-    from .noise import noisy_outcome_probs
-
-    as_mixed = [p if isinstance(p, MixedQuantumStrategy) else MixedQuantumStrategy.point_mass(p)
-                for p in cfg.players]
-    (w1, u1), (w2, u2) = (m.stacked() for m in as_mixed)
-    probs = noisy_outcome_probs(cfg.gamma, cfg.mode, u1[:, None], u2[None, :], cfg.noise)
-    return ProtocolResult.score(cfg.game, np.einsum("i,j,ijk->k", w1, w2, probs))
-
-
 def _cmd_payoff(cfg: RunConfig):
-    result = _profile_distribution(cfg)
+    m1, m2 = (p if isinstance(p, MixedQuantumStrategy) else MixedQuantumStrategy.point_mass(p)
+              for p in cfg.players)
+    result = run_protocol_mixed(cfg.game, cfg.gamma, cfg.mode, m1, m2, cfg.noise)
     dist = [float(x) for x in result.distribution.probs]
     summary = {
         "game": cfg.settings["game"] if isinstance(cfg.settings["game"], str) else "inline",

@@ -6,7 +6,9 @@ Measurement outcome |ab> maps to the game cell (row=a, col=b), i.e.
 bit 0 is the first strategy label (C / Buy) and bit 1 the second.
 Every evaluation in the package (single runs, mixtures, menu tables,
 sweeps, best responses, noisy runs, tournaments) goes through one
-broadcast kernel, outcome_amplitudes.  In both entangler modes
+broadcast kernel, outcome_amplitudes; a profile under a channel goes
+through noisy_outcome_probs, which is the plain kernel under the
+identity channel.  In both entangler modes
 J|00> = c|00> + i s|11> (c, s = cos, sin of gamma/2) and the generator
 G is a signed reversal of the basis, so the kernel needs no 4x4
 matrix: one einsum holds its only rounding product, and every other
@@ -29,7 +31,10 @@ from .errors import RangeError, ValidationError
 from .games import Bimatrix
 from .qcore import (
     DEFECT_GATE,
+    I2,
     SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
     EntanglerMode,
     Gate1Q,
     OutcomeDistribution,
@@ -40,6 +45,7 @@ from .qcore import (
     entangler_generator,
     gate_matrix,
 )
+from .specs import ChannelLocation, NoiseKind, NoiseSpec
 
 # Each generator is a signed reversal of the basis: its only nonzero
 # entries are G[3 - k, k] = +-1, so (psi @ G)[k] = sign[k] * psi[3 - k]
@@ -153,12 +159,8 @@ class ProtocolResult:
               final_state: Optional[PureState2Q] = None) -> "ProtocolResult":
         """Validate probs as an outcome distribution and score it."""
         dist = OutcomeDistribution(probs)
-        return cls(dist, *payoffs_from_distribution(game, dist), final_state)
-
-
-def payoffs_from_distribution(game: Bimatrix, dist: OutcomeDistribution) -> tuple:
-    a, b = game.payoff_vectors()
-    return float(dist.probs @ a), float(dist.probs @ b)
+        a, b = game.payoff_vectors()
+        return cls(dist, float(dist.probs @ a), float(dist.probs @ b), final_state)
 
 
 def outcome_amplitudes(gamma, mode: EntanglerMode, u1, u2) -> np.ndarray:
@@ -190,6 +192,43 @@ def outcome_amplitudes(gamma, mode: EntanglerMode, u1, u2) -> np.ndarray:
     psi = np.einsum("...ij,...kj->...ik", u1, u2 * diag[..., None, :])
     psi = psi.reshape(psi.shape[:-2] + (4,))
     return c * psi - i_s * (psi[..., ::-1] * sign)
+
+
+_PAULIS = np.stack([I2, SIGMA_X, SIGMA_Y, SIGMA_Z])
+
+
+def _pauli_weights(noise: NoiseSpec) -> np.ndarray:
+    """Weight of P_a (x) P_b in a depolarizing channel, as [a, b]."""
+    p = noise.p
+    if noise.kind == NoiseKind.TWO_QUBIT_DEPOLARIZING:
+        w = np.full((4, 4), p / 16.0)
+        w[0, 0] += 1.0 - p
+        return w
+    w = np.array([1.0 - p, p / 3.0, p / 3.0, p / 3.0])
+    return np.outer(w, w)
+
+
+def noisy_outcome_probs(gamma, mode: EntanglerMode, u1, u2, noise: NoiseSpec) -> np.ndarray:
+    """Outcome probabilities [..., 4] under the channel `noise` of stacks
+    of gates u1[..., 2, 2] and u2[..., 2, 2] that broadcast against each
+    other; gamma is a validated scalar.  The identity channel (kind none,
+    or p = 0) is the plain kernel.  A depolarizing channel is an exact
+    mixture of Paulis P_a (x) P_b (Nielsen & Chuang 8.3), and a Pauli on
+    the return channel (after the players' gates) or the forward one
+    (after the entangler) is one more local gate pair, (P_a U1) (x)
+    (P_b U2) or (U1 P_a) (x) (U2 P_b): 16 weighted kernel rows.
+    """
+    if not isinstance(noise, NoiseSpec):
+        raise ValidationError(f"noise must be a NoiseSpec, got {noise!r}")
+    if noise.kind is NoiseKind.NONE or noise.p == 0.0:
+        return np.abs(outcome_amplitudes(gamma, mode, u1, u2)) ** 2
+    u1, u2 = np.asarray(u1)[..., None, :, :], np.asarray(u2)[..., None, :, :]
+    if noise.location == ChannelLocation.RETURN:
+        left, right = _PAULIS @ u1, _PAULIS @ u2
+    else:
+        left, right = u1 @ _PAULIS, u2 @ _PAULIS
+    amps = outcome_amplitudes(gamma, mode, left[..., :, None, :, :], right[..., None, :, :, :])
+    return np.einsum("ab,...abk->...k", _pauli_weights(noise), np.abs(amps) ** 2)
 
 
 def run_protocol(game: Bimatrix, gamma: float, mode: EntanglerMode,
@@ -239,13 +278,15 @@ class MixedQuantumStrategy(_Value):
 
 
 def run_protocol_mixed(game: Bimatrix, gamma: float, mode: EntanglerMode,
-                       m1: MixedQuantumStrategy, m2: MixedQuantumStrategy) -> ProtocolResult:
-    """Exact convex combination of protocol runs over the support pairs.
+                       m1: MixedQuantumStrategy, m2: MixedQuantumStrategy,
+                       noise: NoiseSpec = NoiseSpec()) -> ProtocolResult:
+    """Exact convex combination of protocol runs over the support pairs,
+    each under the channel `noise` (noiseless by default).
 
     No sampling is involved; the returned distribution and payoffs are
     the exact mixture, and final_state is None because the average of
     pure runs is not itself pure.
     """
     (w1, u1), (w2, u2) = m1.stacked(), m2.stacked()
-    amps = outcome_amplitudes(clamp_gamma(gamma), mode, u1[:, None], u2[None, :])
-    return ProtocolResult.score(game, np.einsum("i,j,ijk->k", w1, w2, np.abs(amps) ** 2))
+    probs = noisy_outcome_probs(clamp_gamma(gamma), mode, u1[:, None], u2[None, :], noise)
+    return ProtocolResult.score(game, np.einsum("i,j,ijk->k", w1, w2, probs))

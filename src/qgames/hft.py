@@ -1,7 +1,8 @@
 """Iterated-play tournament harness for the trading game.
 
 Two agents repeatedly play the protocol over a finite gate menu, both
-in one round loop (play_tournament); AgentSpec states each kind's rule.
+in one round loop (play_tournament) over the menu pairs' distributions
+from one ewl.noisy_outcome_probs call; AgentSpec states each kind's rule.
 A single seeded random stream drives each tournament: its draws are
 exactly those of numpy.random.default_rng(seed) (PCG64), one random()
 per epsilon test and per sampled outcome and one integers(len(menu))
@@ -23,9 +24,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .ewl import canonical_gates
+from .ewl import canonical_gates, noisy_outcome_probs
 from .games import Bimatrix
-from .noise import noisy_outcome_probs
 from .specs import AgentKind, AgentSpec, NamedGate, TournamentConfig
 
 

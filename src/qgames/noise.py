@@ -1,12 +1,9 @@
-"""Noisy-channel variants of the protocol, evaluated as Pauli mixtures.
+"""Noisy single profiles, entanglement sweeps and the noise threshold.
 
-Both depolarizing channels are exact mixtures of two-qubit Paulis
-P_a (x) P_b (Nielsen & Chuang 8.3), and a Pauli on the return channel
-(after the players' gates) or the forward channel (after the
-entangler) is one more local strategy pair, (P_a U1) (x) (P_b U2) or
-(U1 P_a) (x) (U2 P_b).  A noisy run is therefore a weighted sum of 16
-rows of the protocol kernel; nothing is sampled.  The tests check it
-against a Kraus density-matrix reference (tests/kraus.py).
+A noisy run is the exact Pauli mixture of ewl.noisy_outcome_probs
+(re-exported here with the channel's spec types); nothing is sampled.
+The tests check it against a Kraus density-matrix reference
+(tests/kraus.py).
 """
 from __future__ import annotations
 
@@ -15,61 +12,19 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConvergenceError, RangeError, ValidationError
-from .ewl import ProtocolResult, outcome_amplitudes, strategy_matrix
+from .errors import ConvergenceError, RangeError
+from .ewl import ProtocolResult, noisy_outcome_probs, outcome_amplitudes, strategy_matrix
 from .games import Bimatrix
-from .qcore import (
-    I2,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    EntanglerMode,
-    Gate1Q,
-    clamp_gamma,
-    gate_matrix,
-)
+from .qcore import EntanglerMode, Gate1Q, check_array_size, clamp_gamma, gate_matrix
 from .specs import ChannelLocation, NoiseKind, NoiseSpec, Player, SearchConfig
-
-_PAULIS = np.stack([I2, SIGMA_X, SIGMA_Y, SIGMA_Z])
-
-
-def _pauli_weights(noise: NoiseSpec) -> np.ndarray:
-    """Weight of P_a (x) P_b in the channel's Pauli mixture, as [a, b]."""
-    p = 0.0 if noise.kind == NoiseKind.NONE else noise.p
-    if noise.kind == NoiseKind.TWO_QUBIT_DEPOLARIZING:
-        w = np.full((4, 4), p / 16.0)
-        w[0, 0] += 1.0 - p
-        return w
-    w = np.array([1.0 - p, p / 3.0, p / 3.0, p / 3.0])
-    return np.outer(w, w)
-
-
-def noisy_outcome_probs(gamma, mode: EntanglerMode, u1, u2, noise: NoiseSpec) -> np.ndarray:
-    """Outcome probabilities [..., 4] of the noisy circuit for stacks of
-    gates u1[..., 2, 2] and u2[..., 2, 2] that broadcast against each
-    other, from one kernel call over the 16 Pauli pairs per profile.
-    gamma is a validated scalar."""
-    u1, u2 = np.asarray(u1)[..., None, :, :], np.asarray(u2)[..., None, :, :]
-    if noise.location == ChannelLocation.RETURN:
-        left, right = _PAULIS @ u1, _PAULIS @ u2
-    else:
-        left, right = u1 @ _PAULIS, u2 @ _PAULIS
-    amps = outcome_amplitudes(gamma, mode, left[..., :, None, :, :], right[..., None, :, :, :])
-    return np.einsum("ab,...abk->...k", _pauli_weights(noise), np.abs(amps) ** 2)
 
 
 def run_protocol_noisy(game: Bimatrix, gamma: float, mode: EntanglerMode,
                        u1: Gate1Q, u2: Gate1Q, noise: NoiseSpec) -> ProtocolResult:
-    """Protocol run with the noise channel inserted at its location.
-
-    The result is the exact Pauli mixture; with kind=NONE it matches
-    run_protocol.
-    """
-    if not isinstance(noise, NoiseSpec):
-        raise ValidationError(f"noise must be a NoiseSpec, got {noise!r}")
-    probs = noisy_outcome_probs(clamp_gamma(gamma), mode, gate_matrix(u1), gate_matrix(u2),
-                                noise)
-    return ProtocolResult.score(game, probs)
+    """Protocol run with the channel `noise` at its location: the exact
+    Pauli mixture, which with the identity channel is run_protocol's."""
+    return ProtocolResult.score(game, noisy_outcome_probs(
+        clamp_gamma(gamma), mode, gate_matrix(u1), gate_matrix(u2), noise))
 
 
 def gamma_sweep(game: Bimatrix, mode: EntanglerMode, u1: Gate1Q, u2: Gate1Q,
@@ -81,6 +36,7 @@ def gamma_sweep(game: Bimatrix, mode: EntanglerMode, u1: Gate1Q, u2: Gate1Q,
     """
     if steps < 2:
         raise RangeError(f"steps must be >= 2, got {steps}")
+    check_array_size(steps, f"steps={steps}")
     gammas = np.linspace(0.0, np.pi / 2, steps)
     probs = np.abs(outcome_amplitudes(gammas, mode, gate_matrix(u1), gate_matrix(u2))) ** 2
     a, b = game.payoff_vectors()

@@ -154,6 +154,16 @@ def clamp_gamma(gamma: float) -> float:
     return g
 
 
+_MAX_FLOATS = np.iinfo(np.intp).max // 8
+
+
+def check_array_size(count: int, what: str) -> None:
+    """RangeError where `count` float64 values are more bytes than numpy
+    can index: it would refuse them with a ValueError, allocating nothing."""
+    if count > _MAX_FLOATS:
+        raise RangeError(f"{what}: more values than a numpy array can hold")
+
+
 _GENERATORS = {
     EntanglerMode.PAULI_X: np.kron(SIGMA_X, SIGMA_X),
     EntanglerMode.DEFECT: np.kron(DEFECT_GATE, DEFECT_GATE),

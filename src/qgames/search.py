@@ -28,7 +28,8 @@ from .ewl import (
     strategy_matrix,
 )
 from .games import Bimatrix, _rounding
-from .qcore import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, EntanglerMode, Gate1Q, clamp_gamma
+from .qcore import (I2, SIGMA_X, SIGMA_Y, SIGMA_Z, EntanglerMode, Gate1Q, check_array_size,
+                    clamp_gamma)
 from .specs import Player, SearchConfig
 
 
@@ -75,6 +76,8 @@ def _responder_payoffs(game, gamma, mode, opponent, responder, u) -> np.ndarray:
 def _grid_points(space: str, n: int) -> np.ndarray:
     """The space's grid of n values per parameter, one point per row, in
     row-major axis order."""
+    dims = len(_SPACE_BOUNDS[space])
+    check_array_size(int(n) ** dims, f"grid_resolution={n} in set {space} ({n}**{dims} points)")
     axes = [np.linspace(lo, hi, n) for lo, hi in _SPACE_BOUNDS[space]]
     return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
 

@@ -35,7 +35,7 @@ from qgames import (
     TournamentConfig,
     verify_eps_nash,
 )
-from qgames.noise import _PAULIS, _pauli_weights
+from qgames.ewl import _PAULIS, _pauli_weights
 
 from circuit import entangled_ket
 from kraus import depolarizing_kraus_1q

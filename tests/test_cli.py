@@ -701,10 +701,15 @@ class TestExitCodes:
                          str(tmp_path / "out"), "--quiet"]) == 3
 
     # Sizes past the 64-bit address space: numpy refuses them before it
-    # allocates anything.
+    # allocates anything (the last four with a ValueError, which the
+    # library turns into a RangeError first).
     @pytest.mark.parametrize("command, config", [
         ("sweep", {"sweep": {"steps": 1e14}}),
         ("landscape", {"search": {"grid_resolution": 1000000, "space": "B"}}),
+        ("sweep", {"sweep": {"steps": 2 ** 61}}),
+        ("landscape", {"search": {"grid_resolution": 2 ** 62}}),
+        ("landscape", {"search": {"grid_resolution": 2 ** 21, "space": "B"}}),
+        ("advantage", {"search": {"grid_resolution": 2 ** 62}}),
     ])
     def test_unallocatable_result_is_3(self, tmp_path, capsys, command, config):
         cfgfile = tmp_path / "big.json"

@@ -18,8 +18,7 @@ from qgames import (
     run_protocol_mixed,
 )
 from qgames.errors import RangeError, ValidationError
-from qgames.ewl import strategy_matrix
-from qgames.noise import _PAULIS
+from qgames.ewl import _PAULIS, strategy_matrix
 from qgames.qcore import DEFECT_GATE, SIGMA_X, entangler_generator
 from qgames.search import _QUATERNION_BASIS, _induced_tables
 

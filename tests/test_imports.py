@@ -50,13 +50,13 @@ MOVED = {
 # the qgames modules every command loads, and what each command adds
 BASE = ["cli", "errors", "ewl", "games", "qcore", "specs"]
 ADDED = {
-    "payoff": ["noise"],
+    "payoff": [],
     "noise": ["noise"],
     "sweep": ["noise"],
     "equilibria": ["search"],
     "landscape": ["search"],
     "advantage": ["noise", "search"],
-    "tournament": ["hft", "noise"],
+    "tournament": ["hft"],
     "correlated": [],
 }
 
@@ -98,7 +98,7 @@ class TestImportFootprint:
 
     def test_a_name_loads_its_home_module(self):
         assert loaded_after("import qgames\nqgames.run_protocol") == [
-            "errors", "ewl", "games", "qcore"]
+            "errors", "ewl", "games", "qcore", "specs"]
 
     def test_a_submodule_resolves_as_an_attribute(self):
         # `import qgames` bound every submodule before; the attribute still works

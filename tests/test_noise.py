@@ -7,6 +7,7 @@ from qgames import (
     ChannelLocation,
     EntanglerMode,
     Gate1Q,
+    MixedQuantumStrategy,
     NoiseKind,
     NoiseSpec,
     SearchConfig,
@@ -19,12 +20,13 @@ from qgames import (
     hft_game,
     outcome_amplitudes,
     run_protocol,
+    run_protocol_mixed,
     run_protocol_noisy,
     verify_eps_nash,
 )
 from qgames.errors import ConvergenceError, RangeError, ValidationError
-from qgames.ewl import strategy_matrix
-from qgames.noise import _PAULIS, _pauli_weights, symmetric_equilibrium_gate
+from qgames.ewl import _PAULIS, _pauli_weights, strategy_matrix
+from qgames.noise import symmetric_equilibrium_gate
 
 from kraus import apply_channel, kraus_probs
 
@@ -50,6 +52,13 @@ def random_gate(rng):
     return gate_from_B(StrategyParamsB(rng.uniform(0, np.pi / 2),
                                        rng.uniform(-np.pi, np.pi),
                                        rng.uniform(-np.pi, np.pi)))
+
+
+def random_mixture(rng):
+    """A mixture of 1 to 3 random gates with random weights."""
+    n = int(rng.integers(1, 4))
+    return MixedQuantumStrategy(zip(rng.dirichlet(np.ones(n)),
+                                    [random_gate(rng) for _ in range(n)]))
 
 
 class TestNoiseSpec:
@@ -166,8 +175,8 @@ class TestChannels:
 
 
 class TestPauliMixtureOracle:
-    """run_protocol_noisy (a Pauli mixture through the kernel) against
-    the Kraus density-matrix path."""
+    """run_protocol_noisy and run_protocol_mixed (Pauli mixtures through
+    the kernel) against the Kraus density-matrix path."""
 
     KINDS = (NoiseKind.PER_QUBIT_DEPOLARIZING, NoiseKind.TWO_QUBIT_DEPOLARIZING)
     LOCATIONS = (ChannelLocation.RETURN, ChannelLocation.FORWARD)
@@ -187,6 +196,42 @@ class TestPauliMixtureOracle:
                     assert np.abs(got.distribution.probs - want).max() < 1e-12
                     assert abs(got.payoff_I - want @ a) < 1e-12
                     assert abs(got.payoff_II - want @ b) < 1e-12
+
+    def test_mixtures_match_kraus_mixture(self):
+        rng = np.random.default_rng(65)
+        a, b = PD.payoff_vectors()
+        for kind in self.KINDS:
+            for location in self.LOCATIONS:
+                for p in (0.0, float(rng.uniform(0, 1)), 1.0):
+                    for mode in MODES:
+                        spec = NoiseSpec(kind=kind, p=p, location=location)
+                        m1, m2 = random_mixture(rng), random_mixture(rng)
+                        gamma = rng.uniform(0, np.pi / 2)
+                        want = sum(w1 * w2 * kraus_probs(gamma, mode, u.matrix, v.matrix,
+                                                         kind, p, location)
+                                   for w1, u in m1.support for w2, v in m2.support)
+                        got = run_protocol_mixed(PD, gamma, mode, m1, m2, spec)
+                        assert np.abs(got.distribution.probs - want).max() < 1e-12
+                        assert abs(got.payoff_I - want @ a) < 1e-12
+                        assert abs(got.payoff_II - want @ b) < 1e-12
+
+    def test_point_masses_equal_the_noisy_run_bit_for_bit(self):
+        rng = np.random.default_rng(66)
+        point_mass = MixedQuantumStrategy.point_mass
+        for kind in (NoiseKind.NONE, *self.KINDS):
+            for location in self.LOCATIONS:
+                for p in (0.0, float(rng.uniform(0, 1)), 1.0):
+                    for mode in MODES:
+                        spec = NoiseSpec(kind=kind, p=p, location=location)
+                        u, v = random_gate(rng), random_gate(rng)
+                        gamma = rng.uniform(0, np.pi / 2)
+                        mixed = run_protocol_mixed(PD, gamma, mode, point_mass(u),
+                                                   point_mass(v), spec)
+                        noisy = run_protocol_noisy(PD, gamma, mode, u, v, spec)
+                        assert (mixed.distribution.probs.tobytes()
+                                == noisy.distribution.probs.tobytes())
+                        assert mixed.payoff_I == noisy.payoff_I
+                        assert mixed.payoff_II == noisy.payoff_II
 
     def test_kraus_locations_coincide(self):
         # The reference itself shows FORWARD == RETURN: depolarizing

@@ -28,4 +28,4 @@ def test_quick_start_values():
         if comment:
             checked.append(float(comment.group(1)))
             assert value == pytest.approx(checked[-1], abs=1e-9)
-    assert checked == [3.0, 5.0, 2.5, 2.25]
+    assert checked == [3.0, 5.0, 2.5, 2.25, 2.25]
