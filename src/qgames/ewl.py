@@ -245,7 +245,7 @@ def run_protocol(game: Bimatrix, gamma: float, mode: EntanglerMode,
 class MixedQuantumStrategy(_Value):
     """A finite probability mixture over 1-qubit strategies."""
 
-    __slots__ = ("support",)
+    __slots__ = ("support", "_stacked")
 
     def __init__(self, support):
         entries = []
@@ -263,6 +263,10 @@ class MixedQuantumStrategy(_Value):
         if abs(total - 1.0) > _ATOL:
             raise ValidationError(f"mixed-strategy weights sum to {total!r}, expected 1")
         object.__setattr__(self, "support", tuple(entries))
+        stacked = np.array([w for w, _ in entries]), np.array([g.matrix for _, g in entries])
+        for a in stacked:
+            a.setflags(write=False)
+        object.__setattr__(self, "_stacked", stacked)
 
     @classmethod
     def point_mass(cls, gate: Gate1Q) -> "MixedQuantumStrategy":
@@ -272,9 +276,8 @@ class MixedQuantumStrategy(_Value):
         return len(self.support)
 
     def stacked(self) -> tuple:
-        """(weights[n], gate matrices[n, 2, 2]) of the support."""
-        return (np.array([w for w, _ in self.support]),
-                np.array([g.matrix for _, g in self.support]))
+        """(weights[n], gate matrices[n, 2, 2]) of the support, read-only."""
+        return self._stacked
 
 
 def run_protocol_mixed(game: Bimatrix, gamma: float, mode: EntanglerMode,

@@ -16,7 +16,7 @@ from .errors import ConvergenceError, RangeError
 from .ewl import ProtocolResult, noisy_outcome_probs, outcome_amplitudes, strategy_matrix
 from .games import Bimatrix
 from .qcore import EntanglerMode, Gate1Q, check_array_size, clamp_gamma, gate_matrix
-from .specs import ChannelLocation, NoiseKind, NoiseSpec, Player, SearchConfig
+from .specs import ChannelLocation, NoiseKind, NoiseSpec, SearchConfig
 
 
 def run_protocol_noisy(game: Bimatrix, gamma: float, mode: EntanglerMode,
@@ -60,27 +60,23 @@ def symmetric_equilibrium_gate(game: Bimatrix, gamma: float, mode: EntanglerMode
     Grid candidates are ranked by symmetric payoff (ties lexicographic
     in parameters); the first whose exact set-A regret (best response
     minus own payoff) is at most eps_nash for both players is returned.
-    Regrets come from one batched exact optimum per block of candidates,
-    the blocks growing fourfold from 16 so an early equilibrium is cheap.
+    Each block of candidates takes one search._regrets call; the blocks
+    grow fourfold from 16, so an early equilibrium is cheap.
     """
     # only `advantage` needs the solver
-    from .search import _exact_optimum, _grid_points, _payoff_form
+    from .search import _grid_points, _regrets
 
     gamma = clamp_gamma(gamma)
     n = cfg.grid_resolution
     pts = _grid_points("A", n)
     u = strategy_matrix(pts[:, 0], pts[:, 1], 0.0)
-    a, b = game.payoff_vectors()
-    probs = np.abs(outcome_amplitudes(gamma, mode, u, u)) ** 2
-    own = np.stack([probs @ a, probs @ b])
+    own = np.abs(outcome_amplitudes(gamma, mode, u, u)) ** 2 @ game.payoff_vectors()[0]
 
-    order = np.argsort(-own[0], kind="stable")
+    order = np.argsort(-own, kind="stable")
     start, size = 0, 16
     while start < len(order):
         block = order[start:start + size]
-        m = np.stack([_payoff_form(game, gamma, mode, u[block], p) for p in Player])
-        x = _exact_optimum(m, "A")
-        regret = np.einsum("...i,...ij,...j->...", x, m, x) - own[:, block]
+        regret = _regrets(game, gamma, mode, u[block], u[block], "A")
         passed = np.flatnonzero(regret.max(axis=0) <= cfg.eps_nash)
         if passed.size:
             k = block[passed[0]]

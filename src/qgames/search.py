@@ -4,6 +4,8 @@ Best responses are exact: a set-B gate is a unit quaternion x, with
 U = x0*I + i*(x1*sx + x2*sy + x3*sz), and the responder's payoff is a
 real quadratic form x^T M x, maximised by an eigenvector (set A, the
 octant {x1 = 0; x0, x2, x3 >= 0}, by one of a principal submatrix).
+Every regret of a pure profile (verify_eps_nash, noise's symmetric gate
+search) comes from one routine, _regrets.
 The finite-menu mixed-equilibrium solver runs best-response dynamics on
 the induced bimatrix and falls back to support enumeration over the
 strategies of the cycle they reach, then, widened, over every strategy
@@ -14,7 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -29,7 +31,7 @@ from .ewl import (
 )
 from .games import Bimatrix, _rounding
 from .qcore import (I2, SIGMA_X, SIGMA_Y, SIGMA_Z, EntanglerMode, Gate1Q, check_array_size,
-                    clamp_gamma)
+                    clamp_gamma, gate_matrix)
 from .specs import Player, SearchConfig
 
 
@@ -39,7 +41,6 @@ class BestResponse:
     params: Union[StrategyParamsA, StrategyParamsB]
     gate: Gate1Q
     payoff: float
-    improvement: float
 
 
 _SPACE_BOUNDS = {
@@ -66,11 +67,6 @@ def _responder_amplitudes(game, gamma, mode, opponent, responder: Player, u):
     if responder == Player.I:
         return outcome_amplitudes(gamma, mode, u, opponent), a
     return outcome_amplitudes(gamma, mode, opponent, u), b
-
-
-def _responder_payoffs(game, gamma, mode, opponent, responder, u) -> np.ndarray:
-    amps, payvec = _responder_amplitudes(game, gamma, mode, opponent, responder, u)
-    return np.abs(amps) ** 2 @ payvec
 
 
 def _grid_points(space: str, n: int) -> np.ndarray:
@@ -136,41 +132,48 @@ def _require_space(space) -> None:
         raise ValidationError(f"space must be 'A' or 'B', got {space!r}")
 
 
+def _regrets(game, gamma, mode, u1, u2, space) -> np.ndarray:
+    """Both players' exact regrets [2, ...] at the pure profiles of the gate
+    stacks u1[..., 2, 2] and u2[..., 2, 2] (broadcast; gamma validated):
+    each one's optimum in the space against the other's gate, minus own payoff."""
+    # row-by-column products (numpy's dot) on each form as _payoff_form
+    # returns it give every profile of a stack the bits it gets alone
+    probs = (np.abs(outcome_amplitudes(gamma, mode, u1, u2)) ** 2)[..., None, :]
+    regrets = []
+    for responder, opponent, payvec in zip(Player, (u2, u1), game.payoff_vectors()):
+        m = _payoff_form(game, gamma, mode, opponent, responder)
+        x = _exact_optimum(m, space)[..., None, :]
+        regrets.append((x @ m @ np.swapaxes(x, -1, -2) - probs @ payvec[:, None])[..., 0, 0])
+    return np.stack(regrets)
+
+
 def best_response(game: Bimatrix, gamma: float, mode: EntanglerMode,
-                  opponent_gate: Gate1Q, responder: Player, space: str,
-                  incumbent: Optional[Gate1Q] = None) -> BestResponse:
-    """Best reply of one player against a fixed opponent gate.
+                  opponent_gate: Gate1Q, responder: Player, space: str) -> BestResponse:
+    """Best reply of one player against a fixed opponent gate or raw 2x2 matrix.
 
     space is "A" or "B".  The optimum is exact (an eigenproblem, see the
     module docstring), so the B payoff never falls below the A payoff.
-    improvement is relative to the optional incumbent gate and clamped
-    at zero.  Over a finite menu of gates, mixed_quantum_equilibrium's
-    dynamics take the first exact maximum of the induced table.
+    For the regret of a profile, use verify_eps_nash.  Over a finite
+    menu of gates, mixed_quantum_equilibrium's dynamics take the first
+    exact maximum of the induced table.
     """
     _require_space(space)
-    gamma = clamp_gamma(gamma)
-    m = _payoff_form(game, gamma, mode, opponent_gate.matrix, responder)
+    m = _payoff_form(game, clamp_gamma(gamma), mode, gate_matrix(opponent_gate), responder)
     x = _exact_optimum(m, space)
-    payoff = float(x @ m @ x)
     theta, alpha, beta = _angles(x)
     params = (StrategyParamsA(theta=theta, phi=alpha) if space == "A"
               else StrategyParamsB(theta=theta, alpha=alpha, beta=beta))
-    improvement = 0.0
-    if incumbent is not None:
-        base = float(_responder_payoffs(game, gamma, mode, opponent_gate.matrix, responder,
-                                        incumbent.matrix))
-        improvement = max(0.0, payoff - base)
     return BestResponse(responder=responder, params=params,
                         gate=Gate1Q(strategy_matrix(theta, alpha, beta)),
-                        payoff=payoff, improvement=float(improvement))
+                        payoff=float(x @ m @ x))
 
 
 def verify_eps_nash(game: Bimatrix, gamma: float, mode: EntanglerMode,
                     u1: Gate1Q, u2: Gate1Q, space: str, cfg: SearchConfig) -> tuple:
-    """(is_equilibrium, max_improvement) for the profile (u1, u2)."""
-    br1 = best_response(game, gamma, mode, u2, Player.I, space, incumbent=u1)
-    br2 = best_response(game, gamma, mode, u1, Player.II, space, incumbent=u2)
-    worst = max(br1.improvement, br2.improvement)
+    """(is_equilibrium, max_improvement) of (u1, u2): the larger exact regret, or 0."""
+    _require_space(space)
+    worst = max(0.0, *_regrets(game, clamp_gamma(gamma), mode, gate_matrix(u1),
+                               gate_matrix(u2), space).tolist())
     return worst <= cfg.eps_nash, worst
 
 
@@ -184,10 +187,10 @@ def payoff_landscape(game: Bimatrix, gamma: float, mode: EntanglerMode,
     """
     _require_space(space)
     pts = _grid_points(space, cfg.grid_resolution)
-    beta = pts[:, 2] if space == "B" else 0.0
-    vals = _responder_payoffs(game, clamp_gamma(gamma), mode, fixed_opponent.matrix, responder,
-                              strategy_matrix(pts[:, 0], pts[:, 1], beta))
-    data = np.column_stack([pts, vals])
+    u = strategy_matrix(pts[:, 0], pts[:, 1], pts[:, 2] if space == "B" else 0.0)
+    amps, payvec = _responder_amplitudes(game, clamp_gamma(gamma), mode,
+                                         gate_matrix(fixed_opponent), responder, u)
+    data = np.column_stack([pts, np.abs(amps) ** 2 @ payvec])
     names = ("theta", "phi", "payoff") if space == "A" else ("theta", "alpha", "beta", "payoff")
     return names, data
 
@@ -255,11 +258,8 @@ def default_menu(mode: EntanglerMode) -> list:
 
 @functools.cache
 def _default_menu(mode: EntanglerMode) -> tuple:
-    named = canonical_gates(mode)
-    angles = np.linspace(-np.pi, np.pi, _MENU_POINTS)
-    grid = np.meshgrid(np.linspace(0, np.pi / 2, _MENU_POINTS), angles, angles, indexing="ij")
-    grid_gates = [Gate1Q(u) for u in strategy_matrix(*grid).reshape(-1, 2, 2)]
-    return (named.C, named.D, named.Q, *grid_gates)
+    grid = strategy_matrix(*_grid_points("B", _MENU_POINTS).T)
+    return (*canonical_gates(mode), *map(Gate1Q, grid))
 
 
 def _induced_tables(game, gamma, mode, u):
@@ -333,7 +333,7 @@ def _solve_support(pi, pii, r_sub, c_sub, eps):
 
 def mixed_quantum_equilibrium(game: Bimatrix, gamma: float, mode: EntanglerMode,
                               menu: Sequence[Gate1Q], cfg: SearchConfig) -> MixedEquilibriumResult:
-    """Equilibrium of the finite game induced by a gate menu.
+    """Equilibrium of the finite game induced by a menu of gates or raw 2x2 matrices.
 
     Pure best-response dynamics run first; a pure fixed point is
     returned directly.  When the dynamics cycle, equal-size support
@@ -344,7 +344,7 @@ def mixed_quantum_equilibrium(game: Bimatrix, gamma: float, mode: EntanglerMode,
     payoff sum is returned (players coordinating on the best available
     equilibrium).
     """
-    menu = tuple(menu)
+    menu = tuple(g if isinstance(g, Gate1Q) else Gate1Q(g) for g in menu)
     if not menu:
         raise ValidationError("menu must be nonempty")
     gamma = clamp_gamma(gamma)

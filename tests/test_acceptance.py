@@ -111,11 +111,12 @@ def test_criterion_05_dilemma_restored_in_full_space():
     with criterion(5, "best response to Q in set B exceeds 3.5 (pinned at 5)"):
         for mode in MODES:
             named = canonical_gates(mode)
-            br = best_response(PD, np.pi / 2, mode, named.Q, Player.I, "B",
-                               incumbent=named.Q)
+            br = best_response(PD, np.pi / 2, mode, named.Q, Player.I, "B")
             assert br.payoff > 3.5
             assert abs(br.payoff - 5.0) < 1e-6  # oracle-pinned optimum
-            assert br.improvement > 1.9
+            _, improvement = verify_eps_nash(PD, np.pi / 2, mode, named.Q, named.Q, "B",
+                                             DEFAULT_SEARCH)
+            assert improvement > 1.9
 
 
 def test_criterion_06_mixed_quantum_equilibrium():

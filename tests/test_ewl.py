@@ -6,6 +6,8 @@ from qgames import (
     EntanglerMode,
     Gate1Q,
     MixedQuantumStrategy,
+    NoiseKind,
+    NoiseSpec,
     StrategyParamsA,
     StrategyParamsB,
     canonical_gates,
@@ -18,7 +20,7 @@ from qgames import (
     run_protocol_mixed,
 )
 from qgames.errors import RangeError, ValidationError
-from qgames.ewl import _PAULIS, strategy_matrix
+from qgames.ewl import _PAULIS, noisy_outcome_probs, strategy_matrix
 from qgames.qcore import DEFECT_GATE, SIGMA_X, entangler_generator
 from qgames.search import _QUATERNION_BASIS, _induced_tables
 
@@ -427,6 +429,33 @@ class TestMixedStrategies:
         r = run_protocol_mixed(PD, 0.0, EntanglerMode.DEFECT, m, m)
         assert abs(r.payoff_I - 9 / 4) < 1e-12 and abs(r.payoff_II - 9 / 4) < 1e-12
         assert np.abs(r.distribution.probs - 0.25).max() < 1e-12
+
+    def test_stacked_arrays_are_built_once_and_read_only(self):
+        named = canonical_gates(EntanglerMode.DEFECT)
+        m = MixedQuantumStrategy([(0.25, named.C), (0.75, np.diag([1j, -1j]))])
+        w, u = m.stacked()
+        assert all(a is b for a, b in zip(m.stacked(), (w, u)))
+        assert not w.flags.writeable and not u.flags.writeable
+        assert w.tolist() == [0.25, 0.75]
+        assert u.tobytes() == np.array([g.matrix for _, g in m.support]).tobytes()
+        with pytest.raises(ValueError):
+            u[0, 0, 0] = 0.0
+
+    def test_mixed_runs_equal_the_mixture_of_fresh_arrays_bit_for_bit(self):
+        # the weighted sum over arrays built from the support on each call
+        kinds = [NoiseSpec(), NoiseSpec(kind=NoiseKind.TWO_QUBIT_DEPOLARIZING, p=0.3),
+                 NoiseSpec(kind=NoiseKind.PER_QUBIT_DEPOLARIZING, p=0.7)]
+        for k, (rng, gamma, mode) in enumerate(kernel_cases(3008, 12)):
+            m1 = MixedQuantumStrategy(list(zip(rng.dirichlet(np.ones(3)), random_gates(rng, 3))))
+            m2 = MixedQuantumStrategy(list(zip(rng.dirichlet(np.ones(2)), random_gates(rng, 2))))
+            noise = kinds[k % 3]
+            (w1, u1), (w2, u2) = ((np.array([w for w, _ in m.support]),
+                                   np.array([g.matrix for _, g in m.support])) for m in (m1, m2))
+            want = np.einsum("i,j,ijk->k", w1, w2,
+                             noisy_outcome_probs(gamma, mode, u1[:, None], u2[None, :], noise))
+            for _ in range(2):
+                r = run_protocol_mixed(PD, gamma, mode, m1, m2, noise=noise)
+                assert r.distribution.probs.tobytes() == want.tobytes()
 
     def test_empty_support_rejected(self):
         with pytest.raises(ValidationError):

@@ -24,6 +24,8 @@ from qgames import search
 from qgames.errors import ConvergenceError, RangeError, ValidationError
 from qgames.ewl import strategy_matrix
 
+from circuit import KET00, entangler
+
 PD = canonical_pd()
 MODES = list(EntanglerMode)
 FAST = SearchConfig(grid_resolution=16, eps_nash=1e-6)
@@ -103,10 +105,11 @@ class TestBestResponse:
             assert abs(br.payoff - 5.0) < 1e-6  # pinned optimum
 
     def test_improvement_vs_incumbent(self):
+        # the reply to C pays 5, the incumbent C 3: (C, C) at gamma 0 in set A
         named = canonical_gates(EntanglerMode.DEFECT)
-        br = best_response(PD, 0.0, EntanglerMode.DEFECT, named.C, Player.I, "A",
-                           incumbent=named.C)
-        assert abs(br.improvement - 2.0) < 1e-9
+        _, improvement = verify_eps_nash(PD, 0.0, EntanglerMode.DEFECT, named.C, named.C, "A",
+                                         FAST)
+        assert abs(improvement - 2.0) < 1e-9
 
     def test_space_b_dominates_space_a_500_seeds(self):
         rng = np.random.default_rng(555)
@@ -239,11 +242,120 @@ class TestVerifyEpsNash:
 
     def test_symmetric_improvements_match(self):
         named = canonical_gates(EntanglerMode.DEFECT)
-        br1 = best_response(PD, np.pi / 2, EntanglerMode.DEFECT, named.Q, Player.I,
-                            "B", incumbent=named.Q)
-        br2 = best_response(PD, np.pi / 2, EntanglerMode.DEFECT, named.Q, Player.II,
-                            "B", incumbent=named.Q)
-        assert abs(br1.improvement - br2.improvement) < 1e-6
+        r1, r2 = search._regrets(PD, np.pi / 2, EntanglerMode.DEFECT, named.Q.matrix,
+                                 named.Q.matrix, "B")
+        assert abs(r1 - r2) < 1e-6
+
+
+def haar_gates(rng, n):
+    """n Haar-random 2x2 unitaries (QR of complex Gaussian matrices with
+    the phases of R's diagonal moved into Q; Mezzadri, Notices AMS 54,
+    592 (2007))."""
+    z = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[:, None, :]
+
+
+def dense_payoffs(game, gamma, mode, u1, u2):
+    """(payoff_I, payoff_II) of the gate stacks u1[..., 2, 2] and
+    u2[..., 2, 2] through the dense 4x4 circuit, not the kernel."""
+    pair = u1[..., :, None, :, None] * u2[..., None, :, None, :]
+    pair = pair.reshape(pair.shape[:-4] + (4, 4))
+    j = entangler(gamma, mode)
+    probs = np.abs(j.conj().T @ pair @ (j @ KET00)) ** 2
+    a, b = game.payoff_vectors()
+    return probs @ a, probs @ b
+
+
+RANDOM_GAME = Bimatrix(np.array([[4.0, -2.0], [7.0, 1.0]]), np.array([[3.0, 6.0], [-1.0, 2.0]]))
+
+
+class TestRegrets:
+    """search._regrets, the one regret routine of verify_eps_nash and of
+    noise.symmetric_equilibrium_gate."""
+
+    @pytest.mark.parametrize("space", ["A", "B"])
+    @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
+    def test_rows_are_best_reply_minus_own_payoff_bit_for_bit(self, mode, space):
+        # a stack against a stack, and a stack against one gate
+        rng = np.random.default_rng(2401)
+        u1, u2 = random_b_gates(2402, 24), random_b_gates(2403, 24)
+        for game in (PD, RANDOM_GAME):
+            for gamma in (0.0, np.pi / 2, *rng.uniform(0, np.pi / 2, 2)):
+                for v1, v2 in ((u1, u2), (u1, u2[0])):
+                    regrets = search._regrets(game, gamma, mode, v1, v2, space)
+                    assert regrets.shape == (2, 24)
+                    for k, (g1, g2) in enumerate(zip(*np.broadcast_arrays(v1, v2))):
+                        own = run_protocol(game, gamma, mode, g1, g2)
+                        want = np.array([
+                            best_response(game, gamma, mode, g2, Player.I, space).payoff
+                            - own.payoff_I,
+                            best_response(game, gamma, mode, g1, Player.II, space).payoff
+                            - own.payoff_II])
+                        assert regrets[:, k].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("space", ["A", "B"])
+    def test_no_regret_below_the_best_of_random_deviations(self, space):
+        # 10^4 deviations: Haar-random unitaries for set B (which holds
+        # every unitary up to a phase), uniform (theta, phi) for set A
+        rng = np.random.default_rng(2404 if space == "B" else 2405)
+        n = 10_000
+        if space == "B":
+            dev = haar_gates(rng, n)
+        else:
+            dev = strategy_matrix(rng.uniform(0, np.pi / 2, n), rng.uniform(0, np.pi / 2, n), 0.0)
+        for game in (PD, RANDOM_GAME):
+            for mode in MODES:
+                for _ in range(3):
+                    gamma = rng.uniform(0, np.pi / 2)
+                    u1, u2 = haar_gates(rng, 2)
+                    r1, r2 = search._regrets(game, gamma, mode, u1, u2, space)
+                    own1, own2 = dense_payoffs(game, gamma, mode, u1, u2)
+                    best1 = dense_payoffs(game, gamma, mode, dev, u2)[0].max()
+                    best2 = dense_payoffs(game, gamma, mode, u1, dev)[1].max()
+                    assert r1 >= best1 - own1 - 1e-12
+                    assert r2 >= best2 - own2 - 1e-12
+
+
+class TestRawMatrices:
+    """Every search function validates a raw 2x2 matrix as a Gate1Q,
+    like run_protocol does."""
+
+    def test_raw_matrices_answer_like_gates(self):
+        named = canonical_gates(EntanglerMode.DEFECT)
+        raw_q = np.diag([1j, -1j])
+        mode = EntanglerMode.DEFECT
+        raw, gate = (best_response(PD, np.pi / 2, mode, u, Player.I, "B") for u in (raw_q, named.Q))
+        assert (raw.params, raw.payoff) == (gate.params, gate.payoff)
+        assert raw.gate.matrix.tobytes() == gate.gate.matrix.tobytes()
+        assert (verify_eps_nash(PD, np.pi / 2, mode, raw_q, raw_q, "B", FAST)
+                == verify_eps_nash(PD, np.pi / 2, mode, named.Q, named.Q, "B", FAST))
+        for space in "AB":
+            _, raw = payoff_landscape(PD, 0.7, mode, space, raw_q, TINY)
+            _, gate = payoff_landscape(PD, 0.7, mode, space, named.Q, TINY)
+            assert raw.tobytes() == gate.tobytes()
+        menu = [g.matrix for g in default_menu(mode)]
+        raw = mixed_quantum_equilibrium(PD, np.pi / 2, mode, menu, FAST)
+        gate = mixed_quantum_equilibrium(PD, np.pi / 2, mode, default_menu(mode), FAST)
+        assert (raw.payoff_I, raw.payoff_II, raw.method) == (gate.payoff_I, gate.payoff_II,
+                                                             gate.method)
+        for (w, g), (v, h) in zip(raw.strategy_I.support + raw.strategy_II.support,
+                                  gate.strategy_I.support + gate.strategy_II.support):
+            assert w == v and g.matrix.tobytes() == h.matrix.tobytes()
+
+    @pytest.mark.parametrize("call", [
+        lambda u: best_response(PD, 0.0, EntanglerMode.DEFECT, u, Player.I, "A"),
+        lambda u: verify_eps_nash(PD, 0.0, EntanglerMode.DEFECT, u, np.eye(2), "A", FAST),
+        lambda u: verify_eps_nash(PD, 0.0, EntanglerMode.DEFECT, np.eye(2), u, "A", FAST),
+        lambda u: payoff_landscape(PD, 0.0, EntanglerMode.DEFECT, "A", u, FAST),
+        lambda u: mixed_quantum_equilibrium(PD, 0.0, EntanglerMode.DEFECT, [np.eye(2), u],
+                                            FAST),
+    ], ids=["best_response", "verify_eps_nash-I", "verify_eps_nash-II", "payoff_landscape",
+            "mixed_quantum_equilibrium"])
+    def test_a_non_unitary_matrix_is_a_validation_error(self, call):
+        with pytest.raises(ValidationError, match="not unitary"):
+            call(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
 class TestLandscape:
