@@ -42,16 +42,16 @@ from .qcore import (
     _ATOL,
     _Value,
     clamp_gamma,
-    entangler_generator,
     gate_matrix,
 )
 from .specs import ChannelLocation, NoiseKind, NoiseSpec
 
-# Each generator is a signed reversal of the basis: its only nonzero
-# entries are G[3 - k, k] = +-1, so (psi @ G)[k] = sign[k] * psi[3 - k]
-# (sx (x) sx: all +1; Dg (x) Dg: -1 on |01> and |10>).  Read-only views.
-_REVERSAL_SIGNS = {mode: entangler_generator(mode)[::-1].diagonal().real
-                   for mode in EntanglerMode}
+# G (sx (x) sx, or Dg (x) Dg) is a signed reversal of the basis: its only
+# nonzero entries are G[3 - k, k] = +-1, so (psi @ G)[k] = sign[k] * psi[3 - k].
+_REVERSAL_SIGNS = {EntanglerMode.PAULI_X: np.array([1.0, 1.0, 1.0, 1.0]),
+                   EntanglerMode.DEFECT: np.array([1.0, -1.0, -1.0, 1.0])}
+for _sign in _REVERSAL_SIGNS.values():
+    _sign.setflags(write=False)
 
 
 def _check_range(name: str, value: float, lo: float, hi: float) -> float:

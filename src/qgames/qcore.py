@@ -7,8 +7,8 @@ Conventions used throughout the package:
     Player II (column player).
   * 1-qubit gates are 2x2 complex128 matrices; in U1 (x) U2 the left
     factor acts on Player I's qubit.
-  * The entangler is J(g) = cos(g/2) I + i sin(g/2) G; _GENERATORS
-    holds the one definition of G per EntanglerMode.
+  * The entangler is J(g) = cos(g/2) I + i sin(g/2) G, G per
+    EntanglerMode; ewl applies G as a signed reversal of the basis.
   * Everything is evaluated exactly (no sampling); an
     OutcomeDistribution is the full Born-rule distribution.
 """
@@ -56,12 +56,25 @@ for _m in (I2, SIGMA_X, SIGMA_Y, SIGMA_Z, DEFECT_GATE):
 class _Value:
     """Base of the validated value types.  Each stores one field, named
     first in its __slots__, set once by __init__ through
-    object.__setattr__; an array field is stored read-only."""
+    object.__setattr__; an array field is stored read-only.  Values
+    compare by type and field entries, and equal values hash alike."""
 
     __slots__ = ()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        a, b = (getattr(v, self.__slots__[0]) for v in (self, other))
+        return bool(np.array_equal(a, b)) if isinstance(a, np.ndarray) else a == b
+
+    def __hash__(self):
+        value = getattr(self, self.__slots__[0])
+        if isinstance(value, np.ndarray):
+            value = (value + 0.0).tobytes()  # + 0.0 turns -0.0 into 0.0
+        return hash((type(self), value))
 
     def __repr__(self):
         value = getattr(self, self.__slots__[0])
@@ -163,17 +176,3 @@ def check_array_size(count: int, what: str) -> None:
     if count > _MAX_FLOATS:
         raise RangeError(f"{what}: more values than a numpy array can hold")
 
-
-_GENERATORS = {
-    EntanglerMode.PAULI_X: np.kron(SIGMA_X, SIGMA_X),
-    EntanglerMode.DEFECT: np.kron(DEFECT_GATE, DEFECT_GATE),
-}
-for _m in _GENERATORS.values():
-    _m.setflags(write=False)
-
-
-def entangler_generator(mode: EntanglerMode) -> np.ndarray:
-    try:
-        return _GENERATORS[mode]
-    except (KeyError, TypeError):
-        raise ValidationError(f"unknown entangler mode: {mode!r}") from None

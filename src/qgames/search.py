@@ -6,10 +6,10 @@ real quadratic form x^T M x, maximised by an eigenvector (set A, the
 octant {x1 = 0; x0, x2, x3 >= 0}, by one of a principal submatrix).
 Every regret of a pure profile (verify_eps_nash, noise's symmetric gate
 search) comes from one routine, _regrets.
-The finite-menu mixed-equilibrium solver runs best-response dynamics on
-the induced bimatrix and falls back to support enumeration over the
-strategies of the cycle they reach, then, widened, over every strategy
-they visited.
+The finite-menu mixed-equilibrium solver keeps one gate per global
+phase class of its menu, runs best-response dynamics on the induced
+bimatrix and falls back to support enumeration over the strategies of
+the cycle they reach, then, widened, over every strategy they visited.
 """
 from __future__ import annotations
 
@@ -219,10 +219,14 @@ def phase_canonical_keys(matrices: np.ndarray) -> list:
     return [row.tobytes() for row in products]
 
 
-# Gates hash and compare by identity and the cache holds them, so a hit
-# returns the result computed for the same (immutable) gate objects; a
-# menu asked for repeatedly, like default_menu's, is deduplicated once.
-@functools.lru_cache(maxsize=16)
+def _first_of_each_phase_class(matrices: np.ndarray) -> list:
+    """Indices of the first gate of each global-phase class of matrices[n, 2, 2]."""
+    first = {}
+    for i, key in enumerate(phase_canonical_keys(matrices)):
+        first.setdefault(key, i)
+    return list(first.values())
+
+
 def _dedup_menu(menu: tuple) -> tuple:
     """(reps, matrices): first-occurrence representatives of the menu's
     phase-equivalent gates, in menu order, as a tuple, and their stacked
@@ -230,25 +234,18 @@ def _dedup_menu(menu: tuple) -> tuple:
 
     A global phase on either player's gate cannot change the outcome
     distribution, so equivalent menu entries induce identical rows of
-    the finite game.  The menu is stacked once and keyed by one
-    phase_canonical_keys call.
+    the finite game.
     """
     stack = np.array([g.matrix for g in menu])
-    keep, seen = [], set()
-    for i, key in enumerate(phase_canonical_keys(stack)):
-        if key not in seen:
-            seen.add(key)
-            keep.append(i)
+    keep = _first_of_each_phase_class(stack)
     stack = stack[keep]
     stack.setflags(write=False)
     return tuple(menu[i] for i in keep), stack
 
 
-_MENU_POINTS = 5  # values per axis of default_menu's set-B grid
-
-
 def default_menu(mode: EntanglerMode) -> list:
-    """Named gates C, D, Q plus a uniform set-B parameter grid.
+    """The distinct gates, up to a global phase, of C, D, Q and the set-B
+    parameter grid of 5 points per axis: 28 of those 128 gates, in order.
 
     The gates are built once per mode and shared (a Gate1Q is
     immutable); each call returns a new list of them.
@@ -258,8 +255,11 @@ def default_menu(mode: EntanglerMode) -> list:
 
 @functools.cache
 def _default_menu(mode: EntanglerMode) -> tuple:
-    grid = strategy_matrix(*_grid_points("B", _MENU_POINTS).T)
-    return (*canonical_gates(mode), *map(Gate1Q, grid))
+    named = canonical_gates(mode)
+    raw = np.concatenate(([g.matrix for g in named],
+                          strategy_matrix(*_grid_points("B", 5).T)))
+    # C, D and Q differ by more than a phase, so each is its class's first
+    return (*named, *map(Gate1Q, raw[_first_of_each_phase_class(raw)[3:]]))
 
 
 def _induced_tables(game, gamma, mode, u):

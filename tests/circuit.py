@@ -4,20 +4,24 @@ The library computes the outcome amplitudes without a 4x4 matrix
 (qgames.ewl.outcome_amplitudes).  This module builds the textbook
 circuit in plain numpy, so the tests can compare the two (Eisert,
 Wilkens & Lewenstein, PRL 83, 3077 (1999)).  Gates are plain 2x2
-arrays; G is read from qgames.qcore, the one definition of the
-entangler generator.
+arrays, and the entangler generators G are built here from their own
+literals, independent of the library: a wrong G in the kernel fails
+the kernel-versus-circuit tests.
 """
 import numpy as np
 
-from qgames.qcore import entangler_generator
-
 KET00 = np.array([1.0, 0.0, 0.0, 0.0], dtype=np.complex128)
+
+_SX = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+_DG = np.array([[0, 1], [-1, 0]], dtype=np.complex128)
+# G by EntanglerMode value: sx (x) sx and Dg (x) Dg
+GENERATORS = {"pauli_x": np.kron(_SX, _SX), "defect": np.kron(_DG, _DG)}
 
 
 def entangler(gamma, mode):
     """J(gamma) = cos(gamma/2) I4 + i sin(gamma/2) G(mode), a 4x4 array."""
     return (np.cos(gamma / 2) * np.eye(4, dtype=np.complex128)
-            + 1j * np.sin(gamma / 2) * entangler_generator(mode))
+            + 1j * np.sin(gamma / 2) * GENERATORS[mode.value])
 
 
 def local_pair(u1, u2):

@@ -21,10 +21,10 @@ from qgames import (
 )
 from qgames.errors import RangeError, ValidationError
 from qgames.ewl import _PAULIS, noisy_outcome_probs, strategy_matrix
-from qgames.qcore import DEFECT_GATE, SIGMA_X, entangler_generator
+from qgames.qcore import DEFECT_GATE, SIGMA_X
 from qgames.search import _QUATERNION_BASIS, _induced_tables
 
-from circuit import KET00, born_probs, final_amplitudes
+from circuit import GENERATORS, KET00, born_probs, final_amplitudes
 
 PD = canonical_pd()
 MODES = list(EntanglerMode)
@@ -35,7 +35,7 @@ def reference_kernel(gamma, mode, u1, u2):
     as its bit-identity reference: J|00> reshaped to the 2x2 matrix m0
     turns the local pair into U1 @ m0 @ U2^T, and right-multiplying its
     flattening by conj(J) = cos(g/2) I - i sin(g/2) G applies J-dagger."""
-    gen = entangler_generator(mode)
+    gen = GENERATORS[mode.value]
     half = np.asarray(gamma, dtype=np.float64)[..., None] / 2
     c, s = np.cos(half), np.sin(half)
     m0 = (c * KET00 + 1j * s * gen[:, 0]).reshape(half.shape[:-1] + (2, 2))

@@ -1,6 +1,7 @@
 """Unit and property tests for the validated values of qgames.qcore,
-and for the dense 4x4 circuit reference (tests/circuit.py) that the
-kernel tests compare against: its conventions are pinned here."""
+their value equality, and the dense 4x4 circuit reference
+(tests/circuit.py) that the kernel tests compare against: its
+conventions are pinned here."""
 import numpy as np
 import pytest
 
@@ -12,7 +13,12 @@ from qgames import (
     JointDistribution,
     MixedQuantumStrategy,
     OutcomeDistribution,
+    Player,
     PureState2Q,
+    best_response,
+    canonical_gates,
+    canonical_pd,
+    run_protocol,
 )
 from qgames.errors import RangeError, ValidationError
 from qgames.qcore import DEFECT_GATE, I2, SIGMA_X, clamp_gamma
@@ -137,6 +143,42 @@ def test_validated_types_copy_their_input(build, field):
     assert stored.ravel()[0] == 0.25
     with pytest.raises(ValueError):
         stored[(0,) * stored.ndim] = 1.0
+
+
+class TestValueEquality:
+    """Validated values, and the frozen dataclasses holding them, compare
+    by value: two answers to the same question are equal."""
+
+    def test_equal_answers_compare_equal(self):
+        pd, mode = canonical_pd(), EntanglerMode.PAULI_X
+        named = canonical_gates(mode)
+        assert run_protocol(pd, 1.0, mode, named.Q, named.D) == run_protocol(
+            pd, 1.0, mode, named.Q, named.D)
+        assert best_response(pd, 1.0, mode, named.Q, Player.I, "B") == best_response(
+            pd, 1.0, mode, named.Q.matrix, Player.I, "B")
+        assert canonical_gates(mode) == named
+        assert hash(canonical_gates(mode)) == hash(named)
+        half = [(0.5, named.C), (0.5, named.Q)]
+        assert MixedQuantumStrategy(half) == MixedQuantumStrategy(
+            [(0.5, Gate1Q(I2)), (0.5, named.Q.matrix)])
+        assert MixedQuantumStrategy(half) != MixedQuantumStrategy(half[::-1])
+
+    def test_signed_zeros_hash_alike(self):
+        plus = Gate1Q([[1.0, 0.0], [0.0, 1.0]])
+        minus = Gate1Q([[1.0, -0.0], [complex(-0.0, -0.0), 1.0]])
+        assert np.signbit(minus.matrix.view(np.float64)).any()
+        assert plus == minus and hash(plus) == hash(minus)
+        probs = OutcomeDistribution([0.5, 0.0, 0.0, 0.5]), OutcomeDistribution([0.5, -0.0, 0.0, 0.5])
+        assert probs[0] == probs[1] and hash(probs[0]) == hash(probs[1])
+        assert len({plus, minus, Gate1Q(I2)}) == 1
+
+    def test_types_and_entries_tell_values_apart(self):
+        probs = [0.25, 0.25, 0.5, 0.0]
+        assert OutcomeDistribution(probs) != JointDistribution(probs)
+        assert OutcomeDistribution(probs) != OutcomeDistribution(probs[::-1])
+        assert Gate1Q(I2) != Gate1Q(-I2)  # a global phase is a different gate
+        assert PureState2Q([1, 0, 0, 0]) != PureState2Q([0, 0, 0, 1])
+        assert Gate1Q(I2).__eq__(I2) is NotImplemented  # numpy's == decides then
 
 
 class TestValidation:

@@ -459,7 +459,6 @@ class TestMixedQuantumEquilibrium:
         gammas = [np.pi / 2, 1.0]
         want = []
         for menu, gamma in zip(menus, gammas):
-            search._dedup_menu.cache_clear()
             want.append(summary(mixed_quantum_equilibrium(PD, gamma, mode, menu, FAST)))
         for menu, gamma, first in zip(menus, gammas, want):
             caller = list(menu)
@@ -469,13 +468,39 @@ class TestMixedQuantumEquilibrium:
             caller.reverse()
             caller.pop()
             mutated = summary(mixed_quantum_equilibrium(PD, gamma, mode, caller, FAST))
-            search._dedup_menu.cache_clear()
             assert summary(mixed_quantum_equilibrium(PD, gamma, mode, caller, FAST)) == mutated
             assert summary(mixed_quantum_equilibrium(PD, gamma, mode, menu, FAST)) == first
             reps, stack = search._dedup_menu(tuple(menu))
             assert type(reps) is tuple and not stack.flags.writeable
             again = search._dedup_menu(tuple(menu))
-            assert again[0] == reps and again[1] is stack
+            assert again[0] == reps and again[1].tobytes() == stack.tobytes()
+
+    def test_interleaved_menus_solve_as_each_alone(self, monkeypatch):
+        # the default menu, as gates and as raw matrices, before and after
+        # 17 raw-matrix menus: each solves as it does alone, with the
+        # pairwise reference dedup
+        def summary(menu, gamma, mode):
+            try:
+                res = mixed_quantum_equilibrium(PD, gamma, mode, menu, FAST)
+            except ConvergenceError as err:
+                return str(err)
+            return (res.method, res.payoff_I.hex(), res.payoff_II.hex(),
+                    [[(w.hex(), g.matrix.tobytes()) for w, g in s.support]
+                     for s in (res.strategy_I, res.strategy_II)])
+
+        rng = np.random.default_rng(8004)
+        cases = []
+        for m, mode in enumerate(MODES):
+            default = (default_menu(mode), np.pi / 2, mode)
+            raw_default = ([g.matrix for g in default[0]], np.pi / 2, mode)
+            cases += [default, raw_default]
+            cases += [(list(random_b_gates(8010 + 17 * m + k, 8)), rng.uniform(0, np.pi / 2),
+                       mode) for k in range(17)]
+            cases += [default, raw_default]
+        got = [summary(*case) for case in cases]
+        monkeypatch.setattr(search, "_dedup_menu", reference_dedup)
+        assert got == [summary(*case) for case in cases]
+        assert sum(isinstance(r, tuple) for r in got) >= len(cases) // 2
 
     def test_overflowing_menu_table_is_a_range_error(self):
         # every payoff is the largest float; the table's weighted sums of
@@ -593,10 +618,13 @@ class TestDefaultMenu:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_gates_bit_identical_to_a_fresh_build(self, mode):
+        # the 28 phase classes of C, D, Q and the 125 grid gates, each
+        # by its first gate, in build order
+        _, want = reference_dedup([Gate1Q(u) for u in self.uncached(mode)])
         for menu in (default_menu(mode), default_menu(mode)):
-            want = self.uncached(mode)
-            assert len(menu) == len(want) == 3 + 5 ** 3
-            assert all(g.matrix.tobytes() == w.tobytes() for g, w in zip(menu, want))
+            assert len(menu) == len(want) == 28
+            assert np.array([g.matrix for g in menu]).tobytes() == want.tobytes()
+            assert menu[:3] == list(canonical_gates(mode))
 
     def test_repeat_calls_give_the_same_gates(self):
         first = default_menu(EntanglerMode.DEFECT)
