@@ -6,11 +6,11 @@ Angles in configs may be given as radians or as exact "pi" fractions
 ("mixed:[[0.5,\"C\"],[0.5,\"Q\"]]").  Identical configs produce
 byte-identical report files.
 
-A command scores no profile itself (`payoff` calls `run_protocol_mixed`)
-and imports what it calls from `noise`, `search` and `hft` when it runs,
-so a `qgames` process loads only its own command's code; every config is
-still read and validated in full, through `qgames.specs`, whose types
-hold the schema's defaults.
+A command scores no profile itself: `payoff`, `noise` and `sweep` call
+`ewl`'s evaluators, and the other commands import what they call from
+`search`, `noise` and `hft` when they run, so a `qgames` process loads
+only its own command's code; every config is still read and validated
+in full, through `qgames.specs`, whose types hold the schema's defaults.
 """
 from __future__ import annotations
 
@@ -37,8 +37,10 @@ from .ewl import (
     canonical_gates,
     gate_from_A,
     gate_from_B,
+    gamma_sweep,
     run_protocol,
     run_protocol_mixed,
+    run_protocol_noisy,
 )
 from .games import (
     Bimatrix,
@@ -641,8 +643,6 @@ def _cmd_landscape(cfg: RunConfig):
 
 
 def _cmd_sweep(cfg: RunConfig):
-    from .noise import gamma_sweep
-
     gates = _pure_gates(cfg, "sweep")
     steps = cfg.settings["sweep"]["steps"]
     columns, data = gamma_sweep(cfg.game, cfg.mode, gates[0], gates[1], steps)
@@ -657,8 +657,6 @@ def _cmd_sweep(cfg: RunConfig):
 
 
 def _cmd_noise(cfg: RunConfig):
-    from .noise import run_protocol_noisy
-
     gates = _pure_gates(cfg, "noise")
     result = run_protocol_noisy(cfg.game, cfg.gamma, cfg.mode, gates[0], gates[1], cfg.noise)
     dist = [float(x) for x in result.distribution.probs]

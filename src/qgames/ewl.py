@@ -8,7 +8,9 @@ Every evaluation in the package (single runs, mixtures, menu tables,
 sweeps, best responses, noisy runs, tournaments) goes through one
 broadcast kernel, outcome_amplitudes; a profile under a channel goes
 through noisy_outcome_probs, which is the plain kernel under the
-identity channel.  In both entangler modes
+identity channel.  The evaluators of a pure, noisy or mixed profile
+and of an entanglement sweep (run_protocol, run_protocol_noisy,
+run_protocol_mixed, gamma_sweep) are all here.  In both entangler modes
 J|00> = c|00> + i s|11> (c, s = cos, sin of gamma/2) and the generator
 G is a signed reversal of the basis, so the kernel needs no 4x4
 matrix: one einsum holds its only rounding product, and every other
@@ -41,6 +43,8 @@ from .qcore import (
     PureState2Q,
     _ATOL,
     _Value,
+    check_array_size,
+    check_integer,
     clamp_gamma,
     gate_matrix,
 )
@@ -55,8 +59,9 @@ for _sign in _REVERSAL_SIGNS.values():
 
 
 def _check_range(name: str, value: float, lo: float, hi: float) -> float:
+    # 1e-8 of spill: a 9-digit gate name (cli.describe_gate) rounds pi/2 up by 3.2e-9
     v = float(value)
-    if not math.isfinite(v) or v < lo - 1e-12 or v > hi + 1e-12:
+    if not math.isfinite(v) or v < lo - 1e-8 or v > hi + 1e-8:
         raise RangeError(f"{name}={value!r} outside [{lo:.6g}, {hi:.6g}]")
     return min(max(v, lo), hi)
 
@@ -242,6 +247,14 @@ def run_protocol(game: Bimatrix, gamma: float, mode: EntanglerMode,
     return ProtocolResult.score(game, np.abs(state.amps) ** 2, state)
 
 
+def run_protocol_noisy(game: Bimatrix, gamma: float, mode: EntanglerMode,
+                       u1: Gate1Q, u2: Gate1Q, noise: NoiseSpec) -> ProtocolResult:
+    """Protocol run with the channel `noise` at its location: the exact
+    Pauli mixture, which with the identity channel is run_protocol's."""
+    return ProtocolResult.score(game, noisy_outcome_probs(
+        clamp_gamma(gamma), mode, gate_matrix(u1), gate_matrix(u2), noise))
+
+
 class MixedQuantumStrategy(_Value):
     """A finite probability mixture over 1-qubit strategies."""
 
@@ -293,3 +306,18 @@ def run_protocol_mixed(game: Bimatrix, gamma: float, mode: EntanglerMode,
     (w1, u1), (w2, u2) = m1.stacked(), m2.stacked()
     probs = noisy_outcome_probs(clamp_gamma(gamma), mode, u1[:, None], u2[None, :], noise)
     return ProtocolResult.score(game, np.einsum("i,j,ijk->k", w1, w2, probs))
+
+
+def gamma_sweep(game: Bimatrix, mode: EntanglerMode, u1: Gate1Q, u2: Gate1Q,
+                steps: int) -> tuple:
+    """Payoffs of a fixed profile over a uniform entanglement grid.
+
+    Returns (("gamma", "payoff_I", "payoff_II"), rows).  The table is
+    recorded data; no monotonicity is implied.
+    """
+    steps = check_integer("steps", steps, 2)
+    check_array_size(steps, f"steps={steps}")
+    gammas = np.linspace(0.0, np.pi / 2, steps)
+    probs = np.abs(outcome_amplitudes(gammas, mode, gate_matrix(u1), gate_matrix(u2))) ** 2
+    a, b = game.payoff_vectors()
+    return ("gamma", "payoff_I", "payoff_II"), np.column_stack([gammas, probs @ a, probs @ b])

@@ -1,9 +1,10 @@
-"""Noisy single profiles, entanglement sweeps and the noise threshold.
+"""The noise threshold: where noise erodes the quantum advantage.
 
-A noisy run is the exact Pauli mixture of ewl.noisy_outcome_probs
-(re-exported here with the channel's spec types); nothing is sampled.
-The tests check it against a Kraus density-matrix reference
-(tests/kraus.py).
+The symmetric set-A equilibrium profile (search.symmetric_equilibrium_gate)
+is tracked under a depolarizing channel, scored as the exact Pauli
+mixture of ewl.noisy_outcome_probs; nothing is sampled.  The noisy and
+swept evaluators live in ewl; this module re-exports them, with
+noisy_outcome_probs and the channel's spec types.
 """
 from __future__ import annotations
 
@@ -12,35 +13,11 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConvergenceError, RangeError
-from .ewl import ProtocolResult, noisy_outcome_probs, outcome_amplitudes, strategy_matrix
+from .ewl import gamma_sweep, noisy_outcome_probs, run_protocol_noisy
 from .games import Bimatrix
-from .qcore import EntanglerMode, Gate1Q, check_array_size, clamp_gamma, gate_matrix
+from .qcore import EntanglerMode, Gate1Q
+from .search import symmetric_equilibrium_gate
 from .specs import ChannelLocation, NoiseKind, NoiseSpec, SearchConfig
-
-
-def run_protocol_noisy(game: Bimatrix, gamma: float, mode: EntanglerMode,
-                       u1: Gate1Q, u2: Gate1Q, noise: NoiseSpec) -> ProtocolResult:
-    """Protocol run with the channel `noise` at its location: the exact
-    Pauli mixture, which with the identity channel is run_protocol's."""
-    return ProtocolResult.score(game, noisy_outcome_probs(
-        clamp_gamma(gamma), mode, gate_matrix(u1), gate_matrix(u2), noise))
-
-
-def gamma_sweep(game: Bimatrix, mode: EntanglerMode, u1: Gate1Q, u2: Gate1Q,
-                steps: int) -> tuple:
-    """Payoffs of a fixed profile over a uniform entanglement grid.
-
-    Returns (("gamma", "payoff_I", "payoff_II"), rows).  The table is
-    recorded data; no monotonicity is implied.
-    """
-    if steps < 2:
-        raise RangeError(f"steps must be >= 2, got {steps}")
-    check_array_size(steps, f"steps={steps}")
-    gammas = np.linspace(0.0, np.pi / 2, steps)
-    probs = np.abs(outcome_amplitudes(gammas, mode, gate_matrix(u1), gate_matrix(u2))) ** 2
-    a, b = game.payoff_vectors()
-    return ("gamma", "payoff_I", "payoff_II"), np.column_stack([gammas, probs @ a, probs @ b])
 
 
 @dataclass(frozen=True)
@@ -51,39 +28,6 @@ class ThresholdResult:
     payoff_full_noise: float
     limit: float
     gate: Gate1Q
-
-
-def symmetric_equilibrium_gate(game: Bimatrix, gamma: float, mode: EntanglerMode,
-                               cfg: SearchConfig) -> Gate1Q:
-    """Best symmetric set-A equilibrium profile's gate.
-
-    Grid candidates are ranked by symmetric payoff (ties lexicographic
-    in parameters); the first whose exact set-A regret (best response
-    minus own payoff) is at most eps_nash for both players is returned.
-    Each block of candidates takes one search._regrets call; the blocks
-    grow fourfold from 16, so an early equilibrium is cheap.
-    """
-    # only `advantage` needs the solver
-    from .search import _grid_points, _regrets
-
-    gamma = clamp_gamma(gamma)
-    n = cfg.grid_resolution
-    pts = _grid_points("A", n)
-    u = strategy_matrix(pts[:, 0], pts[:, 1], 0.0)
-    own = np.abs(outcome_amplitudes(gamma, mode, u, u)) ** 2 @ game.payoff_vectors()[0]
-
-    order = np.argsort(-own, kind="stable")
-    start, size = 0, 16
-    while start < len(order):
-        block = order[start:start + size]
-        regret = _regrets(game, gamma, mode, u[block], u[block], "A")
-        passed = np.flatnonzero(regret.max(axis=0) <= cfg.eps_nash)
-        if passed.size:
-            k = block[passed[0]]
-            return Gate1Q(strategy_matrix(pts[k, 0], pts[k, 1], 0.0))
-        start, size = start + size, 4 * size
-    raise ConvergenceError(
-        f"no symmetric set-A equilibrium on the {n}x{n} grid of candidates")
 
 
 def advantage_threshold(game: Bimatrix, mode: EntanglerMode, noise_kind: NoiseKind,

@@ -15,6 +15,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import operator
 from enum import Enum
 
 import numpy as np
@@ -165,6 +166,18 @@ def clamp_gamma(gamma: float) -> float:
             raise RangeError(f"gamma={g!r} above allowed range [0, pi/2]")
         g = GAMMA_MAX
     return g
+
+
+def check_integer(name: str, value, least: int) -> int:
+    """A count or seed as an int: numpy integers pass, any other
+    non-integer is a ValidationError, and a value below `least` a RangeError."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+    if n < least:
+        raise RangeError(f"{name} must be >= {least}, got {value}")
+    return n
 
 
 _MAX_FLOATS = np.iinfo(np.intp).max // 8

@@ -4,8 +4,8 @@ Best responses are exact: a set-B gate is a unit quaternion x, with
 U = x0*I + i*(x1*sx + x2*sy + x3*sz), and the responder's payoff is a
 real quadratic form x^T M x, maximised by an eigenvector (set A, the
 octant {x1 = 0; x0, x2, x3 >= 0}, by one of a principal submatrix).
-Every regret of a pure profile (verify_eps_nash, noise's symmetric gate
-search) comes from one routine, _regrets.
+Every regret of a pure profile (verify_eps_nash, symmetric_equilibrium_gate)
+comes from one routine, _regrets.
 The finite-menu mixed-equilibrium solver keeps one gate per global
 phase class of its menu, runs best-response dynamics on the induced
 bimatrix and falls back to support enumeration over the strategies of
@@ -69,13 +69,14 @@ def _responder_amplitudes(game, gamma, mode, opponent, responder: Player, u):
     return outcome_amplitudes(gamma, mode, opponent, u), b
 
 
-def _grid_points(space: str, n: int) -> np.ndarray:
-    """The space's grid of n values per parameter, one point per row, in
-    row-major axis order."""
+def _grid_points(space: str, n: int) -> tuple:
+    """(points, gates): the space's grid of n values per parameter, one
+    point per row, in row-major axis order, and each point's gate matrix."""
     dims = len(_SPACE_BOUNDS[space])
     check_array_size(int(n) ** dims, f"grid_resolution={n} in set {space} ({n}**{dims} points)")
     axes = [np.linspace(lo, hi, n) for lo, hi in _SPACE_BOUNDS[space]]
-    return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    return pts, strategy_matrix(pts[:, 0], pts[:, 1], pts[:, 2] if dims == 3 else 0.0)
 
 
 def _payoff_form(game, gamma, mode, opponent, responder) -> np.ndarray:
@@ -177,6 +178,34 @@ def verify_eps_nash(game: Bimatrix, gamma: float, mode: EntanglerMode,
     return worst <= cfg.eps_nash, worst
 
 
+def symmetric_equilibrium_gate(game: Bimatrix, gamma: float, mode: EntanglerMode,
+                               cfg: SearchConfig) -> Gate1Q:
+    """Best symmetric set-A equilibrium profile's gate.
+
+    Grid candidates are ranked by symmetric payoff (ties lexicographic
+    in parameters); the first whose exact set-A regret (best response
+    minus own payoff) is at most eps_nash for both players is returned.
+    Each block of candidates takes one _regrets call; the blocks grow
+    fourfold from 16, so an early equilibrium is cheap.
+    """
+    gamma = clamp_gamma(gamma)
+    n = cfg.grid_resolution
+    _, u = _grid_points("A", n)
+    own = np.abs(outcome_amplitudes(gamma, mode, u, u)) ** 2 @ game.payoff_vectors()[0]
+
+    order = np.argsort(-own, kind="stable")
+    start, size = 0, 16
+    while start < len(order):
+        block = order[start:start + size]
+        regret = _regrets(game, gamma, mode, u[block], u[block], "A")
+        passed = np.flatnonzero(regret.max(axis=0) <= cfg.eps_nash)
+        if passed.size:
+            return Gate1Q(u[block[passed[0]]])
+        start, size = start + size, 4 * size
+    raise ConvergenceError(
+        f"no symmetric set-A equilibrium on the {n}x{n} grid of candidates")
+
+
 def payoff_landscape(game: Bimatrix, gamma: float, mode: EntanglerMode,
                      space: str, fixed_opponent: Gate1Q, cfg: SearchConfig,
                      responder: Player = Player.I) -> tuple:
@@ -186,8 +215,7 @@ def payoff_landscape(game: Bimatrix, gamma: float, mode: EntanglerMode,
     repeated runs emit identical tables.
     """
     _require_space(space)
-    pts = _grid_points(space, cfg.grid_resolution)
-    u = strategy_matrix(pts[:, 0], pts[:, 1], pts[:, 2] if space == "B" else 0.0)
+    pts, u = _grid_points(space, cfg.grid_resolution)
     amps, payvec = _responder_amplitudes(game, clamp_gamma(gamma), mode,
                                          gate_matrix(fixed_opponent), responder, u)
     data = np.column_stack([pts, np.abs(amps) ** 2 @ payvec])
@@ -256,8 +284,7 @@ def default_menu(mode: EntanglerMode) -> list:
 @functools.cache
 def _default_menu(mode: EntanglerMode) -> tuple:
     named = canonical_gates(mode)
-    raw = np.concatenate(([g.matrix for g in named],
-                          strategy_matrix(*_grid_points("B", 5).T)))
+    raw = np.concatenate(([g.matrix for g in named], _grid_points("B", 5)[1]))
     # C, D and Q differ by more than a phase, so each is its class's first
     return (*named, *map(Gate1Q, raw[_first_of_each_phase_class(raw)[3:]]))
 

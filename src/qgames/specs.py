@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import RangeError, ValidationError
-from .qcore import EntanglerMode, Gate1Q, clamp_gamma
+from .qcore import EntanglerMode, Gate1Q, check_integer, clamp_gamma
 
 
 class Player(Enum):
@@ -34,8 +34,8 @@ class SearchConfig:
     eps_nash: float = 1e-6
 
     def __post_init__(self):
-        if self.grid_resolution < 2:
-            raise RangeError(f"grid_resolution must be >= 2, got {self.grid_resolution}")
+        object.__setattr__(self, "grid_resolution",
+                           check_integer("grid_resolution", self.grid_resolution, 2))
         if not (math.isfinite(self.eps_nash) and self.eps_nash > 0):
             raise RangeError(f"eps_nash must be positive and finite, got {self.eps_nash}")
 
@@ -133,8 +133,6 @@ class TournamentConfig:
     sampled_outcomes: bool = False
 
     def __post_init__(self):
-        if self.rounds < 1:
-            raise RangeError(f"rounds must be >= 1, got {self.rounds}")
-        if self.seed < 0:
-            raise RangeError(f"seed must be >= 0, got {self.seed}")
+        object.__setattr__(self, "rounds", check_integer("rounds", self.rounds, 1))
+        object.__setattr__(self, "seed", check_integer("seed", self.seed, 0))
         object.__setattr__(self, "gamma", clamp_gamma(self.gamma))

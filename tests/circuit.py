@@ -6,7 +6,8 @@ circuit in plain numpy, so the tests can compare the two (Eisert,
 Wilkens & Lewenstein, PRL 83, 3077 (1999)).  Gates are plain 2x2
 arrays, and the entangler generators G are built here from their own
 literals, independent of the library: a wrong G in the kernel fails
-the kernel-versus-circuit tests.
+the kernel-versus-circuit tests.  haar_gates samples the unitaries
+that tests feed to both.
 """
 import numpy as np
 
@@ -43,3 +44,13 @@ def final_amplitudes(gamma, mode, u1, u2):
 def born_probs(amps):
     """Probabilities of the four outcomes, basis order."""
     return np.abs(amps) ** 2
+
+
+def haar_gates(rng, n):
+    """n Haar-random 2x2 unitaries (QR of complex Gaussian matrices with
+    the phases of R's diagonal moved into Q; Mezzadri, Notices AMS 54,
+    592 (2007))."""
+    z = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[:, None, :]

@@ -21,7 +21,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import qgames.cli as cli
 import qgames.hft as hft_mod
-from qgames import EntanglerMode, MixedQuantumStrategy, NoiseKind, run_protocol_noisy
+from qgames import (EntanglerMode, MixedQuantumStrategy, NoiseKind, default_menu,
+                    run_protocol_noisy)
 from qgames.errors import ConfigError, ValidationError
 from report_ref import write_reports as write_reference_reports
 
@@ -72,11 +73,23 @@ class TestParseStrategy:
         assert isinstance(m, MixedQuantumStrategy)
         assert [w for w, _ in m.support] == [0.5, 0.5]
 
+    @pytest.mark.parametrize("mode", list(EntanglerMode), ids=lambda m: m.value)
+    def test_every_default_menu_name_reads_back_as_its_gate(self, mode):
+        # describe_gate prints 9 significant digits, which round theta =
+        # pi/2 up by 3.2e-9: B(1.57079633,0,-1.57079633) must still read
+        for gate in default_menu(mode):
+            name = cli.describe_gate(gate, mode)
+            back = cli.parse_strategy(name, mode)
+            fidelity = abs(np.trace(gate.matrix.conj().T @ back.matrix)) / 2
+            assert fidelity > 1 - 1e-12, name
+
     def test_rejects_unknown_and_out_of_range(self):
         with pytest.raises(ConfigError):
             cli.parse_strategy("Z", EntanglerMode.DEFECT)
         with pytest.raises(ConfigError):
             cli.parse_strategy("A(pi, 0)", EntanglerMode.DEFECT)  # theta > pi/2
+        with pytest.raises(ConfigError):
+            cli.parse_strategy("B(1.5708,0,0)", EntanglerMode.DEFECT)  # 3.7e-6 past pi/2
         with pytest.raises(ConfigError):
             cli.parse_strategy('mixed:[[0.9,"C"]]', EntanglerMode.DEFECT)
 
@@ -530,8 +543,10 @@ def test_reports_are_the_reference_writers_bytes(tmp_path, command, name):
         _assert_same_reports(tmp_path / fmt, tmp_path / "ref" / fmt)
 
 
+@pytest.mark.numpy_floor
 class TestTournamentReportBytes:
-    """The tournament round log and summary, pinned by sha256 digest."""
+    """The tournament round log and summary, pinned by sha256 digest, on
+    the oldest numpy too."""
 
     @pytest.mark.parametrize("config, fmt, digests", [
         (_BANDIT_B_VS_GRIM_NOISY, "csv", {

@@ -12,6 +12,7 @@ from qgames import (
     StrategyParamsB,
     canonical_gates,
     canonical_pd,
+    default_menu,
     gamma_sweep,
     gate_from_A,
     gate_from_B,
@@ -22,9 +23,9 @@ from qgames import (
 from qgames.errors import RangeError, ValidationError
 from qgames.ewl import _PAULIS, noisy_outcome_probs, strategy_matrix
 from qgames.qcore import DEFECT_GATE, SIGMA_X
-from qgames.search import _QUATERNION_BASIS, _induced_tables
+from qgames.search import _QUATERNION_BASIS, _induced_tables, phase_canonical_keys
 
-from circuit import GENERATORS, KET00, born_probs, final_amplitudes
+from circuit import GENERATORS, KET00, born_probs, final_amplitudes, haar_gates
 
 PD = canonical_pd()
 MODES = list(EntanglerMode)
@@ -260,9 +261,11 @@ class TestRunProtocol:
                 assert diffs.max() < 0.1
 
 
+@pytest.mark.numpy_floor
 class TestOutcomeAmplitudes:
     """The broadcast kernel against the explicit 4x4 circuit: 200
-    seeded cases, 50 per input shape."""
+    seeded cases, 50 per input shape, within 1e-12 on the oldest numpy
+    too."""
 
     def test_scalar_inputs(self):
         for rng, gamma, mode in kernel_cases(3001, 50):
@@ -339,11 +342,14 @@ class TestOutcomeAmplitudes:
 
 
 @pytest.mark.parametrize("mode", MODES)
+@pytest.mark.numpy_floor
 class TestBitIdentity:
     """outcome_amplitudes gives the bytes of reference_kernel, signed
     zeros included, on every input shape the package passes it.  Menu
     tables have exact payoff ties, so a last-ulp difference can change
-    which equilibrium is found."""
+    which equilibrium is found.  The kernel keeps its one rounding
+    product inside einsum, so this holds whichever complex product
+    numpy's `*` uses, on the oldest numpy too."""
 
     @staticmethod
     def assert_same_bytes(gamma, mode, u1, u2):
@@ -398,6 +404,51 @@ class TestBitIdentity:
             for u in gates[::5]:
                 for v in gates[::7]:
                     self.assert_same_bytes(gamma, mode, u, v)
+
+
+# S^dagger U S entrywise, for S = diag(1, i); its conjugate is S U S^dagger
+S_DAGGER_U_S = np.array([[1, 1j], [-1j, 1]])
+RELABEL = {  # mode -> (the other mode, Player I's factor, Player II's factor)
+    EntanglerMode.DEFECT: (EntanglerMode.PAULI_X, S_DAGGER_U_S, S_DAGGER_U_S.conj()),
+    EntanglerMode.PAULI_X: (EntanglerMode.DEFECT, S_DAGGER_U_S.conj(), S_DAGGER_U_S),
+}
+
+
+@pytest.mark.numpy_floor
+class TestModeRelabeling:
+    """The two entangler modes are one game under a fixed relabeling of
+    the gates.  Dg (x) Dg = -sy (x) sy, S sx S^dagger = sy and S^dagger sx
+    S = -sy, so (S^dagger (x) S) turns the PAULI_X generator into the
+    DEFECT one; diagonal gates fix |00> and the measured basis.  So
+    (U1, U2) under DEFECT and (S^dagger U1 S, S U2 S^dagger) under PAULI_X
+    give the same outcome probabilities, and the inverse map goes back.
+    Every multiplication of the map is by 1 or +-i, so the equality is
+    exact, and it holds on the oldest numpy too."""
+
+    @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
+    def test_probabilities_are_bit_identical(self, mode):
+        other, f1, f2 = RELABEL[mode]
+        rng = np.random.default_rng(2801)
+        u1, u2 = haar_gates(rng, 2500), haar_gates(rng, 2500)
+        for gamma in (0.0, np.pi / 2, *rng.uniform(0, np.pi / 2, 6)):
+            want = np.abs(outcome_amplitudes(gamma, mode, u1, u2)) ** 2
+            got = np.abs(outcome_amplitudes(gamma, other, u1 * f1, u2 * f2)) ** 2
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
+    def test_named_gates_map_to_the_other_modes_up_to_phase(self, mode):
+        other, f1, f2 = RELABEL[mode]
+        named = np.array([g.matrix for g in canonical_gates(mode)])
+        want = phase_canonical_keys(np.array([g.matrix for g in canonical_gates(other)]))
+        assert phase_canonical_keys(named * f1) == phase_canonical_keys(named * f2) == want
+
+    @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
+    def test_default_menu_maps_onto_the_other_modes(self, mode):
+        other, f1, f2 = RELABEL[mode]
+        menu = np.array([g.matrix for g in default_menu(mode)])
+        want = set(phase_canonical_keys(np.array([g.matrix for g in default_menu(other)])))
+        assert len(want) == 28
+        assert set(phase_canonical_keys(menu * f1)) == set(phase_canonical_keys(menu * f2)) == want
 
 
 class TestMixedStrategies:

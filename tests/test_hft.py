@@ -1,4 +1,10 @@
-"""Tests for the iterated-play tournament harness."""
+"""Tests for the iterated-play tournament harness.
+
+On the oldest numpy too (numpy_floor): hft._Stream restates numpy's
+PCG64 double and bounded-integer rules, and hft.play_tournament's one
+round loop must equal the class-per-agent reference
+(tests/tournament_ref.py) exactly.
+"""
 import hashlib
 import random
 
@@ -19,6 +25,8 @@ from qgames import (
 )
 from qgames import hft
 from qgames.errors import RangeError, ValidationError
+
+pytestmark = pytest.mark.numpy_floor
 
 GAME = hft_game()
 NAMED = canonical_gates(EntanglerMode.DEFECT)
@@ -51,6 +59,17 @@ class TestSpecs:
     def test_rounds_validated(self):
         with pytest.raises(RangeError):
             TournamentConfig(rounds=0)
+
+    def test_rounds_and_seed_are_integers(self):
+        # a float seed once passed here, and failed only where a draw was made
+        for bad in (2.5, 100.0, "100"):
+            with pytest.raises(ValidationError, match="rounds must be an integer"):
+                TournamentConfig(rounds=bad)
+            with pytest.raises(ValidationError, match="seed must be an integer"):
+                TournamentConfig(rounds=100, seed=bad)
+        cfg = TournamentConfig(rounds=np.int32(100), seed=np.uint64(7))
+        assert type(cfg.rounds) is int and type(cfg.seed) is int
+        assert play_tournament(GAME, fixed(Q), fixed(Q), cfg).mean_payoff_I == 3.0
 
 
 class TestFixedAgents:

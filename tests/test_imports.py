@@ -51,8 +51,8 @@ MOVED = {
 BASE = ["cli", "errors", "ewl", "games", "qcore", "specs"]
 ADDED = {
     "payoff": [],
-    "noise": ["noise"],
-    "sweep": ["noise"],
+    "noise": [],
+    "sweep": [],
     "equilibria": ["search"],
     "landscape": ["search"],
     "advantage": ["noise", "search"],

@@ -174,9 +174,12 @@ class TestChannels:
                 assert np.abs(ret.distribution.probs - fwd.distribution.probs).max() < 1e-12
 
 
+@pytest.mark.numpy_floor
 class TestPauliMixtureOracle:
     """run_protocol_noisy and run_protocol_mixed (Pauli mixtures through
-    the kernel) against the Kraus density-matrix path."""
+    the kernel) against the Kraus density-matrix path, within 1e-12 on
+    the oldest numpy too; p = 0 takes ewl.noisy_outcome_probs's
+    identity-channel path, the plain kernel, and must agree as well."""
 
     KINDS = (NoiseKind.PER_QUBIT_DEPOLARIZING, NoiseKind.TWO_QUBIT_DEPOLARIZING)
     LOCATIONS = (ChannelLocation.RETURN, ChannelLocation.FORWARD)
@@ -282,6 +285,15 @@ class TestGammaSweep:
         named = canonical_gates(EntanglerMode.DEFECT)
         with pytest.raises(RangeError):
             gamma_sweep(PD, EntanglerMode.DEFECT, named.C, named.C, steps=1)
+
+    def test_steps_is_an_integer(self):
+        named = canonical_gates(EntanglerMode.DEFECT)
+        for bad in (3.0, 2.5, "3"):
+            with pytest.raises(ValidationError, match="steps must be an integer"):
+                gamma_sweep(PD, EntanglerMode.DEFECT, named.C, named.Q, steps=bad)
+        sweeps = [gamma_sweep(PD, EntanglerMode.DEFECT, named.C, named.Q, steps)[1]
+                  for steps in (np.int64(5), 5)]
+        assert sweeps[0].tobytes() == sweeps[1].tobytes()
 
 
 def inline_game(rows):

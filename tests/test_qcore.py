@@ -1,7 +1,12 @@
 """Unit and property tests for the validated values of qgames.qcore,
 their value equality, and the dense 4x4 circuit reference
 (tests/circuit.py) that the kernel tests compare against: its
-conventions are pinned here."""
+conventions are pinned here.
+
+On the oldest numpy too (numpy_floor): the value types store read-only
+arrays, print them through tolist() and hash them by bytes, with -0.0
+and 0.0 alike.
+"""
 import numpy as np
 import pytest
 
@@ -24,6 +29,8 @@ from qgames.errors import RangeError, ValidationError
 from qgames.qcore import DEFECT_GATE, I2, SIGMA_X, clamp_gamma
 
 from circuit import KET00, entangled_ket, entangler, local_pair
+
+pytestmark = pytest.mark.numpy_floor
 
 S2 = 1.0 / np.sqrt(2.0)
 

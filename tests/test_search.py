@@ -24,7 +24,7 @@ from qgames import search
 from qgames.errors import ConvergenceError, RangeError, ValidationError
 from qgames.ewl import strategy_matrix
 
-from circuit import KET00, entangler
+from circuit import KET00, entangler, haar_gates
 
 PD = canonical_pd()
 MODES = list(EntanglerMode)
@@ -168,6 +168,14 @@ class TestBestResponse:
         with pytest.raises(RangeError):
             SearchConfig(eps_nash=0.0)
 
+    def test_grid_resolution_is_an_integer(self):
+        # a float count once passed here and failed later with a bare TypeError
+        for bad in (2.5, 16.0, "16", None):
+            with pytest.raises(ValidationError, match="grid_resolution must be an integer"):
+                SearchConfig(grid_resolution=bad)
+        cfg = SearchConfig(grid_resolution=np.int64(6))
+        assert type(cfg.grid_resolution) is int and cfg == TINY
+
 
 class TestExactSolverOracle:
     """The exact optimum against a dense parameter grid, the reference
@@ -247,16 +255,6 @@ class TestVerifyEpsNash:
         assert abs(r1 - r2) < 1e-6
 
 
-def haar_gates(rng, n):
-    """n Haar-random 2x2 unitaries (QR of complex Gaussian matrices with
-    the phases of R's diagonal moved into Q; Mezzadri, Notices AMS 54,
-    592 (2007))."""
-    z = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[:, None, :]
-
-
 def dense_payoffs(game, gamma, mode, u1, u2):
     """(payoff_I, payoff_II) of the gate stacks u1[..., 2, 2] and
     u2[..., 2, 2] through the dense 4x4 circuit, not the kernel."""
@@ -273,12 +271,15 @@ RANDOM_GAME = Bimatrix(np.array([[4.0, -2.0], [7.0, 1.0]]), np.array([[3.0, 6.0]
 
 class TestRegrets:
     """search._regrets, the one regret routine of verify_eps_nash and of
-    noise.symmetric_equilibrium_gate."""
+    search.symmetric_equilibrium_gate."""
 
     @pytest.mark.parametrize("space", ["A", "B"])
     @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
+    @pytest.mark.numpy_floor
     def test_rows_are_best_reply_minus_own_payoff_bit_for_bit(self, mode, space):
-        # a stack against a stack, and a stack against one gate
+        """A stack against a stack, and a stack against one gate: each
+        profile gets the bits of a best reply minus its payoff, one
+        profile at a time (numpy's dot on both), on the oldest numpy too."""
         rng = np.random.default_rng(2401)
         u1, u2 = random_b_gates(2402, 24), random_b_gates(2403, 24)
         for game in (PD, RANDOM_GAME):
@@ -475,10 +476,12 @@ class TestMixedQuantumEquilibrium:
             again = search._dedup_menu(tuple(menu))
             assert again[0] == reps and again[1].tobytes() == stack.tobytes()
 
+    @pytest.mark.numpy_floor
     def test_interleaved_menus_solve_as_each_alone(self, monkeypatch):
-        # the default menu, as gates and as raw matrices, before and after
-        # 17 raw-matrix menus: each solves as it does alone, with the
-        # pairwise reference dedup
+        """The default menu, as gates and as raw matrices, before and
+        after 17 raw-matrix menus: each solves as it does alone, with the
+        pairwise reference dedup (search._dedup_menu returns read-only
+        results, and nothing is cached), on the oldest numpy too."""
         def summary(menu, gamma, mode):
             try:
                 res = mixed_quantum_equilibrium(PD, gamma, mode, menu, FAST)
@@ -617,9 +620,11 @@ class TestDefaultMenu:
                 + list(strategy_matrix(*grid).reshape(-1, 2, 2)))
 
     @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.numpy_floor
     def test_gates_bit_identical_to_a_fresh_build(self, mode):
-        # the 28 phase classes of C, D, Q and the 125 grid gates, each
-        # by its first gate, in build order
+        """The 28 phase classes of C, D, Q and the 125 grid gates, each
+        by its first gate bit for bit, in build order, on the oldest
+        numpy too."""
         _, want = reference_dedup([Gate1Q(u) for u in self.uncached(mode)])
         for menu in (default_menu(mode), default_menu(mode)):
             assert len(menu) == len(want) == 28
@@ -672,9 +677,10 @@ TIES = [HADAMARD, strategy_matrix(np.pi / 4, 0.0, 0.0),
         np.array([[1, 1j], [1j, 1]]) / np.sqrt(2)]
 
 
+@pytest.mark.numpy_floor
 class TestPhaseCanonicalKeys:
     """Keys are invariant under a global phase and separate gates that
-    differ by more than one."""
+    differ by more than one, on the oldest numpy too."""
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("points", range(2, 10))
