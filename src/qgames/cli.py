@@ -31,16 +31,14 @@ import numpy as np
 
 from .errors import ConfigError, QGamesError, RangeError, ValidationError
 from .ewl import (
+    SPACES,
     MixedQuantumStrategy,
-    StrategyParamsA,
-    StrategyParamsB,
     canonical_gates,
-    gate_from_A,
-    gate_from_B,
     gamma_sweep,
     run_protocol,
     run_protocol_mixed,
     run_protocol_noisy,
+    strategy_matrix,
 )
 from .games import (
     Bimatrix,
@@ -53,7 +51,7 @@ from .games import (
     pareto_optimal,
     pure_nash,
 )
-from .qcore import EntanglerMode, Gate1Q, clamp_gamma
+from .qcore import EntanglerMode, Gate1Q, check_real, clamp_gamma
 from .specs import (
     AgentKind,
     AgentSpec,
@@ -73,9 +71,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
-
-COMMANDS = ("payoff", "equilibria", "landscape", "sweep", "noise",
-            "correlated", "tournament", "advantage")
 
 # One ASCII grammar for every number in an angle string: sign, digits,
 # optional fraction and exponent (what repr() writes for a finite float).
@@ -117,14 +112,11 @@ def parse_strategy(spec, mode: EntanglerMode, field: str = "strategy"
             family, args_txt = m.group(1), m.group(2)
             args = [parse_angle(a, field=f"{field}:{family}")
                     for a in args_txt.split(",") if a.strip() != ""]
+            n = len(SPACES[family].BOUNDS)
+            if len(args) != n:
+                raise ConfigError(f"{field}: {family}(...) takes {n} angles, got {len(args)}")
             try:
-                if family == "A":
-                    if len(args) != 2:
-                        raise ConfigError(f"{field}: A(...) takes 2 angles, got {len(args)}")
-                    return gate_from_A(StrategyParamsA(theta=args[0], phi=args[1]))
-                if len(args) != 3:
-                    raise ConfigError(f"{field}: B(...) takes 3 angles, got {len(args)}")
-                return gate_from_B(StrategyParamsB(theta=args[0], alpha=args[1], beta=args[2]))
+                return Gate1Q(strategy_matrix(*dataclasses.astuple(SPACES[family](*args))))
             except ValidationError as exc:
                 raise ConfigError(f"{field}: {exc}") from exc
         if text.startswith("mixed:"):
@@ -174,13 +166,10 @@ def _integer(value, where: str) -> int:
 
 def _number(value, where: str) -> float:
     """A finite JSON number, as a float."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            if math.isfinite(value):
-                return float(value)
-        except OverflowError:
-            pass
-    raise ConfigError(f"{where}: expected a finite number, got {_shown(value)}")
+    try:
+        return check_real(where, value)
+    except ValidationError:
+        raise ConfigError(f"{where}: expected a finite number, got {_shown(value)}") from None
 
 
 def _boolean(value, where: str) -> bool:
@@ -283,7 +272,7 @@ _SCHEMA = _section({
     "search": {
         "grid_resolution": (SearchConfig.grid_resolution, _integer),
         "eps_nash": (SearchConfig.eps_nash, _number),
-        "space": ("A", _one_of("A", "B")),
+        "space": ("A", _one_of(*SPACES)),
     },
     "tournament": {
         "rounds": (10000, _integer),
@@ -760,6 +749,7 @@ _COMMAND_IMPLS = {
     "tournament": _cmd_tournament,
     "advantage": _cmd_advantage,
 }
+COMMANDS = tuple(_COMMAND_IMPLS)
 
 
 def dispatch(command: str, cfg: RunConfig, out_dir=None, fmt=None, quiet=False) -> int:

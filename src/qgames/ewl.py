@@ -16,20 +16,20 @@ G is a signed reversal of the basis, so the kernel needs no 4x4
 matrix: one einsum holds its only rounding product, and every other
 step multiplies by c, i*s or +-1.
 
-Two named strategy families are provided: the two-parameter set A
-(theta, phi) and its three-parameter superset B (theta, alpha, beta),
-which coincides with A at beta=0.  Note the matrices use cos(theta),
-not the half-angle convention.
+Two named strategy families are provided, named by SPACES: the
+two-parameter set A (theta, phi) and its three-parameter superset B
+(theta, alpha, beta), which coincides with A at beta=0.  Each set's
+parameter ranges are stated once, as its params type's BOUNDS.  Note
+the matrices use cos(theta), not the half-angle convention.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import RangeError, ValidationError
+from .errors import ValidationError
 from .games import Bimatrix
 from .qcore import (
     DEFECT_GATE,
@@ -45,6 +45,7 @@ from .qcore import (
     _Value,
     check_array_size,
     check_integer,
+    check_real,
     clamp_gamma,
     gate_matrix,
 )
@@ -58,44 +59,45 @@ for _sign in _REVERSAL_SIGNS.values():
     _sign.setflags(write=False)
 
 
-def _check_range(name: str, value: float, lo: float, hi: float) -> float:
-    # 1e-8 of spill: a 9-digit gate name (cli.describe_gate) rounds pi/2 up by 3.2e-9
-    v = float(value)
-    if not math.isfinite(v) or v < lo - 1e-8 or v > hi + 1e-8:
-        raise RangeError(f"{name}={value!r} outside [{lo:.6g}, {hi:.6g}]")
-    return min(max(v, lo), hi)
+class _StrategyParams:
+    """Base of a strategy set's params type, whose BOUNDS holds the
+    (lo, hi) of each field in field order."""
+
+    def __post_init__(self):
+        # 1e-8 of spill: a 9-digit gate name (cli.describe_gate) rounds pi/2 up by 3.2e-9
+        for f, (lo, hi) in zip(fields(self), self.BOUNDS):
+            value = check_real(f.name, getattr(self, f.name), lo, hi, 1e-8)
+            object.__setattr__(self, f.name, value)
 
 
 @dataclass(frozen=True)
-class StrategyParamsA:
-    """Parameters of the two-parameter strategy set:
-    theta in [0, pi/2], phi in [0, pi/2]."""
+class StrategyParamsA(_StrategyParams):
+    """Parameters of the two-parameter strategy set."""
 
     theta: float
     phi: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "theta", _check_range("theta", self.theta, 0.0, np.pi / 2))
-        object.__setattr__(self, "phi", _check_range("phi", self.phi, 0.0, np.pi / 2))
+    BOUNDS = ((0.0, np.pi / 2), (0.0, np.pi / 2))
 
 
 @dataclass(frozen=True)
-class StrategyParamsB:
-    """Parameters of the full strategy set: theta in [0, pi/2],
-    alpha and beta in [-pi, pi]."""
+class StrategyParamsB(_StrategyParams):
+    """Parameters of the full strategy set."""
 
     theta: float
     alpha: float
     beta: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "theta", _check_range("theta", self.theta, 0.0, np.pi / 2))
-        object.__setattr__(self, "alpha", _check_range("alpha", self.alpha, -np.pi, np.pi))
-        object.__setattr__(self, "beta", _check_range("beta", self.beta, -np.pi, np.pi))
+    BOUNDS = ((0.0, np.pi / 2), (-np.pi, np.pi), (-np.pi, np.pi))
 
 
-def strategy_matrix(theta, alpha, beta) -> np.ndarray:
-    """Raw matrices of the three-parameter family (no range checks).
+# The strategy sets by name.
+SPACES = {"A": StrategyParamsA, "B": StrategyParamsB}
+
+
+def strategy_matrix(theta, alpha, beta=0.0) -> np.ndarray:
+    """Raw matrices of the three-parameter family (no range checks);
+    beta=0 gives set A's, with alpha as phi.
 
     The angles broadcast against each other; the result has shape
     broadcast_shape + (2, 2), a single 2x2 matrix for scalars.
@@ -112,7 +114,7 @@ def strategy_matrix(theta, alpha, beta) -> np.ndarray:
 
 def gate_from_A(params: StrategyParamsA) -> Gate1Q:
     """[[e^{i phi} cos t, sin t], [-sin t, e^{-i phi} cos t]]."""
-    return Gate1Q(strategy_matrix(params.theta, params.phi, 0.0))
+    return Gate1Q(strategy_matrix(params.theta, params.phi))
 
 
 def gate_from_B(params: StrategyParamsB) -> Gate1Q:
@@ -264,12 +266,8 @@ class MixedQuantumStrategy(_Value):
         entries = []
         total = 0.0
         for weight, gate in support:
-            w = float(weight)
-            if not np.isfinite(w) or w < -1e-12:
-                raise ValidationError(f"mixed-strategy weight {weight!r} must be nonnegative")
-            if not isinstance(gate, Gate1Q):
-                gate = Gate1Q(gate)
-            entries.append((max(w, 0.0), gate))
+            w = check_real("mixed-strategy weight", weight, 0.0, spill=1e-12)
+            entries.append((w, gate if isinstance(gate, Gate1Q) else Gate1Q(gate)))
             total += w
         if not entries:
             raise ValidationError("mixed strategy needs a nonempty support")

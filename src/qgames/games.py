@@ -19,8 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import RangeError, ValidationError
-from .qcore import _ATOL, _Value
+from .errors import ValidationError
+from .qcore import _ATOL, _Value, check_real
 
 
 class PureProfile(NamedTuple):
@@ -41,9 +41,9 @@ class MixedProfile:
     degenerate: bool = False
 
     def __post_init__(self):
-        for name, v in (("p", self.p), ("q", self.q)):
-            if not (0.0 <= v <= 1.0):
-                raise RangeError(f"MixedProfile.{name}={v!r} outside [0,1]")
+        for name in ("p", "q"):
+            object.__setattr__(self, name,
+                               check_real(f"MixedProfile.{name}", getattr(self, name), 0.0, 1.0))
 
 
 class JointDistribution(_Value):
@@ -86,11 +86,11 @@ class Bimatrix:
 
     def __post_init__(self):
         for name in ("row_payoffs", "col_payoffs"):
-            m = np.array(getattr(self, name), dtype=np.float64)
-            if m.shape != (2, 2):
-                raise ValidationError(f"Bimatrix.{name} must be 2x2, got {m.shape}")
-            if not np.all(np.isfinite(m)):
-                raise ValidationError(f"Bimatrix.{name} must be finite")
+            entries = np.array(getattr(self, name), dtype=object)
+            if entries.shape != (2, 2):
+                raise ValidationError(f"Bimatrix.{name} must be 2x2, got {entries.shape}")
+            m = np.array([[check_real(f"Bimatrix.{name}[{i}][{j}]", x)
+                           for j, x in enumerate(row)] for i, row in enumerate(entries)])
             m.setflags(write=False)
             object.__setattr__(self, name, m)
         for name in ("row_labels", "col_labels"):
@@ -220,8 +220,7 @@ def is_correlated_equilibrium(game: Bimatrix, mu: JointDistribution,
     constraint by up to 4 * 2^-52 * max|payoff|, so that much is added
     to eps: the verdict does not depend on the payoff unit.
     """
-    if eps < 0:
-        raise RangeError(f"eps must be nonnegative, got {eps!r}")
+    eps = check_real("eps", eps, 0.0)
     bound = -(Fraction(eps) + _rounding(game))
     weights = [Fraction(float(x)) for x in mu.mu]
     for row, cells in zip(_ce_constraint_rows(game), _CE_RECOMMENDED):

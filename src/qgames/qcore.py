@@ -11,10 +11,14 @@ Conventions used throughout the package:
     EntanglerMode; ewl applies G as a signed reversal of the basis.
   * Everything is evaluated exactly (no sampling); an
     OutcomeDistribution is the full Born-rule distribution.
+  * Every count and real field is read by check_integer (counts, seeds)
+    or check_real (reals, stored as floats): a value of the wrong type
+    is a ValidationError, a value out of range a RangeError.
 """
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from enum import Enum
 
@@ -28,7 +32,6 @@ _ATOL = 1e-9
 
 GAMMA_MIN = 0.0
 GAMMA_MAX = np.pi / 2
-_GAMMA_CLAMP = 1e-12
 
 
 class EntanglerMode(Enum):
@@ -152,29 +155,40 @@ class OutcomeDistribution(_Value):
         object.__setattr__(self, "probs", p)
 
 
+def check_real(name: str, value, lo: float = -math.inf, hi: float = math.inf,
+               spill: float = 0.0) -> float:
+    """A bounded real as a float: numpy scalars and Fractions pass, a
+    bool or any other non-real is a ValidationError, and a NaN, an
+    infinity or a value more than `spill` outside [lo, hi] a RangeError;
+    a value less than `spill` outside is clamped onto the range."""
+    if type(value) is not float:  # a float, the common case, needs no conversion
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValidationError(f"{name} must be a real number, got {value!r}")
+        try:
+            value = float(value)
+        except OverflowError:  # an int or Fraction beyond the float range
+            value = math.inf
+    if lo <= value <= hi and math.isfinite(value):
+        return value
+    if not (lo - spill <= value <= hi + spill and math.isfinite(value)):
+        raise RangeError(f"{name}={value!r} outside [{lo:.6g}, {hi:.6g}]")
+    return min(max(value, lo), hi)
+
+
 def clamp_gamma(gamma: float) -> float:
     """Validate the entanglement angle, absorbing <1e-12 rounding spill."""
-    g = float(gamma)
-    if not math.isfinite(g):
-        raise RangeError("gamma must be finite")
-    if g < GAMMA_MIN:
-        if GAMMA_MIN - g >= _GAMMA_CLAMP:
-            raise RangeError(f"gamma={g!r} below allowed range [0, pi/2]")
-        g = GAMMA_MIN
-    elif g > GAMMA_MAX:
-        if g - GAMMA_MAX >= _GAMMA_CLAMP:
-            raise RangeError(f"gamma={g!r} above allowed range [0, pi/2]")
-        g = GAMMA_MAX
-    return g
+    return check_real("gamma", gamma, GAMMA_MIN, GAMMA_MAX, 1e-12)
 
 
 def check_integer(name: str, value, least: int) -> int:
-    """A count or seed as an int: numpy integers pass, any other
+    """A count or seed as an int: numpy integers pass, a bool or any other
     non-integer is a ValidationError, and a value below `least` a RangeError."""
     try:
         n = operator.index(value)
     except TypeError:
-        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+        n = None
+    if n is None or isinstance(value, bool):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
     if n < least:
         raise RangeError(f"{name} must be >= {least}, got {value}")
     return n

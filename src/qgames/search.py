@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence, Union
 
 import numpy as np
 
 from .errors import ConvergenceError, RangeError, ValidationError
 from .ewl import (
+    SPACES,
     MixedQuantumStrategy,
     StrategyParamsA,
     StrategyParamsB,
@@ -42,11 +43,6 @@ class BestResponse:
     gate: Gate1Q
     payoff: float
 
-
-_SPACE_BOUNDS = {
-    "A": ((0.0, np.pi / 2), (0.0, np.pi / 2)),
-    "B": ((0.0, np.pi / 2), (-np.pi, np.pi), (-np.pi, np.pi)),
-}
 
 # U = sum_k x_k B_k, so U00 = x0 + i*x3 and U01 = x2 + i*x1.
 _QUATERNION_BASIS = np.stack([I2, 1j * SIGMA_X, 1j * SIGMA_Y, 1j * SIGMA_Z])
@@ -72,11 +68,12 @@ def _responder_amplitudes(game, gamma, mode, opponent, responder: Player, u):
 def _grid_points(space: str, n: int) -> tuple:
     """(points, gates): the space's grid of n values per parameter, one
     point per row, in row-major axis order, and each point's gate matrix."""
-    dims = len(_SPACE_BOUNDS[space])
+    bounds = SPACES[space].BOUNDS
+    dims = len(bounds)
     check_array_size(int(n) ** dims, f"grid_resolution={n} in set {space} ({n}**{dims} points)")
-    axes = [np.linspace(lo, hi, n) for lo, hi in _SPACE_BOUNDS[space]]
+    axes = [np.linspace(lo, hi, n) for lo, hi in bounds]
     pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
-    return pts, strategy_matrix(pts[:, 0], pts[:, 1], pts[:, 2] if dims == 3 else 0.0)
+    return pts, strategy_matrix(*pts.T)
 
 
 def _payoff_form(game, gamma, mode, opponent, responder) -> np.ndarray:
@@ -162,8 +159,8 @@ def best_response(game: Bimatrix, gamma: float, mode: EntanglerMode,
     m = _payoff_form(game, clamp_gamma(gamma), mode, gate_matrix(opponent_gate), responder)
     x = _exact_optimum(m, space)
     theta, alpha, beta = _angles(x)
-    params = (StrategyParamsA(theta=theta, phi=alpha) if space == "A"
-              else StrategyParamsB(theta=theta, alpha=alpha, beta=beta))
+    params_type = SPACES[space]
+    params = params_type(*(theta, alpha, beta)[:len(params_type.BOUNDS)])
     return BestResponse(responder=responder, params=params,
                         gate=Gate1Q(strategy_matrix(theta, alpha, beta)),
                         payoff=float(x @ m @ x))
@@ -219,8 +216,7 @@ def payoff_landscape(game: Bimatrix, gamma: float, mode: EntanglerMode,
     amps, payvec = _responder_amplitudes(game, clamp_gamma(gamma), mode,
                                          gate_matrix(fixed_opponent), responder, u)
     data = np.column_stack([pts, np.abs(amps) ** 2 @ payvec])
-    names = ("theta", "phi", "payoff") if space == "A" else ("theta", "alpha", "beta", "payoff")
-    return names, data
+    return (*(f.name for f in fields(SPACES[space])), "payoff"), data
 
 
 # -- finite-menu mixed equilibria -------------------------------------------

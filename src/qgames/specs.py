@@ -6,10 +6,11 @@ settings (`Player`, `SearchConfig`), the noise channel (`NoiseKind`,
 `AgentKind`, `AgentSpec`, `TournamentConfig`).  They live here, apart
 from the code that uses them, so that reading a config loads no
 solver; `qgames.search`, `qgames.noise` and `qgames.hft` re-export them.
+Their counts and reals are read by `qcore.check_integer` and
+`qcore.check_real`; a flag must be a bool.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -17,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import RangeError, ValidationError
-from .qcore import EntanglerMode, Gate1Q, check_integer, clamp_gamma
+from .qcore import EntanglerMode, Gate1Q, check_integer, check_real, clamp_gamma
 
 
 class Player(Enum):
@@ -36,7 +37,8 @@ class SearchConfig:
     def __post_init__(self):
         object.__setattr__(self, "grid_resolution",
                            check_integer("grid_resolution", self.grid_resolution, 2))
-        if not (math.isfinite(self.eps_nash) and self.eps_nash > 0):
+        object.__setattr__(self, "eps_nash", check_real("eps_nash", self.eps_nash, 0.0))
+        if self.eps_nash == 0.0:
             raise RangeError(f"eps_nash must be positive and finite, got {self.eps_nash}")
 
 
@@ -62,10 +64,7 @@ class NoiseSpec:
             raise ValidationError(f"kind must be a NoiseKind, got {self.kind!r}")
         if not isinstance(self.location, ChannelLocation):
             raise ValidationError(f"location must be a ChannelLocation, got {self.location!r}")
-        p = float(self.p)
-        if not (0.0 <= p <= 1.0):
-            raise RangeError(f"noise probability p={self.p!r} outside [0,1]")
-        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "p", check_real("noise probability p", self.p, 0.0, 1.0))
 
 
 class NamedGate(NamedTuple):
@@ -115,12 +114,10 @@ class AgentSpec:
             if not isinstance(entry, NamedGate) or not isinstance(entry.gate, Gate1Q):
                 raise ValidationError(f"menu entries must be NamedGate, got {entry!r}")
         object.__setattr__(self, "menu", menu)
-        if not (0.0 <= self.epsilon <= 1.0):
-            raise RangeError(f"epsilon={self.epsilon!r} outside [0,1]")
-        if not (0.0 < self.learning_rate <= 1.0):
+        for name in ("epsilon", "learning_rate", "trigger_threshold"):
+            object.__setattr__(self, name, check_real(name, getattr(self, name), 0.0, 1.0))
+        if self.learning_rate == 0.0:
             raise RangeError(f"learning_rate={self.learning_rate!r} outside (0,1]")
-        if not (0.0 <= self.trigger_threshold <= 1.0):
-            raise RangeError(f"trigger_threshold={self.trigger_threshold!r} outside [0,1]")
 
 
 @dataclass(frozen=True)
@@ -136,3 +133,7 @@ class TournamentConfig:
         object.__setattr__(self, "rounds", check_integer("rounds", self.rounds, 1))
         object.__setattr__(self, "seed", check_integer("seed", self.seed, 0))
         object.__setattr__(self, "gamma", clamp_gamma(self.gamma))
+        if not isinstance(self.sampled_outcomes, (bool, np.bool_)):
+            raise ValidationError(
+                f"sampled_outcomes must be a bool, got {self.sampled_outcomes!r}")
+        object.__setattr__(self, "sampled_outcomes", bool(self.sampled_outcomes))

@@ -236,6 +236,32 @@ class TestCanonicalGames:
         assert h.cell_by_labels("Sell", "Buy") == (5.0, 0.0)
 
 
+class TestPayoffEntries:
+    """Each payoff entry is read as a real: strings and complex numbers
+    are refused, and every real type keeps its bits."""
+
+    @pytest.mark.parametrize("rows", [[["3", "0"], ["5", "1"]], [[3 + 1j, 0], [5, 1]],
+                                      [[3, None], [5, 1]], [[True, 0], [5, 1]]],
+                             ids=["str", "complex", "None", "bool"])
+    def test_non_real_entries_are_refused(self, rows):
+        with pytest.raises(ValidationError, match="must be a real number"):
+            Bimatrix(row_payoffs=rows, col_payoffs=[[3, 5], [0, 1]])
+
+    def test_real_entries_keep_their_bits(self):
+        for rows in ([[3, 0], [5, 1]], [[0.1, -2.5], [1e300, 2**60 + 1]],
+                     np.array([[0.1, 3], [5, 1]], dtype=np.float32),
+                     [[np.int64(7), np.float64(0.3)], [Fraction(1, 3), Fraction(-2, 7)]]):
+            want = np.array(rows, dtype=np.float64)
+            got = Bimatrix(row_payoffs=rows, col_payoffs=rows).row_payoffs
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+    def test_shape_and_finiteness(self):
+        with pytest.raises(ValidationError, match="must be 2x2"):
+            Bimatrix(row_payoffs=[[1, 2], [3]], col_payoffs=np.zeros((2, 2)))
+        with pytest.raises(ValidationError, match=r"row_payoffs\[1\]\[0\]=nan outside"):
+            Bimatrix(row_payoffs=[[1, 2], [np.nan, 4]], col_payoffs=np.zeros((2, 2)))
+
+
 class TestPureAnalysis:
     def test_pd_pure_nash(self):
         assert pure_nash(canonical_pd()) == [PureProfile(1, 1)]

@@ -453,6 +453,33 @@ class TestAdvantageThreshold:
                 assert abs(moved.p_star - base.p_star) < tol, (rows, kind)
                 assert abs(moved.limit - (base.limit * scale + shift)) < 1e-12 * abs(moved.limit)
 
+    @pytest.mark.parametrize("game", [PD, hft_game(), inline_game([[30, 0], [50, 10]]),
+                                      inline_game([[4, 1], [7, 2]])],
+                             ids=["pd", "hft", "pd-x10", "7421"])
+    @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
+    def test_no_symmetric_equilibrium_inside_the_band(self, game, mode):
+        """A PD-type game (T > R > P > S) has no symmetric set-A
+        equilibrium for gamma strictly between arcsin sqrt((P-S)/(T-S))
+        and arcsin sqrt((T-R)/(T-S)) (Du et al., PRL 88, 137902 (2002)):
+        advantage_threshold answers 0.01 outside each edge and raises
+        ConvergenceError 0.01 inside it."""
+        (r, s), (t, p) = game.row_payoffs
+        low, high = np.arcsin(np.sqrt([(p - s) / (t - s), (t - r) / (t - s)]))
+        for gamma in (low - 0.01, high + 0.01):
+            advantage_threshold(game, mode, TWO_QUBIT, SearchConfig(), gamma=gamma)
+        for gamma in (low + 0.01, high - 0.01):
+            with pytest.raises(ConvergenceError):
+                advantage_threshold(game, mode, TWO_QUBIT, SearchConfig(), gamma=gamma)
+
+    @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
+    def test_no_band_where_the_edges_meet(self, mode):
+        """(T, R, P, S) = (4, 3, 2, 1): both edges are at arcsin sqrt(1/3)
+        = 0.6155, so there is no band, and both probes answer."""
+        edge = np.arcsin(np.sqrt(1 / 3))
+        for gamma in (edge - 0.01, edge + 0.01):
+            advantage_threshold(inline_game([[3, 1], [4, 2]]), mode, TWO_QUBIT, SearchConfig(),
+                                gamma=gamma)
+
     def test_dense_grid_oracle(self):
         """Seeded games with T > R > P > S: the threshold is the first
         level of a dense p grid at which the payoff of the located

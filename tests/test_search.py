@@ -1,4 +1,6 @@
 """Tests for best-response search and menu equilibria."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from qgames import (
 )
 from qgames import search
 from qgames.errors import ConvergenceError, RangeError, ValidationError
-from qgames.ewl import strategy_matrix
+from qgames.ewl import SPACES, strategy_matrix
 
 from circuit import KET00, entangler, haar_gates
 
@@ -360,6 +362,17 @@ class TestRawMatrices:
 
 
 class TestLandscape:
+    @pytest.mark.parametrize("space", ["A", "B"])
+    def test_rows_build_the_spaces_params(self, space):
+        """Every row's parameters are a valid point of the space's params
+        type, and the columns are that type's fields plus the payoff."""
+        params_type = SPACES[space]
+        cols, data = payoff_landscape(PD, 0.4, EntanglerMode.DEFECT, space,
+                                      canonical_gates(EntanglerMode.DEFECT).Q, TINY)
+        assert cols == (*(f.name for f in dataclasses.fields(params_type)), "payoff")
+        for row in data:
+            assert dataclasses.astuple(params_type(*row[:-1])) == tuple(row[:-1])
+
     def test_vs_c_classical_limit(self):
         named = canonical_gates(EntanglerMode.DEFECT)
         cols, data = payoff_landscape(PD, 0.0, EntanglerMode.DEFECT, "A", named.C, FAST)
