@@ -14,7 +14,10 @@ run_protocol_mixed, gamma_sweep) are all here.  In both entangler modes
 J|00> = c|00> + i s|11> (c, s = cos, sin of gamma/2) and the generator
 G is a signed reversal of the basis, so the kernel needs no 4x4
 matrix: one einsum holds its only rounding product, and every other
-step multiplies by c, i*s or +-1.
+step multiplies by c, i*s or +-1.  The einsum writes the stack axes
+last, so the kernel's loops run along the stack of gates; the result
+is still a C-contiguous [..., 4] array, with the bytes of the
+stack-first layout.
 
 Two named strategy families are provided, named by SPACES: the
 two-parameter set A (theta, phi) and its three-parameter superset B
@@ -53,8 +56,9 @@ from .specs import ChannelLocation, NoiseKind, NoiseSpec
 
 # G (sx (x) sx, or Dg (x) Dg) is a signed reversal of the basis: its only
 # nonzero entries are G[3 - k, k] = +-1, so (psi @ G)[k] = sign[k] * psi[3 - k].
-_REVERSAL_SIGNS = {EntanglerMode.PAULI_X: np.array([1.0, 1.0, 1.0, 1.0]),
-                   EntanglerMode.DEFECT: np.array([1.0, -1.0, -1.0, 1.0])}
+# Stored complex, as +-1 + 0j, so that the kernel's product casts nothing.
+_REVERSAL_SIGNS = {EntanglerMode.PAULI_X: np.array([1.0, 1.0, 1.0, 1.0], dtype=np.complex128),
+                   EntanglerMode.DEFECT: np.array([1.0, -1.0, -1.0, 1.0], dtype=np.complex128)}
 for _sign in _REVERSAL_SIGNS.values():
     _sign.setflags(write=False)
 
@@ -175,8 +179,9 @@ def outcome_amplitudes(gamma, mode: EntanglerMode, u1, u2) -> np.ndarray:
 
     u1[..., 2, 2] and u2[..., 2, 2] broadcast against each other, and
     gamma (a scalar or an array) against their stack shape; the result
-    is [..., 4].  Nothing is validated: callers pass unitary gates and
-    gamma in [0, pi/2]; an unknown mode raises ValidationError.
+    is a new C-contiguous [..., 4] array.  Nothing is validated: callers
+    pass unitary gates and gamma in [0, pi/2]; an unknown mode raises
+    ValidationError.
 
     J|00> = c|00> + i s|11> reshaped to a 2x2 matrix is diag(c, i s),
     so the local pair gives U1 diag(c, i s) U2^T: u2 scaled column-wise
@@ -188,17 +193,34 @@ def outcome_amplitudes(gamma, mode: EntanglerMode, u1, u2) -> np.ndarray:
     by c + 0j, 0 + i s or +-1, exact in either arithmetic, so the
     amplitudes are bit-identical to multiplying out the 2x2 matrices
     with einsum; menu tables with exact payoff ties rely on that.
+
+    einsum writes the stack axes last, so its loops run along the stack
+    rather than over the length-2 contracted index once per entry.
+    J-dagger is applied in that layout, and its last step, the
+    difference, is written through a transposed view straight into the
+    result, so no full-size copy is made.  Each entry is the same sum of
+    the same products in either layout, so the bytes are those of the
+    stack-first layout, signed zeros included.
     """
     try:
         sign = _REVERSAL_SIGNS[mode]
     except (KeyError, TypeError):
         raise ValidationError(f"unknown entangler mode: {mode!r}") from None
-    half = np.asarray(gamma, dtype=np.float64)[..., None] / 2
+    half = np.multiply(gamma, 0.5, dtype=np.float64)[..., None]  # the bits of gamma / 2
     diag = np.concatenate((np.cos(half), 1j * np.sin(half)), axis=-1)
-    c, i_s = diag[..., :1], diag[..., 1:]
-    psi = np.einsum("...ij,...kj->...ik", u1, u2 * diag[..., None, :])
-    psi = psi.reshape(psi.shape[:-2] + (4,))
-    return c * psi - i_s * (psi[..., ::-1] * sign)
+    # u2 is scaled in F order, so that the product too runs along the stack;
+    # psi is in C order, so that [2, 2, ...] flattens to [4, ...] without a copy
+    scaled = np.multiply(u2, diag[..., None, :], order="F")
+    psi = np.einsum("...ij,...kj->ik...", u1, scaled, order="C")
+    stack = psi.ndim - 2
+    out = np.empty(psi.shape[2:] + (4,), dtype=np.complex128)
+    out_t = out.transpose((stack, *range(stack)))  # [4, ...], a view of out
+    psi = psi.reshape(out_t.shape)
+    g_psi = psi[::-1] * sign.reshape((4,) + (1,) * stack)  # G psi, then i s G psi
+    np.multiply(diag[..., 1], g_psi, out=g_psi)
+    np.multiply(diag[..., 0], psi, out=psi)
+    np.subtract(psi, g_psi, out=out_t)
+    return out
 
 
 _PAULIS = np.stack([I2, SIGMA_X, SIGMA_Y, SIGMA_Z])

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .qcore import _ATOL, _Value, check_real
+from .qcore import _ATOL, _Value, check_bool, check_numeric, check_real
 
 
 class PureProfile(NamedTuple):
@@ -44,6 +44,8 @@ class MixedProfile:
         for name in ("p", "q"):
             object.__setattr__(self, name,
                                check_real(f"MixedProfile.{name}", getattr(self, name), 0.0, 1.0))
+        object.__setattr__(self, "degenerate",
+                           check_bool("MixedProfile.degenerate", self.degenerate))
 
 
 class JointDistribution(_Value):
@@ -53,7 +55,7 @@ class JointDistribution(_Value):
     __slots__ = ("mu",)
 
     def __init__(self, mu):
-        m = np.array(mu, dtype=np.float64)
+        m = check_numeric("JointDistribution", mu, np.float64)
         if m.shape != (4,):
             raise ValidationError(f"JointDistribution: expected 4 weights, got {m.shape}")
         if not np.all(np.isfinite(m)):
@@ -94,10 +96,12 @@ class Bimatrix:
             m.setflags(write=False)
             object.__setattr__(self, name, m)
         for name in ("row_labels", "col_labels"):
-            labels = tuple(str(x) for x in getattr(self, name))
-            if len(labels) != 2 or labels[0] == labels[1]:
-                raise ValidationError(f"Bimatrix.{name} must be two distinct labels")
-            object.__setattr__(self, name, labels)
+            labels = getattr(self, name)
+            if not (isinstance(labels, (tuple, list)) and len(labels) == 2
+                    and all(isinstance(x, str) for x in labels) and labels[0] != labels[1]):
+                raise ValidationError(
+                    f"Bimatrix.{name} must be two distinct str labels, got {labels!r}")
+            object.__setattr__(self, name, tuple(map(str, labels)))
 
     def cell(self, row: int, col: int) -> tuple:
         return float(self.row_payoffs[row, col]), float(self.col_payoffs[row, col])

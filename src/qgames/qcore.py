@@ -12,8 +12,9 @@ Conventions used throughout the package:
   * Everything is evaluated exactly (no sampling); an
     OutcomeDistribution is the full Born-rule distribution.
   * Every count and real field is read by check_integer (counts, seeds)
-    or check_real (reals, stored as floats): a value of the wrong type
-    is a ValidationError, a value out of range a RangeError.
+    or check_real (reals, stored as floats), every flag by check_bool and
+    every array field by check_numeric: a value of the wrong type is a
+    ValidationError, a value out of range a RangeError.
 """
 from __future__ import annotations
 
@@ -93,7 +94,7 @@ class Gate1Q(_Value):
     __slots__ = ("matrix",)
 
     def __init__(self, matrix):
-        m = np.array(matrix, dtype=np.complex128)
+        m = check_numeric("Gate1Q", matrix, np.complex128)
         if m.shape != (2, 2):
             raise ValidationError(f"Gate1Q: expected a 2x2 matrix, got shape {m.shape}")
         if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
@@ -117,7 +118,7 @@ class PureState2Q(_Value):
     __slots__ = ("amps",)
 
     def __init__(self, amps):
-        a = np.array(amps, dtype=np.complex128)
+        a = check_numeric("PureState2Q", amps, np.complex128)
         if a.shape != (4,):
             raise ValidationError(f"PureState2Q: expected 4 amplitudes, got shape {a.shape}")
         norm = float(np.vdot(a, a).real)
@@ -140,7 +141,7 @@ class OutcomeDistribution(_Value):
     __slots__ = ("probs",)
 
     def __init__(self, probs):
-        p = np.array(probs, dtype=np.float64)
+        p = check_numeric("OutcomeDistribution", probs, np.float64)
         if p.shape != (4,):
             raise ValidationError(f"OutcomeDistribution: expected 4 probabilities, got {p.shape}")
         p0, p1, p2, p3 = values = p.tolist()
@@ -173,6 +174,31 @@ def check_real(name: str, value, lo: float = -math.inf, hi: float = math.inf,
     if not (lo - spill <= value <= hi + spill and math.isfinite(value)):
         raise RangeError(f"{name}={value!r} outside [{lo:.6g}, {hi:.6g}]")
     return min(max(value, lo), hi)
+
+
+def check_bool(name: str, value) -> bool:
+    """A flag as a bool: a bool or numpy bool passes, anything else is a
+    ValidationError."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValidationError(f"{name} must be a bool, got {value!r}")
+    return bool(value)
+
+
+def check_numeric(what: str, value, dtype) -> np.ndarray:
+    """A new array of dtype holding value's numbers.  A numeric ndarray
+    is read by its dtype alone; any other value entry by entry, and a
+    str, bytes or bool entry, or one numpy cannot read as a number, is
+    a ValidationError.  Numbers keep their bits: the conversion is
+    numpy's."""
+    if type(value) is np.ndarray and value.dtype.kind in "iufc":
+        return value.astype(dtype)
+    for x in np.array(value, dtype=object).flat:
+        if isinstance(x, (bool, np.bool_, str, bytes)):
+            raise ValidationError(f"{what}: entries must be numbers, got {x!r}")
+    try:
+        return np.array(value, dtype=dtype)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what}: entries must be numbers") from None
 
 
 def clamp_gamma(gamma: float) -> float:

@@ -58,11 +58,14 @@ def _responder_amplitudes(game, gamma, mode, opponent, responder: Player, u):
     """(amplitudes[..., 4], payvec) with the responder's stack of gates
     u[..., 2, 2] on its side of the circuit and the opponent's gate
     matrices broadcast on the other; |amplitudes|^2 @ payvec are the
-    responder's payoffs."""
+    responder's payoffs.  A responder that is not a Player is a
+    ValidationError."""
     a, b = game.payoff_vectors()
-    if responder == Player.I:
+    if responder is Player.I:
         return outcome_amplitudes(gamma, mode, u, opponent), a
-    return outcome_amplitudes(gamma, mode, opponent, u), b
+    if responder is Player.II:
+        return outcome_amplitudes(gamma, mode, opponent, u), b
+    raise ValidationError(f"responder must be a Player, got {responder!r}")
 
 
 def _grid_points(space: str, n: int) -> tuple:

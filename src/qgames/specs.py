@@ -6,8 +6,8 @@ settings (`Player`, `SearchConfig`), the noise channel (`NoiseKind`,
 `AgentKind`, `AgentSpec`, `TournamentConfig`).  They live here, apart
 from the code that uses them, so that reading a config loads no
 solver; `qgames.search`, `qgames.noise` and `qgames.hft` re-export them.
-Their counts and reals are read by `qcore.check_integer` and
-`qcore.check_real`; a flag must be a bool.
+Their counts, reals and flags are read by `qcore.check_integer`,
+`qcore.check_real` and `qcore.check_bool`.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import RangeError, ValidationError
-from .qcore import EntanglerMode, Gate1Q, check_integer, check_real, clamp_gamma
+from .qcore import EntanglerMode, Gate1Q, check_bool, check_integer, check_real, clamp_gamma
 
 
 class Player(Enum):
@@ -133,7 +133,5 @@ class TournamentConfig:
         object.__setattr__(self, "rounds", check_integer("rounds", self.rounds, 1))
         object.__setattr__(self, "seed", check_integer("seed", self.seed, 0))
         object.__setattr__(self, "gamma", clamp_gamma(self.gamma))
-        if not isinstance(self.sampled_outcomes, (bool, np.bool_)):
-            raise ValidationError(
-                f"sampled_outcomes must be a bool, got {self.sampled_outcomes!r}")
-        object.__setattr__(self, "sampled_outcomes", bool(self.sampled_outcomes))
+        object.__setattr__(self, "sampled_outcomes",
+                           check_bool("sampled_outcomes", self.sampled_outcomes))

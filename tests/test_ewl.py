@@ -405,6 +405,68 @@ class TestBitIdentity:
                 for v in gates[::7]:
                     self.assert_same_bytes(gamma, mode, u, v)
 
+    # The kernel runs einsum with the stack axes last and writes J-dagger
+    # through a transposed view of its result: these pin the layout too.
+
+    @classmethod
+    def assert_same_bytes_and_layout(cls, gamma, mode, u1, u2):
+        cls.assert_same_bytes(gamma, mode, u1, u2)
+        out = outcome_amplitudes(gamma, mode, u1, u2)
+        assert out.flags.c_contiguous and out.flags.owndata
+
+    def test_every_package_shape_gives_an_owned_c_contiguous_result(self, mode):
+        rng = np.random.default_rng(3104)
+        gates, opponents = random_gates(rng, 28), random_gates(rng, 7)[..., None, :, :]
+        u1, u2 = gates[:3, None, None], gates[3:5][None, :, None]  # two mixtures' supports
+        shapes = [  # (gamma, u1, u2) as run_protocol, menu tables, sweeps, forms, Pauli rows
+            (0.7, gates[0], gates[1]),
+            (0.7, gates[:, None], gates[None, :]),
+            (np.linspace(0, np.pi / 2, 101), gates[0], gates[1]),
+            (0.7, _QUATERNION_BASIS, opponents),
+            (0.7, opponents, _QUATERNION_BASIS),
+            (0.7, (_PAULIS @ gates[0])[:, None], (_PAULIS @ gates[1])[None, :]),
+            (0.7, (u1 @ _PAULIS)[..., :, None, :, :], (u2 @ _PAULIS)[..., None, :, :, :]),
+        ]
+        for gamma, left, right in shapes:
+            self.assert_same_bytes_and_layout(gamma, mode, left, right)
+
+    def test_gamma_broadcasts_against_the_stack(self, mode):
+        rng = np.random.default_rng(3105)
+        gammas = np.linspace(0, np.pi / 2, 6)
+        u, v = random_gates(rng, 30).reshape(5, 6, 2, 2), random_gates(rng, 30).reshape(5, 6, 2, 2)
+        self.assert_same_bytes_and_layout(gammas, mode, u, v)  # fewer dimensions than the stack
+        self.assert_same_bytes_and_layout(gammas, mode, u, v[0, 0])
+        columns = np.linspace(0, np.pi / 2, 3)[:, None]  # more dimensions than the gates
+        rows = random_gates(rng, 4)
+        self.assert_same_bytes_and_layout(columns, mode, rows, random_gates(rng, 4))
+        self.assert_same_bytes_and_layout(columns, mode, rows, v[0, 0])
+
+    def test_strided_fortran_transposed_and_read_only_inputs(self, mode):
+        rng = np.random.default_rng(3106)
+        u, v = random_gates(rng, 12), random_gates(rng, 12)
+        table = random_gates(rng, 30).reshape(5, 6, 2, 2)
+        frozen = v.copy()
+        frozen.setflags(write=False)
+        for left, right in ((u[::2], v[1::2]),
+                            (np.asfortranarray(table), table),
+                            (np.asfortranarray(table), np.asfortranarray(table)),
+                            (np.swapaxes(table, -1, -2), table),
+                            (table.transpose(1, 0, 2, 3), np.swapaxes(table, 0, 1)),
+                            (u, frozen), (frozen[:, None], frozen[None, ::3])):
+            for gamma in (0.0, 0.8, np.pi / 2):
+                self.assert_same_bytes_and_layout(gamma, mode, left, right)
+                self.assert_same_bytes_and_layout(gamma, mode, right, left)
+
+    def test_three_dimensional_broadcast_table(self, mode):
+        rng = np.random.default_rng(3107)
+        rows = random_gates(rng, 3)[:, None, None]
+        cols = random_gates(rng, 4)[None, :, None]
+        thirds = random_gates(rng, 5)[None, None, :]
+        self.assert_same_bytes_and_layout(0.6, mode, rows, cols @ thirds)
+        self.assert_same_bytes_and_layout(np.linspace(0, np.pi / 2, 5), mode, rows, cols)
+        self.assert_same_bytes_and_layout(np.linspace(0, np.pi / 2, 5)[:, None, None, None],
+                                          mode, rows, cols)
+
 
 # S^dagger U S entrywise, for S = diag(1, i); its conjugate is S U S^dagger
 S_DAGGER_U_S = np.array([[1, 1j], [-1j, 1]])

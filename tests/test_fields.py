@@ -1,6 +1,6 @@
 """How the value types read their scalar fields: every real through
-qcore.check_real, every count through qcore.check_integer, and the
-tournament's one flag as a bool."""
+qcore.check_real, every count through qcore.check_integer, and every
+flag through qcore.check_bool."""
 import math
 import numbers
 from fractions import Fraction
@@ -129,6 +129,15 @@ def test_sampled_outcomes_is_a_bool():
             TournamentConfig(rounds=1, sampled_outcomes=value)
     for value, want in ((True, True), (False, False), (np.True_, True), (np.False_, False)):
         stored = TournamentConfig(rounds=1, sampled_outcomes=value).sampled_outcomes
+        assert type(stored) is bool and stored is want
+
+
+def test_mixed_profile_degenerate_is_a_bool():
+    for value in ("no", "false", 0, 1, None, 0.0):
+        with pytest.raises(ValidationError, match="MixedProfile.degenerate must be a bool"):
+            MixedProfile(0.5, 0.5, degenerate=value)
+    for value, want in ((True, True), (False, False), (np.True_, True), (np.False_, False)):
+        stored = MixedProfile(0.5, 0.5, degenerate=value).degenerate
         assert type(stored) is bool and stored is want
 
 

@@ -262,6 +262,26 @@ class TestPayoffEntries:
             Bimatrix(row_payoffs=[[1, 2], [np.nan, 4]], col_payoffs=np.zeros((2, 2)))
 
 
+class TestLabels:
+    """Labels are two distinct strings, stored as given: nothing is
+    turned into text on the way in."""
+
+    @pytest.mark.parametrize("labels", ["CD", ("C",), ("C", "D", "E"), ("C", "C"), (1, 2),
+                                        ("C", None), (b"C", b"D"), None, 12],
+                             ids=["str", "one", "three", "same", "ints", "None", "bytes",
+                                  "no labels", "int"])
+    def test_anything_but_two_distinct_strings_is_refused(self, labels):
+        for name in ("row_labels", "col_labels"):
+            with pytest.raises(ValidationError, match=f"Bimatrix.{name} must be two distinct str"):
+                Bimatrix(row_payoffs=np.eye(2), col_payoffs=np.eye(2), **{name: labels})
+
+    def test_tuples_and_lists_of_strings_are_stored_as_tuples(self):
+        game = Bimatrix(row_payoffs=np.eye(2), col_payoffs=np.eye(2),
+                        row_labels=["Up", "Down"], col_labels=(np.str_("L"), "R"))
+        assert game.row_labels == ("Up", "Down") and game.col_labels == ("L", "R")
+        assert all(type(x) is str for x in game.row_labels + game.col_labels)
+
+
 class TestPureAnalysis:
     def test_pd_pure_nash(self):
         assert pure_nash(canonical_pd()) == [PureProfile(1, 1)]

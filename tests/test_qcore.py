@@ -152,6 +152,58 @@ def test_validated_types_copy_their_input(build, field):
         stored[(0,) * stored.ndim] = 1.0
 
 
+ARRAY_TYPES = {  # each array value type: a valid input and one of numpy scalars, and its dtype
+    "Gate1Q": (Gate1Q, [[1, 0], [0, 1]],
+               [[np.complex64(1j), np.int8(0)], [0.0, np.float32(-1)]], np.complex128),
+    "PureState2Q": (PureState2Q, [1, 0, 0, 0],
+                    [np.float32(0.5), 0.5j, np.float64(-0.5), np.int64(0) + 0.5], np.complex128),
+    "OutcomeDistribution": (OutcomeDistribution, [0.25, 0.25, 0.25, 0.25],
+                            [np.float32(0.25), 0.25, np.int64(0), 0.5], np.float64),
+    "JointDistribution": (JointDistribution, [0.25, 0.25, 0.25, 0.25],
+                          [np.float32(0.25), 0.25, np.int64(0), 0.5], np.float64),
+}
+
+
+class TestArrayEntries:
+    """The array value types read numbers only: numpy would parse a
+    string entry as a number and take a bool for 0 or 1."""
+
+    @staticmethod
+    def with_entry(valid, entry):
+        """valid with its first entry replaced."""
+        rows = [list(r) if isinstance(r, list) else r for r in valid]
+        if isinstance(rows[0], list):
+            rows[0][0] = entry
+        else:
+            rows[0] = entry
+        return rows
+
+    @pytest.mark.parametrize("name", ARRAY_TYPES)
+    def test_str_bytes_and_bool_entries_are_refused(self, name):
+        build, valid = ARRAY_TYPES[name][:2]
+        text = np.array(valid).astype(str)
+        bad = [self.with_entry(valid, e) for e in ("1", b"1", True, np.True_, np.str_("1"))]
+        bad += [text, text.tolist(), text.astype(object), np.array(valid, dtype=bool)]
+        for value in bad:
+            with pytest.raises(ValidationError, match=f"^{name}: entries must be numbers"):
+                build(value)
+
+    @pytest.mark.parametrize("name", ARRAY_TYPES)
+    def test_unreadable_entries_are_a_validation_error(self, name):
+        build, valid = ARRAY_TYPES[name][:2]
+        for entry in (None, {}, [1, 2], object()):
+            with pytest.raises(ValidationError):
+                build(self.with_entry(valid, entry))
+
+    @pytest.mark.parametrize("name", ARRAY_TYPES)
+    def test_numbers_keep_their_bits(self, name):
+        build, valid, numbers, dtype = ARRAY_TYPES[name]
+        for value in (valid, numbers, np.array(valid, dtype=object),
+                      np.array(valid, dtype=np.float32), np.array(numbers)):
+            want = np.array(value, dtype=dtype)
+            assert getattr(build(value), build.__slots__[0]).tobytes() == want.tobytes()
+
+
 class TestValueEquality:
     """Validated values, and the frozen dataclasses holding them, compare
     by value: two answers to the same question are equal."""

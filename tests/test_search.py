@@ -164,6 +164,16 @@ class TestBestResponse:
         with pytest.raises(ValidationError, match="space must be 'A' or 'B'"):
             call(named.C, space)
 
+    @pytest.mark.parametrize("responder", ["x", None, 1, 2, "I"])
+    @pytest.mark.parametrize("call", [
+        lambda g, r: best_response(PD, 0.0, EntanglerMode.DEFECT, g, r, "A"),
+        lambda g, r: payoff_landscape(PD, 0.0, EntanglerMode.DEFECT, "A", g, TINY, responder=r),
+    ], ids=["best_response", "payoff_landscape"])
+    def test_responder_other_than_a_player_is_a_validation_error(self, call, responder):
+        # such a responder once answered as Player II
+        with pytest.raises(ValidationError, match="responder must be a Player, got "):
+            call(canonical_gates(EntanglerMode.DEFECT).C, responder)
+
     def test_config_validation(self):
         with pytest.raises(RangeError):
             SearchConfig(grid_resolution=1)
