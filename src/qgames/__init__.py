@@ -14,9 +14,8 @@ _HOMES = {
               "best_correlated", "canonical_pd", "expected_payoff", "hft_game",
               "is_correlated_equilibrium", "mixed_nash", "pareto_optimal", "pure_nash"),
     "ewl": ("CanonicalGates", "MixedQuantumStrategy", "ProtocolResult", "StrategyParamsA",
-            "StrategyParamsB", "canonical_gates", "gate_from_A", "gate_from_B",
-            "gamma_sweep", "noisy_outcome_probs", "outcome_amplitudes", "run_protocol",
-            "run_protocol_mixed", "run_protocol_noisy"),
+            "StrategyParamsB", "canonical_gates", "gamma_sweep", "noisy_outcome_probs",
+            "outcome_amplitudes", "run_protocol", "run_protocol_mixed", "run_protocol_noisy"),
     "specs": ("AgentKind", "AgentSpec", "ChannelLocation", "NamedGate", "NoiseKind",
               "NoiseSpec", "Player", "SearchConfig", "TournamentConfig"),
     "search": ("BestResponse", "MixedEquilibriumResult", "best_response", "default_menu",

@@ -38,7 +38,6 @@ from .ewl import (
     run_protocol,
     run_protocol_mixed,
     run_protocol_noisy,
-    strategy_matrix,
 )
 from .games import (
     Bimatrix,
@@ -96,7 +95,7 @@ def parse_angle(value, field: str = "angle") -> float:
     return angle
 
 
-_PARAM_STRATEGY_RE = re.compile(r"^\s*([AB])\s*\(([^)]*)\)\s*$", re.ASCII)
+_PARAM_STRATEGY_RE = re.compile(rf"^\s*({'|'.join(SPACES)})\s*\(([^)]*)\)\s*$", re.ASCII)
 
 
 def parse_strategy(spec, mode: EntanglerMode, field: str = "strategy"
@@ -116,7 +115,7 @@ def parse_strategy(spec, mode: EntanglerMode, field: str = "strategy"
             if len(args) != n:
                 raise ConfigError(f"{field}: {family}(...) takes {n} angles, got {len(args)}")
             try:
-                return Gate1Q(strategy_matrix(*dataclasses.astuple(SPACES[family](*args))))
+                return SPACES[family](*args).gate()
             except ValidationError as exc:
                 raise ConfigError(f"{field}: {exc}") from exc
         if text.startswith("mixed:"):

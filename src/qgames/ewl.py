@@ -21,13 +21,14 @@ stack-first layout.
 
 Two named strategy families are provided, named by SPACES: the
 two-parameter set A (theta, phi) and its three-parameter superset B
-(theta, alpha, beta), which coincides with A at beta=0.  Each set's
-parameter ranges are stated once, as its params type's BOUNDS.  Note
-the matrices use cos(theta), not the half-angle convention.
+(theta, alpha, beta), which coincides with A at beta=0.  Each set is
+one value, its params type, which states its ranges (BOUNDS), its
+faces (FACES, OCTANT) and its gates (params.gate()).  Note the
+matrices use cos(theta), not the half-angle convention.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -64,8 +65,11 @@ for _sign in _REVERSAL_SIGNS.values():
 
 
 class _StrategyParams:
-    """Base of a strategy set's params type, whose BOUNDS holds the
-    (lo, hi) of each field in field order."""
+    """Base of a strategy set's params type.  NAME is the set's key in
+    SPACES and BOUNDS the (lo, hi) of each field in field order.  A gate
+    is a unit quaternion x, U = x0 I + i (x1 sx + x2 sy + x3 sz), and a
+    best response in the set lies on one of its FACES, subspaces listed
+    by coordinate, held to x >= 0 when OCTANT is true."""
 
     def __post_init__(self):
         # 1e-8 of spill: a 9-digit gate name (cli.describe_gate) rounds pi/2 up by 3.2e-9
@@ -73,34 +77,53 @@ class _StrategyParams:
             value = check_real(f.name, getattr(self, f.name), lo, hi, 1e-8)
             object.__setattr__(self, f.name, value)
 
+    @classmethod
+    def _from_quaternion(cls, x: np.ndarray) -> "_StrategyParams":
+        """The params of the gate x in the set, from U00 = x0 + i x3 =
+        e^{i alpha} cos(theta) and U01 = x2 + i x1 = e^{i beta} sin(theta)."""
+        theta = float(np.arctan2(np.hypot(x[2], x[1]), np.hypot(x[0], x[3])))
+        angles = theta, float(np.arctan2(x[3], x[0])), float(np.arctan2(x[1], x[2]))
+        return cls(*angles[:len(cls.BOUNDS)])  # set A's gates have beta = 0
+
+    def gate(self) -> Gate1Q:
+        """The set's gate at these params."""
+        return Gate1Q(strategy_matrix(*astuple(self)))
+
 
 @dataclass(frozen=True)
 class StrategyParamsA(_StrategyParams):
-    """Parameters of the two-parameter strategy set."""
+    """Parameters of the two-parameter set: set B at beta=0, with phi as alpha."""
 
     theta: float
     phi: float
 
+    NAME = "A"
     BOUNDS = ((0.0, np.pi / 2), (0.0, np.pi / 2))
+    FACES = ((0,), (2,), (3,), (0, 2), (0, 3), (2, 3), (0, 2, 3))  # of {x1 = 0}
+    OCTANT = True
 
 
 @dataclass(frozen=True)
 class StrategyParamsB(_StrategyParams):
-    """Parameters of the full strategy set."""
+    """Parameters of the full strategy set, every gate of SU(2)."""
 
     theta: float
     alpha: float
     beta: float
 
+    NAME = "B"
     BOUNDS = ((0.0, np.pi / 2), (-np.pi, np.pi), (-np.pi, np.pi))
+    FACES = ((0, 1, 2, 3),)
+    OCTANT = False
 
 
 # The strategy sets by name.
-SPACES = {"A": StrategyParamsA, "B": StrategyParamsB}
+SPACES = {p.NAME: p for p in (StrategyParamsA, StrategyParamsB)}
 
 
 def strategy_matrix(theta, alpha, beta=0.0) -> np.ndarray:
-    """Raw matrices of the three-parameter family (no range checks);
+    """Raw matrices [[e^{i a} cos t, e^{i b} sin t], [-e^{-i b} sin t,
+    e^{-i a} cos t]] of the three-parameter family (no range checks);
     beta=0 gives set A's, with alpha as phi.
 
     The angles broadcast against each other; the result has shape
@@ -114,17 +137,6 @@ def strategy_matrix(theta, alpha, beta=0.0) -> np.ndarray:
     u[..., 1, 0] = -np.exp(-1j * beta) * s
     u[..., 1, 1] = np.exp(-1j * alpha) * c
     return u
-
-
-def gate_from_A(params: StrategyParamsA) -> Gate1Q:
-    """[[e^{i phi} cos t, sin t], [-sin t, e^{-i phi} cos t]]."""
-    return Gate1Q(strategy_matrix(params.theta, params.phi))
-
-
-def gate_from_B(params: StrategyParamsB) -> Gate1Q:
-    """[[e^{i a} cos t, e^{i b} sin t], [-e^{-i b} sin t, e^{-i a} cos t]];
-    reduces to the set-A gate at beta=0."""
-    return Gate1Q(strategy_matrix(params.theta, params.alpha, params.beta))
 
 
 class CanonicalGates(NamedTuple):
@@ -234,7 +246,7 @@ def _pauli_weights(noise: NoiseSpec) -> np.ndarray:
         w[0, 0] += 1.0 - p
         return w
     w = np.array([1.0 - p, p / 3.0, p / 3.0, p / 3.0])
-    return np.outer(w, w)
+    return w[:, None] * w
 
 
 def noisy_outcome_probs(gamma, mode: EntanglerMode, u1, u2, noise: NoiseSpec) -> np.ndarray:

@@ -3,8 +3,8 @@
 The symmetric set-A equilibrium profile (search.symmetric_equilibrium_gate)
 is tracked under a depolarizing channel, scored as the exact Pauli
 mixture of ewl.noisy_outcome_probs; nothing is sampled.  The noisy and
-swept evaluators live in ewl; this module re-exports them, with
-noisy_outcome_probs and the channel's spec types.
+swept evaluators (run_protocol_noisy, gamma_sweep) live in ewl, and the
+channel's spec types in specs.
 """
 from __future__ import annotations
 
@@ -13,11 +13,11 @@ from typing import Optional
 
 import numpy as np
 
-from .ewl import gamma_sweep, noisy_outcome_probs, run_protocol_noisy
+from .ewl import run_protocol_noisy
 from .games import Bimatrix
 from .qcore import EntanglerMode, Gate1Q
 from .search import symmetric_equilibrium_gate
-from .specs import ChannelLocation, NoiseKind, NoiseSpec, SearchConfig
+from .specs import NoiseKind, NoiseSpec, SearchConfig
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
 """Numerical equilibrium analysis over the quantum strategy spaces.
 
-Best responses are exact: a set-B gate is a unit quaternion x, with
-U = x0*I + i*(x1*sx + x2*sy + x3*sz), and the responder's payoff is a
-real quadratic form x^T M x, maximised by an eigenvector (set A, the
-octant {x1 = 0; x0, x2, x3 >= 0}, by one of a principal submatrix).
+A strategy set is its params type, looked up in ewl.SPACES at each
+public entry.  Best responses are exact: a gate is a unit quaternion x,
+and the responder's payoff is a real quadratic form x^T M x, maximised
+by an eigenvector of M on one of the set's FACES (ewl._StrategyParams).
 Every regret of a pure profile (verify_eps_nash, symmetric_equilibrium_gate)
 comes from one routine, _regrets.
 The finite-menu mixed-equilibrium solver keeps one gate per global
@@ -44,14 +44,17 @@ class BestResponse:
     payoff: float
 
 
-# U = sum_k x_k B_k, so U00 = x0 + i*x3 and U01 = x2 + i*x1.
+# U = sum_k x_k B_k, the quaternion convention of ewl's strategy sets.
 _QUATERNION_BASIS = np.stack([I2, 1j * SIGMA_X, 1j * SIGMA_Y, 1j * SIGMA_Z])
 
-# Supports searched for the maximiser: R^4, or each face of the set-A octant.
-_SUPPORTS = {
-    "A": [list(s) for k in (1, 2, 3) for s in itertools.combinations((0, 2, 3), k)],
-    "B": [[0, 1, 2, 3]],
-}
+
+def _space(name):
+    """The strategy set named name: its params type in SPACES."""
+    try:
+        return SPACES[name]
+    except (KeyError, TypeError):  # TypeError: an unhashable name
+        raise ValidationError(f"space must be {' or '.join(map(repr, SPACES))}, "
+                              f"got {name!r}") from None
 
 
 def _responder_amplitudes(game, gamma, mode, opponent, responder: Player, u):
@@ -68,12 +71,13 @@ def _responder_amplitudes(game, gamma, mode, opponent, responder: Player, u):
     raise ValidationError(f"responder must be a Player, got {responder!r}")
 
 
-def _grid_points(space: str, n: int) -> tuple:
+def _grid_points(space, n: int) -> tuple:
     """(points, gates): the space's grid of n values per parameter, one
     point per row, in row-major axis order, and each point's gate matrix."""
-    bounds = SPACES[space].BOUNDS
+    bounds = space.BOUNDS
     dims = len(bounds)
-    check_array_size(int(n) ** dims, f"grid_resolution={n} in set {space} ({n}**{dims} points)")
+    check_array_size(int(n) ** dims,
+                     f"grid_resolution={n} in set {space.NAME} ({n}**{dims} points)")
     axes = [np.linspace(lo, hi, n) for lo, hi in bounds]
     pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
     return pts, strategy_matrix(*pts.T)
@@ -94,43 +98,31 @@ def _require_finite(what: str, *arrays) -> None:
         raise RangeError(f"{what} overflows the float range: the payoffs are too large")
 
 
-def _exact_optimum(m: np.ndarray, space: str) -> np.ndarray:
+def _exact_optimum(m: np.ndarray, space) -> np.ndarray:
     """Unit 4-vectors x[...] maximising x^T m x over the space, for a
     stack of forms m[..., 4, 4].
 
     A maximiser with support S is an eigenvector of m[S, S]; if that
     eigenspace is degenerate it also meets a lower face, so the values
     found cover it.  Signs are flipped to make the largest entry
-    positive; set-A candidates are then clipped to the octant, which
-    keeps nonnegative eigenvectors and makes the rest feasible.
+    positive; an OCTANT set's candidates are then clipped to x >= 0,
+    which keeps nonnegative eigenvectors and makes the rest feasible.
     """
     _require_finite("the payoff form", m)  # eigh may fail to converge on inf entries
     blocks = []
-    for s in _SUPPORTS[space]:
+    for s in space.FACES:
         _, vecs = np.linalg.eigh(m[..., s, :][..., s])
         x = np.zeros(vecs.shape[:-2] + (len(s), 4))
         x[..., s] = np.swapaxes(vecs, -1, -2)
         blocks.append(x)
     x = np.concatenate(blocks, axis=-2)
     x *= np.sign(np.take_along_axis(x, np.argmax(np.abs(x), axis=-1)[..., None], axis=-1))
-    if space == "A":
+    if space.OCTANT:
         x = np.clip(x, 0.0, None)
         x /= np.linalg.norm(x, axis=-1, keepdims=True)
     values = np.einsum("...ni,...ij,...nj->...n", x, m, x)
     best = np.argmax(values, axis=-1)[..., None, None]
     return np.take_along_axis(x, best, axis=-2)[..., 0, :] + 0.0  # normalize -0.0
-
-
-def _angles(x: np.ndarray) -> tuple:
-    """(theta, alpha, beta) of U00 = x0 + i*x3 = e^{i alpha} cos(theta),
-    U01 = x2 + i*x1 = e^{i beta} sin(theta)."""
-    theta = float(np.arctan2(np.hypot(x[2], x[1]), np.hypot(x[0], x[3])))
-    return theta, float(np.arctan2(x[3], x[0])), float(np.arctan2(x[1], x[2]))
-
-
-def _require_space(space) -> None:
-    if space not in ("A", "B"):  # a tuple, so an unhashable space is refused too
-        raise ValidationError(f"space must be 'A' or 'B', got {space!r}")
 
 
 def _regrets(game, gamma, mode, u1, u2, space) -> np.ndarray:
@@ -158,21 +150,18 @@ def best_response(game: Bimatrix, gamma: float, mode: EntanglerMode,
     menu of gates, mixed_quantum_equilibrium's dynamics take the first
     exact maximum of the induced table.
     """
-    _require_space(space)
+    space = _space(space)
     m = _payoff_form(game, clamp_gamma(gamma), mode, gate_matrix(opponent_gate), responder)
     x = _exact_optimum(m, space)
-    theta, alpha, beta = _angles(x)
-    params_type = SPACES[space]
-    params = params_type(*(theta, alpha, beta)[:len(params_type.BOUNDS)])
-    return BestResponse(responder=responder, params=params,
-                        gate=Gate1Q(strategy_matrix(theta, alpha, beta)),
+    params = space._from_quaternion(x)
+    return BestResponse(responder=responder, params=params, gate=params.gate(),
                         payoff=float(x @ m @ x))
 
 
 def verify_eps_nash(game: Bimatrix, gamma: float, mode: EntanglerMode,
                     u1: Gate1Q, u2: Gate1Q, space: str, cfg: SearchConfig) -> tuple:
     """(is_equilibrium, max_improvement) of (u1, u2): the larger exact regret, or 0."""
-    _require_space(space)
+    space = _space(space)
     worst = max(0.0, *_regrets(game, clamp_gamma(gamma), mode, gate_matrix(u1),
                                gate_matrix(u2), space).tolist())
     return worst <= cfg.eps_nash, worst
@@ -190,14 +179,14 @@ def symmetric_equilibrium_gate(game: Bimatrix, gamma: float, mode: EntanglerMode
     """
     gamma = clamp_gamma(gamma)
     n = cfg.grid_resolution
-    _, u = _grid_points("A", n)
+    _, u = _grid_points(StrategyParamsA, n)
     own = np.abs(outcome_amplitudes(gamma, mode, u, u)) ** 2 @ game.payoff_vectors()[0]
 
     order = np.argsort(-own, kind="stable")
     start, size = 0, 16
     while start < len(order):
         block = order[start:start + size]
-        regret = _regrets(game, gamma, mode, u[block], u[block], "A")
+        regret = _regrets(game, gamma, mode, u[block], u[block], StrategyParamsA)
         passed = np.flatnonzero(regret.max(axis=0) <= cfg.eps_nash)
         if passed.size:
             return Gate1Q(u[block[passed[0]]])
@@ -214,12 +203,12 @@ def payoff_landscape(game: Bimatrix, gamma: float, mode: EntanglerMode,
     Returns (column_names, data); rows are in row-major axis order so
     repeated runs emit identical tables.
     """
-    _require_space(space)
+    space = _space(space)
     pts, u = _grid_points(space, cfg.grid_resolution)
     amps, payvec = _responder_amplitudes(game, clamp_gamma(gamma), mode,
                                          gate_matrix(fixed_opponent), responder, u)
     data = np.column_stack([pts, np.abs(amps) ** 2 @ payvec])
-    return (*(f.name for f in fields(SPACES[space])), "payoff"), data
+    return (*(f.name for f in fields(space)), "payoff"), data
 
 
 # -- finite-menu mixed equilibria -------------------------------------------
@@ -283,7 +272,7 @@ def default_menu(mode: EntanglerMode) -> list:
 @functools.cache
 def _default_menu(mode: EntanglerMode) -> tuple:
     named = canonical_gates(mode)
-    raw = np.concatenate(([g.matrix for g in named], _grid_points("B", 5)[1]))
+    raw = np.concatenate(([g.matrix for g in named], _grid_points(StrategyParamsB, 5)[1]))
     # C, D and Q differ by more than a phase, so each is its class's first
     return (*named, *map(Gate1Q, raw[_first_of_each_phase_class(raw)[3:]]))
 

@@ -5,7 +5,8 @@ settings (`Player`, `SearchConfig`), the noise channel (`NoiseKind`,
 `ChannelLocation`, `NoiseSpec`) and the tournament set-up (`NamedGate`,
 `AgentKind`, `AgentSpec`, `TournamentConfig`).  They live here, apart
 from the code that uses them, so that reading a config loads no
-solver; `qgames.search`, `qgames.noise` and `qgames.hft` re-export them.
+solver; `qgames.search`, `qgames.noise` and `qgames.hft` import the
+ones they use.
 Their counts, reals and flags are read by `qcore.check_integer`,
 `qcore.check_real` and `qcore.check_bool`.
 """

@@ -21,8 +21,6 @@ from qgames import (
     canonical_gates,
     canonical_pd,
     default_menu,
-    gate_from_A,
-    gate_from_B,
     Gate1Q,
     hft_game,
     menu_advantage_experiment,
@@ -89,7 +87,7 @@ def test_criterion_03_classical_embedding_at_full_entanglement():
                 assert abs(r.payoff_II - want_ii) < 1e-12
         # set-A defect under the pauli_x generator misattributes defection
         named = canonical_gates(EntanglerMode.PAULI_X)
-        d_set_a = gate_from_A(StrategyParamsA(np.pi / 2, 0.0))
+        d_set_a = StrategyParamsA(np.pi / 2, 0.0).gate()
         r = run_protocol(PD, np.pi / 2, EntanglerMode.PAULI_X, named.C, d_set_a)
         assert abs(r.payoff_I - 5.0) < 1e-12 and abs(r.payoff_II - 0.0) < 1e-12
 
@@ -189,19 +187,19 @@ def test_criterion_10_property_suites():
 
         # unitarity of parametric strategy gates at 1e-12
         for _ in range(500):
-            g = gate_from_B(StrategyParamsB(rng.uniform(0, np.pi / 2),
-                                            rng.uniform(-np.pi, np.pi),
-                                            rng.uniform(-np.pi, np.pi)))
+            g = StrategyParamsB(rng.uniform(0, np.pi / 2),
+                                rng.uniform(-np.pi, np.pi),
+                                rng.uniform(-np.pi, np.pi)).gate()
             assert np.abs(g.matrix.conj().T @ g.matrix - np.eye(2)).max() < 1e-12
 
         # norm preservation through the full circuit at 1e-10
         for _ in range(500):
-            u = gate_from_B(StrategyParamsB(rng.uniform(0, np.pi / 2),
-                                            rng.uniform(-np.pi, np.pi),
-                                            rng.uniform(-np.pi, np.pi)))
-            v = gate_from_B(StrategyParamsB(rng.uniform(0, np.pi / 2),
-                                            rng.uniform(-np.pi, np.pi),
-                                            rng.uniform(-np.pi, np.pi)))
+            u = StrategyParamsB(rng.uniform(0, np.pi / 2),
+                                rng.uniform(-np.pi, np.pi),
+                                rng.uniform(-np.pi, np.pi)).gate()
+            v = StrategyParamsB(rng.uniform(0, np.pi / 2),
+                                rng.uniform(-np.pi, np.pi),
+                                rng.uniform(-np.pi, np.pi)).gate()
             mode = MODES[int(rng.integers(2))]
             r = run_protocol(PD, rng.uniform(0, np.pi / 2), mode, u, v)
             assert abs(np.abs(r.final_state.amps ** 2).sum() - 1.0) < 1e-10
@@ -222,12 +220,12 @@ def test_criterion_10_property_suites():
 
         # global phases never change the outcome distribution
         for _ in range(500):
-            u = gate_from_B(StrategyParamsB(rng.uniform(0, np.pi / 2),
-                                            rng.uniform(-np.pi, np.pi),
-                                            rng.uniform(-np.pi, np.pi)))
-            v = gate_from_B(StrategyParamsB(rng.uniform(0, np.pi / 2),
-                                            rng.uniform(-np.pi, np.pi),
-                                            rng.uniform(-np.pi, np.pi)))
+            u = StrategyParamsB(rng.uniform(0, np.pi / 2),
+                                rng.uniform(-np.pi, np.pi),
+                                rng.uniform(-np.pi, np.pi)).gate()
+            v = StrategyParamsB(rng.uniform(0, np.pi / 2),
+                                rng.uniform(-np.pi, np.pi),
+                                rng.uniform(-np.pi, np.pi)).gate()
             gamma = rng.uniform(0, np.pi / 2)
             mode = MODES[int(rng.integers(2))]
             base = run_protocol(PD, gamma, mode, u, v).distribution.probs
@@ -237,9 +235,9 @@ def test_criterion_10_property_suites():
 
         # widening the strategy space never hurts the best response
         for _ in range(500):
-            opp = gate_from_B(StrategyParamsB(rng.uniform(0, np.pi / 2),
-                                              rng.uniform(-np.pi, np.pi),
-                                              rng.uniform(-np.pi, np.pi)))
+            opp = StrategyParamsB(rng.uniform(0, np.pi / 2),
+                                  rng.uniform(-np.pi, np.pi),
+                                  rng.uniform(-np.pi, np.pi)).gate()
             gamma = rng.uniform(0, np.pi / 2)
             mode = MODES[int(rng.integers(2))]
             responder = Player.I if rng.random() < 0.5 else Player.II

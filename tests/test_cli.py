@@ -24,6 +24,7 @@ import qgames.hft as hft_mod
 from qgames import (EntanglerMode, MixedQuantumStrategy, NoiseKind, default_menu,
                     run_protocol_noisy)
 from qgames.errors import ConfigError, ValidationError
+from qgames.ewl import SPACES
 from report_ref import write_reports as write_reference_reports
 
 
@@ -67,6 +68,18 @@ class TestParseStrategy:
         assert np.abs(g.matrix - np.array([[0, 1j], [1j, 0]])).max() < 1e-12
         g = cli.parse_strategy("A(0, pi/2)", EntanglerMode.DEFECT)
         assert np.allclose(g.matrix, np.diag([1j, -1j]))
+
+    @pytest.mark.parametrize("name", SPACES)
+    def test_parametric_is_the_named_sets_gate(self, name):
+        rng = np.random.default_rng(3502)
+        points = [[math.pi / 2] * len(SPACES[name].BOUNDS)]
+        points += [[float(rng.uniform(lo, hi)) for lo, hi in SPACES[name].BOUNDS]
+                   for _ in range(20)]
+        for point in points:
+            text = f"{name}({', '.join(map(repr, point))})"
+            want = SPACES[name](*point).gate().matrix.tobytes()
+            for mode in EntanglerMode:
+                assert cli.parse_strategy(text, mode).matrix.tobytes() == want, text
 
     def test_mixed(self):
         m = cli.parse_strategy('mixed:[[0.5,"C"],[0.5,"Q"]]', EntanglerMode.DEFECT)

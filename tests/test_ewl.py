@@ -14,8 +14,6 @@ from qgames import (
     canonical_pd,
     default_menu,
     gamma_sweep,
-    gate_from_A,
-    gate_from_B,
     outcome_amplitudes,
     run_protocol,
     run_protocol_mixed,
@@ -62,31 +60,31 @@ def kernel_cases(seed, n):
 
 class TestStrategyGates:
     def test_set_a_identity(self):
-        g = gate_from_A(StrategyParamsA(0.0, 0.0))
+        g = StrategyParamsA(0.0, 0.0).gate()
         assert np.abs(g.matrix - np.eye(2)).max() < 1e-15
 
     def test_set_a_theta_half_pi(self):
-        g = gate_from_A(StrategyParamsA(np.pi / 2, 0.0))
+        g = StrategyParamsA(np.pi / 2, 0.0).gate()
         assert np.abs(g.matrix - DEFECT_GATE).max() < 1e-12
 
     def test_set_a_phi_half_pi_is_q(self):
         # substituting theta=0, phi=pi/2: diag(e^{i pi/2}, e^{-i pi/2})
-        g = gate_from_A(StrategyParamsA(0.0, np.pi / 2))
+        g = StrategyParamsA(0.0, np.pi / 2).gate()
         assert np.abs(g.matrix - np.diag([1j, -1j])).max() < 1e-12
 
     def test_set_b_identity(self):
-        g = gate_from_B(StrategyParamsB(0.0, 0.0, 0.0))
+        g = StrategyParamsB(0.0, 0.0, 0.0).gate()
         assert np.abs(g.matrix - np.eye(2)).max() < 1e-15
 
     def test_set_b_i_sigma_x(self):
-        g = gate_from_B(StrategyParamsB(np.pi / 2, 0.0, np.pi / 2))
+        g = StrategyParamsB(np.pi / 2, 0.0, np.pi / 2).gate()
         assert np.abs(g.matrix - 1j * SIGMA_X).max() < 1e-12
 
     def test_set_b_restricts_to_set_a_at_beta_zero(self):
         for theta in np.linspace(0, np.pi / 2, 9):
             for phi in np.linspace(0, np.pi / 2, 9):
-                a = gate_from_A(StrategyParamsA(theta, phi)).matrix
-                b = gate_from_B(StrategyParamsB(theta, phi, 0.0)).matrix
+                a = StrategyParamsA(theta, phi).gate().matrix
+                b = StrategyParamsB(theta, phi, 0.0).gate().matrix
                 assert np.array_equal(a, b)
 
     def test_parameter_ranges_enforced(self):
@@ -102,11 +100,11 @@ class TestStrategyGates:
     def test_unitary_for_500_random_parameter_draws(self):
         rng = np.random.default_rng(42)
         for _ in range(500):
-            ga = gate_from_A(StrategyParamsA(rng.uniform(0, np.pi / 2),
-                                             rng.uniform(0, np.pi / 2)))
-            gb = gate_from_B(StrategyParamsB(rng.uniform(0, np.pi / 2),
-                                             rng.uniform(-np.pi, np.pi),
-                                             rng.uniform(-np.pi, np.pi)))
+            ga = StrategyParamsA(rng.uniform(0, np.pi / 2),
+                                 rng.uniform(0, np.pi / 2)).gate()
+            gb = StrategyParamsB(rng.uniform(0, np.pi / 2),
+                                 rng.uniform(-np.pi, np.pi),
+                                 rng.uniform(-np.pi, np.pi)).gate()
             for g in (ga, gb):
                 err = np.abs(g.matrix.conj().T @ g.matrix - np.eye(2)).max()
                 assert err < 1e-12
@@ -135,10 +133,10 @@ class TestCanonicalGates:
         phases = np.append(np.linspace(-np.pi, np.pi, 9), rng.uniform(-np.pi, np.pi, 8))
         for theta in thetas:
             for phi in thetas:
-                assert deviation(gate_from_A(StrategyParamsA(theta, phi))) <= 1e-12
+                assert deviation(StrategyParamsA(theta, phi).gate()) <= 1e-12
             for alpha in phases:
                 for beta in phases:
-                    assert deviation(gate_from_B(StrategyParamsB(theta, alpha, beta))) <= 1e-12
+                    assert deviation(StrategyParamsB(theta, alpha, beta).gate()) <= 1e-12
 
     def test_cooperation_pays_3_at_any_gamma(self):
         for mode in MODES:
@@ -201,7 +199,7 @@ class TestRunProtocol:
         # The set-A defect gate under the PAULI_X generator lands the
         # outcome on |10>, crediting the wrong player.
         named = canonical_gates(EntanglerMode.PAULI_X)
-        d_set_a = gate_from_A(StrategyParamsA(np.pi / 2, 0.0))
+        d_set_a = StrategyParamsA(np.pi / 2, 0.0).gate()
         r = run_protocol(PD, np.pi / 2, EntanglerMode.PAULI_X, named.C, d_set_a)
         assert np.abs(r.distribution.probs - np.array([0, 0, 1, 0])).max() < 1e-12
         assert abs(r.payoff_I - 5.0) < 1e-12 and abs(r.payoff_II) < 1e-12
@@ -210,12 +208,12 @@ class TestRunProtocol:
         rng = np.random.default_rng(21)
         a, b = PD.payoff_vectors()
         for _ in range(100):
-            u = gate_from_B(StrategyParamsB(rng.uniform(0, np.pi / 2),
-                                            rng.uniform(-np.pi, np.pi),
-                                            rng.uniform(-np.pi, np.pi)))
-            v = gate_from_B(StrategyParamsB(rng.uniform(0, np.pi / 2),
-                                            rng.uniform(-np.pi, np.pi),
-                                            rng.uniform(-np.pi, np.pi)))
+            u = StrategyParamsB(rng.uniform(0, np.pi / 2),
+                                rng.uniform(-np.pi, np.pi),
+                                rng.uniform(-np.pi, np.pi)).gate()
+            v = StrategyParamsB(rng.uniform(0, np.pi / 2),
+                                rng.uniform(-np.pi, np.pi),
+                                rng.uniform(-np.pi, np.pi)).gate()
             mode = MODES[int(rng.integers(2))]
             r = run_protocol(PD, rng.uniform(0, np.pi / 2), mode, u, v)
             assert abs(r.payoff_I - float(r.distribution.probs @ a)) < 1e-12
@@ -224,12 +222,12 @@ class TestRunProtocol:
     def test_phase_invariance_500_cases(self):
         rng = np.random.default_rng(314)
         for _ in range(500):
-            u = gate_from_B(StrategyParamsB(rng.uniform(0, np.pi / 2),
-                                            rng.uniform(-np.pi, np.pi),
-                                            rng.uniform(-np.pi, np.pi)))
-            v = gate_from_B(StrategyParamsB(rng.uniform(0, np.pi / 2),
-                                            rng.uniform(-np.pi, np.pi),
-                                            rng.uniform(-np.pi, np.pi)))
+            u = StrategyParamsB(rng.uniform(0, np.pi / 2),
+                                rng.uniform(-np.pi, np.pi),
+                                rng.uniform(-np.pi, np.pi)).gate()
+            v = StrategyParamsB(rng.uniform(0, np.pi / 2),
+                                rng.uniform(-np.pi, np.pi),
+                                rng.uniform(-np.pi, np.pi)).gate()
             gamma = rng.uniform(0, np.pi / 2)
             mode = MODES[int(rng.integers(2))]
             delta = rng.uniform(-np.pi, np.pi)
@@ -247,12 +245,12 @@ class TestRunProtocol:
         profiles = [(named.C, named.Q), (named.Q, named.D)]
         for _ in range(3):
             profiles.append((
-                gate_from_B(StrategyParamsB(rng.uniform(0, np.pi / 2),
-                                            rng.uniform(-np.pi, np.pi),
-                                            rng.uniform(-np.pi, np.pi))),
-                gate_from_B(StrategyParamsB(rng.uniform(0, np.pi / 2),
-                                            rng.uniform(-np.pi, np.pi),
-                                            rng.uniform(-np.pi, np.pi)))))
+                StrategyParamsB(rng.uniform(0, np.pi / 2),
+                                rng.uniform(-np.pi, np.pi),
+                                rng.uniform(-np.pi, np.pi)).gate(),
+                StrategyParamsB(rng.uniform(0, np.pi / 2),
+                                rng.uniform(-np.pi, np.pi),
+                                rng.uniform(-np.pi, np.pi)).gate()))
         grid = np.arange(0, np.pi / 2 + 1e-12, np.pi / 200)
         for mode in MODES:
             for u, v in profiles:

@@ -99,8 +99,8 @@ class TestFixedAgents:
             assert np.abs(np.array(r.distribution) - 0.25).max() < 1e-12
 
     def test_noisy_menu_table_matches_per_pair_runs(self):
-        from qgames import NoiseKind, NoiseSpec, StrategyParamsB, gate_from_B, run_protocol_noisy
-        x = NamedGate("X", gate_from_B(StrategyParamsB(0.7, 1.2, -0.4)))
+        from qgames import NoiseKind, NoiseSpec, StrategyParamsB, run_protocol_noisy
+        x = NamedGate("X", StrategyParamsB(0.7, 1.2, -0.4).gate())
         noise = NoiseSpec(kind=NoiseKind.PER_QUBIT_DEPOLARIZING, p=0.2)
         cfg = TournamentConfig(rounds=200, gamma=1.0, mode=EntanglerMode.PAULI_X, seed=5,
                                noise=noise)
@@ -279,8 +279,8 @@ class TestTournamentMatchesDefaultRng:
     @pytest.mark.parametrize("kind_2", list(AgentKind))
     @pytest.mark.parametrize("kind_1", list(AgentKind))
     def test_same_rows_log_and_means(self, monkeypatch, kind_1, kind_2):
-        from qgames import NoiseKind, NoiseSpec, StrategyParamsB, gate_from_B
-        x = NamedGate("B(0.7, 1.2, -0.4)", gate_from_B(StrategyParamsB(0.7, 1.2, -0.4)))
+        from qgames import NoiseKind, NoiseSpec, StrategyParamsB
+        x = NamedGate("B(0.7, 1.2, -0.4)", StrategyParamsB(0.7, 1.2, -0.4).gate())
         gates = (Q, D, C, x)
         monkeypatch.setattr(hft, "_BLOCK_WORDS", 61)  # refills fall mid-tournament
         for sampled in (False, True):
@@ -314,12 +314,12 @@ class TestLoopMatchesReference:
     @pytest.mark.parametrize("kind_2", list(AgentKind))
     @pytest.mark.parametrize("kind_1", list(AgentKind))
     def test_same_rows_log_and_means(self, monkeypatch, kind_1, kind_2):
-        from qgames import NoiseKind, NoiseSpec, StrategyParamsB, gate_from_B
+        from qgames import NoiseKind, NoiseSpec, StrategyParamsB
         from tournament_ref import play_tournament_ref
 
         monkeypatch.setattr(hft, "_BLOCK_WORDS", 37)  # refills fall mid-tournament
         plan = random.Random(f"{kind_1.value}:{kind_2.value}")
-        x = NamedGate("X", gate_from_B(StrategyParamsB(0.7, 1.2, -0.4)))
+        x = NamedGate("X", StrategyParamsB(0.7, 1.2, -0.4).gate())
         gates = [C, D, Q, x]
         for sampled in (False, True):
             for noise in (NoiseSpec(), NoiseSpec(kind=NoiseKind.TWO_QUBIT_DEPOLARIZING,

@@ -33,7 +33,7 @@ NAMES = [
     "SearchConfig", "StrategyParamsA", "StrategyParamsB", "ThresholdResult",
     "TournamentConfig", "TournamentResult", "ValidationError", "advantage_threshold",
     "best_correlated", "best_response", "canonical_gates", "canonical_pd", "default_menu",
-    "expected_payoff", "gamma_sweep", "gate_from_A", "gate_from_B", "hft_game",
+    "expected_payoff", "gamma_sweep", "hft_game",
     "is_correlated_equilibrium", "menu_advantage_experiment", "mixed_nash",
     "mixed_quantum_equilibrium", "noisy_outcome_probs", "outcome_amplitudes",
     "pareto_optimal", "payoff_landscape", "play_tournament", "pure_nash", "run_protocol",
@@ -43,7 +43,7 @@ NAMES = [
 # the value types every config builds, by the module that defined them before
 MOVED = {
     qgames.search: ("Player", "SearchConfig"),
-    qgames.noise: ("NoiseKind", "ChannelLocation", "NoiseSpec"),
+    qgames.noise: ("NoiseKind", "NoiseSpec"),
     qgames.hft: ("NamedGate", "AgentKind", "AgentSpec", "TournamentConfig"),
 }
 

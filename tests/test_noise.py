@@ -16,7 +16,6 @@ from qgames import (
     canonical_gates,
     canonical_pd,
     gamma_sweep,
-    gate_from_B,
     hft_game,
     outcome_amplitudes,
     run_protocol,
@@ -26,7 +25,7 @@ from qgames import (
 )
 from qgames.errors import ConvergenceError, RangeError, ValidationError
 from qgames.ewl import _PAULIS, _pauli_weights, strategy_matrix
-from qgames.noise import symmetric_equilibrium_gate
+from qgames.search import symmetric_equilibrium_gate
 
 from kraus import apply_channel, kraus_probs
 
@@ -49,9 +48,9 @@ def pauli_channel(rho, spec):
 
 
 def random_gate(rng):
-    return gate_from_B(StrategyParamsB(rng.uniform(0, np.pi / 2),
-                                       rng.uniform(-np.pi, np.pi),
-                                       rng.uniform(-np.pi, np.pi)))
+    return StrategyParamsB(rng.uniform(0, np.pi / 2),
+                           rng.uniform(-np.pi, np.pi),
+                           rng.uniform(-np.pi, np.pi)).gate()
 
 
 def random_mixture(rng):

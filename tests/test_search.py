@@ -15,7 +15,6 @@ from qgames import (
     canonical_gates,
     canonical_pd,
     default_menu,
-    gate_from_B,
     mixed_quantum_equilibrium,
     payoff_landscape,
     run_protocol,
@@ -64,15 +63,15 @@ class TestBatchEvaluator:
         # it replay through run_protocol.
         rng = np.random.default_rng(100)
         for _ in range(200):
-            opp = gate_from_B(StrategyParamsB(rng.uniform(0, np.pi / 2),
-                                              rng.uniform(-np.pi, np.pi),
-                                              rng.uniform(-np.pi, np.pi)))
+            opp = StrategyParamsB(rng.uniform(0, np.pi / 2),
+                                  rng.uniform(-np.pi, np.pi),
+                                  rng.uniform(-np.pi, np.pi)).gate()
             gamma = rng.uniform(0, np.pi / 2)
             mode = MODES[int(rng.integers(2))]
             responder = Player.I if rng.random() < 0.5 else Player.II
             _, data = payoff_landscape(PD, gamma, mode, "B", opp, TINY, responder=responder)
             *params, batch = data[int(rng.integers(len(data)))]
-            mine = gate_from_B(StrategyParamsB(*params))
+            mine = StrategyParamsB(*params).gate()
             if responder is Player.I:
                 direct = run_protocol(PD, gamma, mode, mine, opp).payoff_I
             else:
@@ -116,9 +115,9 @@ class TestBestResponse:
     def test_space_b_dominates_space_a_500_seeds(self):
         rng = np.random.default_rng(555)
         for _ in range(500):
-            opp = gate_from_B(StrategyParamsB(rng.uniform(0, np.pi / 2),
-                                              rng.uniform(-np.pi, np.pi),
-                                              rng.uniform(-np.pi, np.pi)))
+            opp = StrategyParamsB(rng.uniform(0, np.pi / 2),
+                                  rng.uniform(-np.pi, np.pi),
+                                  rng.uniform(-np.pi, np.pi)).gate()
             gamma = rng.uniform(0, np.pi / 2)
             mode = MODES[int(rng.integers(2))]
             responder = Player.I if rng.random() < 0.5 else Player.II
@@ -136,13 +135,27 @@ class TestBestResponse:
     def test_regression_grid_refinement_fell_short(self):
         # Grid + Nelder-Mead returned 4.99975973727336 here, 1.1e-4 short
         # of the optimum (the top eigenvalue of the payoff form).
-        opp = gate_from_B(StrategyParamsB(0.008270721071061176, 2.0183376786311342,
-                                          1.8665422699470895))
+        opp = StrategyParamsB(0.008270721071061176, 2.0183376786311342,
+                              1.8665422699470895).gate()
         br = best_response(PD, 0.7350305051058598, EntanglerMode.PAULI_X, opp, Player.I,
                            "B")
         assert abs(br.payoff - 4.999870821593708) < 1e-12
         replay = run_protocol(PD, 0.7350305051058598, EntanglerMode.PAULI_X, br.gate, opp)
         assert abs(replay.payoff_I - br.payoff) < 1e-12
+
+    @pytest.mark.parametrize("space", SPACES)
+    def test_the_params_gate_is_the_reply_gate(self, space):
+        """A reply's params are a point of the named set, and their gate()
+        is the reply's gate, byte for byte."""
+        rng = np.random.default_rng(3501)
+        for mode in MODES:
+            for responder in Player:
+                for game in (PD, RANDOM_GAME):
+                    for opp in random_b_gates(int(rng.integers(2**32)), 10):
+                        br = best_response(game, rng.uniform(0, np.pi / 2), mode, opp,
+                                           responder, space)
+                        assert type(br.params) is SPACES[space]
+                        assert br.params.gate().matrix.tobytes() == br.gate.matrix.tobytes()
 
     def test_invalid_space(self):
         named = canonical_gates(EntanglerMode.DEFECT)
@@ -163,6 +176,17 @@ class TestBestResponse:
             space = [named.C, named.D, named.Q]
         with pytest.raises(ValidationError, match="space must be 'A' or 'B'"):
             call(named.C, space)
+
+    @pytest.mark.parametrize("space", [np.array("A"), np.array(["A"])], ids=["0-d", "1-d"])
+    @pytest.mark.parametrize("call", [
+        lambda g, space: best_response(PD, 0.0, EntanglerMode.DEFECT, g, Player.I, space),
+        lambda g, space: verify_eps_nash(PD, 0.0, EntanglerMode.DEFECT, g, g, space, FAST),
+        lambda g, space: payoff_landscape(PD, 0.0, EntanglerMode.DEFECT, space, g, FAST),
+    ], ids=["best_response", "verify_eps_nash", "payoff_landscape"])
+    def test_a_numpy_array_space_is_a_validation_error(self, call, space):
+        # an array holding "A" compares equal to "A" but is no key of SPACES
+        with pytest.raises(ValidationError, match="space must be 'A' or 'B'"):
+            call(canonical_gates(EntanglerMode.DEFECT).C, space)
 
     @pytest.mark.parametrize("responder", ["x", None, 1, 2, "I"])
     @pytest.mark.parametrize("call", [
@@ -199,9 +223,9 @@ class TestExactSolverOracle:
     def test_matches_dense_grid_and_replay_200_seeds(self):
         rng = np.random.default_rng(2104)
         for k in range(200):
-            opp = gate_from_B(StrategyParamsB(rng.uniform(0, np.pi / 2),
-                                              rng.uniform(-np.pi, np.pi),
-                                              rng.uniform(-np.pi, np.pi)))
+            opp = StrategyParamsB(rng.uniform(0, np.pi / 2),
+                                  rng.uniform(-np.pi, np.pi),
+                                  rng.uniform(-np.pi, np.pi)).gate()
             gamma = rng.uniform(0, np.pi / 2)
             mode = MODES[k % 2]
             responder = (Player.I, Player.II)[(k // 2) % 2]
@@ -217,7 +241,7 @@ class TestExactSolverOracle:
                 replay = run_protocol(PD, gamma, mode, opp, br.gate).payoff_II
             assert abs(replay - br.payoff) < 1e-12
 
-    @pytest.mark.parametrize("space", ["A", "B"])
+    @pytest.mark.parametrize("space", SPACES.values(), ids=list(SPACES))
     def test_a_stack_of_forms_solves_like_each_form(self, space):
         rng = np.random.default_rng(2105)
         opp = random_b_gates(2106, 300)
@@ -263,7 +287,7 @@ class TestVerifyEpsNash:
     def test_symmetric_improvements_match(self):
         named = canonical_gates(EntanglerMode.DEFECT)
         r1, r2 = search._regrets(PD, np.pi / 2, EntanglerMode.DEFECT, named.Q.matrix,
-                                 named.Q.matrix, "B")
+                                 named.Q.matrix, StrategyParamsB)
         assert abs(r1 - r2) < 1e-6
 
 
@@ -297,7 +321,7 @@ class TestRegrets:
         for game in (PD, RANDOM_GAME):
             for gamma in (0.0, np.pi / 2, *rng.uniform(0, np.pi / 2, 2)):
                 for v1, v2 in ((u1, u2), (u1, u2[0])):
-                    regrets = search._regrets(game, gamma, mode, v1, v2, space)
+                    regrets = search._regrets(game, gamma, mode, v1, v2, SPACES[space])
                     assert regrets.shape == (2, 24)
                     for k, (g1, g2) in enumerate(zip(*np.broadcast_arrays(v1, v2))):
                         own = run_protocol(game, gamma, mode, g1, g2)
@@ -323,7 +347,7 @@ class TestRegrets:
                 for _ in range(3):
                     gamma = rng.uniform(0, np.pi / 2)
                     u1, u2 = haar_gates(rng, 2)
-                    r1, r2 = search._regrets(game, gamma, mode, u1, u2, space)
+                    r1, r2 = search._regrets(game, gamma, mode, u1, u2, SPACES[space])
                     own1, own2 = dense_payoffs(game, gamma, mode, u1, u2)
                     best1 = dense_payoffs(game, gamma, mode, dev, u2)[0].max()
                     best2 = dense_payoffs(game, gamma, mode, u1, dev)[1].max()
@@ -458,7 +482,7 @@ class TestMixedQuantumEquilibrium:
         named = canonical_gates(EntanglerMode.DEFECT)
         menu = default_menu(EntanglerMode.DEFECT)
         res = mixed_quantum_equilibrium(PD, np.pi / 2, EntanglerMode.DEFECT, menu, FAST)
-        x_gate = gate_from_B(StrategyParamsB(np.pi / 2, 0.0, np.pi / 2))  # i*sigma_x
+        x_gate = StrategyParamsB(np.pi / 2, 0.0, np.pi / 2).gate()  # i*sigma_x
         got1 = [g for _, g in res.strategy_I.support]
         got2 = [g for _, g in res.strategy_II.support]
         assert any(phase_equal(g, named.D) for g in got1)

@@ -13,8 +13,8 @@ from bisect import bisect_right
 import numpy as np
 
 from qgames import AgentKind, RoundRow, TournamentResult
+from qgames.ewl import noisy_outcome_probs
 from qgames.hft import _mean_payoffs
-from qgames.noise import noisy_outcome_probs
 
 
 class Agent:
