@@ -10,7 +10,7 @@ _HOMES = {
     "errors": ("ConfigError", "ConvergenceError", "QGamesError", "RangeError",
                "ValidationError"),
     "qcore": ("EntanglerMode", "Gate1Q", "OutcomeDistribution", "PureState2Q"),
-    "games": ("Bimatrix", "JointDistribution", "MixedProfile", "PureProfile",
+    "games": ("Bimatrix", "MixedProfile", "PureProfile",
               "best_correlated", "canonical_pd", "expected_payoff", "hft_game",
               "is_correlated_equilibrium", "mixed_nash", "pareto_optimal", "pure_nash"),
     "ewl": ("CanonicalGates", "MixedQuantumStrategy", "ProtocolResult", "StrategyParamsA",

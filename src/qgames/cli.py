@@ -32,7 +32,9 @@ import numpy as np
 from .errors import ConfigError, QGamesError, RangeError, ValidationError
 from .ewl import (
     SPACES,
+    CanonicalGates,
     MixedQuantumStrategy,
+    StrategyParamsB,
     canonical_gates,
     gamma_sweep,
     run_protocol,
@@ -104,7 +106,7 @@ def parse_strategy(spec, mode: EntanglerMode, field: str = "strategy"
     if isinstance(spec, str):
         text = spec.strip()
         named = canonical_gates(mode)
-        if text in ("C", "D", "Q"):
+        if text in CanonicalGates._fields:
             return getattr(named, text)
         m = _PARAM_STRATEGY_RE.match(text)
         if m:
@@ -522,24 +524,19 @@ def _cmd_payoff(cfg: RunConfig):
 
 
 def describe_gate(gate: Gate1Q, mode: EntanglerMode) -> str:
-    """Readable name for a gate: C/D/Q or recovered B(...) parameters.
+    """Readable name for a gate: C/D/Q or its set-B name B(theta,alpha,beta).
 
-    The description identifies the gate up to a global phase, which
-    never affects outcomes.
+    parse_strategy reads the name back as the gate up to a global phase,
+    which never affects outcomes.
     """
     from .search import phase_canonical_keys
 
     named = canonical_gates(mode)
-    key, *named_keys = phase_canonical_keys(
-        np.array([gate.matrix, named.C.matrix, named.D.matrix, named.Q.matrix]))
-    for name, named_key in zip(("C", "D", "Q"), named_keys):
+    key, *named_keys = phase_canonical_keys(np.array([gate.matrix, *(g.matrix for g in named)]))
+    for name, named_key in zip(CanonicalGates._fields, named_keys):
         if named_key == key:
             return name
-    m = gate.matrix
-    theta = float(np.arctan2(abs(m[0, 1]), abs(m[0, 0])))
-    alpha = float(np.angle(m[0, 0])) if abs(m[0, 0]) > 1e-12 else 0.0
-    beta = float(np.angle(m[0, 1])) if abs(m[0, 1]) > 1e-12 else 0.0
-    return f"B({theta:.9g},{alpha:.9g},{beta:.9g})"
+    return str(StrategyParamsB.of(gate.matrix))
 
 
 def _cmd_equilibria(cfg: RunConfig):
@@ -667,11 +664,11 @@ def _cmd_correlated(cfg: RunConfig):
     objective = cfg.settings["objective"]
     mu = best_correlated(game, objective)
     a, b = game.payoff_vectors()
-    value_i = float(mu.mu @ a)
-    value_ii = float(mu.mu @ b)
+    value_i = float(mu.probs @ a)
+    value_ii = float(mu.probs @ b)
     summary = {
         "objective": objective,
-        "mu": [float(x) for x in mu.mu],
+        "mu": [float(x) for x in mu.probs],
         "payoffs": [value_i, value_ii],
         "welfare": value_i + value_ii,
         "is_correlated_equilibrium": is_correlated_equilibrium(game, mu),

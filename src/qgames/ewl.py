@@ -23,8 +23,9 @@ Two named strategy families are provided, named by SPACES: the
 two-parameter set A (theta, phi) and its three-parameter superset B
 (theta, alpha, beta), which coincides with A at beta=0.  Each set is
 one value, its params type, which states its ranges (BOUNDS), its
-faces (FACES, OCTANT) and its gates (params.gate()).  Note the
-matrices use cos(theta), not the half-angle convention.
+faces (FACES, OCTANT), its gates (params.gate()) and a gate's params
+and name (of(matrix), str(params)).  Note the matrices use cos(theta),
+not the half-angle convention.
 """
 from __future__ import annotations
 
@@ -72,18 +73,36 @@ class _StrategyParams:
     by coordinate, held to x >= 0 when OCTANT is true."""
 
     def __post_init__(self):
-        # 1e-8 of spill: a 9-digit gate name (cli.describe_gate) rounds pi/2 up by 3.2e-9
+        # 1e-8 of spill: a name (str(params)) rounds pi/2 up by 3.2e-9
         for f, (lo, hi) in zip(fields(self), self.BOUNDS):
             value = check_real(f.name, getattr(self, f.name), lo, hi, 1e-8)
             object.__setattr__(self, f.name, value)
 
+    def __str__(self):
+        """The set's name of the gate, NAME(v,...) at 9 significant digits,
+        which cli.parse_strategy reads back."""
+        return f"{self.NAME}({','.join(f'{v:.9g}' for v in astuple(self))})"
+
     @classmethod
     def _from_quaternion(cls, x: np.ndarray) -> "_StrategyParams":
         """The params of the gate x in the set, from U00 = x0 + i x3 =
-        e^{i alpha} cos(theta) and U01 = x2 + i x1 = e^{i beta} sin(theta)."""
-        theta = float(np.arctan2(np.hypot(x[2], x[1]), np.hypot(x[0], x[3])))
-        angles = theta, float(np.arctan2(x[3], x[0])), float(np.arctan2(x[1], x[2]))
+        e^{i alpha} cos(theta) and U01 = x2 + i x1 = e^{i beta} sin(theta);
+        the phase of an entry of modulus at most 1e-12 reads as 0."""
+        r00, r01 = np.hypot(x[0], x[3]), np.hypot(x[2], x[1])
+        alpha = float(np.arctan2(x[3], x[0])) if r00 > 1e-12 else 0.0
+        beta = float(np.arctan2(x[1], x[2])) if r01 > 1e-12 else 0.0
+        angles = float(np.arctan2(r01, r00)), alpha, beta
         return cls(*angles[:len(cls.BOUNDS)])  # set A's gates have beta = 0
+
+    @classmethod
+    def of(cls, matrix) -> "_StrategyParams":
+        """The params of a 2x2 unitary in the set, up to a global phase: a
+        determinant other than 1 is first divided out by its square root."""
+        m = np.asarray(matrix, dtype=np.complex128)
+        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+        if abs(det - 1.0) > 1e-12:
+            m = m / np.sqrt(det)
+        return cls._from_quaternion((m[0, 0].real, m[0, 1].imag, m[0, 1].real, m[0, 0].imag))
 
     def gate(self) -> Gate1Q:
         """The set's gate at these params."""

@@ -3,7 +3,8 @@
 Bimatrix games with pure/mixed Nash equilibria, Pareto-optimal profiles,
 and correlated equilibria.  Strategy index 0 is the cooperative-style
 label (C / Buy), index 1 the defect-style label (D / Sell); the same
-ordering is used for measurement outcomes by the protocol modules.
+ordering is used for measurement outcomes by the protocol modules, so a
+correlated equilibrium is a qcore.OutcomeDistribution, as a run's is.
 
 Nash equilibria and the correlated-equilibrium optimizer both enumerate
 vertices in exact rational arithmetic on the float payoffs, with no
@@ -20,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .qcore import _ATOL, _Value, check_bool, check_numeric, check_real
+from .qcore import OutcomeDistribution, check_bool, check_real
 
 
 class PureProfile(NamedTuple):
@@ -46,35 +47,6 @@ class MixedProfile:
                                check_real(f"MixedProfile.{name}", getattr(self, name), 0.0, 1.0))
         object.__setattr__(self, "degenerate",
                            check_bool("MixedProfile.degenerate", self.degenerate))
-
-
-class JointDistribution(_Value):
-    """A distribution over the four pure profiles, flat order
-    [(0,0), (0,1), (1,0), (1,1)]."""
-
-    __slots__ = ("mu",)
-
-    def __init__(self, mu):
-        m = check_numeric("JointDistribution", mu, np.float64)
-        if m.shape != (4,):
-            raise ValidationError(f"JointDistribution: expected 4 weights, got {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValidationError("JointDistribution: weights must be finite")
-        if m.min() < -_ATOL:
-            raise ValidationError(f"JointDistribution: negative weight {m.min()!r}")
-        if abs(float(m.sum()) - 1.0) > _ATOL:
-            raise ValidationError(f"JointDistribution does not sum to 1 (sum={m.sum()!r})")
-        m.setflags(write=False)
-        object.__setattr__(self, "mu", m)
-
-    def prob(self, row: int, col: int) -> float:
-        return float(self.mu[2 * row + col])
-
-    @classmethod
-    def point_mass(cls, profile: PureProfile) -> "JointDistribution":
-        m = np.zeros(4)
-        m[2 * profile.row + profile.col] = 1.0
-        return cls(m)
 
 
 @dataclass(frozen=True)
@@ -212,7 +184,7 @@ def mixed_nash(game: Bimatrix) -> list:
             for p, q in vertices]
 
 
-def is_correlated_equilibrium(game: Bimatrix, mu: JointDistribution,
+def is_correlated_equilibrium(game: Bimatrix, mu: OutcomeDistribution,
                               eps: float = 1e-9) -> bool:
     """Check the incentive constraints of a correlated equilibrium.
 
@@ -226,7 +198,7 @@ def is_correlated_equilibrium(game: Bimatrix, mu: JointDistribution,
     """
     eps = check_real("eps", eps, 0.0)
     bound = -(Fraction(eps) + _rounding(game))
-    weights = [Fraction(float(x)) for x in mu.mu]
+    weights = [Fraction(float(x)) for x in mu.probs]
     for row, cells in zip(_ce_constraint_rows(game), _CE_RECOMMENDED):
         marginal = sum(weights[k] for k in cells)
         if marginal > 0 and sum(row[k] * weights[k] for k in cells) / marginal < bound:
@@ -286,7 +258,7 @@ def _solve_exact(M: list, b: list):
 _OBJECTIVES = ("welfare", "player_I", "player_II")
 
 
-def best_correlated(game: Bimatrix, objective: str = "welfare") -> JointDistribution:
+def best_correlated(game: Bimatrix, objective: str = "welfare") -> OutcomeDistribution:
     """Maximize a linear objective over the correlated-equilibrium
     polytope by exact vertex enumeration.
 
@@ -301,8 +273,7 @@ def best_correlated(game: Bimatrix, objective: str = "welfare") -> JointDistribu
     """
     if objective not in _OBJECTIVES:
         raise ValidationError(f"objective must be one of {_OBJECTIVES}, got {objective!r}")
-    A = [Fraction(float(x)) for x in game.row_payoffs.ravel()]
-    B = [Fraction(float(x)) for x in game.col_payoffs.ravel()]
+    A, B = ([x for row in _exact(t) for x in row] for t in (game.row_payoffs, game.col_payoffs))
     if objective == "welfare":
         obj = [a + b for a, b in zip(A, B)]
     elif objective == "player_I":
@@ -337,4 +308,4 @@ def best_correlated(game: Bimatrix, objective: str = "welfare") -> JointDistribu
         if best_val is None or val > best_val or (val == best_val and key < best_mu):
             best_val, best_mu = val, key
     # The polytope always contains the Nash equilibria, so a vertex exists.
-    return JointDistribution([float(v) for v in best_mu])
+    return OutcomeDistribution([float(v) for v in best_mu])

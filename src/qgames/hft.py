@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .ewl import canonical_gates, noisy_outcome_probs
+from .ewl import CanonicalGates, canonical_gates, noisy_outcome_probs
 from .games import Bimatrix
 from .specs import AgentKind, AgentSpec, NamedGate, TournamentConfig
 
@@ -272,9 +272,8 @@ def menu_advantage_experiment(game: Bimatrix, cfg: TournamentConfig) -> MenuAdva
     classical {C, D} menu.  The tail means over the final rounds are
     the headline comparison.
     """
-    named = canonical_gates(cfg.mode)
-    quantum_menu = (NamedGate("C", named.C), NamedGate("D", named.D), NamedGate("Q", named.Q))
-    classical_menu = (NamedGate("C", named.C), NamedGate("D", named.D))
+    quantum_menu = tuple(map(NamedGate, CanonicalGates._fields, canonical_gates(cfg.mode)))
+    classical_menu = quantum_menu[:2]  # C and D
 
     def bandit(menu):
         return AgentSpec(kind=AgentKind.EPSILON_GREEDY_BANDIT, menu=menu)

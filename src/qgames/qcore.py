@@ -10,7 +10,8 @@ Conventions used throughout the package:
   * The entangler is J(g) = cos(g/2) I + i sin(g/2) G, G per
     EntanglerMode; ewl applies G as a signed reversal of the basis.
   * Everything is evaluated exactly (no sampling); an
-    OutcomeDistribution is the full Born-rule distribution.
+    OutcomeDistribution is the full Born-rule distribution over the
+    game's cells, and the type of a correlated equilibrium's too.
   * Every count and real field is read by check_integer (counts, seeds)
     or check_real (reals, stored as floats), every flag by check_bool and
     every array field by check_numeric: a value of the wrong type is a
@@ -136,7 +137,8 @@ class PureState2Q(_Value):
 
 
 class OutcomeDistribution(_Value):
-    """Probabilities over the four measurement outcomes, basis order."""
+    """Probabilities over the four measurement outcomes, basis order:
+    the game cells (0,0), (0,1), (1,0), (1,1)."""
 
     __slots__ = ("probs",)
 
@@ -154,6 +156,10 @@ class OutcomeDistribution(_Value):
             raise ValidationError(f"OutcomeDistribution does not sum to 1 (sum={p.sum()!r})")
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
+
+    def prob(self, row: int, col: int) -> float:
+        """The probability of the game cell (row, col), outcome |row col>."""
+        return float(self.probs[2 * row + col])
 
 
 def check_real(name: str, value, lo: float = -math.inf, hi: float = math.inf,

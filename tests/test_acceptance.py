@@ -141,9 +141,9 @@ def test_criterion_07_classical_baseline():
         assert pareto_optimal(PD) == [PureProfile(0, 0), PureProfile(0, 1),
                                       PureProfile(1, 0)]
         mu = best_correlated(PD, "welfare")
-        assert np.abs(mu.mu - np.array([0, 0, 0, 1])).max() < 1e-12
+        assert np.abs(mu.probs - np.array([0, 0, 0, 1])).max() < 1e-12
         a, b = PD.payoff_vectors()
-        assert abs(float(mu.mu @ (a + b)) - 2.0) < 1e-12
+        assert abs(float(mu.probs @ (a + b)) - 2.0) < 1e-12
 
 
 def test_criterion_08_hft_mapping():

@@ -21,10 +21,11 @@ from hypothesis import example, given, settings, strategies as st
 
 import qgames.cli as cli
 import qgames.hft as hft_mod
-from qgames import (EntanglerMode, MixedQuantumStrategy, NoiseKind, default_menu,
+from qgames import (EntanglerMode, Gate1Q, MixedQuantumStrategy, NoiseKind, default_menu,
                     run_protocol_noisy)
 from qgames.errors import ConfigError, ValidationError
 from qgames.ewl import SPACES
+from circuit import haar_gates
 from report_ref import write_reports as write_reference_reports
 
 
@@ -95,6 +96,16 @@ class TestParseStrategy:
             back = cli.parse_strategy(name, mode)
             fidelity = abs(np.trace(gate.matrix.conj().T @ back.matrix)) / 2
             assert fidelity > 1 - 1e-12, name
+
+    def test_every_unitary_name_reads_back_as_its_gate(self):
+        # the first row names a gate up to a global phase only if its determinant is 1
+        mode = EntanglerMode.DEFECT
+        hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+        gates = [hadamard, np.diag([1, 1j]), *haar_gates(np.random.default_rng(38), 5000)]
+        for u in gates:
+            name = cli.describe_gate(Gate1Q(u), mode)
+            back = cli.parse_strategy(name, mode).matrix
+            assert abs(np.trace(u.conj().T @ back) / 2) ** 2 >= 1 - 1e-12, name
 
     def test_rejects_unknown_and_out_of_range(self):
         with pytest.raises(ConfigError):

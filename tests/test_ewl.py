@@ -1,4 +1,6 @@
 """Tests for the protocol pipeline and the named strategy families."""
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,25 @@ class TestStrategyGates:
             StrategyParamsB(np.pi, 0.0, 0.0)
         with pytest.raises(RangeError):
             StrategyParamsB(0.0, 4.0, 0.0)
+
+    def test_a_phase_of_a_vanishing_entry_reads_as_zero(self):
+        # U00 = x0 + i x3 and U01 = x2 + i x1, each of modulus 7.1e-13
+        tiny = 5e-13
+        p = StrategyParamsB._from_quaternion(np.array([tiny, 0.6, 0.8, tiny]))
+        assert p.alpha == 0.0 and p.beta == np.arctan2(0.6, 0.8)
+        p = StrategyParamsB._from_quaternion(np.array([0.8, tiny, -tiny, 0.6]))
+        assert p.beta == 0.0 and p.alpha == np.arctan2(0.6, 0.8)
+
+    @pytest.mark.parametrize("params, name", [
+        (StrategyParamsA(0.3, np.pi / 2), "A(0.3,1.57079633)"),
+        (StrategyParamsB(1.1, -2.5, 0.4), "B(1.1,-2.5,0.4)"),
+    ], ids=["A", "B"])
+    def test_the_params_of_a_gate_and_its_name(self, params, name):
+        u = params.gate().matrix
+        for phase in (1.0, np.exp(0.7j)):  # a global phase leaves the params alone
+            back = type(params).of(phase * u)
+            assert np.allclose(astuple(back), astuple(params), rtol=0, atol=1e-12)
+        assert str(params) == name
 
     def test_unitary_for_500_random_parameter_draws(self):
         rng = np.random.default_rng(42)

@@ -13,12 +13,12 @@ from qgames import (
     AgentSpec,
     EntanglerMode,
     Gate1Q,
-    JointDistribution,
     MixedProfile,
     MixedQuantumStrategy,
     NamedGate,
     NoiseKind,
     NoiseSpec,
+    OutcomeDistribution,
     SearchConfig,
     StrategyParamsA,
     StrategyParamsB,
@@ -143,7 +143,7 @@ def test_mixed_profile_degenerate_is_a_bool():
 
 def test_correlated_equilibrium_eps_is_a_real():
     game = canonical_pd()
-    mu = JointDistribution([0, 0, 0, 1])
+    mu = OutcomeDistribution([0, 0, 0, 1])
     assert is_correlated_equilibrium(game, mu, eps=np.float32(0.0))
     with pytest.raises(RangeError, match=r"^eps=nan outside \[0, inf\]$"):
         is_correlated_equilibrium(game, mu, eps=math.nan)

@@ -14,10 +14,12 @@ from scipy.optimize import linprog
 
 from qgames import (
     Bimatrix,
-    JointDistribution,
+    EntanglerMode,
     MixedProfile,
+    OutcomeDistribution,
     PureProfile,
     best_correlated,
+    canonical_gates,
     canonical_pd,
     expected_payoff,
     hft_game,
@@ -25,6 +27,7 @@ from qgames import (
     mixed_nash,
     pareto_optimal,
     pure_nash,
+    run_protocol,
 )
 from qgames.errors import ValidationError
 
@@ -170,7 +173,14 @@ def reference_mixed_nash(game: Bimatrix, eps: float = 1e-9) -> list:
     return found
 
 
-def reference_is_correlated_equilibrium(game: Bimatrix, mu: JointDistribution,
+def point_mass(profile: PureProfile) -> OutcomeDistribution:
+    """The distribution that plays profile for sure."""
+    mu = np.zeros(4)
+    mu[2 * profile.row + profile.col] = 1.0
+    return OutcomeDistribution(mu)
+
+
+def reference_is_correlated_equilibrium(game: Bimatrix, mu: OutcomeDistribution,
                                         eps: float = 1e-9) -> bool:
     A, B = game.row_payoffs, game.col_payoffs
     for i in range(2):
@@ -461,43 +471,54 @@ class TestMixedNash:
 class TestCorrelated:
     def test_point_mass_dd_is_ce_for_pd(self):
         pd = canonical_pd()
-        assert is_correlated_equilibrium(pd, JointDistribution.point_mass(PureProfile(1, 1)), 0.0)
+        assert is_correlated_equilibrium(pd, point_mass(PureProfile(1, 1)), 0.0)
 
     def test_point_mass_cc_not_ce_for_pd(self):
         pd = canonical_pd()
-        mu = JointDistribution.point_mass(PureProfile(0, 0))
+        mu = point_mass(PureProfile(0, 0))
         assert not is_correlated_equilibrium(pd, mu, eps=1.0)
         assert is_correlated_equilibrium(pd, mu, eps=2.0)  # deviation gains exactly 2
 
     def test_uniform_on_all_equal_game(self):
         g = all_equal_game(1.0)
-        assert is_correlated_equilibrium(g, JointDistribution([0.25] * 4), 0.0)
+        assert is_correlated_equilibrium(g, OutcomeDistribution([0.25] * 4), 0.0)
 
     def test_eps_must_be_nonnegative(self):
         with pytest.raises(ValidationError):
-            is_correlated_equilibrium(canonical_pd(), JointDistribution([0.25] * 4), -1.0)
+            is_correlated_equilibrium(canonical_pd(), OutcomeDistribution([0.25] * 4), -1.0)
+
+    @pytest.mark.parametrize("mode", list(EntanglerMode), ids=lambda m: m.value)
+    def test_a_protocol_distribution_is_a_ce_argument(self, mode):
+        # at gamma 0 the protocol plays (D, D) classically: the PD's CE point mass
+        pd, d = canonical_pd(), canonical_gates(mode).D
+        assert is_correlated_equilibrium(pd, run_protocol(pd, 0.0, mode, d, d).distribution)
+
+    def test_best_correlated_returns_an_outcome_distribution(self):
+        mu = best_correlated(chicken(), "welfare")
+        assert type(mu) is OutcomeDistribution
+        assert [mu.prob(i, j) for i in range(2) for j in range(2)] == mu.probs.tolist()
 
     def test_pd_best_welfare_is_point_mass_dd(self):
         mu = best_correlated(canonical_pd(), "welfare")
-        assert np.allclose(mu.mu, [0, 0, 0, 1], atol=1e-12)
+        assert np.allclose(mu.probs, [0, 0, 0, 1], atol=1e-12)
         a, b = canonical_pd().payoff_vectors()
-        assert abs(float(mu.mu @ (a + b)) - 2.0) < 1e-12
+        assert abs(float(mu.probs @ (a + b)) - 2.0) < 1e-12
 
     def test_all_equal_game_welfare_is_constant(self):
         g = all_equal_game(1.5)
         mu = best_correlated(g, "welfare")
         a, b = g.payoff_vectors()
-        assert abs(float(mu.mu @ (a + b)) - 3.0) < 1e-12
+        assert abs(float(mu.probs @ (a + b)) - 3.0) < 1e-12
 
     def test_chicken_beats_worst_nash_welfare(self):
         g = chicken()
         mu = best_correlated(g, "welfare")
         a, b = g.payoff_vectors()
-        welfare = float(mu.mu @ (a + b))
+        welfare = float(mu.probs @ (a + b))
         worst_nash = min(sum(g.cell(*p)) for p in pure_nash(g))  # 9.0
         assert welfare > worst_nash + 1.0
         assert abs(welfare - 10.5) < 1e-12
-        assert np.allclose(mu.mu, [0.5, 0.25, 0.25, 0.0], atol=1e-12)
+        assert np.allclose(mu.probs, [0.5, 0.25, 0.25, 0.0], atol=1e-12)
         assert is_correlated_equilibrium(g, mu, eps=1e-9)
 
     def test_vertex_enumeration_matches_lp_oracle(self):
@@ -509,7 +530,7 @@ class TestCorrelated:
             for name, obj in (("welfare", a + b), ("player_I", a), ("player_II", b)):
                 mu = best_correlated(g, name)
                 _, lp_val = lp_best_correlated(g, obj)
-                assert abs(float(mu.mu @ obj) - lp_val) < 1e-7
+                assert abs(float(mu.probs @ obj) - lp_val) < 1e-7
                 assert is_correlated_equilibrium(g, mu, eps=1e-9)
 
     def test_pure_nash_point_masses_are_ce(self):
@@ -517,7 +538,7 @@ class TestCorrelated:
         for _ in range(200):
             g = random_game(rng)
             for prof in pure_nash(g):
-                mu = JointDistribution.point_mass(prof)
+                mu = point_mass(prof)
                 assert is_correlated_equilibrium(g, mu, eps=0.0)
 
     @pytest.mark.parametrize("draw", [wide_scale_game, huge_scale_game])
@@ -538,8 +559,8 @@ class TestCorrelated:
     def test_verdicts_equal_reference_on_games_with_payoffs_0_1_2(self):
         games = list(small_integer_games())
         rng = np.random.default_rng(15)
-        candidates = [JointDistribution([0.25] * 4)]
-        candidates += [JointDistribution.point_mass(PureProfile(i, j))
+        candidates = [OutcomeDistribution([0.25] * 4)]
+        candidates += [point_mass(PureProfile(i, j))
                        for i in range(2) for j in range(2)]
         verdicts = set()
         for k in rng.choice(len(games), 300, replace=False):

@@ -26,7 +26,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # the names `from qgames import *` bound before the package resolved them lazily
 NAMES = [
     "AgentKind", "AgentSpec", "BestResponse", "Bimatrix", "CanonicalGates", "ChannelLocation",
-    "ConfigError", "ConvergenceError", "EntanglerMode", "Gate1Q", "JointDistribution",
+    "ConfigError", "ConvergenceError", "EntanglerMode", "Gate1Q",
     "MenuAdvantageReport", "MixedEquilibriumResult", "MixedProfile", "MixedQuantumStrategy",
     "NamedGate", "NoiseKind", "NoiseSpec", "OutcomeDistribution", "Player", "ProtocolResult",
     "PureProfile", "PureState2Q", "QGamesError", "RangeError", "RoundRecord", "RoundRow",

@@ -15,11 +15,11 @@ from qgames import (
     Bimatrix,
     EntanglerMode,
     Gate1Q,
-    JointDistribution,
     MixedQuantumStrategy,
     OutcomeDistribution,
     Player,
     PureState2Q,
+    best_correlated,
     best_response,
     canonical_gates,
     canonical_pd,
@@ -139,10 +139,9 @@ def test_dense_circuit_api_is_not_in_the_library():
 
 @pytest.mark.parametrize("build, field", [
     (OutcomeDistribution, "probs"),
-    (JointDistribution, "mu"),
     (lambda m: Bimatrix(m.reshape(2, 2), np.eye(2)), "row_payoffs"),
     (lambda m: Bimatrix(np.eye(2), m.reshape(2, 2)), "col_payoffs"),
-], ids=["OutcomeDistribution", "JointDistribution", "Bimatrix.row", "Bimatrix.col"])
+], ids=["OutcomeDistribution", "Bimatrix.row", "Bimatrix.col"])
 def test_validated_types_copy_their_input(build, field):
     mine = np.full(4, 0.25)
     stored = getattr(build(mine), field)
@@ -159,8 +158,6 @@ ARRAY_TYPES = {  # each array value type: a valid input and one of numpy scalars
                     [np.float32(0.5), 0.5j, np.float64(-0.5), np.int64(0) + 0.5], np.complex128),
     "OutcomeDistribution": (OutcomeDistribution, [0.25, 0.25, 0.25, 0.25],
                             [np.float32(0.25), 0.25, np.int64(0), 0.5], np.float64),
-    "JointDistribution": (JointDistribution, [0.25, 0.25, 0.25, 0.25],
-                          [np.float32(0.25), 0.25, np.int64(0), 0.5], np.float64),
 }
 
 
@@ -233,7 +230,6 @@ class TestValueEquality:
 
     def test_types_and_entries_tell_values_apart(self):
         probs = [0.25, 0.25, 0.5, 0.0]
-        assert OutcomeDistribution(probs) != JointDistribution(probs)
         assert OutcomeDistribution(probs) != OutcomeDistribution(probs[::-1])
         assert Gate1Q(I2) != Gate1Q(-I2)  # a global phase is a different gate
         assert PureState2Q([1, 0, 0, 0]) != PureState2Q([0, 0, 0, 1])
@@ -312,8 +308,8 @@ class TestValidation:
             (ket, "amps", "PureState2Q([(0.7071067811865475+0j), 0j, 0j, 0.7071067811865475j])"),
             (OutcomeDistribution([0.5, 0, 0, 0.5]), "probs",
              "OutcomeDistribution([0.5, 0.0, 0.0, 0.5])"),
-            (JointDistribution([0.25, 0.25, 0.5, 0]), "mu",
-             "JointDistribution([0.25, 0.25, 0.5, 0.0])"),
+            (best_correlated(Bimatrix([[6, 2], [7, 0]], [[6, 7], [2, 0]])), "probs",
+             "OutcomeDistribution([0.5, 0.25, 0.25, 0.0])"),
             (mixed, "support", None),
         ]
         for value, field, want_repr in values:
