@@ -9,15 +9,15 @@ only for the modules it touches.
 _HOMES = {
     "errors": ("ConfigError", "ConvergenceError", "QGamesError", "RangeError",
                "ValidationError"),
-    "qcore": ("EntanglerMode", "Gate1Q", "OutcomeDistribution", "PureState2Q"),
+    "qcore": ("AgentKind", "AgentSpec", "ChannelLocation", "EntanglerMode", "Gate1Q",
+              "NamedGate", "NoiseKind", "NoiseSpec", "OutcomeDistribution", "Player",
+              "PureState2Q", "SearchConfig", "TournamentConfig"),
     "games": ("Bimatrix", "MixedProfile", "PureProfile",
               "best_correlated", "canonical_pd", "expected_payoff", "hft_game",
               "is_correlated_equilibrium", "mixed_nash", "pareto_optimal", "pure_nash"),
     "ewl": ("CanonicalGates", "MixedQuantumStrategy", "ProtocolResult", "StrategyParamsA",
             "StrategyParamsB", "canonical_gates", "gamma_sweep", "noisy_outcome_probs",
             "outcome_amplitudes", "run_protocol", "run_protocol_mixed", "run_protocol_noisy"),
-    "specs": ("AgentKind", "AgentSpec", "ChannelLocation", "NamedGate", "NoiseKind",
-              "NoiseSpec", "Player", "SearchConfig", "TournamentConfig"),
     "search": ("BestResponse", "MixedEquilibriumResult", "best_response", "default_menu",
                "mixed_quantum_equilibrium", "payoff_landscape", "verify_eps_nash"),
     "noise": ("ThresholdResult", "advantage_threshold"),

@@ -10,7 +10,8 @@ A command scores no profile itself: `payoff`, `noise` and `sweep` call
 `ewl`'s evaluators, and the other commands import what they call from
 `search`, `noise` and `hft` when they run, so a `qgames` process loads
 only its own command's code; every config is still read and validated
-in full, through `qgames.specs`, whose types hold the schema's defaults.
+in full, through `qgames.qcore`'s config types, which hold the schema's
+defaults.
 """
 from __future__ import annotations
 
@@ -42,6 +43,7 @@ from .ewl import (
     run_protocol_noisy,
 )
 from .games import (
+    OBJECTIVES,
     Bimatrix,
     best_correlated,
     canonical_pd,
@@ -52,17 +54,20 @@ from .games import (
     pareto_optimal,
     pure_nash,
 )
-from .qcore import EntanglerMode, Gate1Q, check_real, clamp_gamma
-from .specs import (
+from .qcore import (
     AgentKind,
     AgentSpec,
     ChannelLocation,
+    EntanglerMode,
+    Gate1Q,
     NamedGate,
     NoiseKind,
     NoiseSpec,
     Player,
     SearchConfig,
     TournamentConfig,
+    check_real,
+    clamp_gamma,
 )
 
 ENV_OUT_DIR = "QGAMES_OUT"
@@ -72,6 +77,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
+
+FORMATS = ("csv", "json")  # the report formats, the default first
 
 # One ASCII grammar for every number in an angle string: sign, digits,
 # optional fraction and exponent (what repr() writes for a finite float).
@@ -262,8 +269,8 @@ _AGENT = _section({
 
 _SCHEMA = _section({
     "game": ("pd", _game),
-    "gamma": (math.pi / 2, _gamma),
-    "entangler_mode": ("defect", _one_of(*(m.value for m in EntanglerMode))),
+    "gamma": (TournamentConfig.gamma, _gamma),
+    "entangler_mode": (TournamentConfig.mode.value, _one_of(*(m.value for m in EntanglerMode))),
     "players": (["C", "C"], _list_of(_strategy, 2)),
     "noise": {
         "kind": (NoiseSpec.kind.value, _one_of(*(k.value for k in NoiseKind))),
@@ -283,9 +290,9 @@ _SCHEMA = _section({
         "agents": ([{}, {}], _list_of(_AGENT, 2)),
     },
     "sweep": {"steps": (50, _integer)},
-    "objective": ("welfare", _one_of("welfare", "player_I", "player_II")),
+    "objective": (OBJECTIVES[0], _one_of(*OBJECTIVES)),
     "out": (None, lambda value, where: None if value is None else _text(value, where)),
-    "format": ("csv", _one_of("csv", "json")),
+    "format": (FORMATS[0], _one_of(*FORMATS)),
 })
 
 
@@ -496,13 +503,11 @@ def _write_reports(out_dir: Path, command: str, fmt: str, quiet: bool,
 
 
 def _pure_gates(cfg: RunConfig, command: str) -> tuple:
-    gates = []
     for k, player in enumerate(cfg.players):
         if isinstance(player, MixedQuantumStrategy):
             raise ConfigError(
                 f"{command}: players[{k}] must be a pure strategy for this command")
-        gates.append(player)
-    return tuple(gates)
+    return cfg.players
 
 
 def _cmd_payoff(cfg: RunConfig):
@@ -790,7 +795,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="path to a JSON run configuration (defaults apply without it)")
     parser.add_argument("--out", type=str, default=None,
                         help=f"output directory (default: ${ENV_OUT_DIR} or ./{DEFAULT_OUT_DIR})")
-    parser.add_argument("--format", choices=("csv", "json"), default=None,
+    parser.add_argument("--format", choices=FORMATS, default=None,
                         help="data file format (default csv; json embeds rows in the summary)")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the tournament seed")

@@ -42,8 +42,11 @@ from .qcore import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    ChannelLocation,
     EntanglerMode,
     Gate1Q,
+    NoiseKind,
+    NoiseSpec,
     OutcomeDistribution,
     PureState2Q,
     _ATOL,
@@ -54,7 +57,6 @@ from .qcore import (
     clamp_gamma,
     gate_matrix,
 )
-from .specs import ChannelLocation, NoiseKind, NoiseSpec
 
 # G (sx (x) sx, or Dg (x) Dg) is a signed reversal of the basis: its only
 # nonzero entries are G[3 - k, k] = +-1, so (psi @ G)[k] = sign[k] * psi[3 - k].

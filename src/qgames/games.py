@@ -49,9 +49,10 @@ class MixedProfile:
                            check_bool("MixedProfile.degenerate", self.degenerate))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Bimatrix:
-    """A 2x2 game: per-cell payoff pairs plus strategy labels."""
+    """A 2x2 game: per-cell payoff pairs plus strategy labels.  Games
+    compare by their tables and labels, and equal games hash alike."""
 
     row_payoffs: np.ndarray
     col_payoffs: np.ndarray
@@ -74,6 +75,18 @@ class Bimatrix:
                 raise ValidationError(
                     f"Bimatrix.{name} must be two distinct str labels, got {labels!r}")
             object.__setattr__(self, name, tuple(map(str, labels)))
+
+    def _key(self) -> tuple:
+        # the tables' bytes with -0.0 turned into 0.0 (+ 0.0), as qcore._Value
+        # hashes; equal bytes are equal tables, as check_real refuses NaN
+        return ((self.row_payoffs + 0.0).tobytes(), (self.col_payoffs + 0.0).tobytes(),
+                self.row_labels, self.col_labels)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
     def cell(self, row: int, col: int) -> tuple:
         return float(self.row_payoffs[row, col]), float(self.col_payoffs[row, col])
@@ -186,7 +199,8 @@ def mixed_nash(game: Bimatrix) -> list:
 
 def is_correlated_equilibrium(game: Bimatrix, mu: OutcomeDistribution,
                               eps: float = 1e-9) -> bool:
-    """Check the incentive constraints of a correlated equilibrium.
+    """Check the incentive constraints of a correlated equilibrium; mu is
+    an OutcomeDistribution, or four probabilities validated as one.
 
     For each player and each recommendation with positive marginal,
     following the recommendation must be an eps-best reply against the
@@ -198,6 +212,8 @@ def is_correlated_equilibrium(game: Bimatrix, mu: OutcomeDistribution,
     """
     eps = check_real("eps", eps, 0.0)
     bound = -(Fraction(eps) + _rounding(game))
+    if not isinstance(mu, OutcomeDistribution):
+        mu = OutcomeDistribution(mu)
     weights = [Fraction(float(x)) for x in mu.probs]
     for row, cells in zip(_ce_constraint_rows(game), _CE_RECOMMENDED):
         marginal = sum(weights[k] for k in cells)
@@ -255,7 +271,7 @@ def _solve_exact(M: list, b: list):
     return [M[r][n] for r in range(n)]
 
 
-_OBJECTIVES = ("welfare", "player_I", "player_II")
+OBJECTIVES = ("welfare", "player_I", "player_II")  # best_correlated's, the default first
 
 
 def best_correlated(game: Bimatrix, objective: str = "welfare") -> OutcomeDistribution:
@@ -271,15 +287,10 @@ def best_correlated(game: Bimatrix, objective: str = "welfare") -> OutcomeDistri
     one, set to 1 by the normalization, two leave a 2-unknown system.
     Ties are broken toward the lexicographically smallest distribution.
     """
-    if objective not in _OBJECTIVES:
-        raise ValidationError(f"objective must be one of {_OBJECTIVES}, got {objective!r}")
+    if objective not in OBJECTIVES:
+        raise ValidationError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
     A, B = ([x for row in _exact(t) for x in row] for t in (game.row_payoffs, game.col_payoffs))
-    if objective == "welfare":
-        obj = [a + b for a, b in zip(A, B)]
-    elif objective == "player_I":
-        obj = A
-    else:
-        obj = B
+    obj = {"welfare": [a + b for a, b in zip(A, B)], "player_I": A, "player_II": B}[objective]
 
     incentive = _ce_constraint_rows(game)
     zero, one = Fraction(0), Fraction(1)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .ewl import CanonicalGates, canonical_gates, noisy_outcome_probs
 from .games import Bimatrix
-from .specs import AgentKind, AgentSpec, NamedGate, TournamentConfig
+from .qcore import AgentKind, AgentSpec, NamedGate, TournamentConfig
 
 
 class RoundRow(NamedTuple):

@@ -4,7 +4,7 @@ The symmetric set-A equilibrium profile (search.symmetric_equilibrium_gate)
 is tracked under a depolarizing channel, scored as the exact Pauli
 mixture of ewl.noisy_outcome_probs; nothing is sampled.  The noisy and
 swept evaluators (run_protocol_noisy, gamma_sweep) live in ewl, and the
-channel's spec types in specs.
+channel's spec types in qcore.
 """
 from __future__ import annotations
 
@@ -15,9 +15,8 @@ import numpy as np
 
 from .ewl import run_protocol_noisy
 from .games import Bimatrix
-from .qcore import EntanglerMode, Gate1Q
+from .qcore import GAMMA_MAX, EntanglerMode, Gate1Q, NoiseKind, NoiseSpec, SearchConfig
 from .search import symmetric_equilibrium_gate
-from .specs import NoiseKind, NoiseSpec, SearchConfig
 
 
 @dataclass(frozen=True)
@@ -31,7 +30,7 @@ class ThresholdResult:
 
 
 def advantage_threshold(game: Bimatrix, mode: EntanglerMode, noise_kind: NoiseKind,
-                        cfg: SearchConfig, gamma: float = np.pi / 2) -> ThresholdResult:
+                        cfg: SearchConfig, gamma: float = GAMMA_MAX) -> ThresholdResult:
     """Smallest noise level p at which the symmetric quantum equilibrium
     payoff falls to the limit (T+S)/2 of the game's row payoffs, the
     payoff of alternating exploitation in repeated play.

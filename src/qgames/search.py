@@ -31,9 +31,8 @@ from .ewl import (
     strategy_matrix,
 )
 from .games import Bimatrix, _rounding
-from .qcore import (I2, SIGMA_X, SIGMA_Y, SIGMA_Z, EntanglerMode, Gate1Q, check_array_size,
-                    clamp_gamma, gate_matrix)
-from .specs import Player, SearchConfig
+from .qcore import (I2, SIGMA_X, SIGMA_Y, SIGMA_Z, EntanglerMode, Gate1Q, Player, SearchConfig,
+                    check_array_size, clamp_gamma, gate_matrix)
 
 
 @dataclass(frozen=True)
@@ -322,10 +321,8 @@ def _solve_support(pi, pii, r_sub, c_sub, eps):
     else:
         # Column mix makes supported rows indifferent, and vice versa.
         y = _indifferent_mix(pi[np.ix_(r_sub, c_sub)])
-        if y is None:
-            return None
         x = _indifferent_mix(pii[np.ix_(r_sub, c_sub)].T)
-        if x is None:
+        if x is None or y is None:
             return None
         _require_finite("the support solution", x, y)
         if x.min() < -1e-9 or y.min() < -1e-9:

@@ -117,6 +117,17 @@ class TestParseStrategy:
         with pytest.raises(ConfigError):
             cli.parse_strategy('mixed:[[0.9,"C"]]', EntanglerMode.DEFECT)
 
+    @pytest.mark.parametrize("spec, message", [
+        ("mixed:[]", "mixed strategy needs a nonempty list"),
+        ("mixed:[[0.5]]", "mixed entries are [weight, strategy] pairs"),
+        ('mixed:[[1,"mixed:[[1,\\"C\\"]]"]]', "nested mixed strategies are not supported"),
+        (5, "expected a strategy string, got int"),
+    ], ids=["empty", "no strategy", "nested", "int"])
+    def test_malformed_specs_name_the_fault(self, spec, message):
+        with pytest.raises(ConfigError) as info:
+            cli.parse_strategy(spec, EntanglerMode.DEFECT)
+        assert str(info.value) == f"strategy: {message}"
+
 
 class TestParseConfig:
     def test_named_run(self):
@@ -308,7 +319,15 @@ def run_main(args):
     return cli.main(args)
 
 
+_MIXED = 'mixed:[[0.5,"C"],[0.5,"Q"]]'
+
+
 class TestDispatch:
+    def test_unknown_command_is_2(self, tmp_path, capsys):
+        assert cli.dispatch("nope", cli.parse_config("{}"), out_dir=tmp_path) == 2
+        assert capsys.readouterr().err == "error: unknown command 'nope'\n"
+        assert not any(tmp_path.iterdir())
+
     def test_payoff_qq(self, tmp_path):
         cfgfile = tmp_path / "run.json"
         cfgfile.write_text(json.dumps(
@@ -703,6 +722,22 @@ class TestExitCodes:
         assert run_main(["payoff", "--config", str(cfgfile), "--out",
                          str(tmp_path / "out"), "--quiet"]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, config, message", [
+        ("payoff", {"tournament": {"agents": [{"menu": [_MIXED]}, {}]}},
+         "tournament.agents[0].menu: menu entries must be pure strategies"),
+        ("payoff", {"sweep": {"steps": 1}}, "sweep.steps: must be >= 2, got 1"),
+        *((command, {"players": [_MIXED, "Q"]},
+           f"{command}: players[0] must be a pure strategy for this command")
+          for command in ("noise", "sweep", "landscape")),
+    ])
+    def test_config_error_names_the_input(self, tmp_path, capsys, command, config, message):
+        cfgfile = tmp_path / "bad.json"
+        cfgfile.write_text(json.dumps(config))
+        assert run_main([command, "--config", str(cfgfile), "--out",
+                         str(tmp_path / "out"), "--quiet"]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_negative_seed_flag_is_2(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.json"

@@ -348,6 +348,8 @@ class TestOutcomeAmplitudes:
             outcome_amplitudes(0.5, mode, c, c)
         with pytest.raises(ValidationError, match="unknown entangler mode: "):
             run_protocol(PD, 0.5, mode, c, c)
+        with pytest.raises(ValidationError, match="unknown entangler mode: "):
+            canonical_gates(mode)
 
     def test_run_protocol_validates_raw_matrices(self):
         named = canonical_gates(EntanglerMode.DEFECT)

@@ -493,6 +493,26 @@ class TestCorrelated:
         pd, d = canonical_pd(), canonical_gates(mode).D
         assert is_correlated_equilibrium(pd, run_protocol(pd, 0.0, mode, d, d).distribution)
 
+    @pytest.mark.parametrize("probs", [[0, 0, 0, 1], [1, 0, 0, 0], [0.25] * 4, (0.5, 0, 0, 0.5)])
+    def test_probabilities_get_the_verdict_of_their_distribution(self, probs):
+        pd = canonical_pd()
+        assert is_correlated_equilibrium(pd, probs) == is_correlated_equilibrium(
+            pd, OutcomeDistribution(probs))
+
+    @pytest.mark.parametrize("mu, message", [
+        ([0.5, 0.5], r"OutcomeDistribution: expected 4 probabilities, got \(2,\)"),
+        ("x", "OutcomeDistribution: entries must be numbers, got 'x'"),
+    ], ids=["two", "str"])
+    def test_a_malformed_mu_is_a_validation_error(self, mu, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            is_correlated_equilibrium(canonical_pd(), mu)
+
+    def test_an_unknown_objective_is_a_validation_error(self):
+        with pytest.raises(ValidationError) as info:
+            best_correlated(canonical_pd(), "x")
+        assert str(info.value) == (
+            "objective must be one of ('welfare', 'player_I', 'player_II'), got 'x'")
+
     def test_best_correlated_returns_an_outcome_distribution(self):
         mu = best_correlated(chicken(), "welfare")
         assert type(mu) is OutcomeDistribution

@@ -52,6 +52,14 @@ class TestSpecs:
         with pytest.raises(ValidationError):
             AgentSpec(kind=AgentKind.FIXED, menu=())
 
+    def test_kind_and_menu_entries_are_type_checked(self):
+        with pytest.raises(ValidationError) as info:
+            AgentSpec(kind="fixed", menu=(C,))
+        assert str(info.value) == "kind must be an AgentKind, got 'fixed'"
+        with pytest.raises(ValidationError) as info:
+            AgentSpec(kind=AgentKind.FIXED, menu=(NAMED.C,))
+        assert str(info.value) == f"menu entries must be NamedGate, got {NAMED.C!r}"
+
     def test_epsilon_range(self):
         with pytest.raises(RangeError):
             AgentSpec(kind=AgentKind.EPSILON_GREEDY_BANDIT, menu=(C,), epsilon=1.5)

@@ -17,9 +17,9 @@ import qgames
 import qgames.cli as cli
 import qgames.hft
 import qgames.noise
+import qgames.qcore
 import qgames.search
-import qgames.specs
-from qgames.specs import AgentKind, AgentSpec, NamedGate
+from qgames.qcore import AgentKind, AgentSpec, NamedGate
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -48,7 +48,7 @@ MOVED = {
 }
 
 # the qgames modules every command loads, and what each command adds
-BASE = ["cli", "errors", "ewl", "games", "qcore", "specs"]
+BASE = ["cli", "errors", "ewl", "games", "qcore"]
 ADDED = {
     "payoff": [],
     "noise": [],
@@ -98,7 +98,7 @@ class TestImportFootprint:
 
     def test_a_name_loads_its_home_module(self):
         assert loaded_after("import qgames\nqgames.run_protocol") == [
-            "errors", "ewl", "games", "qcore", "specs"]
+            "errors", "ewl", "games", "qcore"]
 
     def test_a_submodule_resolves_as_an_attribute(self):
         # `import qgames` bound every submodule before; the attribute still works
@@ -155,8 +155,8 @@ class TestPackageSurface:
     def test_moved_types_are_one_object_under_every_path(self):
         for old, names in MOVED.items():
             for name in names:
-                obj = getattr(qgames.specs, name)
-                assert obj.__module__ == "qgames.specs"
+                obj = getattr(qgames.qcore, name)
+                assert obj.__module__ == "qgames.qcore"
                 assert getattr(qgames, name) is obj and getattr(old, name) is obj, name
 
     def test_star_import_binds_every_name(self):

@@ -71,6 +71,11 @@ class TestNoiseSpec:
         with pytest.raises(ValidationError):
             NoiseSpec(kind="two_qubit_depolarizing", p=0.5)
 
+    def test_location_type_checked(self):
+        with pytest.raises(ValidationError) as info:
+            NoiseSpec(location="return")
+        assert str(info.value) == "location must be a ChannelLocation, got 'return'"
+
     def test_invalid_spec_rejected_by_runner(self):
         named = canonical_gates(EntanglerMode.DEFECT)
         with pytest.raises(ValidationError):

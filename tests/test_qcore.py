@@ -23,6 +23,7 @@ from qgames import (
     best_response,
     canonical_gates,
     canonical_pd,
+    hft_game,
     run_protocol,
 )
 from qgames.errors import RangeError, ValidationError
@@ -228,6 +229,16 @@ class TestValueEquality:
         assert probs[0] == probs[1] and hash(probs[0]) == hash(probs[1])
         assert len({plus, minus, Gate1Q(I2)}) == 1
 
+    def test_games_compare_by_tables_and_labels(self):
+        assert canonical_pd() == canonical_pd() and hash(canonical_pd()) == hash(canonical_pd())
+        assert canonical_pd() != hft_game()  # the same payoffs, other labels
+        assert canonical_pd() != Bimatrix(np.eye(2), np.eye(2))
+        assert {canonical_pd(): "pd"}[canonical_pd()] == "pd"
+        plus = Bimatrix([[0.0, 1.0], [2.0, 3.0]], np.eye(2))
+        minus = Bimatrix([[-0.0, 1.0], [2.0, 3.0]], np.eye(2))
+        assert np.signbit(minus.row_payoffs[0, 0])
+        assert plus == minus and hash(plus) == hash(minus)
+
     def test_types_and_entries_tell_values_apart(self):
         probs = [0.25, 0.25, 0.5, 0.0]
         assert OutcomeDistribution(probs) != OutcomeDistribution(probs[::-1])
@@ -244,6 +255,11 @@ class TestValidation:
     def test_gate_rejects_nan(self):
         with pytest.raises(ValidationError):
             Gate1Q([[np.nan, 0], [0, 1]])
+
+    def test_gate_is_2x2(self):
+        with pytest.raises(ValidationError) as info:
+            Gate1Q(np.eye(3))
+        assert str(info.value) == "Gate1Q: expected a 2x2 matrix, got shape (3, 3)"
 
     def test_state_requires_normalization(self):
         with pytest.raises(ValidationError):

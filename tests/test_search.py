@@ -565,6 +565,15 @@ class TestMixedQuantumEquilibrium:
         with pytest.raises(ValidationError):
             mixed_quantum_equilibrium(PD, 0.0, EntanglerMode.DEFECT, [], FAST)
 
+    def test_a_singular_indifference_system_has_no_support_solution(self):
+        # a payoff table constant on the support leaves the other player's
+        # weights undetermined: its bordered system has two equal rows
+        singular, regular = np.ones((2, 2)), np.eye(2)
+        assert search._indifferent_mix(singular) is None
+        assert search._indifferent_mix(regular).tolist() == [0.5, 0.5]
+        for pi, pii in ((singular, regular), (regular, singular)):
+            assert search._solve_support(pi, pii, (0, 1), (0, 1), 1e-6) is None
+
     def test_widened_support_enumeration_decides(self, monkeypatch):
         # the dynamics' cycle supports hold no equilibrium here; the
         # supports of everything visited hold a 3+3 one
