@@ -21,7 +21,7 @@ _HOMES = {
     "search": ("BestResponse", "MixedEquilibriumResult", "best_response", "default_menu",
                "mixed_quantum_equilibrium", "payoff_landscape", "verify_eps_nash"),
     "noise": ("ThresholdResult", "advantage_threshold"),
-    "hft": ("MenuAdvantageReport", "RoundRecord", "RoundRow", "TournamentResult",
+    "hft": ("MenuAdvantageReport", "RoundRow", "TournamentResult",
             "menu_advantage_experiment", "play_tournament"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}

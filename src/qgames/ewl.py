@@ -52,6 +52,7 @@ from .qcore import (
     _ATOL,
     _Value,
     check_array_size,
+    check_instance,
     check_integer,
     check_real,
     clamp_gamma,
@@ -280,8 +281,7 @@ def noisy_outcome_probs(gamma, mode: EntanglerMode, u1, u2, noise: NoiseSpec) ->
     (after the entangler) is one more local gate pair, (P_a U1) (x)
     (P_b U2) or (U1 P_a) (x) (U2 P_b): 16 weighted kernel rows.
     """
-    if not isinstance(noise, NoiseSpec):
-        raise ValidationError(f"noise must be a NoiseSpec, got {noise!r}")
+    check_instance("noise", noise, NoiseSpec)
     if noise.kind is NoiseKind.NONE or noise.p == 0.0:
         return np.abs(outcome_amplitudes(gamma, mode, u1, u2)) ** 2
     u1, u2 = np.asarray(u1)[..., None, :, :], np.asarray(u2)[..., None, :, :]

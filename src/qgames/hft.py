@@ -19,14 +19,13 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .ewl import CanonicalGates, canonical_gates, noisy_outcome_probs
 from .games import Bimatrix
-from .qcore import AgentKind, AgentSpec, NamedGate, TournamentConfig
+from .qcore import AgentKind, AgentSpec, NamedGate, TournamentConfig, check_instance
 
 
 class RoundRow(NamedTuple):
@@ -42,22 +41,6 @@ class RoundRow(NamedTuple):
     payoff_II: float
 
 
-class RoundRecord(NamedTuple):
-    """Round `index` of a tournament: its RoundRow with the index in front.
-
-    Built on demand by TournamentResult.records; while it plays, a
-    tournament stores per round only the index of the round's RoundRow.
-    """
-
-    index: int
-    gate_I: str
-    gate_II: str
-    distribution: tuple
-    sampled_outcome: Optional[int]
-    payoff_I: float
-    payoff_II: float
-
-
 @dataclass(frozen=True)
 class TournamentResult:
     """A tournament's round log, kept as one entry per round into a
@@ -65,19 +48,13 @@ class TournamentResult:
 
     `rows` holds every distinct RoundRow once: one per menu pair, or,
     with outcome sampling, one per menu pair and outcome.  `log[k]` is
-    the index in `rows` of round k.  `records` expands the two into one
-    RoundRecord per round.
+    the index in `rows` of round k, so round k shows `rows[log[k]]`.
     """
 
     rows: tuple
     log: tuple
     mean_payoff_I: float
     mean_payoff_II: float
-
-    @cached_property
-    def records(self) -> tuple:
-        rows = self.rows
-        return tuple(RoundRecord(k, *rows[code]) for k, code in enumerate(self.log))
 
 
 _BLOCK_WORDS = 4096  # raw PCG64 words per refill: 32 kB
@@ -146,17 +123,24 @@ class _Stream:
                 return m >> 32
 
 
+_TRIGGERS = (AgentKind.GRIM_TRIGGER, AgentKind.TIT_FOR_TAT)
+
+
 def play_tournament(game: Bimatrix, a1: AgentSpec, a2: AgentSpec,
                     cfg: TournamentConfig) -> TournamentResult:
     """Run a sequential tournament between two agents.
 
     Everything fixed per menu pair (the outcome distribution, its
-    cumulative sums, expected payoffs and defect masses) is computed up
-    front in one table, and so is every RoundRow a round can show.  A
-    round stores only the index of its row (see TournamentResult).
-    Without outcome sampling the recorded payoffs are the exact
-    expected payoffs of each round's profile.
+    cumulative sums, expected payoffs and each seat's fire verdict) is
+    computed up front in one table, and so is every RoundRow a round
+    can show.  A round stores only the index of its row (see
+    TournamentResult).  Without outcome sampling the recorded payoffs
+    are the exact expected payoffs of each round's profile.
     """
+    check_instance("game", game, Bimatrix)
+    check_instance("a1", a1, AgentSpec)
+    check_instance("a2", a2, AgentSpec)
+    check_instance("cfg", cfg, TournamentConfig)
     rng = _Stream(cfg.seed)
     sampled = cfg.sampled_outcomes
 
@@ -165,14 +149,19 @@ def play_tournament(game: Bimatrix, a1: AgentSpec, a2: AgentSpec,
     pair_probs = noisy_outcome_probs(cfg.gamma, cfg.mode, m1[:, None], m2[None, :], cfg.noise)
     a, b = game.payoff_vectors()
     exp_i, exp_ii = (pair_probs @ a).tolist(), (pair_probs @ b).tolist()
-    mass_1 = (pair_probs[..., 1] + pair_probs[..., 3]).tolist()
-    mass_2 = (pair_probs[..., 2] + pair_probs[..., 3]).tolist()
+    # a seat's trigger fires where the opponent's defect mass exceeds its
+    # limit: the threshold of a trigger kind, never for fixed or the bandit
+    limit_1, limit_2 = (spec.trigger_threshold if spec.kind in _TRIGGERS else math.inf
+                        for spec in (a1, a2))
+    fires_1 = (pair_probs[..., 1] + pair_probs[..., 3] > limit_1).tolist()
+    fires_2 = (pair_probs[..., 2] + pair_probs[..., 3] > limit_2).tolist()
     # a sampled outcome is the count of these cuts at or below the draw;
     # leaving out the last cumulative sum, which rounding can put below 1,
     # sends every draw above the third cut to outcome 3
     cuts = np.cumsum(pair_probs, axis=-1)[..., :3].tolist()
-    # per outcome: the cell's payoffs and the defect masses it shows
-    cells = [game.cell(outcome >> 1, outcome & 1) + (float(outcome & 1), float(outcome >> 1))
+    # per outcome: the cell's payoffs and the verdicts its defect masses give
+    cells = [game.cell(outcome >> 1, outcome & 1) + ((outcome & 1) > limit_1,
+                                                       (outcome >> 1) > limit_2)
              for outcome in range(4)]
     rows, table = [], []
     for i1, probs_row in enumerate(pair_probs.tolist()):
@@ -180,22 +169,22 @@ def play_tournament(game: Bimatrix, a1: AgentSpec, a2: AgentSpec,
         for i2, probs in enumerate(probs_row):
             pair = (a1.menu[i1].name, a2.menu[i2].name, tuple(probs))
             table[i1].append((len(rows), cuts[i1][i2], exp_i[i1][i2], exp_ii[i1][i2],
-                              mass_1[i1][i2], mass_2[i1][i2]))
+                              fires_1[i1][i2], fires_2[i1][i2]))
             if sampled:
                 rows += [RoundRow(*pair, outcome, *cells[outcome][:2]) for outcome in range(4)]
             else:
                 rows.append(RoundRow(*pair, None, exp_i[i1][i2], exp_ii[i1][i2]))
 
     # Each seat's rule (AgentSpec) and state are locals of one loop, so a
-    # round calls no Python function but its draws.  A trigger agent plays
-    # menu[-1] while `punish` is set; a fixed agent never sets it.
+    # round calls no Python function but its draws.  A seat learns (the
+    # bandit) or triggers: it plays menu[-1] while `punish` is set, which
+    # a grim trigger keeps and a fire verdict sets.
     learns_1, learns_2 = (spec.kind is AgentKind.EPSILON_GREEDY_BANDIT for spec in (a1, a2))
     grim_1, grim_2 = (spec.kind is AgentKind.GRIM_TRIGGER for spec in (a1, a2))
-    tft_1, tft_2 = (spec.kind is AgentKind.TIT_FOR_TAT for spec in (a1, a2))
     n_1, n_2 = len(a1.menu), len(a2.menu)
     last_1, last_2 = n_1 - 1, n_2 - 1
-    epsilon_1, rate_1, threshold_1 = a1.epsilon, a1.learning_rate, a1.trigger_threshold
-    epsilon_2, rate_2, threshold_2 = a2.epsilon, a2.learning_rate, a2.trigger_threshold
+    epsilon_1, rate_1 = a1.epsilon, a1.learning_rate
+    epsilon_2, rate_2 = a2.epsilon, a2.learning_rate
     values_1, values_2 = [0.0] * n_1, [0.0] * n_2
     punish_1 = punish_2 = False
     draw, integers = rng.random, rng.integers
@@ -211,23 +200,19 @@ def play_tournament(game: Bimatrix, a1: AgentSpec, a2: AgentSpec,
             i2 = int(integers(n_2)) if draw() < epsilon_2 else values_2.index(max(values_2))
         else:
             i2 = last_2 if punish_2 else 0
-        code, pair_cuts, pay_i, pay_ii, defect_mass_1, defect_mass_2 = table[i1][i2]
+        code, pair_cuts, pay_i, pay_ii, fire_1, fire_2 = table[i1][i2]
         if sampled:
             outcome = bisect_right(pair_cuts, draw())
             code += outcome
-            pay_i, pay_ii, defect_mass_1, defect_mass_2 = cells[outcome]
+            pay_i, pay_ii, fire_1, fire_2 = cells[outcome]
         if learns_1:
             values_1[i1] += rate_1 * (pay_i - values_1[i1])
-        elif grim_1:
-            punish_1 = punish_1 or defect_mass_1 > threshold_1
-        elif tft_1:
-            punish_1 = defect_mass_1 > threshold_1
+        else:
+            punish_1 = punish_1 and grim_1 or fire_1
         if learns_2:
             values_2[i2] += rate_2 * (pay_ii - values_2[i2])
-        elif grim_2:
-            punish_2 = punish_2 or defect_mass_2 > threshold_2
-        elif tft_2:
-            punish_2 = defect_mass_2 > threshold_2
+        else:
+            punish_2 = punish_2 and grim_2 or fire_2
         append(code)
         total_i += pay_i
         total_ii += pay_ii
@@ -272,6 +257,8 @@ def menu_advantage_experiment(game: Bimatrix, cfg: TournamentConfig) -> MenuAdva
     classical {C, D} menu.  The tail means over the final rounds are
     the headline comparison.
     """
+    check_instance("game", game, Bimatrix)
+    check_instance("cfg", cfg, TournamentConfig)
     quantum_menu = tuple(map(NamedGate, CanonicalGates._fields, canonical_gates(cfg.mode)))
     classical_menu = quantum_menu[:2]  # C and D
 

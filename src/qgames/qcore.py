@@ -197,6 +197,13 @@ def check_bool(name: str, value) -> bool:
     return bool(value)
 
 
+def check_instance(name: str, value, cls) -> None:
+    """A ValidationError where value is not a cls."""
+    if not isinstance(value, cls):
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise ValidationError(f"{name} must be {article} {cls.__name__}, got {value!r}")
+
+
 def check_numeric(what: str, value, dtype) -> np.ndarray:
     """A new array of dtype holding value's numbers.  A numeric ndarray
     is read by its dtype alone; any other value entry by entry, and a
@@ -282,10 +289,8 @@ class NoiseSpec:
     location: ChannelLocation = ChannelLocation.RETURN
 
     def __post_init__(self):
-        if not isinstance(self.kind, NoiseKind):
-            raise ValidationError(f"kind must be a NoiseKind, got {self.kind!r}")
-        if not isinstance(self.location, ChannelLocation):
-            raise ValidationError(f"location must be a ChannelLocation, got {self.location!r}")
+        check_instance("kind", self.kind, NoiseKind)
+        check_instance("location", self.location, ChannelLocation)
         object.__setattr__(self, "p", check_real("noise probability p", self.p, 0.0, 1.0))
 
 
@@ -306,18 +311,18 @@ class AgentSpec:
     """A tournament agent: its kind, gate menu and parameters, and the
     rule each kind plays by.
 
-    fixed plays menu[0] forever.  grim_trigger and tit_for_tat treat
-    menu[0] as the cooperative gate and menu[-1] as the punishment, and
-    watch the opponent's defect mass of each round: the outcome mass on
-    the opponent's defect-labeled states, or the sampled outcome's 0 or
-    1 when outcomes are sampled.  grim_trigger punishes in every round
-    after the first round where that mass exceeds trigger_threshold;
-    tit_for_tat punishes in each round right after one where it does.
-    epsilon_greedy_bandit keeps one value per menu entry, starting at 0.
-    It explores a uniformly drawn entry when a random() draw falls below
-    epsilon, and otherwise plays the first entry of greatest value; the
-    played entry's value then moves learning_rate of the way to the
-    round's payoff.
+    A trigger plays menu[0], the cooperative gate, until it fires, and
+    then menu[-1], the punishment.  It fires in a round where the
+    opponent's defect mass (the outcome mass on the opponent's
+    defect-labeled states, or the sampled outcome's 0 or 1 when outcomes
+    are sampled) exceeds trigger_threshold.  fixed never fires;
+    grim_trigger punishes in every round after the first firing, and
+    tit_for_tat in each round right after one where it fires.
+    epsilon_greedy_bandit learns: it keeps one value per menu entry,
+    starting at 0, explores a uniformly drawn entry when a random() draw
+    falls below epsilon, and otherwise plays the first entry of greatest
+    value; the played entry's value then moves learning_rate of the way
+    to the round's payoff.
     """
 
     kind: AgentKind
@@ -327,14 +332,15 @@ class AgentSpec:
     trigger_threshold: float = 0.5
 
     def __post_init__(self):
-        if not isinstance(self.kind, AgentKind):
-            raise ValidationError(f"kind must be an AgentKind, got {self.kind!r}")
+        check_instance("kind", self.kind, AgentKind)
         menu = tuple(self.menu)
         if not menu:
             raise ValidationError("agent menu must be nonempty")
         for entry in menu:
             if not isinstance(entry, NamedGate) or not isinstance(entry.gate, Gate1Q):
                 raise ValidationError(f"menu entries must be NamedGate, got {entry!r}")
+            if not isinstance(entry.name, str):
+                raise ValidationError(f"menu entry names must be str, got {entry.name!r}")
         object.__setattr__(self, "menu", menu)
         for name in ("epsilon", "learning_rate", "trigger_threshold"):
             object.__setattr__(self, name, check_real(name, getattr(self, name), 0.0, 1.0))
@@ -355,5 +361,7 @@ class TournamentConfig:
         object.__setattr__(self, "rounds", check_integer("rounds", self.rounds, 1))
         object.__setattr__(self, "seed", check_integer("seed", self.seed, 0))
         object.__setattr__(self, "gamma", clamp_gamma(self.gamma))
+        check_instance("mode", self.mode, EntanglerMode)
+        check_instance("noise", self.noise, NoiseSpec)
         object.__setattr__(self, "sampled_outcomes",
                            check_bool("sampled_outcomes", self.sampled_outcomes))

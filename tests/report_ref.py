@@ -17,8 +17,8 @@ from qgames.cli import _fmt, _RoundLog
 def cell_rows(table) -> list:
     """The table's rows as tuples of cells, one per round for a round log."""
     if isinstance(table, _RoundLog):
-        return [(*head, r.index, *table.tail(r))
-                for head, result in table.blocks for r in result.records]
+        return [(*head, k, *table.tail(result.rows[code]))
+                for head, result in table.blocks for k, code in enumerate(result.log)]
     return list(table)
 
 

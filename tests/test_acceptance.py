@@ -265,5 +265,6 @@ def test_criterion_11_tournament_menu_advantage():
         assert abs(c_tail[0] - 1.0) <= 0.2 and abs(c_tail[1] - 1.0) <= 0.2
         assert q_tail[0] > c_tail[0] and q_tail[1] > c_tail[1]
         rerun = menu_advantage_experiment(game, cfg)
-        assert rerun.quantum.records == report.quantum.records
-        assert rerun.classical.records == report.classical.records
+        assert (rerun.quantum.rows, rerun.quantum.log) == (report.quantum.rows, report.quantum.log)
+        assert ((rerun.classical.rows, rerun.classical.log)
+                == (report.classical.rows, report.classical.log))

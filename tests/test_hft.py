@@ -47,6 +47,11 @@ def bandit(menu, epsilon=0.1, lr=0.1):
                      epsilon=epsilon, learning_rate=lr)
 
 
+def rounds(result):
+    """The RoundRow of each round: rows[log[k]] for round k."""
+    return [result.rows[code] for code in result.log]
+
+
 class TestSpecs:
     def test_menu_must_be_nonempty(self):
         with pytest.raises(ValidationError):
@@ -59,6 +64,42 @@ class TestSpecs:
         with pytest.raises(ValidationError) as info:
             AgentSpec(kind=AgentKind.FIXED, menu=(NAMED.C,))
         assert str(info.value) == f"menu entries must be NamedGate, got {NAMED.C!r}"
+
+    def test_menu_entry_names_are_str(self):
+        # a name is what a round's gate_I or gate_II shows
+        with pytest.raises(ValidationError) as info:
+            AgentSpec(kind=AgentKind.FIXED, menu=(NamedGate(5, NAMED.C),))
+        assert str(info.value) == "menu entry names must be str, got 5"
+
+    def test_mode_is_an_entangler_mode(self):
+        with pytest.raises(ValidationError) as info:
+            TournamentConfig(rounds=5, mode="defect")
+        assert str(info.value) == "mode must be an EntanglerMode, got 'defect'"
+
+    def test_noise_is_a_noise_spec(self):
+        with pytest.raises(ValidationError) as info:
+            TournamentConfig(rounds=5, noise="x")
+        assert str(info.value) == "noise must be a NoiseSpec, got 'x'"
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: play_tournament("pd", fixed(C), fixed(C), TournamentConfig(rounds=1)),
+         "game must be a Bimatrix, got 'pd'"),
+        (lambda: play_tournament(GAME, C, fixed(C), TournamentConfig(rounds=1)),
+         f"a1 must be an AgentSpec, got {C!r}"),
+        (lambda: play_tournament(GAME, fixed(C), None, TournamentConfig(rounds=1)),
+         "a2 must be an AgentSpec, got None"),
+        (lambda: play_tournament(GAME, fixed(C), fixed(C), {"rounds": 1}),
+         "cfg must be a TournamentConfig, got {'rounds': 1}"),
+        (lambda: menu_advantage_experiment(np.zeros((2, 2)), TournamentConfig(rounds=1)),
+         f"game must be a Bimatrix, got {np.zeros((2, 2))!r}"),
+        (lambda: menu_advantage_experiment(GAME, 100),
+         "cfg must be a TournamentConfig, got 100"),
+    ], ids=["play-game", "play-a1", "play-a2", "play-cfg", "advantage-game", "advantage-cfg"])
+    def test_arguments_are_type_checked(self, call, message):
+        # each once escaped as a bare AttributeError from the first use
+        with pytest.raises(ValidationError) as info:
+            call()
+        assert str(info.value) == message
 
     def test_epsilon_range(self):
         with pytest.raises(RangeError):
@@ -85,7 +126,7 @@ class TestFixedAgents:
         cfg = TournamentConfig(rounds=100, gamma=np.pi / 2,
                                mode=EntanglerMode.DEFECT, seed=7)
         res = play_tournament(GAME, fixed(Q), fixed(Q), cfg)
-        assert len(res.records) == 100
+        assert len(res.log) == 100
         assert abs(res.mean_payoff_I - 3.0) < 1e-12
         assert abs(res.mean_payoff_II - 3.0) < 1e-12
 
@@ -93,7 +134,7 @@ class TestFixedAgents:
         cfg = TournamentConfig(rounds=50, gamma=np.pi / 2,
                                mode=EntanglerMode.DEFECT, seed=1)
         res = play_tournament(GAME, fixed(C), fixed(D), cfg)
-        payoffs = {(r.payoff_I, r.payoff_II) for r in res.records}
+        payoffs = {(r.payoff_I, r.payoff_II) for r in rounds(res)}
         assert len(payoffs) == 1
 
     def test_noisy_tournament_rounds(self):
@@ -103,7 +144,7 @@ class TestFixedAgents:
                                kind=NoiseKind.TWO_QUBIT_DEPOLARIZING, p=1.0))
         res = play_tournament(GAME, fixed(Q), fixed(Q), cfg)
         assert abs(res.mean_payoff_I - 2.25) < 1e-12
-        for r in res.records:
+        for r in rounds(res):
             assert np.abs(np.array(r.distribution) - 0.25).max() < 1e-12
 
     def test_noisy_menu_table_matches_per_pair_runs(self):
@@ -115,8 +156,8 @@ class TestFixedAgents:
         menu = (C, D, Q, x)
         gates = {g.name: g.gate for g in menu}
         res = play_tournament(GAME, bandit(menu, epsilon=0.5), bandit(menu, epsilon=0.5), cfg)
-        assert len({(r.gate_I, r.gate_II) for r in res.records}) > 8
-        for r in res.records:
+        assert len({(r.gate_I, r.gate_II) for r in rounds(res)}) > 8
+        for r in rounds(res):
             want = run_protocol_noisy(GAME, 1.0, EntanglerMode.PAULI_X, gates[r.gate_I],
                                       gates[r.gate_II], noise)
             assert np.abs(np.array(r.distribution) - want.distribution.probs).max() < 1e-12
@@ -127,7 +168,7 @@ class TestFixedAgents:
         cfg = TournamentConfig(rounds=10, gamma=1.0, mode=EntanglerMode.PAULI_X, seed=3)
         res = play_tournament(GAME, fixed(C), fixed(Q), cfg)
         a, b = GAME.payoff_vectors()
-        for r in res.records:
+        for r in rounds(res):
             dist = np.array(r.distribution)
             assert abs(r.payoff_I - float(dist @ a)) < 1e-12
             assert abs(r.payoff_II - float(dist @ b)) < 1e-12
@@ -139,15 +180,15 @@ class TestTriggerAgents:
                                mode=EntanglerMode.DEFECT, seed=5)
         res = play_tournament(GAME, grim(NamedGate("Q", NAMED.Q), D),
                               grim(NamedGate("Q", NAMED.Q), D), cfg)
-        assert all(r.gate_I == "Q" and r.gate_II == "Q" for r in res.records)
+        assert all(r.gate_I == "Q" and r.gate_II == "Q" for r in rounds(res))
         assert abs(res.mean_payoff_I - 3.0) < 1e-12
 
     def test_grim_vs_defector_triggers_on_first_observation(self):
         cfg = TournamentConfig(rounds=2000, gamma=0.0,
                                mode=EntanglerMode.DEFECT, seed=5)
         res = play_tournament(GAME, grim(C, D), fixed(D), cfg)
-        assert res.records[0].gate_I == "C"
-        assert all(r.gate_I == "D" for r in res.records[1:])
+        assert rounds(res)[0].gate_I == "C"
+        assert all(r.gate_I == "D" for r in rounds(res)[1:])
         # round 1 pays (0,5); every later round (1,1): mean approaches 1
         assert abs(res.mean_payoff_I - (0.0 + (cfg.rounds - 1) * 1.0) / cfg.rounds) < 1e-12
         assert 0.99 < res.mean_payoff_I < 1.0
@@ -157,18 +198,18 @@ class TestTriggerAgents:
                                mode=EntanglerMode.DEFECT, seed=5)
         res = play_tournament(GAME, grim(C, D), fixed(C), cfg)
         # opponent cooperates forever: the trigger must never fire
-        assert all(r.gate_I == "C" for r in res.records)
-        for r in res.records:
+        assert all(r.gate_I == "C" for r in rounds(res))
+        for r in rounds(res):
             assert r.distribution[1] + r.distribution[3] <= 0.5
 
     def test_tit_for_tat_forgives(self):
         tft = AgentSpec(kind=AgentKind.TIT_FOR_TAT, menu=(C, D))
         cfg = TournamentConfig(rounds=50, gamma=0.0, mode=EntanglerMode.DEFECT, seed=2)
         res = play_tournament(GAME, tft, fixed(C), cfg)
-        assert all(r.gate_I == "C" for r in res.records)
+        assert all(r.gate_I == "C" for r in rounds(res))
         res = play_tournament(GAME, tft, fixed(D), cfg)
-        assert res.records[0].gate_I == "C"
-        assert all(r.gate_I == "D" for r in res.records[1:])
+        assert rounds(res)[0].gate_I == "C"
+        assert all(r.gate_I == "D" for r in rounds(res)[1:])
 
 
 class TestReproducibility:
@@ -177,7 +218,7 @@ class TestReproducibility:
                                seed=123, sampled_outcomes=True)
         a = play_tournament(GAME, bandit((C, D, Q)), bandit((C, D, Q)), cfg)
         b = play_tournament(GAME, bandit((C, D, Q)), bandit((C, D, Q)), cfg)
-        assert a.records == b.records
+        assert (a.rows, a.log) == (b.rows, b.log)
         assert a.mean_payoff_I == b.mean_payoff_I
 
     def test_sampled_payoffs_are_cell_values(self):
@@ -185,7 +226,7 @@ class TestReproducibility:
                                seed=11, sampled_outcomes=True)
         res = play_tournament(GAME, fixed(Q), fixed(D), cfg)
         cells = {GAME.cell(i, j) for i in range(2) for j in range(2)}
-        for r in res.records:
+        for r in rounds(res):
             assert r.sampled_outcome in (0, 1, 2, 3)
             assert (r.payoff_I, r.payoff_II) in cells
 
@@ -202,7 +243,7 @@ class TestReproducibility:
                                seed=2024, sampled_outcomes=True)
         res = play_tournament(GAME, bandit((C, D, Q), epsilon=0.3, lr=0.2),
                               bandit((Q, C), epsilon=0.15, lr=0.4), cfg)
-        log = "\n".join(f"{r.gate_I},{r.gate_II},{r.sampled_outcome}" for r in res.records)
+        log = "\n".join(f"{r.gate_I},{r.gate_II},{r.sampled_outcome}" for r in rounds(res))
         assert hashlib.sha256(log.encode()).hexdigest() == (
             "3221682533d488935a10f98217ef7df96c4af53bbad3788b2c11375a60908b06")
         assert (res.mean_payoff_I, res.mean_payoff_II) == (2.514, 2.824)
@@ -213,7 +254,7 @@ class TestBanditTies:
         zero = Bimatrix(row_payoffs=np.zeros((2, 2)), col_payoffs=np.zeros((2, 2)))
         cfg = TournamentConfig(rounds=50, gamma=1.0, mode=EntanglerMode.DEFECT, seed=8)
         res = play_tournament(zero, bandit((D, Q, C), epsilon=0.0), fixed(C), cfg)
-        assert all(r.gate_I == "D" for r in res.records)
+        assert all(r.gate_I == "D" for r in rounds(res))
 
     def test_first_of_tied_maxima(self):
         # gamma 0 plays the gates classically: against C, the arm C pays -2
@@ -223,7 +264,7 @@ class TestBanditTies:
         menu = (C, D, NamedGate("D2", NAMED.D))
         cfg = TournamentConfig(rounds=6, gamma=0.0, mode=EntanglerMode.DEFECT, seed=0)
         res = play_tournament(game, bandit(menu, epsilon=0.0, lr=1.0), fixed(C), cfg)
-        assert [r.gate_I for r in res.records] == ["C", "D", "D2", "D", "D", "D"]
+        assert [r.gate_I for r in rounds(res)] == ["C", "D", "D2", "D", "D", "D"]
 
 
 class TestMenuAdvantage:
@@ -243,16 +284,16 @@ class TestMenuAdvantage:
                                mode=EntanglerMode.DEFECT, seed=0)
         r1 = menu_advantage_experiment(GAME, cfg)
         r2 = menu_advantage_experiment(GAME, cfg)
-        assert r1.quantum.records == r2.quantum.records
-        assert r1.classical.records == r2.classical.records
+        assert (r1.quantum.rows, r1.quantum.log) == (r2.quantum.rows, r2.quantum.log)
+        assert (r1.classical.rows, r1.classical.log) == (r2.classical.rows, r2.classical.log)
         assert r1.quantum_tail_mean == r2.quantum_tail_mean
 
     def test_single_round_single_record(self):
         cfg = TournamentConfig(rounds=1, gamma=np.pi / 2,
                                mode=EntanglerMode.DEFECT, seed=4)
         report = menu_advantage_experiment(GAME, cfg)
-        assert len(report.quantum.records) == 1
-        assert len(report.classical.records) == 1
+        assert len(report.quantum.log) == 1
+        assert len(report.classical.log) == 1
 
 
 class TestStream:

@@ -29,7 +29,7 @@ NAMES = [
     "ConfigError", "ConvergenceError", "EntanglerMode", "Gate1Q",
     "MenuAdvantageReport", "MixedEquilibriumResult", "MixedProfile", "MixedQuantumStrategy",
     "NamedGate", "NoiseKind", "NoiseSpec", "OutcomeDistribution", "Player", "ProtocolResult",
-    "PureProfile", "PureState2Q", "QGamesError", "RangeError", "RoundRecord", "RoundRow",
+    "PureProfile", "PureState2Q", "QGamesError", "RangeError", "RoundRow",
     "SearchConfig", "StrategyParamsA", "StrategyParamsB", "ThresholdResult",
     "TournamentConfig", "TournamentResult", "ValidationError", "advantage_threshold",
     "best_correlated", "best_response", "canonical_gates", "canonical_pd", "default_menu",
