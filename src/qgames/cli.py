@@ -6,8 +6,9 @@ Angles in configs may be given as radians or as exact "pi" fractions
 ("mixed:[[0.5,\"C\"],[0.5,\"Q\"]]").  Identical configs produce
 byte-identical report files.
 
-A command scores no profile itself: `payoff`, `noise` and `sweep` call
-`ewl`'s evaluators, and the other commands import what they call from
+A command scores no profile itself: `payoff` and `sweep` call `ewl`'s
+evaluators (`noise` is `payoff`'s answer for pure players, with the
+channel echoed), and the other commands import what they call from
 `search`, `noise` and `hft` when they run, so a `qgames` process loads
 only its own command's code; every config is still read and validated
 in full, through `qgames.qcore`'s config types, which hold the schema's
@@ -39,8 +40,6 @@ from .ewl import (
     canonical_gates,
     gamma_sweep,
     run_protocol,
-    run_protocol_mixed,
-    run_protocol_noisy,
 )
 from .games import (
     OBJECTIVES,
@@ -511,9 +510,7 @@ def _pure_gates(cfg: RunConfig, command: str) -> tuple:
 
 
 def _cmd_payoff(cfg: RunConfig):
-    m1, m2 = (p if isinstance(p, MixedQuantumStrategy) else MixedQuantumStrategy.point_mass(p)
-              for p in cfg.players)
-    result = run_protocol_mixed(cfg.game, cfg.gamma, cfg.mode, m1, m2, cfg.noise)
+    result = run_protocol(cfg.game, cfg.gamma, cfg.mode, *cfg.players, cfg.noise)
     dist = [float(x) for x in result.distribution.probs]
     summary = {
         "game": cfg.settings["game"] if isinstance(cfg.settings["game"], str) else "inline",
@@ -647,21 +644,12 @@ def _cmd_sweep(cfg: RunConfig):
 
 
 def _cmd_noise(cfg: RunConfig):
-    gates = _pure_gates(cfg, "noise")
-    result = run_protocol_noisy(cfg.game, cfg.gamma, cfg.mode, gates[0], gates[1], cfg.noise)
-    dist = [float(x) for x in result.distribution.probs]
-    summary = {
-        "players": list(cfg.player_specs),
-        "gamma": cfg.gamma,
-        "entangler_mode": cfg.mode.value,
-        "noise": {"kind": cfg.noise.kind.value, "p": cfg.noise.p,
-                  "location": cfg.noise.location.value},
-        "payoffs": [result.payoff_I, result.payoff_II],
-        "distribution": dist,
-    }
+    _pure_gates(cfg, "noise")
+    payoff, _, rows = _cmd_payoff(cfg)
+    summary = dict(payoff, noise=cfg.settings["noise"])  # kind, p and location as resolved
+    del summary["game"], summary["noise_kind"]
     columns = ("kind", "p", "location", "payoff_I", "payoff_II", "p00", "p01", "p10", "p11")
-    return summary, columns, _Rows([(cfg.noise.kind.value, cfg.noise.p, cfg.noise.location.value,
-                                     result.payoff_I, result.payoff_II, *dist)])
+    return summary, columns, _Rows([(*summary["noise"].values(), *row) for row in rows])
 
 
 def _cmd_correlated(cfg: RunConfig):

@@ -8,9 +8,9 @@ Every evaluation in the package (single runs, mixtures, menu tables,
 sweeps, best responses, noisy runs, tournaments) goes through one
 broadcast kernel, outcome_amplitudes; a profile under a channel goes
 through noisy_outcome_probs, which is the plain kernel under the
-identity channel.  The evaluators of a pure, noisy or mixed profile
-and of an entanglement sweep (run_protocol, run_protocol_noisy,
-run_protocol_mixed, gamma_sweep) are all here.  In both entangler modes
+identity channel.  One evaluator, run_protocol, scores a profile of
+gates or mixtures under any channel, and gamma_sweep scores a profile
+over an entanglement grid.  In both entangler modes
 J|00> = c|00> + i s|11> (c, s = cos, sin of gamma/2) and the generator
 G is a signed reversal of the basis, so the kernel needs no 4x4
 matrix: one einsum holds its only rounding product, and every other
@@ -191,8 +191,8 @@ def canonical_gates(mode: EntanglerMode) -> CanonicalGates:
 class ProtocolResult:
     """Outcome distribution and expected payoffs of one protocol run.
 
-    final_state is the post-circuit pure state, or None when the run
-    is an exact mixture (mixed strategies, noisy channels)."""
+    final_state is the post-circuit pure state of two gates under the
+    identity channel, and None for an exact mixture (mixtures, channels)."""
 
     distribution: OutcomeDistribution
     payoff_I: float
@@ -293,25 +293,6 @@ def noisy_outcome_probs(gamma, mode: EntanglerMode, u1, u2, noise: NoiseSpec) ->
     return np.einsum("ab,...abk->...k", _pauli_weights(noise), np.abs(amps) ** 2)
 
 
-def run_protocol(game: Bimatrix, gamma: float, mode: EntanglerMode,
-                 u1: Gate1Q, u2: Gate1Q) -> ProtocolResult:
-    """Evaluate J-dagger (u1 x u2) J |00> and score it against the game.
-
-    Raw 2x2 matrices are accepted and validated as Gate1Q.
-    """
-    amps = outcome_amplitudes(clamp_gamma(gamma), mode, gate_matrix(u1), gate_matrix(u2))
-    state = PureState2Q(amps)
-    return ProtocolResult.score(game, np.abs(state.amps) ** 2, state)
-
-
-def run_protocol_noisy(game: Bimatrix, gamma: float, mode: EntanglerMode,
-                       u1: Gate1Q, u2: Gate1Q, noise: NoiseSpec) -> ProtocolResult:
-    """Protocol run with the channel `noise` at its location: the exact
-    Pauli mixture, which with the identity channel is run_protocol's."""
-    return ProtocolResult.score(game, noisy_outcome_probs(
-        clamp_gamma(gamma), mode, gate_matrix(u1), gate_matrix(u2), noise))
-
-
 class MixedQuantumStrategy(_Value):
     """A finite probability mixture over 1-qubit strategies."""
 
@@ -346,19 +327,33 @@ class MixedQuantumStrategy(_Value):
         return self._stacked
 
 
-def run_protocol_mixed(game: Bimatrix, gamma: float, mode: EntanglerMode,
-                       m1: MixedQuantumStrategy, m2: MixedQuantumStrategy,
-                       noise: NoiseSpec = NoiseSpec()) -> ProtocolResult:
-    """Exact convex combination of protocol runs over the support pairs,
-    each under the channel `noise` (noiseless by default).
+def run_protocol(game: Bimatrix, gamma: float, mode: EntanglerMode, s1, s2,
+                 noise: NoiseSpec = NoiseSpec()) -> ProtocolResult:
+    """The exact outcome distribution and payoffs of s1 and s2, each a
+    Gate1Q, a raw 2x2 matrix or a MixedQuantumStrategy, under the channel
+    `noise` (noiseless by default).  A mixture on either side is the sum
+    over the support pairs, a bare gate joining as a point mass.  Two gates
+    skip that slower path: under a channel they are noisy_outcome_probs's
+    Pauli mixture, and under the identity channel the pure run, the only
+    one with a final_state, J-dagger (u1 x u2) J |00>."""
+    check_instance("game", game, Bimatrix)
+    check_instance("noise", noise, NoiseSpec)
+    gamma = clamp_gamma(gamma)
+    mixture = MixedQuantumStrategy
+    if isinstance(s1, mixture) or isinstance(s2, mixture):
+        w1, u1 = (s1 if isinstance(s1, mixture) else mixture.point_mass(s1)).stacked()
+        w2, u2 = (s2 if isinstance(s2, mixture) else mixture.point_mass(s2)).stacked()
+        probs = noisy_outcome_probs(gamma, mode, u1[:, None], u2[None, :], noise)
+        return ProtocolResult.score(game, np.einsum("i,j,ijk->k", w1, w2, probs))
+    u1, u2 = gate_matrix(s1), gate_matrix(s2)
+    if noise.kind is NoiseKind.NONE or noise.p == 0.0:
+        state = PureState2Q(outcome_amplitudes(gamma, mode, u1, u2))
+        return ProtocolResult.score(game, np.abs(state.amps) ** 2, state)
+    return ProtocolResult.score(game, noisy_outcome_probs(gamma, mode, u1, u2, noise))
 
-    No sampling is involved; the returned distribution and payoffs are
-    the exact mixture, and final_state is None because the average of
-    pure runs is not itself pure.
-    """
-    (w1, u1), (w2, u2) = m1.stacked(), m2.stacked()
-    probs = noisy_outcome_probs(clamp_gamma(gamma), mode, u1[:, None], u2[None, :], noise)
-    return ProtocolResult.score(game, np.einsum("i,j,ijk->k", w1, w2, probs))
+
+# the former evaluators' names, kept while perfbench calls them (ROADMAP item 3)
+run_protocol_noisy = run_protocol_mixed = run_protocol
 
 
 def gamma_sweep(game: Bimatrix, mode: EntanglerMode, u1: Gate1Q, u2: Gate1Q,
@@ -368,6 +363,7 @@ def gamma_sweep(game: Bimatrix, mode: EntanglerMode, u1: Gate1Q, u2: Gate1Q,
     Returns (("gamma", "payoff_I", "payoff_II"), rows).  The table is
     recorded data; no monotonicity is implied.
     """
+    check_instance("game", game, Bimatrix)
     steps = check_integer("steps", steps, 2)
     check_array_size(steps, f"steps={steps}")
     gammas = np.linspace(0.0, np.pi / 2, steps)

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .qcore import OutcomeDistribution, check_bool, check_real
+from .qcore import OutcomeDistribution, check_bool, check_instance, check_real
 
 
 class PureProfile(NamedTuple):
@@ -125,6 +125,7 @@ def hft_game() -> Bimatrix:
 
 def pure_nash(game: Bimatrix) -> list:
     """All pure profiles where each choice is a best reply to the other."""
+    check_instance("game", game, Bimatrix)
     A, B = game.row_payoffs, game.col_payoffs
     out = []
     for i, j in itertools.product(range(2), range(2)):
@@ -136,6 +137,7 @@ def pure_nash(game: Bimatrix) -> list:
 def pareto_optimal(game: Bimatrix) -> list:
     """Profiles whose outcome no other cell weakly improves for both
     players and strictly for one."""
+    check_instance("game", game, Bimatrix)
     A, B = game.row_payoffs, game.col_payoffs
     cells = list(itertools.product(range(2), range(2)))
     out = []
@@ -152,6 +154,7 @@ def pareto_optimal(game: Bimatrix) -> list:
 
 def expected_payoff(game: Bimatrix, profile: MixedProfile) -> tuple:
     """Bilinear expected payoffs at an independent mixed profile."""
+    check_instance("game", game, Bimatrix)
     p, q = profile.p, profile.q
     w = np.array([p * q, p * (1 - q), (1 - p) * q, (1 - p) * (1 - q)])
     a, b = game.payoff_vectors()
@@ -176,6 +179,7 @@ def mixed_nash(game: Bimatrix) -> list:
     the same q, since the equilibrium set meets every axis-parallel line
     in an interval.  The result is sorted by (p, q) and never empty.
     """
+    check_instance("game", game, Bimatrix)
     (a00, a01), (a10, a11) = _exact(game.row_payoffs)
     (b00, b01), (b10, b11) = _exact(game.col_payoffs)
     gain_i = (a00 - a10 - a01 + a11, a01 - a11)  # slope and intercept in q
@@ -210,6 +214,7 @@ def is_correlated_equilibrium(game: Bimatrix, mu: OutcomeDistribution,
     constraint by up to 4 * 2^-52 * max|payoff|, so that much is added
     to eps: the verdict does not depend on the payoff unit.
     """
+    check_instance("game", game, Bimatrix)
     eps = check_real("eps", eps, 0.0)
     bound = -(Fraction(eps) + _rounding(game))
     if not isinstance(mu, OutcomeDistribution):
@@ -287,6 +292,7 @@ def best_correlated(game: Bimatrix, objective: str = "welfare") -> OutcomeDistri
     one, set to 1 by the normalization, two leave a 2-unknown system.
     Ties are broken toward the lexicographically smallest distribution.
     """
+    check_instance("game", game, Bimatrix)
     if objective not in OBJECTIVES:
         raise ValidationError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
     A, B = ([x for row in _exact(t) for x in row] for t in (game.row_payoffs, game.col_payoffs))

@@ -1,10 +1,9 @@
 """The noise threshold: where noise erodes the quantum advantage.
 
 The symmetric set-A equilibrium profile (search.symmetric_equilibrium_gate)
-is tracked under a depolarizing channel, scored as the exact Pauli
-mixture of ewl.noisy_outcome_probs; nothing is sampled.  The noisy and
-swept evaluators (run_protocol_noisy, gamma_sweep) live in ewl, and the
-channel's spec types in qcore.
+is tracked under a depolarizing channel by ewl.run_protocol, as the
+exact Pauli mixture; nothing is sampled.  The channel's spec types are
+qcore's.
 """
 from __future__ import annotations
 
@@ -13,9 +12,10 @@ from typing import Optional
 
 import numpy as np
 
-from .ewl import run_protocol_noisy
+from .ewl import run_protocol
 from .games import Bimatrix
-from .qcore import GAMMA_MAX, EntanglerMode, Gate1Q, NoiseKind, NoiseSpec, SearchConfig
+from .qcore import (GAMMA_MAX, EntanglerMode, Gate1Q, NoiseKind, NoiseSpec, SearchConfig,
+                    check_instance)
 from .search import symmetric_equilibrium_gate
 
 
@@ -42,10 +42,12 @@ def advantage_threshold(game: Bimatrix, mode: EntanglerMode, noise_kind: NoiseKi
     smallest root in [0, 1], in closed form.  kind=NONE reports no
     threshold, as does a payoff that stays above the limit on [0, 1].
     """
+    check_instance("game", game, Bimatrix)
+    check_instance("cfg", cfg, SearchConfig)
     gate = symmetric_equilibrium_gate(game, gamma, mode, cfg)
     limit = float(game.row_payoffs[1, 0] + game.row_payoffs[0, 1]) / 2.0
     y0, y_half, y1 = (
-        run_protocol_noisy(game, gamma, mode, gate, gate, NoiseSpec(kind=noise_kind, p=p)).payoff_I
+        run_protocol(game, gamma, mode, gate, gate, NoiseSpec(kind=noise_kind, p=p)).payoff_I
         for p in (0.0, 0.5, 1.0))
     if noise_kind == NoiseKind.NONE:
         return ThresholdResult(False, None, y0, y1, limit, gate)

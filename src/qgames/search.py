@@ -32,7 +32,7 @@ from .ewl import (
 )
 from .games import Bimatrix, _rounding
 from .qcore import (I2, SIGMA_X, SIGMA_Y, SIGMA_Z, EntanglerMode, Gate1Q, Player, SearchConfig,
-                    check_array_size, clamp_gamma, gate_matrix)
+                    check_array_size, check_instance, clamp_gamma, gate_matrix)
 
 
 @dataclass(frozen=True)
@@ -149,6 +149,7 @@ def best_response(game: Bimatrix, gamma: float, mode: EntanglerMode,
     menu of gates, mixed_quantum_equilibrium's dynamics take the first
     exact maximum of the induced table.
     """
+    check_instance("game", game, Bimatrix)
     space = _space(space)
     m = _payoff_form(game, clamp_gamma(gamma), mode, gate_matrix(opponent_gate), responder)
     x = _exact_optimum(m, space)
@@ -160,6 +161,8 @@ def best_response(game: Bimatrix, gamma: float, mode: EntanglerMode,
 def verify_eps_nash(game: Bimatrix, gamma: float, mode: EntanglerMode,
                     u1: Gate1Q, u2: Gate1Q, space: str, cfg: SearchConfig) -> tuple:
     """(is_equilibrium, max_improvement) of (u1, u2): the larger exact regret, or 0."""
+    check_instance("game", game, Bimatrix)
+    check_instance("cfg", cfg, SearchConfig)
     space = _space(space)
     worst = max(0.0, *_regrets(game, clamp_gamma(gamma), mode, gate_matrix(u1),
                                gate_matrix(u2), space).tolist())
@@ -202,6 +205,8 @@ def payoff_landscape(game: Bimatrix, gamma: float, mode: EntanglerMode,
     Returns (column_names, data); rows are in row-major axis order so
     repeated runs emit identical tables.
     """
+    check_instance("game", game, Bimatrix)
+    check_instance("cfg", cfg, SearchConfig)
     space = _space(space)
     pts, u = _grid_points(space, cfg.grid_resolution)
     amps, payvec = _responder_amplitudes(game, clamp_gamma(gamma), mode,
@@ -356,6 +361,8 @@ def mixed_quantum_equilibrium(game: Bimatrix, gamma: float, mode: EntanglerMode,
     payoff sum is returned (players coordinating on the best available
     equilibrium).
     """
+    check_instance("game", game, Bimatrix)
+    check_instance("cfg", cfg, SearchConfig)
     menu = tuple(g if isinstance(g, Gate1Q) else Gate1Q(g) for g in menu)
     if not menu:
         raise ValidationError("menu must be nonempty")

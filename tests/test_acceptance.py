@@ -28,7 +28,6 @@ from qgames import (
     pareto_optimal,
     pure_nash,
     run_protocol,
-    run_protocol_noisy,
     advantage_threshold,
     TournamentConfig,
     verify_eps_nash,
@@ -162,14 +161,14 @@ def test_criterion_09_noise_endpoints_and_threshold():
     with criterion(9, "two-qubit depolarizing endpoints exact; threshold "
                       "exact and reproducible (pinned 2/3)"):
         named = canonical_gates(EntanglerMode.DEFECT)
-        full = run_protocol_noisy(PD, np.pi / 2, EntanglerMode.DEFECT, named.Q, named.Q,
-                                  NoiseSpec(kind=NoiseKind.TWO_QUBIT_DEPOLARIZING, p=1.0))
+        full = run_protocol(PD, np.pi / 2, EntanglerMode.DEFECT, named.Q, named.Q,
+                            NoiseSpec(kind=NoiseKind.TWO_QUBIT_DEPOLARIZING, p=1.0))
         assert abs(full.payoff_I - 2.25) < 1e-12 and abs(full.payoff_II - 2.25) < 1e-12
         clean = run_protocol(PD, np.pi / 2, EntanglerMode.DEFECT, named.Q, named.Q)
         for kind in (NoiseKind.NONE, NoiseKind.PER_QUBIT_DEPOLARIZING,
                      NoiseKind.TWO_QUBIT_DEPOLARIZING):
-            zero = run_protocol_noisy(PD, np.pi / 2, EntanglerMode.DEFECT, named.Q,
-                                      named.Q, NoiseSpec(kind=kind, p=0.0))
+            zero = run_protocol(PD, np.pi / 2, EntanglerMode.DEFECT, named.Q,
+                                named.Q, NoiseSpec(kind=kind, p=0.0))
             assert np.abs(zero.distribution.probs - clean.distribution.probs).max() < 1e-12
         cfg = SearchConfig(grid_resolution=16, eps_nash=1e-6)
         runs = [advantage_threshold(PD, EntanglerMode.DEFECT,

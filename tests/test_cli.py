@@ -22,7 +22,7 @@ from hypothesis import example, given, settings, strategies as st
 import qgames.cli as cli
 import qgames.hft as hft_mod
 from qgames import (EntanglerMode, Gate1Q, MixedQuantumStrategy, NoiseKind, default_menu,
-                    run_protocol_noisy)
+                    run_protocol)
 from qgames.errors import ConfigError, ValidationError
 from qgames.ewl import SPACES
 from circuit import haar_gates
@@ -364,8 +364,8 @@ class TestDispatch:
                          "--quiet"]) == 0
         summary = json.loads((out / "payoff.json").read_text())
         cfg = cli.parse_config(cfgfile.read_text())
-        want = sum(w1 * w2 * run_protocol_noisy(cfg.game, cfg.gamma, cfg.mode, u1, u2,
-                                                cfg.noise).distribution.probs
+        want = sum(w1 * w2 * run_protocol(cfg.game, cfg.gamma, cfg.mode, u1, u2,
+                                          cfg.noise).distribution.probs
                    for w1, u1 in cfg.players[0].support for w2, u2 in cfg.players[1].support)
         assert np.abs(np.array(summary["distribution"]) - want).max() < 1e-12
 

@@ -1,10 +1,14 @@
 """Tests for the protocol pipeline and the named strategy families."""
+import hashlib
+import math
 from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 from qgames import (
+    Bimatrix,
+    ChannelLocation,
     EntanglerMode,
     Gate1Q,
     MixedQuantumStrategy,
@@ -19,6 +23,7 @@ from qgames import (
     outcome_amplitudes,
     run_protocol,
     run_protocol_mixed,
+    run_protocol_noisy,
 )
 from qgames.errors import RangeError, ValidationError
 from qgames.ewl import _PAULIS, noisy_outcome_probs, strategy_matrix
@@ -49,6 +54,53 @@ def reference_kernel(gamma, mode, u1, u2):
 def random_gates(rng, n):
     return strategy_matrix(rng.uniform(0, np.pi / 2, n), rng.uniform(-np.pi, np.pi, n),
                            rng.uniform(-np.pi, np.pi, n))
+
+
+def quaternion_gate(rng):
+    """The gate x0 I + i (x1 sx + x2 sy + x3 sz) of a seeded quaternion,
+    normalized with correctly rounded arithmetic alone (no libm call),
+    so that its bytes are the same on every platform."""
+    x = rng.uniform(-1.0, 1.0, 4)
+    x = x / math.sqrt(sum(t * t for t in x.tolist()))
+    return np.array([[complex(x[0], x[3]), complex(x[2], x[1])],
+                     [complex(-x[2], x[1]), complex(x[0], -x[3])]])
+
+
+CHICKEN = Bimatrix(row_payoffs=[[6, 2], [7, 0]], col_payoffs=[[6, 7], [2, 0]])
+
+
+def evaluator_cases(seed, n):
+    """n seeded (game, gamma, mode, s1, s2, noise) cases.  Each run of 144
+    covers a gate or a mixture on each side, the three noise kinds at
+    p = 0, a random p and p = 1, both channel locations and both modes;
+    the game alternates between runs.  A gate is a Gate1Q or, every
+    other case, its raw matrix; a mixture has one to four gates and
+    rational weights."""
+    rng = np.random.default_rng(seed)
+    for k in range(n):
+        kind, level, location, mode, sides = np.unravel_index(k % 144, (3, 3, 2, 2, 4))
+        p = (0.0, rng.uniform(), 1.0)[level]
+        noise = NoiseSpec(kind=list(NoiseKind)[kind], p=p, location=list(ChannelLocation)[location])
+        strategies = []
+        for mixed in (sides >> 1, sides & 1):
+            if mixed:
+                w = rng.integers(1, 9, rng.integers(1, 5))
+                strategies.append(MixedQuantumStrategy(
+                    [(x, quaternion_gate(rng)) for x in (w / w.sum()).tolist()]))
+            else:
+                u = quaternion_gate(rng)
+                strategies.append(Gate1Q(u) if k % 2 else u)
+        game = (PD, CHICKEN)[k // 144 % 2]
+        yield game, rng.uniform(0, np.pi / 2), MODES[mode], *strategies, noise
+
+
+def result_digest(results):
+    """sha256 of the distributions' and payoffs' bytes, in order."""
+    h = hashlib.sha256()
+    for r in results:
+        h.update(r.distribution.probs.tobytes())
+        h.update(np.array([r.payoff_I, r.payoff_II]).tobytes())
+    return h.hexdigest()
 
 
 def kernel_cases(seed, n):
@@ -539,7 +591,7 @@ class TestMixedStrategies:
         named = canonical_gates(EntanglerMode.DEFECT)
         m = MixedQuantumStrategy.point_mass(named.Q)
         pure = run_protocol(PD, np.pi / 2, EntanglerMode.DEFECT, named.Q, named.Q)
-        mixed = run_protocol_mixed(PD, np.pi / 2, EntanglerMode.DEFECT, m, m)
+        mixed = run_protocol(PD, np.pi / 2, EntanglerMode.DEFECT, m, m)
         assert np.abs(mixed.distribution.probs - pure.distribution.probs).max() < 1e-15
         assert mixed.payoff_I == pure.payoff_I
         assert mixed.final_state is None
@@ -553,14 +605,14 @@ class TestMixedStrategies:
             m2 = MixedQuantumStrategy(list(zip(w2, g2)))
             want = sum(x * y * born_probs(final_amplitudes(gamma, mode, u, v))
                        for x, u in zip(w1, g1) for y, v in zip(w2, g2))
-            r = run_protocol_mixed(PD, gamma, mode, m1, m2)
+            r = run_protocol(PD, gamma, mode, m1, m2)
             assert np.abs(r.distribution.probs - want).max() < 1e-12
             assert abs(r.payoff_I - want @ a) < 1e-12 and abs(r.payoff_II - want @ b) < 1e-12
 
     def test_uniform_over_c_and_d_at_gamma_zero(self):
         named = canonical_gates(EntanglerMode.DEFECT)
         m = MixedQuantumStrategy([(0.5, named.C), (0.5, named.D)])
-        r = run_protocol_mixed(PD, 0.0, EntanglerMode.DEFECT, m, m)
+        r = run_protocol(PD, 0.0, EntanglerMode.DEFECT, m, m)
         assert abs(r.payoff_I - 9 / 4) < 1e-12 and abs(r.payoff_II - 9 / 4) < 1e-12
         assert np.abs(r.distribution.probs - 0.25).max() < 1e-12
 
@@ -588,7 +640,7 @@ class TestMixedStrategies:
             want = np.einsum("i,j,ijk->k", w1, w2,
                              noisy_outcome_probs(gamma, mode, u1[:, None], u2[None, :], noise))
             for _ in range(2):
-                r = run_protocol_mixed(PD, gamma, mode, m1, m2, noise=noise)
+                r = run_protocol(PD, gamma, mode, m1, m2, noise=noise)
                 assert r.distribution.probs.tobytes() == want.tobytes()
 
     def test_empty_support_rejected(self):
@@ -607,8 +659,68 @@ class TestMixedStrategies:
             w2, g2 = rng.dirichlet(np.ones(2)), random_gates(rng, 2)
             m1 = MixedQuantumStrategy(list(zip(w1, g1)))
             assert len(m1) == 5
-            r = run_protocol_mixed(PD, gamma, mode, m1, MixedQuantumStrategy(list(zip(w2, g2))))
+            r = run_protocol(PD, gamma, mode, m1, MixedQuantumStrategy(list(zip(w2, g2))))
             want = sum(x * y * run_protocol(PD, gamma, mode, u, v).distribution.probs
                        for x, u in zip(w1, g1) for y, v in zip(w2, g2))
             assert np.abs(r.distribution.probs - want).max() < 1e-12
             assert abs(r.payoff_I - want @ a) < 1e-12 and abs(r.payoff_II - want @ b) < 1e-12
+
+
+class TestOneEvaluator:
+    """run_protocol scores gates or mixtures under any channel; the two
+    former evaluators' names are bound to it."""
+
+    # the digest of evaluator_cases(4300, 432) as the former evaluators
+    # scored them: run_protocol for two gates under kind none,
+    # run_protocol_noisy for two gates under a depolarizing kind, and
+    # run_protocol_mixed with point masses when either side is a mixture
+    PINNED = "c8572c49b891cf76830d71bead75fc5cfbe463e1295f60995924ecc7480c26bf"
+
+    def test_the_former_evaluators_bytes(self):
+        cases = list(evaluator_cases(4300, 432))
+        assert result_digest(run_protocol(*case) for case in cases) == self.PINNED
+
+    def test_the_former_names_are_the_evaluator(self):
+        assert run_protocol_noisy is run_protocol_mixed is run_protocol
+
+    def test_final_state_only_for_two_gates_under_the_identity_channel(self):
+        for game, gamma, mode, s1, s2, noise in evaluator_cases(4301, 144):
+            r = run_protocol(game, gamma, mode, s1, s2, noise)
+            pure = not any(isinstance(s, MixedQuantumStrategy) for s in (s1, s2))
+            identity = noise.kind is NoiseKind.NONE or noise.p == 0.0
+            assert (r.final_state is not None) == (pure and identity)
+            if r.final_state is not None:
+                assert r.distribution.probs.tobytes() == (
+                    np.abs(r.final_state.amps) ** 2).tobytes()
+
+    def test_a_gate_against_a_mixture_is_its_point_mass(self):
+        named = canonical_gates(EntanglerMode.DEFECT)
+        mix = MixedQuantumStrategy([(0.5, named.C), (0.5, named.Q)])
+        spec = NoiseSpec(kind=NoiseKind.PER_QUBIT_DEPOLARIZING, p=0.3)
+        for gate in (named.D, named.D.matrix):
+            for noise in (NoiseSpec(), spec):
+                got = run_protocol(PD, 1.0, EntanglerMode.DEFECT, gate, mix, noise)
+                want = run_protocol(PD, 1.0, EntanglerMode.DEFECT,
+                                    MixedQuantumStrategy.point_mass(gate), mix, noise)
+                assert got == want and got.final_state is None
+                got = run_protocol(PD, 1.0, EntanglerMode.DEFECT, mix, gate, noise)
+                want = run_protocol(PD, 1.0, EntanglerMode.DEFECT,
+                                    mix, MixedQuantumStrategy.point_mass(gate), noise)
+                assert got == want and got.final_state is None
+
+    @pytest.mark.parametrize("noise", ["x", None, NoiseKind.PER_QUBIT_DEPOLARIZING])
+    def test_noise_is_a_noise_spec(self, noise):
+        named = canonical_gates(EntanglerMode.DEFECT)
+        mix = MixedQuantumStrategy.point_mass(named.Q)
+        for s2 in (named.Q, mix):
+            with pytest.raises(ValidationError) as info:
+                run_protocol(PD, 1.0, EntanglerMode.DEFECT, named.C, s2, noise)
+            assert str(info.value) == f"noise must be a NoiseSpec, got {noise!r}"
+
+    @pytest.mark.parametrize("bad", ["x", None, 1.5, [[1, 0]]])
+    def test_a_strategy_is_a_gate_or_a_mixture(self, bad):
+        named = canonical_gates(EntanglerMode.DEFECT)
+        mix = MixedQuantumStrategy.point_mass(named.Q)
+        for s1, s2 in ((bad, named.C), (named.C, bad), (bad, mix), (mix, bad)):
+            with pytest.raises(ValidationError, match="^Gate1Q"):
+                run_protocol(PD, 1.0, EntanglerMode.DEFECT, s1, s2)

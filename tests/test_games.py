@@ -29,6 +29,17 @@ from qgames import (
     pure_nash,
     run_protocol,
 )
+from qgames import (
+    NoiseKind,
+    Player,
+    SearchConfig,
+    advantage_threshold,
+    best_response,
+    gamma_sweep,
+    mixed_quantum_equilibrium,
+    payoff_landscape,
+    verify_eps_nash,
+)
 from qgames.errors import ValidationError
 
 
@@ -591,3 +602,50 @@ class TestCorrelated:
                 assert verdict == reference_is_correlated_equilibrium(g, mu)
                 verdicts.add(verdict)
         assert verdicts == {True, False}
+
+
+_MODE = EntanglerMode.DEFECT
+_C, _D, _Q = canonical_gates(_MODE)
+# each public function that takes a game, called with the game g and the
+# SearchConfig cfg, which the functions that take one receive
+GAME_CALLS = {
+    "run_protocol": lambda g, cfg: run_protocol(g, 1.0, _MODE, _C, _Q),
+    "gamma_sweep": lambda g, cfg: gamma_sweep(g, _MODE, _C, _Q, 3),
+    "best_response": lambda g, cfg: best_response(g, 1.0, _MODE, _Q, Player.I, "A"),
+    "verify_eps_nash": lambda g, cfg: verify_eps_nash(g, 1.0, _MODE, _Q, _Q, "A", cfg),
+    "payoff_landscape": lambda g, cfg: payoff_landscape(g, 1.0, _MODE, "A", _Q, cfg),
+    "mixed_quantum_equilibrium": lambda g, cfg: mixed_quantum_equilibrium(
+        g, 1.0, _MODE, (_C, _D, _Q), cfg),
+    "advantage_threshold": lambda g, cfg: advantage_threshold(
+        g, _MODE, NoiseKind.PER_QUBIT_DEPOLARIZING, cfg),
+    "pure_nash": lambda g, cfg: pure_nash(g),
+    "pareto_optimal": lambda g, cfg: pareto_optimal(g),
+    "mixed_nash": lambda g, cfg: mixed_nash(g),
+    "expected_payoff": lambda g, cfg: expected_payoff(g, MixedProfile(0.5, 0.5)),
+    "is_correlated_equilibrium": lambda g, cfg: is_correlated_equilibrium(g, [0.25] * 4),
+    "best_correlated": lambda g, cfg: best_correlated(g),
+}
+TAKES_CFG = ("verify_eps_nash", "payoff_landscape", "mixed_quantum_equilibrium",
+             "advantage_threshold")
+
+
+class TestGameArguments:
+    """Every public function that takes a game checks that it is a
+    Bimatrix at entry, and every one that takes a SearchConfig checks
+    that too; each once escaped as a bare AttributeError."""
+
+    @pytest.mark.parametrize("name", sorted(GAME_CALLS))
+    def test_a_game_is_a_bimatrix(self, name):
+        cfg = SearchConfig(grid_resolution=4)
+        GAME_CALLS[name](canonical_pd(), cfg)  # the row is valid
+        for bad in ("x", None, [[3, 0], [5, 1]]):
+            with pytest.raises(ValidationError) as info:
+                GAME_CALLS[name](bad, cfg)
+            assert str(info.value) == f"game must be a Bimatrix, got {bad!r}"
+
+    @pytest.mark.parametrize("name", TAKES_CFG)
+    def test_a_cfg_is_a_search_config(self, name):
+        for bad in ("x", None, {"eps_nash": 1e-6}):
+            with pytest.raises(ValidationError) as info:
+                GAME_CALLS[name](canonical_pd(), bad)
+            assert str(info.value) == f"cfg must be a SearchConfig, got {bad!r}"

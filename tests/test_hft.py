@@ -148,7 +148,7 @@ class TestFixedAgents:
             assert np.abs(np.array(r.distribution) - 0.25).max() < 1e-12
 
     def test_noisy_menu_table_matches_per_pair_runs(self):
-        from qgames import NoiseKind, NoiseSpec, StrategyParamsB, run_protocol_noisy
+        from qgames import NoiseKind, NoiseSpec, StrategyParamsB, run_protocol
         x = NamedGate("X", StrategyParamsB(0.7, 1.2, -0.4).gate())
         noise = NoiseSpec(kind=NoiseKind.PER_QUBIT_DEPOLARIZING, p=0.2)
         cfg = TournamentConfig(rounds=200, gamma=1.0, mode=EntanglerMode.PAULI_X, seed=5,
@@ -158,8 +158,8 @@ class TestFixedAgents:
         res = play_tournament(GAME, bandit(menu, epsilon=0.5), bandit(menu, epsilon=0.5), cfg)
         assert len({(r.gate_I, r.gate_II) for r in rounds(res)}) > 8
         for r in rounds(res):
-            want = run_protocol_noisy(GAME, 1.0, EntanglerMode.PAULI_X, gates[r.gate_I],
-                                      gates[r.gate_II], noise)
+            want = run_protocol(GAME, 1.0, EntanglerMode.PAULI_X, gates[r.gate_I],
+                                gates[r.gate_II], noise)
             assert np.abs(np.array(r.distribution) - want.distribution.probs).max() < 1e-12
             assert abs(r.payoff_I - want.payoff_I) < 1e-12
             assert abs(r.payoff_II - want.payoff_II) < 1e-12

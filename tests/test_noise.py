@@ -19,8 +19,6 @@ from qgames import (
     hft_game,
     outcome_amplitudes,
     run_protocol,
-    run_protocol_mixed,
-    run_protocol_noisy,
     verify_eps_nash,
 )
 from qgames.errors import ConvergenceError, RangeError, ValidationError
@@ -79,8 +77,8 @@ class TestNoiseSpec:
     def test_invalid_spec_rejected_by_runner(self):
         named = canonical_gates(EntanglerMode.DEFECT)
         with pytest.raises(ValidationError):
-            run_protocol_noisy(PD, 0.0, EntanglerMode.DEFECT, named.C, named.C,
-                               {"kind": "none"})
+            run_protocol(PD, 0.0, EntanglerMode.DEFECT, named.C, named.C,
+                         {"kind": "none"})
 
 
 class TestChannels:
@@ -92,7 +90,7 @@ class TestChannels:
             gamma = rng.uniform(0, np.pi / 2)
             mode = MODES[int(rng.integers(2))]
             pure = run_protocol(PD, gamma, mode, u, v)
-            noisy = run_protocol_noisy(PD, gamma, mode, u, v, spec)
+            noisy = run_protocol(PD, gamma, mode, u, v, spec)
             assert np.abs(noisy.distribution.probs - pure.distribution.probs).max() < 1e-12
 
     def test_p_zero_of_any_kind_is_noiseless(self):
@@ -103,15 +101,15 @@ class TestChannels:
                 gamma = rng.uniform(0, np.pi / 2)
                 mode = MODES[int(rng.integers(2))]
                 pure = run_protocol(PD, gamma, mode, u, v)
-                noisy = run_protocol_noisy(PD, gamma, mode, u, v,
-                                           NoiseSpec(kind=kind, p=0.0))
+                noisy = run_protocol(PD, gamma, mode, u, v,
+                                     NoiseSpec(kind=kind, p=0.0))
                 assert np.abs(noisy.distribution.probs - pure.distribution.probs).max() < 1e-12
 
     def test_full_two_qubit_depolarizing_is_uniform(self):
         named = canonical_gates(EntanglerMode.DEFECT)
         spec = NoiseSpec(kind=NoiseKind.TWO_QUBIT_DEPOLARIZING, p=1.0)
-        r = run_protocol_noisy(PD, np.pi / 2, EntanglerMode.DEFECT,
-                               named.Q, named.Q, spec)
+        r = run_protocol(PD, np.pi / 2, EntanglerMode.DEFECT,
+                         named.Q, named.Q, spec)
         assert np.abs(r.distribution.probs - 0.25).max() < 1e-12
         assert abs(r.payoff_I - 9 / 4) < 1e-12 and abs(r.payoff_II - 9 / 4) < 1e-12
 
@@ -120,7 +118,7 @@ class TestChannels:
         spec = NoiseSpec(kind=NoiseKind.PER_QUBIT_DEPOLARIZING, p=0.1)
         for mode in MODES:
             named = canonical_gates(mode)
-            r = run_protocol_noisy(PD, np.pi / 2, mode, named.Q, named.Q, spec)
+            r = run_protocol(PD, np.pi / 2, mode, named.Q, named.Q, spec)
             assert abs(r.payoff_I - 211 / 75) < 1e-9
             assert 9 / 4 < r.payoff_I < 3.0
             assert 9 / 4 < r.payoff_II < 3.0
@@ -143,7 +141,7 @@ class TestChannels:
         for p in np.linspace(0, 1, 11):
             spec = NoiseSpec(kind=NoiseKind.PER_QUBIT_DEPOLARIZING, p=float(p))
             u, v = random_gate(rng), random_gate(rng)
-            r = run_protocol_noisy(PD, np.pi / 3, EntanglerMode.DEFECT, u, v, spec)
+            r = run_protocol(PD, np.pi / 3, EntanglerMode.DEFECT, u, v, spec)
             assert abs(r.distribution.probs.sum() - 1.0) < 1e-9
 
     def test_noisy_payoffs_stay_in_cell_range(self):
@@ -154,9 +152,9 @@ class TestChannels:
                       NoiseKind.NONE)[int(rng.integers(3))],
                 p=float(rng.uniform(0, 1)),
                 location=(ChannelLocation.RETURN, ChannelLocation.FORWARD)[int(rng.integers(2))])
-            r = run_protocol_noisy(PD, rng.uniform(0, np.pi / 2),
-                                   MODES[int(rng.integers(2))],
-                                   random_gate(rng), random_gate(rng), spec)
+            r = run_protocol(PD, rng.uniform(0, np.pi / 2),
+                             MODES[int(rng.integers(2))],
+                             random_gate(rng), random_gate(rng), spec)
             assert -1e-12 <= r.payoff_I <= 5 + 1e-12
             assert -1e-12 <= r.payoff_II <= 5 + 1e-12
 
@@ -170,20 +168,20 @@ class TestChannels:
                 u, v = random_gate(rng), random_gate(rng)
                 p = float(rng.uniform(0, 1))
                 gamma = rng.uniform(0, np.pi / 2)
-                ret = run_protocol_noisy(PD, gamma, EntanglerMode.DEFECT, u, v,
-                                         NoiseSpec(kind=kind, p=p))
-                fwd = run_protocol_noisy(PD, gamma, EntanglerMode.DEFECT, u, v,
-                                         NoiseSpec(kind=kind, p=p,
-                                                   location=ChannelLocation.FORWARD))
+                ret = run_protocol(PD, gamma, EntanglerMode.DEFECT, u, v,
+                                   NoiseSpec(kind=kind, p=p))
+                fwd = run_protocol(PD, gamma, EntanglerMode.DEFECT, u, v,
+                                   NoiseSpec(kind=kind, p=p,
+                                             location=ChannelLocation.FORWARD))
                 assert np.abs(ret.distribution.probs - fwd.distribution.probs).max() < 1e-12
 
 
 @pytest.mark.numpy_floor
 class TestPauliMixtureOracle:
-    """run_protocol_noisy and run_protocol_mixed (Pauli mixtures through
+    """run_protocol on gate pairs and on mixtures (Pauli mixtures through
     the kernel) against the Kraus density-matrix path, within 1e-12 on
-    the oldest numpy too; p = 0 takes ewl.noisy_outcome_probs's
-    identity-channel path, the plain kernel, and must agree as well."""
+    the oldest numpy too; p = 0 takes the identity-channel path, the
+    plain kernel, and must agree as well."""
 
     KINDS = (NoiseKind.PER_QUBIT_DEPOLARIZING, NoiseKind.TWO_QUBIT_DEPOLARIZING)
     LOCATIONS = (ChannelLocation.RETURN, ChannelLocation.FORWARD)
@@ -199,7 +197,7 @@ class TestPauliMixtureOracle:
                     gamma = rng.uniform(0, np.pi / 2)
                     mode = MODES[int(rng.integers(2))]
                     want = kraus_probs(gamma, mode, u.matrix, v.matrix, kind, float(p), location)
-                    got = run_protocol_noisy(PD, gamma, mode, u, v, spec)
+                    got = run_protocol(PD, gamma, mode, u, v, spec)
                     assert np.abs(got.distribution.probs - want).max() < 1e-12
                     assert abs(got.payoff_I - want @ a) < 1e-12
                     assert abs(got.payoff_II - want @ b) < 1e-12
@@ -217,7 +215,7 @@ class TestPauliMixtureOracle:
                         want = sum(w1 * w2 * kraus_probs(gamma, mode, u.matrix, v.matrix,
                                                          kind, p, location)
                                    for w1, u in m1.support for w2, v in m2.support)
-                        got = run_protocol_mixed(PD, gamma, mode, m1, m2, spec)
+                        got = run_protocol(PD, gamma, mode, m1, m2, spec)
                         assert np.abs(got.distribution.probs - want).max() < 1e-12
                         assert abs(got.payoff_I - want @ a) < 1e-12
                         assert abs(got.payoff_II - want @ b) < 1e-12
@@ -232,9 +230,9 @@ class TestPauliMixtureOracle:
                         spec = NoiseSpec(kind=kind, p=p, location=location)
                         u, v = random_gate(rng), random_gate(rng)
                         gamma = rng.uniform(0, np.pi / 2)
-                        mixed = run_protocol_mixed(PD, gamma, mode, point_mass(u),
-                                                   point_mass(v), spec)
-                        noisy = run_protocol_noisy(PD, gamma, mode, u, v, spec)
+                        mixed = run_protocol(PD, gamma, mode, point_mass(u),
+                                             point_mass(v), spec)
+                        noisy = run_protocol(PD, gamma, mode, u, v, spec)
                         assert (mixed.distribution.probs.tobytes()
                                 == noisy.distribution.probs.tobytes())
                         assert mixed.payoff_I == noisy.payoff_I
@@ -507,8 +505,8 @@ class TestAdvantageThreshold:
                     res = advantage_threshold(game, mode, kind, SEARCH)
 
                     def payoff(q, kind=kind, gate=gate):
-                        return run_protocol_noisy(game, np.pi / 2, mode, gate, gate,
-                                                  NoiseSpec(kind=kind, p=q)).payoff_I
+                        return run_protocol(game, np.pi / 2, mode, gate, gate,
+                                            NoiseSpec(kind=kind, p=q)).payoff_I
                     pays = np.array([payoff(q) for q in grid])
                     below = np.flatnonzero(pays <= limit)
                     if not res.found:

@@ -18,7 +18,6 @@ from qgames import (
     mixed_quantum_equilibrium,
     payoff_landscape,
     run_protocol,
-    run_protocol_mixed,
     verify_eps_nash,
 )
 from qgames import search
@@ -473,8 +472,8 @@ class TestMixedQuantumEquilibrium:
             assert dev_i <= res.payoff_I + 1e-6
             assert dev_ii <= res.payoff_II + 1e-6
         # reported payoffs agree with an exact mixed protocol run
-        replay = run_protocol_mixed(PD, np.pi / 2, mode,
-                                    res.strategy_I, res.strategy_II)
+        replay = run_protocol(PD, np.pi / 2, mode,
+                              res.strategy_I, res.strategy_II)
         assert abs(replay.payoff_I - res.payoff_I) < 1e-9
         assert abs(replay.payoff_II - res.payoff_II) < 1e-9
 
