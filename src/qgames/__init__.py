@@ -18,9 +18,10 @@ _HOMES = {
     "ewl": ("CanonicalGates", "MixedQuantumStrategy", "ProtocolResult", "StrategyParamsA",
             "StrategyParamsB", "canonical_gates", "gamma_sweep", "noisy_outcome_probs",
             "outcome_amplitudes", "run_protocol", "run_protocol_mixed", "run_protocol_noisy"),
-    "search": ("BestResponse", "MixedEquilibriumResult", "best_response", "default_menu",
+    "search": ("BestResponse", "MixedEquilibriumResult", "ThresholdResult",
+               "advantage_threshold", "best_response", "default_menu",
                "mixed_quantum_equilibrium", "payoff_landscape", "verify_eps_nash"),
-    "noise": ("ThresholdResult", "advantage_threshold"),
+    "noise": (),  # re-exports search's and qcore's names until ROADMAP item 3
     "hft": ("MenuAdvantageReport", "RoundRow", "TournamentResult",
             "menu_advantage_experiment", "play_tournament"),
 }

@@ -9,10 +9,9 @@ byte-identical report files.
 A command scores no profile itself: `payoff` and `sweep` call `ewl`'s
 evaluators (`noise` is `payoff`'s answer for pure players, with the
 channel echoed), and the other commands import what they call from
-`search`, `noise` and `hft` when they run, so a `qgames` process loads
-only its own command's code; every config is still read and validated
-in full, through `qgames.qcore`'s config types, which hold the schema's
-defaults.
+`search` and `hft` when they run, so a `qgames` process loads only its
+own command's code; every config is still read and validated in full,
+through `qgames.qcore`'s config types, which hold the schema's defaults.
 """
 from __future__ import annotations
 
@@ -708,7 +707,7 @@ def _cmd_tournament(cfg: RunConfig):
 
 
 def _cmd_advantage(cfg: RunConfig):
-    from .noise import advantage_threshold
+    from .search import advantage_threshold
 
     result = advantage_threshold(cfg.game, cfg.mode, cfg.noise.kind, cfg.search, gamma=cfg.gamma)
     summary = {

@@ -66,6 +66,8 @@ _REVERSAL_SIGNS = {EntanglerMode.PAULI_X: np.array([1.0, 1.0, 1.0, 1.0], dtype=n
                    EntanglerMode.DEFECT: np.array([1.0, -1.0, -1.0, 1.0], dtype=np.complex128)}
 for _sign in _REVERSAL_SIGNS.values():
     _sign.setflags(write=False)
+# each mode's defect gate, whose tensor square commutes with its generator G
+_DEFECT_GATES = {EntanglerMode.PAULI_X: 1j * SIGMA_X, EntanglerMode.DEFECT: DEFECT_GATE}
 
 
 class _StrategyParams:
@@ -176,15 +178,12 @@ def canonical_gates(mode: EntanglerMode) -> CanonicalGates:
     the classical game at every gamma.  PAULI_X pairs with i*sigma_x,
     DEFECT with [[0,1],[-1,0]] (the set-A gate at theta=pi/2).
     """
-    c = Gate1Q(np.eye(2, dtype=np.complex128))
-    q = Gate1Q(np.diag([1j, -1j]))
-    if mode == EntanglerMode.PAULI_X:
-        d = Gate1Q(1j * SIGMA_X)
-    elif mode == EntanglerMode.DEFECT:
-        d = Gate1Q(DEFECT_GATE)
-    else:
-        raise ValidationError(f"unknown entangler mode: {mode!r}")
-    return CanonicalGates(C=c, D=d, Q=q)
+    try:
+        d = _DEFECT_GATES[mode]
+    except (KeyError, TypeError):  # TypeError: an unhashable mode
+        raise ValidationError(f"unknown entangler mode: {mode!r}") from None
+    return CanonicalGates(C=Gate1Q(np.eye(2, dtype=np.complex128)), D=Gate1Q(d),
+                          Q=Gate1Q(np.diag([1j, -1j])))
 
 
 @dataclass(frozen=True)

@@ -155,6 +155,7 @@ def pareto_optimal(game: Bimatrix) -> list:
 def expected_payoff(game: Bimatrix, profile: MixedProfile) -> tuple:
     """Bilinear expected payoffs at an independent mixed profile."""
     check_instance("game", game, Bimatrix)
+    check_instance("profile", profile, MixedProfile)
     p, q = profile.p, profile.q
     w = np.array([p * q, p * (1 - q), (1 - p) * q, (1 - p) * (1 - q)])
     a, b = game.payoff_vectors()

@@ -5,7 +5,9 @@ public entry.  Best responses are exact: a gate is a unit quaternion x,
 and the responder's payoff is a real quadratic form x^T M x, maximised
 by an eigenvector of M on one of the set's FACES (ewl._StrategyParams).
 Every regret of a pure profile (verify_eps_nash, symmetric_equilibrium_gate)
-comes from one routine, _regrets.
+comes from one routine, _regrets.  advantage_threshold tracks the
+symmetric equilibrium's payoff under a depolarizing channel, as
+ewl.run_protocol's exact Pauli mixture; nothing is sampled.
 The finite-menu mixed-equilibrium solver keeps one gate per global
 phase class of its menu, runs best-response dynamics on the induced
 bimatrix and falls back to support enumeration over the strategies of
@@ -16,7 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, fields
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -28,11 +30,13 @@ from .ewl import (
     StrategyParamsB,
     canonical_gates,
     outcome_amplitudes,
+    run_protocol,
     strategy_matrix,
 )
 from .games import Bimatrix, _rounding
-from .qcore import (I2, SIGMA_X, SIGMA_Y, SIGMA_Z, EntanglerMode, Gate1Q, Player, SearchConfig,
-                    check_array_size, check_instance, clamp_gamma, gate_matrix)
+from .qcore import (GAMMA_MAX, I2, SIGMA_X, SIGMA_Y, SIGMA_Z, EntanglerMode, Gate1Q, NoiseKind,
+                    NoiseSpec, Player, SearchConfig, check_array_size, check_instance,
+                    clamp_gamma, gate_matrix)
 
 
 @dataclass(frozen=True)
@@ -128,15 +132,15 @@ def _regrets(game, gamma, mode, u1, u2, space) -> np.ndarray:
     """Both players' exact regrets [2, ...] at the pure profiles of the gate
     stacks u1[..., 2, 2] and u2[..., 2, 2] (broadcast; gamma validated):
     each one's optimum in the space against the other's gate, minus own payoff."""
-    # row-by-column products (numpy's dot) on each form as _payoff_form
-    # returns it give every profile of a stack the bits it gets alone
+    # one eigensolve on both players' forms, stacked; row-by-column
+    # products (numpy's dot) on each form as _payoff_form returns it give
+    # every profile of a stack the bits it gets alone
     probs = (np.abs(outcome_amplitudes(gamma, mode, u1, u2)) ** 2)[..., None, :]
-    regrets = []
-    for responder, opponent, payvec in zip(Player, (u2, u1), game.payoff_vectors()):
-        m = _payoff_form(game, gamma, mode, opponent, responder)
-        x = _exact_optimum(m, space)[..., None, :]
-        regrets.append((x @ m @ np.swapaxes(x, -1, -2) - probs @ payvec[:, None])[..., 0, 0])
-    return np.stack(regrets)
+    forms = [_payoff_form(game, gamma, mode, opponent, responder)
+             for responder, opponent in zip(Player, (u2, u1))]
+    optima = _exact_optimum(np.stack(np.broadcast_arrays(*forms)), space)[..., None, :]
+    return np.stack([(x @ m @ np.swapaxes(x, -1, -2) - probs @ payvec[:, None])[..., 0, 0]
+                     for x, m, payvec in zip(optima, forms, game.payoff_vectors())])
 
 
 def best_response(game: Bimatrix, gamma: float, mode: EntanglerMode,
@@ -195,6 +199,57 @@ def symmetric_equilibrium_gate(game: Bimatrix, gamma: float, mode: EntanglerMode
         start, size = start + size, 4 * size
     raise ConvergenceError(
         f"no symmetric set-A equilibrium on the {n}x{n} grid of candidates")
+
+
+@dataclass(frozen=True)
+class ThresholdResult:
+    found: bool
+    p_star: Optional[float]
+    payoff_noiseless: float
+    payoff_full_noise: float
+    limit: float
+    gate: Gate1Q
+
+
+def advantage_threshold(game: Bimatrix, mode: EntanglerMode, noise_kind: NoiseKind,
+                        cfg: SearchConfig, gamma: float = GAMMA_MAX) -> ThresholdResult:
+    """Smallest noise level p at which the symmetric quantum equilibrium
+    payoff falls to the limit (T+S)/2 of the game's row payoffs, the
+    payoff of alternating exploitation in repeated play.
+
+    The equilibrium profile is located noiselessly in set A; its payoff
+    is then tracked under the channel.  The channel's Pauli weights are
+    polynomials of degree at most 2 in p, so the payoff is the quadratic
+    through its values at p = 0, 1/2 and 1, and the threshold is its
+    smallest root in [0, 1], in closed form.  kind=NONE reports no
+    threshold, as does a payoff that stays above the limit on [0, 1].
+    """
+    check_instance("game", game, Bimatrix)
+    check_instance("cfg", cfg, SearchConfig)
+    gate = symmetric_equilibrium_gate(game, gamma, mode, cfg)
+    limit = float(game.row_payoffs[1, 0] + game.row_payoffs[0, 1]) / 2.0
+    y0, y_half, y1 = (
+        run_protocol(game, gamma, mode, gate, gate, NoiseSpec(kind=noise_kind, p=p)).payoff_I
+        for p in (0.0, 0.5, 1.0))
+    if noise_kind == NoiseKind.NONE:
+        return ThresholdResult(False, None, y0, y1, limit, gate)
+    if y0 <= limit:
+        return ThresholdResult(True, 0.0, y0, y1, limit, gate)
+
+    # payoff(p) - limit = c p^2 + b p + d, d > 0.  The smallest positive
+    # root is 2d / (sqrt(disc) - b), also for c = 0, without cancellation.
+    # tol is the rounding of a payoff: a minimum, or an end value at p = 1,
+    # within tol of the limit reaches it.
+    c, b, d = 2.0 * (y0 - 2.0 * y_half + y1), 4.0 * y_half - 3.0 * y0 - y1, y0 - limit
+    tol = 64 * np.finfo(float).eps * float(np.abs(game.row_payoffs).max())
+    disc = b * b - 4.0 * c * d
+    if abs(disc) <= 4.0 * abs(c) * tol:
+        disc = 0.0
+    denom = np.sqrt(disc) - b if disc >= 0 else 0.0
+    p_star = 2.0 * d / denom if denom > 0 else np.inf
+    if p_star > 1.0 and y1 - limit > tol:
+        return ThresholdResult(False, None, y0, y1, limit, gate)
+    return ThresholdResult(True, float(min(p_star, 1.0)), y0, y1, limit, gate)
 
 
 def payoff_landscape(game: Bimatrix, gamma: float, mode: EntanglerMode,
@@ -270,6 +325,8 @@ def default_menu(mode: EntanglerMode) -> list:
     The gates are built once per mode and shared (a Gate1Q is
     immutable); each call returns a new list of them.
     """
+    if not isinstance(mode, EntanglerMode):  # before the cache, which hashes it
+        raise ValidationError(f"unknown entangler mode: {mode!r}")
     return list(_default_menu(mode))
 
 
@@ -363,6 +420,10 @@ def mixed_quantum_equilibrium(game: Bimatrix, gamma: float, mode: EntanglerMode,
     """
     check_instance("game", game, Bimatrix)
     check_instance("cfg", cfg, SearchConfig)
+    try:
+        menu = tuple(menu)
+    except TypeError:
+        raise ValidationError(f"menu must be a sequence of gates, got {menu!r}") from None
     menu = tuple(g if isinstance(g, Gate1Q) else Gate1Q(g) for g in menu)
     if not menu:
         raise ValidationError("menu must be nonempty")

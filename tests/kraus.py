@@ -1,9 +1,9 @@
 """Kraus density-matrix reference for the depolarizing channels.
 
 The library evaluates noise only as an exact Pauli mixture of protocol
-runs (qgames.noise).  This module computes the same answers the textbook
-way, on 4x4 density matrices in plain numpy, so the tests can compare
-the two (Nielsen & Chuang 8.3).
+runs (qgames.ewl.run_protocol).  This module computes the same answers
+the textbook way, on 4x4 density matrices in plain numpy, so the tests
+can compare the two (Nielsen & Chuang 8.3).
 """
 import numpy as np
 

@@ -35,6 +35,7 @@ from qgames import (
     SearchConfig,
     advantage_threshold,
     best_response,
+    default_menu,
     gamma_sweep,
     mixed_quantum_equilibrium,
     payoff_landscape,
@@ -627,12 +628,29 @@ GAME_CALLS = {
 }
 TAKES_CFG = ("verify_eps_nash", "payoff_landscape", "mixed_quantum_equilibrium",
              "advantage_threshold")
+# each other argument that once escaped as a bare AttributeError,
+# ValueError or TypeError: the call on it, a valid value, bad values, and
+# the message of each
+ARGUMENT_CALLS = {
+    "expected_payoff.profile": (
+        lambda v: expected_payoff(canonical_pd(), v), MixedProfile(0.5, 0.5),
+        ([0.5, 0.5], None), "profile must be a MixedProfile, got {!r}"),
+    "canonical_gates.mode": (
+        canonical_gates, _MODE, (np.zeros((3, 3)), "defect", None),
+        "unknown entangler mode: {!r}"),
+    "default_menu.mode": (
+        default_menu, _MODE, ([], np.zeros((3, 3)), "defect"), "unknown entangler mode: {!r}"),
+    "mixed_quantum_equilibrium.menu": (
+        lambda v: mixed_quantum_equilibrium(canonical_pd(), 1.0, _MODE, v, SearchConfig()),
+        (_C, _D, _Q), (None, 5, object()), "menu must be a sequence of gates, got {!r}"),
+}
 
 
 class TestGameArguments:
     """Every public function that takes a game checks that it is a
     Bimatrix at entry, and every one that takes a SearchConfig checks
-    that too; each once escaped as a bare AttributeError."""
+    that too; each once escaped as a bare AttributeError.  So do the
+    other arguments of ARGUMENT_CALLS."""
 
     @pytest.mark.parametrize("name", sorted(GAME_CALLS))
     def test_a_game_is_a_bimatrix(self, name):
@@ -649,3 +667,12 @@ class TestGameArguments:
             with pytest.raises(ValidationError) as info:
                 GAME_CALLS[name](canonical_pd(), bad)
             assert str(info.value) == f"cfg must be a SearchConfig, got {bad!r}"
+
+    @pytest.mark.parametrize("name", sorted(ARGUMENT_CALLS))
+    def test_other_arguments_are_checked(self, name):
+        call, valid, bads, message = ARGUMENT_CALLS[name]
+        call(valid)
+        for bad in bads:
+            with pytest.raises(ValidationError) as info:
+                call(bad)
+            assert str(info.value) == message.format(bad)

@@ -55,7 +55,7 @@ ADDED = {
     "sweep": [],
     "equilibria": ["search"],
     "landscape": ["search"],
-    "advantage": ["noise", "search"],
+    "advantage": ["search"],
     "tournament": ["hft"],
     "correlated": [],
 }
@@ -103,6 +103,12 @@ class TestImportFootprint:
     def test_a_submodule_resolves_as_an_attribute(self):
         # `import qgames` bound every submodule before; the attribute still works
         assert "hft" in loaded_after("import qgames\nqgames.hft.play_tournament")
+
+    def test_the_noise_module_resolves_both_ways(self):
+        # it re-exports search's and qcore's names, so it loads search
+        loads = ["errors", "ewl", "games", "noise", "qcore", "search"]
+        assert loaded_after("import qgames\nqgames.noise") == loads
+        assert loaded_after("import qgames.noise") == loads
 
     def test_every_command_is_listed(self):
         assert sorted(ADDED) == sorted(cli.COMMANDS)
@@ -158,6 +164,17 @@ class TestPackageSurface:
                 obj = getattr(qgames.qcore, name)
                 assert obj.__module__ == "qgames.qcore"
                 assert getattr(qgames, name) is obj and getattr(old, name) is obj, name
+
+    def test_the_noise_module_only_re_exports(self):
+        public = {name: obj for name, obj in vars(qgames.noise).items()
+                  if not name.startswith("_")}
+        assert sorted(public) == ["NoiseKind", "NoiseSpec", "ThresholdResult",
+                                  "advantage_threshold"]
+        for name in ("ThresholdResult", "advantage_threshold"):
+            assert public[name] is getattr(qgames.search, name) is getattr(qgames, name)
+            assert public[name].__module__ == "qgames.search"
+        assert public["NoiseKind"] is qgames.qcore.NoiseKind
+        assert public["NoiseSpec"] is qgames.qcore.NoiseSpec
 
     def test_star_import_binds_every_name(self):
         namespace = {}

@@ -22,7 +22,7 @@ from qgames import (
 )
 from qgames import search
 from qgames.errors import ConvergenceError, RangeError, ValidationError
-from qgames.ewl import SPACES, strategy_matrix
+from qgames.ewl import SPACES, outcome_amplitudes, strategy_matrix
 
 from circuit import KET00, entangler, haar_gates
 
@@ -352,6 +352,37 @@ class TestRegrets:
                     best2 = dense_payoffs(game, gamma, mode, u1, dev)[1].max()
                     assert r1 >= best1 - own1 - 1e-12
                     assert r2 >= best2 - own2 - 1e-12
+
+    @pytest.mark.parametrize("space", ["A", "B"])
+    @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
+    @pytest.mark.numpy_floor
+    def test_one_eigensolve_keeps_each_players_bits(self, mode, space):
+        """Both players' forms share one eigensolve.  Blocks of 1, 16
+        and 64 profiles, symmetric, paired or against one gate, get the
+        bytes of one solve per player, on the oldest numpy too."""
+        rng = np.random.default_rng(4401)
+        bounds = SPACES[space].BOUNDS
+        for game in (PD, RANDOM_GAME):
+            for size in (1, 16, 64):
+                gamma = rng.uniform(0, np.pi / 2)
+                u1, u2 = (strategy_matrix(*(rng.uniform(lo, hi, size) for lo, hi in bounds))
+                          for _ in range(2))
+                for v1, v2 in ((u1, u1), (u1, u2), (u1, u2[0]), (u1[0], u2)):
+                    got = search._regrets(game, gamma, mode, v1, v2, SPACES[space])
+                    want = per_player_regrets(game, gamma, mode, v1, v2, SPACES[space])
+                    assert got.tobytes() == want.tobytes()
+
+
+def per_player_regrets(game, gamma, mode, u1, u2, space):
+    """search._regrets with one eigensolve per player, as it was first
+    written."""
+    probs = (np.abs(outcome_amplitudes(gamma, mode, u1, u2)) ** 2)[..., None, :]
+    regrets = []
+    for responder, opponent, payvec in zip(Player, (u2, u1), game.payoff_vectors()):
+        m = search._payoff_form(game, gamma, mode, opponent, responder)
+        x = search._exact_optimum(m, space)[..., None, :]
+        regrets.append((x @ m @ np.swapaxes(x, -1, -2) - probs @ payvec[:, None])[..., 0, 0])
+    return np.stack(regrets)
 
 
 class TestRawMatrices:
