@@ -55,6 +55,7 @@ from .qcore import (
     check_instance,
     check_integer,
     check_real,
+    check_sequence,
     clamp_gamma,
     gate_matrix,
 )
@@ -178,12 +179,9 @@ def canonical_gates(mode: EntanglerMode) -> CanonicalGates:
     the classical game at every gamma.  PAULI_X pairs with i*sigma_x,
     DEFECT with [[0,1],[-1,0]] (the set-A gate at theta=pi/2).
     """
-    try:
-        d = _DEFECT_GATES[mode]
-    except (KeyError, TypeError):  # TypeError: an unhashable mode
-        raise ValidationError(f"unknown entangler mode: {mode!r}") from None
-    return CanonicalGates(C=Gate1Q(np.eye(2, dtype=np.complex128)), D=Gate1Q(d),
-                          Q=Gate1Q(np.diag([1j, -1j])))
+    check_instance("mode", mode, EntanglerMode)
+    return CanonicalGates(C=Gate1Q(np.eye(2, dtype=np.complex128)),
+                          D=Gate1Q(_DEFECT_GATES[mode]), Q=Gate1Q(np.diag([1j, -1j])))
 
 
 @dataclass(frozen=True)
@@ -212,9 +210,8 @@ def outcome_amplitudes(gamma, mode: EntanglerMode, u1, u2) -> np.ndarray:
 
     u1[..., 2, 2] and u2[..., 2, 2] broadcast against each other, and
     gamma (a scalar or an array) against their stack shape; the result
-    is a new C-contiguous [..., 4] array.  Nothing is validated: callers
-    pass unitary gates and gamma in [0, pi/2]; an unknown mode raises
-    ValidationError.
+    is a new C-contiguous [..., 4] array.  Only the mode is validated:
+    callers pass unitary gates and gamma in [0, pi/2].
 
     J|00> = c|00> + i s|11> reshaped to a 2x2 matrix is diag(c, i s),
     so the local pair gives U1 diag(c, i s) U2^T: u2 scaled column-wise
@@ -235,10 +232,8 @@ def outcome_amplitudes(gamma, mode: EntanglerMode, u1, u2) -> np.ndarray:
     the same products in either layout, so the bytes are those of the
     stack-first layout, signed zeros included.
     """
-    try:
-        sign = _REVERSAL_SIGNS[mode]
-    except (KeyError, TypeError):
-        raise ValidationError(f"unknown entangler mode: {mode!r}") from None
+    check_instance("mode", mode, EntanglerMode)
+    sign = _REVERSAL_SIGNS[mode]
     half = np.multiply(gamma, 0.5, dtype=np.float64)[..., None]  # the bits of gamma / 2
     diag = np.concatenate((np.cos(half), 1j * np.sin(half)), axis=-1)
     # u2 is scaled in F order, so that the product too runs along the stack;
@@ -300,12 +295,12 @@ class MixedQuantumStrategy(_Value):
     def __init__(self, support):
         entries = []
         total = 0.0
-        for weight, gate in support:
+        for entry in check_sequence("support", support,
+                                    "a nonempty sequence of (weight, gate) pairs"):
+            weight, gate = check_sequence("support entries", entry, "(weight, gate) pairs", 2)
             w = check_real("mixed-strategy weight", weight, 0.0, spill=1e-12)
             entries.append((w, gate if isinstance(gate, Gate1Q) else Gate1Q(gate)))
             total += w
-        if not entries:
-            raise ValidationError("mixed strategy needs a nonempty support")
         if abs(total - 1.0) > _ATOL:
             raise ValidationError(f"mixed-strategy weights sum to {total!r}, expected 1")
         object.__setattr__(self, "support", tuple(entries))

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .qcore import OutcomeDistribution, check_bool, check_instance, check_real
+from .qcore import OutcomeDistribution, check_bool, check_choice, check_instance, check_real
 
 
 class PureProfile(NamedTuple):
@@ -294,10 +294,9 @@ def best_correlated(game: Bimatrix, objective: str = "welfare") -> OutcomeDistri
     Ties are broken toward the lexicographically smallest distribution.
     """
     check_instance("game", game, Bimatrix)
-    if objective not in OBJECTIVES:
-        raise ValidationError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
     A, B = ([x for row in _exact(t) for x in row] for t in (game.row_payoffs, game.col_payoffs))
-    obj = {"welfare": [a + b for a, b in zip(A, B)], "player_I": A, "player_II": B}[objective]
+    obj = check_choice("objective", objective,
+                       {"welfare": [a + b for a, b in zip(A, B)], "player_I": A, "player_II": B})
 
     incentive = _ce_constraint_rows(game)
     zero, one = Fraction(0), Fraction(1)

@@ -15,7 +15,9 @@ Conventions used throughout the package:
   * Every count and real field is read by check_integer (counts, seeds)
     or check_real (reals, stored as floats), every flag by check_bool and
     every array field by check_numeric: a value of the wrong type is a
-    ValidationError, a value out of range a RangeError.
+    ValidationError, a value out of range a RangeError.  The library
+    refuses an argument only through these, check_instance (an enum or
+    a value type), check_choice (a name) and check_sequence.
 
 The value types of a run configuration live here too, so that reading
 a config loads no solver: the search settings (Player, SearchConfig),
@@ -204,6 +206,30 @@ def check_instance(name: str, value, cls) -> None:
         raise ValidationError(f"{name} must be {article} {cls.__name__}, got {value!r}")
 
 
+def check_choice(name: str, value, table: dict):
+    """table[value]: a value that is no key of table, an unhashable one
+    included, is a ValidationError naming the keys."""
+    try:
+        return table[value]
+    except (KeyError, TypeError):  # TypeError: an unhashable value
+        *keys, last = map(repr, table)
+        raise ValidationError(
+            f"{name} must be {', '.join(keys)} or {last}, got {value!r}") from None
+
+
+def check_sequence(name: str, value, what: str, length: int = 0) -> tuple:
+    """value's entries as a tuple: a value that is not iterable, has no
+    entries or, given a length, another number of them is a
+    ValidationError saying that name must be what."""
+    try:
+        entries = tuple(value)
+    except TypeError:  # not iterable
+        entries = ()
+    if not entries or length and len(entries) != length:
+        raise ValidationError(f"{name} must be {what}, got {value!r}")
+    return entries
+
+
 def check_numeric(what: str, value, dtype) -> np.ndarray:
     """A new array of dtype holding value's numbers.  A numeric ndarray
     is read by its dtype alone; any other value entry by entry, and a
@@ -333,9 +359,7 @@ class AgentSpec:
 
     def __post_init__(self):
         check_instance("kind", self.kind, AgentKind)
-        menu = tuple(self.menu)
-        if not menu:
-            raise ValidationError("agent menu must be nonempty")
+        menu = check_sequence("menu", self.menu, "a nonempty sequence of NamedGate")
         for entry in menu:
             if not isinstance(entry, NamedGate) or not isinstance(entry.gate, Gate1Q):
                 raise ValidationError(f"menu entries must be NamedGate, got {entry!r}")

@@ -22,7 +22,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import ConvergenceError, RangeError, ValidationError
+from .errors import ConvergenceError, RangeError
 from .ewl import (
     SPACES,
     MixedQuantumStrategy,
@@ -35,8 +35,8 @@ from .ewl import (
 )
 from .games import Bimatrix, _rounding
 from .qcore import (GAMMA_MAX, I2, SIGMA_X, SIGMA_Y, SIGMA_Z, EntanglerMode, Gate1Q, NoiseKind,
-                    NoiseSpec, Player, SearchConfig, check_array_size, check_instance,
-                    clamp_gamma, gate_matrix)
+                    NoiseSpec, Player, SearchConfig, check_array_size, check_choice,
+                    check_instance, check_sequence, clamp_gamma, gate_matrix)
 
 
 @dataclass(frozen=True)
@@ -51,27 +51,17 @@ class BestResponse:
 _QUATERNION_BASIS = np.stack([I2, 1j * SIGMA_X, 1j * SIGMA_Y, 1j * SIGMA_Z])
 
 
-def _space(name):
-    """The strategy set named name: its params type in SPACES."""
-    try:
-        return SPACES[name]
-    except (KeyError, TypeError):  # TypeError: an unhashable name
-        raise ValidationError(f"space must be {' or '.join(map(repr, SPACES))}, "
-                              f"got {name!r}") from None
-
-
 def _responder_amplitudes(game, gamma, mode, opponent, responder: Player, u):
     """(amplitudes[..., 4], payvec) with the responder's stack of gates
     u[..., 2, 2] on its side of the circuit and the opponent's gate
     matrices broadcast on the other; |amplitudes|^2 @ payvec are the
     responder's payoffs.  A responder that is not a Player is a
     ValidationError."""
+    check_instance("responder", responder, Player)
     a, b = game.payoff_vectors()
     if responder is Player.I:
         return outcome_amplitudes(gamma, mode, u, opponent), a
-    if responder is Player.II:
-        return outcome_amplitudes(gamma, mode, opponent, u), b
-    raise ValidationError(f"responder must be a Player, got {responder!r}")
+    return outcome_amplitudes(gamma, mode, opponent, u), b
 
 
 def _grid_points(space, n: int) -> tuple:
@@ -154,7 +144,7 @@ def best_response(game: Bimatrix, gamma: float, mode: EntanglerMode,
     exact maximum of the induced table.
     """
     check_instance("game", game, Bimatrix)
-    space = _space(space)
+    space = check_choice("space", space, SPACES)
     m = _payoff_form(game, clamp_gamma(gamma), mode, gate_matrix(opponent_gate), responder)
     x = _exact_optimum(m, space)
     params = space._from_quaternion(x)
@@ -167,7 +157,7 @@ def verify_eps_nash(game: Bimatrix, gamma: float, mode: EntanglerMode,
     """(is_equilibrium, max_improvement) of (u1, u2): the larger exact regret, or 0."""
     check_instance("game", game, Bimatrix)
     check_instance("cfg", cfg, SearchConfig)
-    space = _space(space)
+    space = check_choice("space", space, SPACES)
     worst = max(0.0, *_regrets(game, clamp_gamma(gamma), mode, gate_matrix(u1),
                                gate_matrix(u2), space).tolist())
     return worst <= cfg.eps_nash, worst
@@ -183,6 +173,8 @@ def symmetric_equilibrium_gate(game: Bimatrix, gamma: float, mode: EntanglerMode
     Each block of candidates takes one _regrets call; the blocks grow
     fourfold from 16, so an early equilibrium is cheap.
     """
+    check_instance("game", game, Bimatrix)
+    check_instance("cfg", cfg, SearchConfig)
     gamma = clamp_gamma(gamma)
     n = cfg.grid_resolution
     _, u = _grid_points(StrategyParamsA, n)
@@ -224,8 +216,6 @@ def advantage_threshold(game: Bimatrix, mode: EntanglerMode, noise_kind: NoiseKi
     smallest root in [0, 1], in closed form.  kind=NONE reports no
     threshold, as does a payoff that stays above the limit on [0, 1].
     """
-    check_instance("game", game, Bimatrix)
-    check_instance("cfg", cfg, SearchConfig)
     gate = symmetric_equilibrium_gate(game, gamma, mode, cfg)
     limit = float(game.row_payoffs[1, 0] + game.row_payoffs[0, 1]) / 2.0
     y0, y_half, y1 = (
@@ -262,7 +252,7 @@ def payoff_landscape(game: Bimatrix, gamma: float, mode: EntanglerMode,
     """
     check_instance("game", game, Bimatrix)
     check_instance("cfg", cfg, SearchConfig)
-    space = _space(space)
+    space = check_choice("space", space, SPACES)
     pts, u = _grid_points(space, cfg.grid_resolution)
     amps, payvec = _responder_amplitudes(game, clamp_gamma(gamma), mode,
                                          gate_matrix(fixed_opponent), responder, u)
@@ -325,8 +315,7 @@ def default_menu(mode: EntanglerMode) -> list:
     The gates are built once per mode and shared (a Gate1Q is
     immutable); each call returns a new list of them.
     """
-    if not isinstance(mode, EntanglerMode):  # before the cache, which hashes it
-        raise ValidationError(f"unknown entangler mode: {mode!r}")
+    check_instance("mode", mode, EntanglerMode)  # before the cache, which hashes it
     return list(_default_menu(mode))
 
 
@@ -420,13 +409,8 @@ def mixed_quantum_equilibrium(game: Bimatrix, gamma: float, mode: EntanglerMode,
     """
     check_instance("game", game, Bimatrix)
     check_instance("cfg", cfg, SearchConfig)
-    try:
-        menu = tuple(menu)
-    except TypeError:
-        raise ValidationError(f"menu must be a sequence of gates, got {menu!r}") from None
-    menu = tuple(g if isinstance(g, Gate1Q) else Gate1Q(g) for g in menu)
-    if not menu:
-        raise ValidationError("menu must be nonempty")
+    menu = tuple(g if isinstance(g, Gate1Q) else Gate1Q(g)
+                 for g in check_sequence("menu", menu, "a nonempty sequence of gates"))
     gamma = clamp_gamma(gamma)
     reps, u = _dedup_menu(menu)
     pi, pii = _induced_tables(game, gamma, mode, u)

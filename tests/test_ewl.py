@@ -396,12 +396,12 @@ class TestOutcomeAmplitudes:
     @pytest.mark.parametrize("mode", ["pauli_x", "defect", None, [1]])
     def test_unknown_mode_rejected(self, mode):
         c = np.eye(2, dtype=np.complex128)
-        with pytest.raises(ValidationError, match="unknown entangler mode: "):
-            outcome_amplitudes(0.5, mode, c, c)
-        with pytest.raises(ValidationError, match="unknown entangler mode: "):
-            run_protocol(PD, 0.5, mode, c, c)
-        with pytest.raises(ValidationError, match="unknown entangler mode: "):
-            canonical_gates(mode)
+        message = f"mode must be an EntanglerMode, got {mode!r}"
+        for call in (lambda: outcome_amplitudes(0.5, mode, c, c),
+                     lambda: run_protocol(PD, 0.5, mode, c, c), lambda: canonical_gates(mode)):
+            with pytest.raises(ValidationError) as info:
+                call()
+            assert str(info.value) == message
 
     def test_run_protocol_validates_raw_matrices(self):
         named = canonical_gates(EntanglerMode.DEFECT)
@@ -646,6 +646,14 @@ class TestMixedStrategies:
     def test_empty_support_rejected(self):
         with pytest.raises(ValidationError):
             MixedQuantumStrategy([])
+
+    @pytest.mark.parametrize("support", [np.zeros((3, 3)), "x", [(1.0,)], [1.0]])
+    def test_an_entry_that_is_no_pair_is_rejected(self, support):
+        # these escaped as a bare ValueError or TypeError from unpacking the entry
+        with pytest.raises(ValidationError) as info:
+            MixedQuantumStrategy(support)
+        assert str(info.value) == (
+            f"support entries must be (weight, gate) pairs, got {list(support)[0]!r}")
 
     def test_weights_must_sum_to_one(self):
         named = canonical_gates(EntanglerMode.DEFECT)
