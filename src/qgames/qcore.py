@@ -15,9 +15,8 @@ Conventions used throughout the package:
   * Every count and real field is read by check_integer (counts, seeds)
     or check_real (reals, stored as floats), every flag by check_bool and
     every array field by check_numeric: a value of the wrong type is a
-    ValidationError, a value out of range a RangeError.  The library
-    refuses an argument only through these, check_instance (an enum or
-    a value type), check_choice (a name) and check_sequence.
+    ValidationError, a value out of range a RangeError.  check_instance,
+    check_choice and check_sequence refuse every other argument.
 
 The value types of a run configuration live here too, so that reading
 a config loads no solver: the search settings (Player, SearchConfig),
@@ -207,20 +206,17 @@ def check_instance(name: str, value, cls) -> None:
 
 
 def check_choice(name: str, value, table: dict):
-    """table[value]: a value that is no key of table, an unhashable one
-    included, is a ValidationError naming the keys."""
+    """table[value], or a ValidationError naming table's keys."""
     try:
         return table[value]
     except (KeyError, TypeError):  # TypeError: an unhashable value
-        *keys, last = map(repr, table)
-        raise ValidationError(
-            f"{name} must be {', '.join(keys)} or {last}, got {value!r}") from None
+        raise ValidationError(f"{name} must be {' or '.join(map(repr, table))}, "
+                              f"got {value!r}") from None
 
 
 def check_sequence(name: str, value, what: str, length: int = 0) -> tuple:
-    """value's entries as a tuple: a value that is not iterable, has no
-    entries or, given a length, another number of them is a
-    ValidationError saying that name must be what."""
+    """value's entries as a tuple, or a ValidationError saying that name
+    must be what: value is not iterable, empty or not of a given length."""
     try:
         entries = tuple(value)
     except TypeError:  # not iterable

@@ -216,6 +216,7 @@ def advantage_threshold(game: Bimatrix, mode: EntanglerMode, noise_kind: NoiseKi
     smallest root in [0, 1], in closed form.  kind=NONE reports no
     threshold, as does a payoff that stays above the limit on [0, 1].
     """
+    check_instance("noise_kind", noise_kind, NoiseKind)
     gate = symmetric_equilibrium_gate(game, gamma, mode, cfg)
     limit = float(game.row_payoffs[1, 0] + game.row_payoffs[0, 1]) / 2.0
     y0, y_half, y1 = (

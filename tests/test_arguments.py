@@ -145,9 +145,8 @@ EXEMPT = {
 }
 
 # An argument whose valid value is one of these types is refused by
-# qcore.check_instance under its own name, or under the name RENAMED gives.
+# qcore.check_instance under its own name.
 CHECKED = (Enum, Bimatrix, SearchConfig, TournamentConfig, NoiseSpec, MixedProfile, AgentSpec)
-RENAMED = {("advantage_threshold", "noise_kind"): "kind"}  # read as NoiseSpec(kind=...)
 # more bad values for the arguments whose message is pinned
 EXTRA = {"game": ([[3, 0], [5, 1]],), "cfg": ({"eps_nash": 1e-6},), "profile": ([0.5, 0.5],),
          "mode": ("defect",)}
@@ -158,7 +157,7 @@ PINNED = {
                                                   "payoff_landscape")],
                     ("space must be 'A' or 'B', got {!r}", BAD)),
     ("best_correlated", "objective"): (
-        "objective must be 'welfare', 'player_I' or 'player_II', got {!r}", BAD),
+        "objective must be 'welfare' or 'player_I' or 'player_II', got {!r}", BAD),
     ("mixed_quantum_equilibrium", "menu"): (
         "menu must be a nonempty sequence of gates, got {!r}", NOT_ITERABLE),
     ("AgentSpec", "menu"): (
@@ -175,7 +174,7 @@ def pinned_message(row: str, arg: str, bad):
     if isinstance(valid, CHECKED):
         cls = type(valid).__name__
         article = "an" if cls[0] in "AEIOU" else "a"
-        return f"{RENAMED.get((row, arg), arg)} must be {article} {cls}, got {bad!r}"
+        return f"{arg} must be {article} {cls}, got {bad!r}"
     message, values = PINNED.get((row, arg), (None, ()))
     return message.format(bad) if any(bad is v for v in values) else None
 
@@ -205,12 +204,15 @@ def test_a_bad_argument_is_a_qgames_error(row, arg):
     call, args, _ = ROWS[row]
     wrong = []
     for bad in BAD + (EXTRA.get(arg, ()) if isinstance(args[arg], CHECKED) else ()):
+        message = pinned_message(row, arg, bad)
         try:
             call(**{**args, arg: bad})
         except QGamesError as exc:
-            message = pinned_message(row, arg, bad)
             if message is not None and str(exc) != message:
                 wrong.append(f"{bad!r}: {str(exc)!r}, expected {message!r}")
         except Exception as exc:  # a bare error: the case this test is for
             wrong.append(f"{bad!r}: bare {type(exc).__name__}: {exc}")
+        else:  # a pinned message is a refusal the call must make
+            if message is not None:
+                wrong.append(f"{bad!r}: returned, expected {message!r}")
     assert wrong == []

@@ -511,7 +511,7 @@ class TestCorrelated:
         with pytest.raises(ValidationError) as info:
             best_correlated(canonical_pd(), "x")
         assert str(info.value) == (
-            "objective must be 'welfare', 'player_I' or 'player_II', got 'x'")
+            "objective must be 'welfare' or 'player_I' or 'player_II', got 'x'")
 
     def test_best_correlated_returns_an_outcome_distribution(self):
         mu = best_correlated(chicken(), "welfare")
