@@ -288,7 +288,7 @@ _SCHEMA = _section({
         "agents": ([{}, {}], _list_of(_AGENT, 2)),
     },
     "sweep": {"steps": (50, _integer)},
-    "objective": (OBJECTIVES[0], _one_of(*OBJECTIVES)),
+    "objective": (next(iter(OBJECTIVES)), _one_of(*OBJECTIVES)),
     "out": (None, lambda value, where: None if value is None else _text(value, where)),
     "format": (FORMATS[0], _one_of(*FORMATS)),
 })

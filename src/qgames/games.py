@@ -21,7 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .qcore import OutcomeDistribution, check_bool, check_choice, check_instance, check_real
+from .qcore import (OutcomeDistribution, check_bool, check_choice, check_instance, check_numeric,
+                    check_real)
 
 
 class PureProfile(NamedTuple):
@@ -61,13 +62,8 @@ class Bimatrix:
 
     def __post_init__(self):
         for name in ("row_payoffs", "col_payoffs"):
-            entries = np.array(getattr(self, name), dtype=object)
-            if entries.shape != (2, 2):
-                raise ValidationError(f"Bimatrix.{name} must be 2x2, got {entries.shape}")
-            m = np.array([[check_real(f"Bimatrix.{name}[{i}][{j}]", x)
-                           for j, x in enumerate(row)] for i, row in enumerate(entries)])
-            m.setflags(write=False)
-            object.__setattr__(self, name, m)
+            object.__setattr__(self, name, check_numeric(f"Bimatrix.{name}", getattr(self, name),
+                                                         np.float64, (2, 2)))
         for name in ("row_labels", "col_labels"):
             labels = getattr(self, name)
             if not (isinstance(labels, (tuple, list)) and len(labels) == 2
@@ -78,7 +74,7 @@ class Bimatrix:
 
     def _key(self) -> tuple:
         # the tables' bytes with -0.0 turned into 0.0 (+ 0.0), as qcore._Value
-        # hashes; equal bytes are equal tables, as check_real refuses NaN
+        # hashes; equal bytes are equal tables, as check_numeric refuses NaN
         return ((self.row_payoffs + 0.0).tobytes(), (self.col_payoffs + 0.0).tobytes(),
                 self.row_labels, self.col_labels)
 
@@ -277,7 +273,10 @@ def _solve_exact(M: list, b: list):
     return [M[r][n] for r in range(n)]
 
 
-OBJECTIVES = ("welfare", "player_I", "player_II")  # best_correlated's, the default first
+# best_correlated's objectives, the default first: each maps the players'
+# exact payoffs, in distribution order, to the coefficients it maximizes
+OBJECTIVES = {"welfare": lambda A, B: [a + b for a, b in zip(A, B)],
+              "player_I": lambda A, B: A, "player_II": lambda A, B: B}
 
 
 def best_correlated(game: Bimatrix, objective: str = "welfare") -> OutcomeDistribution:
@@ -294,9 +293,9 @@ def best_correlated(game: Bimatrix, objective: str = "welfare") -> OutcomeDistri
     Ties are broken toward the lexicographically smallest distribution.
     """
     check_instance("game", game, Bimatrix)
+    coefficients = check_choice("objective", objective, OBJECTIVES)
     A, B = ([x for row in _exact(t) for x in row] for t in (game.row_payoffs, game.col_payoffs))
-    obj = check_choice("objective", objective,
-                       {"welfare": [a + b for a, b in zip(A, B)], "player_I": A, "player_II": B})
+    obj = coefficients(A, B)
 
     incentive = _ce_constraint_rows(game)
     zero, one = Fraction(0), Fraction(1)

@@ -14,9 +14,10 @@ Conventions used throughout the package:
     game's cells, and the type of a correlated equilibrium's too.
   * Every count and real field is read by check_integer (counts, seeds)
     or check_real (reals, stored as floats), every flag by check_bool and
-    every array field by check_numeric: a value of the wrong type is a
-    ValidationError, a value out of range a RangeError.  check_instance,
-    check_choice and check_sequence refuse every other argument.
+    every array field by check_numeric (its shape, entries and finiteness):
+    a wrong type or a bad array is a ValidationError, a value out of
+    range a RangeError.  check_instance, check_choice and check_sequence
+    refuse every other argument.
 
 The value types of a run configuration live here too, so that reading
 a config loads no solver: the search settings (Player, SearchConfig),
@@ -25,10 +26,12 @@ tournament set-up (NamedGate, AgentKind, AgentSpec, TournamentConfig).
 """
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 import operator
 from dataclasses import dataclass, field
+from decimal import Decimal
 from enum import Enum
 from typing import NamedTuple
 
@@ -103,16 +106,11 @@ class Gate1Q(_Value):
     __slots__ = ("matrix",)
 
     def __init__(self, matrix):
-        m = check_numeric("Gate1Q", matrix, np.complex128)
-        if m.shape != (2, 2):
-            raise ValidationError(f"Gate1Q: expected a 2x2 matrix, got shape {m.shape}")
-        if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
-            raise ValidationError("Gate1Q: entries must be finite")
+        m = check_numeric("Gate1Q", matrix, np.complex128, (2, 2))
         err = np.abs(m.conj().T @ m - I2).max()
         if err > _ATOL:
             raise ValidationError(
                 f"Gate1Q is not unitary (max deviation {err:.3e} > {_ATOL:.1e})")
-        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
 
@@ -127,20 +125,12 @@ class PureState2Q(_Value):
     __slots__ = ("amps",)
 
     def __init__(self, amps):
-        a = check_numeric("PureState2Q", amps, np.complex128)
-        if a.shape != (4,):
-            raise ValidationError(f"PureState2Q: expected 4 amplitudes, got shape {a.shape}")
-        norm = float(np.vdot(a, a).real)
-        # a finite norm implies finite amplitudes; an overflowing norm
-        # of finite ones (1e200) is reported as not normalized below
-        if not math.isfinite(norm) and not (
-                np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
-            raise ValidationError("PureState2Q: amplitudes must be finite")
-        norm_err = abs(norm - 1.0)
+        a = check_numeric("PureState2Q", amps, np.complex128, (4,))
+        # finite amplitudes whose norm overflows (1e200) are not normalized
+        norm_err = abs(float(np.vdot(a, a).real) - 1.0)
         if not norm_err <= _ATOL:
             raise ValidationError(
                 f"PureState2Q is not normalized (|norm^2 - 1| = {norm_err:.3e})")
-        a.setflags(write=False)
         object.__setattr__(self, "amps", a)
 
 
@@ -151,18 +141,13 @@ class OutcomeDistribution(_Value):
     __slots__ = ("probs",)
 
     def __init__(self, probs):
-        p = check_numeric("OutcomeDistribution", probs, np.float64)
-        if p.shape != (4,):
-            raise ValidationError(f"OutcomeDistribution: expected 4 probabilities, got {p.shape}")
+        p = check_numeric("OutcomeDistribution", probs, np.float64, (4,))
         p0, p1, p2, p3 = values = p.tolist()
-        if not all(map(math.isfinite, values)):
-            raise ValidationError("OutcomeDistribution: probabilities must be finite")
         if min(values) < -_ATOL or max(values) > 1.0 + _ATOL:
             raise ValidationError(f"OutcomeDistribution: probabilities outside [0,1]: {values}")
         # summed in the order numpy's p.sum() adds four values
         if abs(p0 + p1 + p2 + p3 - 1.0) > _ATOL:
             raise ValidationError(f"OutcomeDistribution does not sum to 1 (sum={p.sum()!r})")
-        p.setflags(write=False)
         object.__setattr__(self, "probs", p)
 
     def prob(self, row: int, col: int) -> float:
@@ -226,21 +211,36 @@ def check_sequence(name: str, value, what: str, length: int = 0) -> tuple:
     return entries
 
 
-def check_numeric(what: str, value, dtype) -> np.ndarray:
-    """A new array of dtype holding value's numbers.  A numeric ndarray
-    is read by its dtype alone; any other value entry by entry, and a
-    str, bytes or bool entry, or one numpy cannot read as a number, is
-    a ValidationError.  Numbers keep their bits: the conversion is
-    numpy's."""
-    if type(value) is np.ndarray and value.dtype.kind in "iufc":
-        return value.astype(dtype)
-    for x in np.array(value, dtype=object).flat:
-        if isinstance(x, (bool, np.bool_, str, bytes)):
-            raise ValidationError(f"{what}: entries must be numbers, got {x!r}")
+def check_numeric(what: str, value, dtype, shape: tuple) -> np.ndarray:
+    """value's numbers as a new read-only array of shape and of dtype, a
+    numpy scalar type.  An int, float or (for a complex dtype) complex
+    ndarray is read by its dtype alone, any other value entry by entry.
+    A ValidationError refuses another shape, a bool, a complex entry for
+    a real dtype, any other non-number (a Decimal is a number) and an
+    entry with no finite float value (NaN, 10**400).  Numbers keep their
+    bits: numpy converts."""
+    real = issubclass(dtype, np.floating)
+    array = value
+    if not (type(value) is np.ndarray and value.dtype.kind in ("iuf" if real else "iufc")):
+        try:
+            array = np.array(value, dtype=object)
+        except ValueError:  # nested arrays of unequal shapes
+            raise ValidationError(f"{what}: expected shape {shape}, got a ragged value") from None
+    if array.shape != shape:
+        raise ValidationError(f"{what}: expected shape {shape}, got {array.shape}")
+    if array.dtype == object:
+        number = (numbers.Real if real else numbers.Complex, Decimal)
+        for x in array.flat:
+            if isinstance(x, bool) or not isinstance(x, number):
+                raise ValidationError(f"{what}: entries must be {'real ' * real}numbers, got {x!r}")
     try:
-        return np.array(value, dtype=dtype)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{what}: entries must be numbers") from None
+        array = array.astype(dtype)
+    except (TypeError, ValueError, OverflowError):  # no float value: 10**400, Decimal("sNaN")
+        array = np.array(math.nan)
+    if not all(map(cmath.isfinite, array.ravel().tolist())):  # np.isfinite costs 3x on 4 entries
+        raise ValidationError(f"{what}: entries must be finite")
+    array.setflags(write=False)
+    return array
 
 
 def clamp_gamma(gamma: float) -> float:
@@ -357,10 +357,9 @@ class AgentSpec:
         check_instance("kind", self.kind, AgentKind)
         menu = check_sequence("menu", self.menu, "a nonempty sequence of NamedGate")
         for entry in menu:
-            if not isinstance(entry, NamedGate) or not isinstance(entry.gate, Gate1Q):
-                raise ValidationError(f"menu entries must be NamedGate, got {entry!r}")
-            if not isinstance(entry.name, str):
-                raise ValidationError(f"menu entry names must be str, got {entry.name!r}")
+            check_instance("menu entry", entry, NamedGate)
+            check_instance("menu entry gate", entry.gate, Gate1Q)
+            check_instance("menu entry name", entry.name, str)
         object.__setattr__(self, "menu", menu)
         for name in ("epsilon", "learning_rate", "trigger_threshold"):
             object.__setattr__(self, name, check_real(name, getattr(self, name), 0.0, 1.0))

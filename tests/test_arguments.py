@@ -66,9 +66,10 @@ MODE = EntanglerMode.DEFECT
 C, D, Q = canonical_gates(MODE)
 FAST = SearchConfig(grid_resolution=4)
 
-# the twelve bad values every argument gets
+# the bad values every argument gets: twelve of assorted types, then an
+# int beyond the float range, alone and in a table, and a complex ndarray
 BAD = ("x", None, True, 1.5, -1, float("nan"), [], [[1, 2], [3]], {"a": 1}, object(), 1j,
-       np.zeros((3, 3)))
+       np.zeros((3, 3)), 10**400, [[10**400, 0], [0, 1]], np.array([0.25 + 1j, 0.25, 0.25, 0.25]))
 
 # name: (callable, its valid arguments by name, reads an argument through numpy)
 ROWS = {
@@ -151,7 +152,7 @@ CHECKED = (Enum, Bimatrix, SearchConfig, TournamentConfig, NoiseSpec, MixedProfi
 EXTRA = {"game": ([[3, 0], [5, 1]],), "cfg": ({"eps_nash": 1e-6},), "profile": ([0.5, 0.5],),
          "mode": ("defect",)}
 # other pinned messages: (row, argument) -> (message, the bad values it holds for)
-NOT_ITERABLE = tuple(BAD[k] for k in (1, 2, 3, 4, 5, 6, 9, 10))  # [] included
+NOT_ITERABLE = tuple(BAD[k] for k in (1, 2, 3, 4, 5, 6, 9, 10, 12))  # [] included
 PINNED = {
     **dict.fromkeys([(name, "space") for name in ("best_response", "verify_eps_nash",
                                                   "payoff_landscape")],

@@ -6,6 +6,7 @@ oracle at resolution 1e-3, exact rational regrets, and the earlier
 tolerance-based implementation kept below as a reference.
 """
 import itertools
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -254,7 +255,8 @@ class TestPayoffEntries:
                                       [[3, None], [5, 1]], [[True, 0], [5, 1]]],
                              ids=["str", "complex", "None", "bool"])
     def test_non_real_entries_are_refused(self, rows):
-        with pytest.raises(ValidationError, match="must be a real number"):
+        with pytest.raises(ValidationError,
+                           match=r"^Bimatrix\.row_payoffs: entries must be real numbers, got "):
             Bimatrix(row_payoffs=rows, col_payoffs=[[3, 5], [0, 1]])
 
     def test_real_entries_keep_their_bits(self):
@@ -265,11 +267,19 @@ class TestPayoffEntries:
             got = Bimatrix(row_payoffs=rows, col_payoffs=rows).row_payoffs
             assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
 
+    def test_decimal_entries_are_read_as_a_gates_are(self):
+        rows = [[Decimal("0.1"), Decimal(3)], [Decimal("-2.5"), Decimal("1e-300")]]
+        want = np.array([[0.1, 3.0], [-2.5, 1e-300]])
+        assert Bimatrix(rows, rows).row_payoffs.tobytes() == want.tobytes()
+
     def test_shape_and_finiteness(self):
-        with pytest.raises(ValidationError, match="must be 2x2"):
+        with pytest.raises(ValidationError,
+                           match=r"^Bimatrix\.row_payoffs: expected shape \(2, 2\), got \(2,\)$"):
             Bimatrix(row_payoffs=[[1, 2], [3]], col_payoffs=np.zeros((2, 2)))
-        with pytest.raises(ValidationError, match=r"row_payoffs\[1\]\[0\]=nan outside"):
+        with pytest.raises(ValidationError, match=r"^Bimatrix\.row_payoffs: entries must be finite$"):
             Bimatrix(row_payoffs=[[1, 2], [np.nan, 4]], col_payoffs=np.zeros((2, 2)))
+        with pytest.raises(ValidationError, match=r"^Bimatrix\.col_payoffs: entries must be finite$"):
+            Bimatrix(row_payoffs=np.zeros((2, 2)), col_payoffs=[[10**400, 0], [0, 1]])
 
 
 class TestLabels:
@@ -500,8 +510,8 @@ class TestCorrelated:
             pd, OutcomeDistribution(probs))
 
     @pytest.mark.parametrize("mu, message", [
-        ([0.5, 0.5], r"OutcomeDistribution: expected 4 probabilities, got \(2,\)"),
-        ("x", "OutcomeDistribution: entries must be numbers, got 'x'"),
+        ([0.5, 0.5], r"OutcomeDistribution: expected shape \(4,\), got \(2,\)"),
+        ("x", r"OutcomeDistribution: expected shape \(4,\), got \(\)"),
     ], ids=["two", "str"])
     def test_a_malformed_mu_is_a_validation_error(self, mu, message):
         with pytest.raises(ValidationError, match=f"^{message}$"):

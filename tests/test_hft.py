@@ -63,13 +63,13 @@ class TestSpecs:
         assert str(info.value) == "kind must be an AgentKind, got 'fixed'"
         with pytest.raises(ValidationError) as info:
             AgentSpec(kind=AgentKind.FIXED, menu=(NAMED.C,))
-        assert str(info.value) == f"menu entries must be NamedGate, got {NAMED.C!r}"
+        assert str(info.value) == f"menu entry must be a NamedGate, got {NAMED.C!r}"
 
     def test_menu_entry_names_are_str(self):
         # a name is what a round's gate_I or gate_II shows
         with pytest.raises(ValidationError) as info:
             AgentSpec(kind=AgentKind.FIXED, menu=(NamedGate(5, NAMED.C),))
-        assert str(info.value) == "menu entry names must be str, got 5"
+        assert str(info.value) == "menu entry name must be a str, got 5"
 
     def test_mode_is_an_entangler_mode(self):
         with pytest.raises(ValidationError) as info:

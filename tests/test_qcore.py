@@ -27,7 +27,7 @@ from qgames import (
     run_protocol,
 )
 from qgames.errors import RangeError, ValidationError
-from qgames.qcore import DEFECT_GATE, I2, SIGMA_X, clamp_gamma
+from qgames.qcore import DEFECT_GATE, I2, SIGMA_X, check_numeric, clamp_gamma
 
 from circuit import KET00, entangled_ket, entangler, local_pair
 
@@ -178,12 +178,13 @@ class TestArrayEntries:
 
     @pytest.mark.parametrize("name", ARRAY_TYPES)
     def test_str_bytes_and_bool_entries_are_refused(self, name):
-        build, valid = ARRAY_TYPES[name][:2]
+        build, valid, _, dtype = ARRAY_TYPES[name]
+        kind = "real numbers" if dtype is np.float64 else "numbers"
         text = np.array(valid).astype(str)
         bad = [self.with_entry(valid, e) for e in ("1", b"1", True, np.True_, np.str_("1"))]
         bad += [text, text.tolist(), text.astype(object), np.array(valid, dtype=bool)]
         for value in bad:
-            with pytest.raises(ValidationError, match=f"^{name}: entries must be numbers"):
+            with pytest.raises(ValidationError, match=f"^{name}: entries must be {kind}, got "):
                 build(value)
 
     @pytest.mark.parametrize("name", ARRAY_TYPES)
@@ -200,6 +201,40 @@ class TestArrayEntries:
                       np.array(valid, dtype=np.float32), np.array(numbers)):
             want = np.array(value, dtype=dtype)
             assert getattr(build(value), build.__slots__[0]).tobytes() == want.tobytes()
+
+
+# four entries of each kind, as numpy would hold them in one ndarray
+ENTRIES = {
+    "int": [1, 0, -2, 3],
+    "float": [0.25, 0.5, -0.0, 1e300],
+    "complex": [0.25 + 1j, 0.25, 0.25, 0.25],
+    "complex, no imaginary part": [1 + 0j, 0j, 0j, 0j],
+    "bool": [True, False, False, True],
+    "inf": [np.inf, 0.0, 0.0, 0.0],
+    "nan": [np.nan, 0.0, 0.0, 0.0],
+    "complex inf": [complex(0, -np.inf), 0j, 0j, 1 + 0j],
+}
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.float64], ids=["complex128", "float64"])
+@pytest.mark.parametrize("kind", ENTRIES)
+def test_check_numeric_reads_a_list_and_an_ndarray_alike(kind, dtype):
+    """The ndarray path and the entry path agree: the same entries give
+    the same array or the same refusal."""
+    read = []
+    for value in (ENTRIES[kind], np.array(ENTRIES[kind])):
+        try:
+            array = check_numeric("x", value, dtype, (4,))
+            read.append((array.dtype, array.tobytes(), array.flags.writeable))
+        except ValidationError as exc:
+            read.append((type(exc), str(exc)))
+    assert read[0] == read[1]
+
+
+def test_check_numeric_refuses_nested_arrays_of_unequal_shapes():
+    # numpy cannot hold them even as an object array
+    with pytest.raises(ValidationError, match=r"^Gate1Q: expected shape \(2, 2\), got a ragged value$"):
+        Gate1Q([np.eye(2), np.zeros((2, 3))])
 
 
 class TestValueEquality:
@@ -259,7 +294,7 @@ class TestValidation:
     def test_gate_is_2x2(self):
         with pytest.raises(ValidationError) as info:
             Gate1Q(np.eye(3))
-        assert str(info.value) == "Gate1Q: expected a 2x2 matrix, got shape (3, 3)"
+        assert str(info.value) == "Gate1Q: expected shape (2, 2), got (3, 3)"
 
     def test_state_requires_normalization(self):
         with pytest.raises(ValidationError):
@@ -272,17 +307,17 @@ class TestValidation:
             OutcomeDistribution([-0.1, 0.6, 0.5, 0])
 
     @pytest.mark.parametrize("amps, message", [
-        ([np.nan, 0, 0, 0], "PureState2Q: amplitudes must be finite"),
-        ([1, 0, np.inf, 0], "PureState2Q: amplitudes must be finite"),
-        ([1, 0, 0, -np.inf], "PureState2Q: amplitudes must be finite"),
-        ([complex(0, -np.inf), 0, 0, 0], "PureState2Q: amplitudes must be finite"),
+        ([np.nan, 0, 0, 0], "PureState2Q: entries must be finite"),
+        ([1, 0, np.inf, 0], "PureState2Q: entries must be finite"),
+        ([1, 0, 0, -np.inf], "PureState2Q: entries must be finite"),
+        ([complex(0, -np.inf), 0, 0, 0], "PureState2Q: entries must be finite"),
         ([1e200, 0, 0, 0], "PureState2Q is not normalized (|norm^2 - 1| = inf)"),
         ([np.sqrt(1 + 2e-9), 0, 0, 0],
          "PureState2Q is not normalized (|norm^2 - 1| = 2.000e-09)"),
         ([0, S2, 0, S2 * np.sqrt(1 - 4e-9)],
          "PureState2Q is not normalized (|norm^2 - 1| = 2.000e-09)"),
-        ([1, 0, 0], "PureState2Q: expected 4 amplitudes, got shape (3,)"),
-        ([[1, 0], [0, 0]], "PureState2Q: expected 4 amplitudes, got shape (2, 2)"),
+        ([1, 0, 0], "PureState2Q: expected shape (4,), got (3,)"),
+        ([[1, 0], [0, 0]], "PureState2Q: expected shape (4,), got (2, 2)"),
     ])
     def test_state_rejection_messages(self, amps, message):
         with pytest.raises(ValidationError) as err:
@@ -294,8 +329,8 @@ class TestValidation:
             assert PureState2Q(amps).amps.tolist() == np.array(amps, dtype=complex).tolist()
 
     @pytest.mark.parametrize("probs, message", [
-        ([np.nan, 0, 0, 1], "OutcomeDistribution: probabilities must be finite"),
-        ([0, np.inf, 0, 1], "OutcomeDistribution: probabilities must be finite"),
+        ([np.nan, 0, 0, 1], "OutcomeDistribution: entries must be finite"),
+        ([0, np.inf, 0, 1], "OutcomeDistribution: entries must be finite"),
         ([-2e-9, 0.5, 0.5, 2e-9],
          "OutcomeDistribution: probabilities outside [0,1]: [-2e-09, 0.5, 0.5, 2e-09]"),
         ([1 + 2e-9, 0, 0, 0],
@@ -304,7 +339,7 @@ class TestValidation:
          f"(sum={np.float64(0.5 + (0.5 + 2e-9))!r})"),
         ([0.25, 0.25, 0.25, 0.25 - 2e-9], "OutcomeDistribution does not sum to 1 "
          f"(sum={np.float64(0.75 + (0.25 - 2e-9))!r})"),
-        ([0.5, 0.5], "OutcomeDistribution: expected 4 probabilities, got (2,)"),
+        ([0.5, 0.5], "OutcomeDistribution: expected shape (4,), got (2,)"),
     ])
     def test_distribution_rejection_messages(self, probs, message):
         with pytest.raises(ValidationError) as err:
