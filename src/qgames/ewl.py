@@ -65,8 +65,9 @@ from .qcore import (
 # Stored complex, as +-1 + 0j, so that the kernel's product casts nothing.
 _REVERSAL_SIGNS = {EntanglerMode.PAULI_X: np.array([1.0, 1.0, 1.0, 1.0], dtype=np.complex128),
                    EntanglerMode.DEFECT: np.array([1.0, -1.0, -1.0, 1.0], dtype=np.complex128)}
-for _sign in _REVERSAL_SIGNS.values():
-    _sign.setflags(write=False)
+_POINT_MASS = np.ones(1)  # the weights of a bare gate beside a mixture
+for _a in (*_REVERSAL_SIGNS.values(), _POINT_MASS):
+    _a.setflags(write=False)
 # each mode's defect gate, whose tensor square commutes with its generator G
 _DEFECT_GATES = {EntanglerMode.PAULI_X: 1j * SIGMA_X, EntanglerMode.DEFECT: DEFECT_GATE}
 
@@ -196,14 +197,6 @@ class ProtocolResult:
     payoff_II: float
     final_state: Optional[PureState2Q] = None
 
-    @classmethod
-    def score(cls, game: Bimatrix, probs,
-              final_state: Optional[PureState2Q] = None) -> "ProtocolResult":
-        """Validate probs as an outcome distribution and score it."""
-        dist = OutcomeDistribution(probs)
-        a, b = game.payoff_vectors()
-        return cls(dist, float(dist.probs @ a), float(dist.probs @ b), final_state)
-
 
 def outcome_amplitudes(gamma, mode: EntanglerMode, u1, u2) -> np.ndarray:
     """Final amplitudes J-dagger (U1 x U2) J |00> for stacks of gates.
@@ -329,21 +322,26 @@ def run_protocol(game: Bimatrix, gamma: float, mode: EntanglerMode, s1, s2,
     over the support pairs, a bare gate joining as a point mass.  Two gates
     skip that slower path: under a channel they are noisy_outcome_probs's
     Pauli mixture, and under the identity channel the pure run, the only
-    one with a final_state, J-dagger (u1 x u2) J |00>."""
+    one with a final_state, J-dagger (u1 x u2) J |00>.  The arguments are
+    checked here, once: the result holds the kernel's arrays as they are."""
     check_instance("game", game, Bimatrix)
     check_instance("noise", noise, NoiseSpec)
     gamma = clamp_gamma(gamma)
-    mixture = MixedQuantumStrategy
-    if isinstance(s1, mixture) or isinstance(s2, mixture):
-        w1, u1 = (s1 if isinstance(s1, mixture) else mixture.point_mass(s1)).stacked()
-        w2, u2 = (s2 if isinstance(s2, mixture) else mixture.point_mass(s2)).stacked()
+    state = None
+    if isinstance(s1, MixedQuantumStrategy) or isinstance(s2, MixedQuantumStrategy):
+        # a bare gate joins as its point mass: weight [1.0] on its matrix
+        (w1, u1), (w2, u2) = (s.stacked() if isinstance(s, MixedQuantumStrategy)
+                              else (_POINT_MASS, gate_matrix(s).reshape(1, 2, 2)) for s in (s1, s2))
         probs = noisy_outcome_probs(gamma, mode, u1[:, None], u2[None, :], noise)
-        return ProtocolResult.score(game, np.einsum("i,j,ijk->k", w1, w2, probs))
-    u1, u2 = gate_matrix(s1), gate_matrix(s2)
-    if noise.kind is NoiseKind.NONE or noise.p == 0.0:
-        state = PureState2Q(outcome_amplitudes(gamma, mode, u1, u2))
-        return ProtocolResult.score(game, np.abs(state.amps) ** 2, state)
-    return ProtocolResult.score(game, noisy_outcome_probs(gamma, mode, u1, u2, noise))
+        probs = np.einsum("i,j,ijk->k", w1, w2, probs)
+    elif noise.kind is NoiseKind.NONE or noise.p == 0.0:
+        state = outcome_amplitudes(gamma, mode, gate_matrix(s1), gate_matrix(s2))
+        probs = np.abs(state) ** 2
+    else:
+        probs = noisy_outcome_probs(gamma, mode, gate_matrix(s1), gate_matrix(s2), noise)
+    a, b = game.payoff_vectors()
+    return ProtocolResult(OutcomeDistribution._of(probs), float(probs @ a), float(probs @ b),
+                          None if state is None else PureState2Q._of(state))
 
 
 # the former evaluators' names, kept while perfbench calls them (ROADMAP item 3)

@@ -21,8 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .qcore import (OutcomeDistribution, check_bool, check_choice, check_instance, check_numeric,
-                    check_real)
+from .qcore import (OutcomeDistribution, _Value, check_bool, check_choice, check_instance,
+                    check_numeric, check_real)
 
 
 class PureProfile(NamedTuple):
@@ -50,8 +50,8 @@ class MixedProfile:
                            check_bool("MixedProfile.degenerate", self.degenerate))
 
 
-@dataclass(frozen=True, eq=False)
-class Bimatrix:
+@dataclass(frozen=True, eq=False, slots=True)
+class Bimatrix(_Value):
     """A 2x2 game: per-cell payoff pairs plus strategy labels.  Games
     compare by their tables and labels, and equal games hash alike."""
 
@@ -71,18 +71,6 @@ class Bimatrix:
                 raise ValidationError(
                     f"Bimatrix.{name} must be two distinct str labels, got {labels!r}")
             object.__setattr__(self, name, tuple(map(str, labels)))
-
-    def _key(self) -> tuple:
-        # the tables' bytes with -0.0 turned into 0.0 (+ 0.0), as qcore._Value
-        # hashes; equal bytes are equal tables, as check_numeric refuses NaN
-        return ((self.row_payoffs + 0.0).tobytes(), (self.col_payoffs + 0.0).tobytes(),
-                self.row_labels, self.col_labels)
-
-    def __eq__(self, other):
-        return self._key() == other._key() if type(other) is type(self) else NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
 
     def cell(self, row: int, col: int) -> tuple:
         return float(self.row_payoffs[row, col]), float(self.col_payoffs[row, col])

@@ -18,6 +18,10 @@ Conventions used throughout the package:
     a wrong type or a bad array is a ValidationError, a value out of
     range a RangeError.  check_instance, check_choice and check_sequence
     refuse every other argument.
+  * A value is checked once, where it enters.  A run's distribution and
+    final state are the kernel's arrays for checked inputs, stored by
+    _Value._of without __init__'s checks: two inputs each inside the
+    1e-9 bound may put their norm or sum about 2e-9 from 1.
 
 The value types of a run configuration live here too, so that reading
 a config loads no solver: the search settings (Player, SearchConfig),
@@ -71,27 +75,38 @@ for _m in (I2, SIGMA_X, SIGMA_Y, SIGMA_Z, DEFECT_GATE):
 
 
 class _Value:
-    """Base of the validated value types.  Each stores one field, named
-    first in its __slots__, set once by __init__ through
+    """Base of the validated value types.  Each stores its fields, the
+    first named first in its __slots__, set once by __init__ through
     object.__setattr__; an array field is stored read-only.  Values
-    compare by type and field entries, and equal values hash alike."""
+    compare by type and public fields (arrays by entries), and equal
+    values hash alike."""
 
     __slots__ = ()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    @classmethod
+    def _of(cls, array: np.ndarray):
+        """The value of array, which the package computed from checked
+        values: stored read-only, with none of __init__'s checks."""
+        value = object.__new__(cls)
+        array.setflags(write=False)
+        object.__setattr__(value, cls.__slots__[0], array)
+        return value
+
+    def _public(self) -> list:
+        return [getattr(self, name) for name in self.__slots__ if name[0] != "_"]
+
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        a, b = (getattr(v, self.__slots__[0]) for v in (self, other))
-        return bool(np.array_equal(a, b)) if isinstance(a, np.ndarray) else a == b
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+                   for a, b in zip(self._public(), other._public()))
 
-    def __hash__(self):
-        value = getattr(self, self.__slots__[0])
-        if isinstance(value, np.ndarray):
-            value = (value + 0.0).tobytes()  # + 0.0 turns -0.0 into 0.0
-        return hash((type(self), value))
+    def __hash__(self):  # + 0.0 turns -0.0 into 0.0
+        return hash((type(self), *((v + 0.0).tobytes() if isinstance(v, np.ndarray) else v
+                                   for v in self._public())))
 
     def __repr__(self):
         value = getattr(self, self.__slots__[0])
@@ -145,9 +160,9 @@ class OutcomeDistribution(_Value):
         p0, p1, p2, p3 = values = p.tolist()
         if min(values) < -_ATOL or max(values) > 1.0 + _ATOL:
             raise ValidationError(f"OutcomeDistribution: probabilities outside [0,1]: {values}")
-        # summed in the order numpy's p.sum() adds four values
-        if abs(p0 + p1 + p2 + p3 - 1.0) > _ATOL:
-            raise ValidationError(f"OutcomeDistribution does not sum to 1 (sum={p.sum()!r})")
+        total = p0 + p1 + p2 + p3
+        if abs(total - 1.0) > _ATOL:
+            raise ValidationError(f"OutcomeDistribution does not sum to 1 (sum={total!r})")
         object.__setattr__(self, "probs", p)
 
     def prob(self, row: int, col: int) -> float:

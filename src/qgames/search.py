@@ -29,6 +29,7 @@ from .ewl import (
     StrategyParamsA,
     StrategyParamsB,
     canonical_gates,
+    noisy_outcome_probs,
     outcome_amplitudes,
     run_protocol,
     strategy_matrix,
@@ -328,14 +329,6 @@ def _default_menu(mode: EntanglerMode) -> tuple:
     return (*named, *map(Gate1Q, raw[_first_of_each_phase_class(raw)[3:]]))
 
 
-def _induced_tables(game, gamma, mode, u):
-    """Payoff tables (pi, pii) of the finite game between the gate
-    matrices u[n, 2, 2]: entry [i, j] is the payoff of u[i] against u[j]."""
-    probs = np.abs(outcome_amplitudes(gamma, mode, u[:, None], u[None, :])) ** 2
-    a, b = game.payoff_vectors()
-    return probs @ a, probs @ b
-
-
 def _support_equilibria(pi, pii, rows, cols, eps):
     """Equal-size support enumeration restricted to given strategy sets."""
     found = []
@@ -414,7 +407,10 @@ def mixed_quantum_equilibrium(game: Bimatrix, gamma: float, mode: EntanglerMode,
                  for g in check_sequence("menu", menu, "a nonempty sequence of gates"))
     gamma = clamp_gamma(gamma)
     reps, u = _dedup_menu(menu)
-    pi, pii = _induced_tables(game, gamma, mode, u)
+    # the payoff tables of the finite game: entry [i, j] is u[i] against u[j]
+    probs = noisy_outcome_probs(gamma, mode, u[:, None], u[None, :], NoiseSpec())
+    a, b = game.payoff_vectors()
+    pi, pii = probs @ a, probs @ b
     _require_finite("the menu payoff table", pi, pii)
     eps = cfg.eps_nash
 

@@ -25,7 +25,7 @@ from qgames import (EntanglerMode, Gate1Q, MixedQuantumStrategy, NoiseKind, defa
                     run_protocol)
 from qgames.errors import ConfigError, ValidationError
 from qgames.ewl import SPACES
-from circuit import haar_gates
+from circuit import born_probs, final_amplitudes, haar_gates
 from report_ref import write_reports as write_reference_reports
 
 
@@ -368,6 +368,24 @@ class TestDispatch:
                                           cfg.noise).distribution.probs
                    for w1, u1 in cfg.players[0].support for w2, u2 in cfg.players[1].support)
         assert np.abs(np.array(summary["distribution"]) - want).max() < 1e-12
+
+    def test_payoff_of_mixtures_at_the_tolerance_edge(self, tmp_path):
+        # each mixture's weights sum to 1 - 9e-10, inside the bound; the
+        # distribution sums to 1 - 1.8e-9 and is scored, not refused again
+        mix = 'mixed:[[0.5,"C"],[0.4999999991,"Q"]]'
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(json.dumps({"players": [mix, mix]}))
+        out = tmp_path / "out"
+        assert run_main(["payoff", "--config", str(cfgfile), "--out", str(out),
+                         "--quiet"]) == 0
+        summary = json.loads((out / "payoff.json").read_text())
+        cfg = cli.parse_config(cfgfile.read_text())
+        want = sum(w1 * w2 * born_probs(final_amplitudes(cfg.gamma, cfg.mode, u1.matrix, u2.matrix))
+                   for w1, u1 in cfg.players[0].support for w2, u2 in cfg.players[1].support)
+        assert np.abs(np.array(summary["distribution"]) - want).max() < 1e-12
+        assert np.abs(np.array(summary["payoffs"]) - [want @ v for v in cfg.game.payoff_vectors()]
+                      ).max() < 1e-12
+        assert np.abs(np.array(summary["payoffs"]) - 1.9999999964).max() < 1e-12
 
     def test_equilibria_summary(self, tmp_path):
         cfgfile = tmp_path / "run.json"

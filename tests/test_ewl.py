@@ -28,9 +28,10 @@ from qgames import (
 from qgames.errors import RangeError, ValidationError
 from qgames.ewl import _PAULIS, noisy_outcome_probs, strategy_matrix
 from qgames.qcore import DEFECT_GATE, SIGMA_X
-from qgames.search import _QUATERNION_BASIS, _induced_tables, phase_canonical_keys
+from qgames.search import _QUATERNION_BASIS, phase_canonical_keys
 
 from circuit import GENERATORS, KET00, born_probs, final_amplitudes, haar_gates
+from kraus import kraus_probs
 
 PD = canonical_pd()
 MODES = list(EntanglerMode)
@@ -382,7 +383,9 @@ class TestOutcomeAmplitudes:
         for rng, gamma, mode in kernel_cases(3005, 8):
             reps = [Gate1Q(u) for u in random_gates(rng, 5)]
             mats = np.array([g.matrix for g in reps])
-            pi, pii = _induced_tables(PD, gamma, mode, mats)
+            # the menu game's pair table, as mixed_quantum_equilibrium builds it
+            probs = noisy_outcome_probs(gamma, mode, mats[:, None], mats[None, :], NoiseSpec())
+            pi, pii = probs @ a, probs @ b
             for i, u in enumerate(mats):
                 for j, v in enumerate(mats):
                     probs = born_probs(final_amplitudes(gamma, mode, u, v))
@@ -732,3 +735,79 @@ class TestOneEvaluator:
         for s1, s2 in ((bad, named.C), (named.C, bad), (bad, mix), (mix, bad)):
             with pytest.raises(ValidationError, match="^Gate1Q"):
                 run_protocol(PD, 1.0, EntanglerMode.DEFECT, s1, s2)
+
+
+class TestTheToleranceEdge:
+    """Inputs at the edge of the 1e-9 bound are checked once, where they
+    enter, and scored as the oracles score them: gates 9e-10 from
+    unitary, and mixtures whose weights sum to 1 +- 9e-10.  Two such
+    inputs put a run's norm or sum 1.8e-9 from 1, so a second check of
+    the result against the same bound would refuse what the first
+    accepted."""
+
+    NOISES = [NoiseSpec(kind=kind, p=0.3, location=location)
+              for kind in (NoiseKind.PER_QUBIT_DEPOLARIZING, NoiseKind.TWO_QUBIT_DEPOLARIZING)
+              for location in ChannelLocation]
+
+    @staticmethod
+    def edge_gates(rng):
+        """(1 + 4.5e-10) U for U the identity and two random gates:
+        U^dagger U is (1 + 9e-10) I, inside the bound."""
+        gates = [Gate1Q((1 + 4.5e-10) * u) for u in (np.eye(2), *random_gates(rng, 2))]
+        for g in gates:
+            assert 8.9e-10 < np.abs(g.matrix.conj().T @ g.matrix - np.eye(2)).max() <= 1e-9
+        return gates
+
+    @staticmethod
+    def edge_mixture(rng, sign):
+        """Two random gates, weighted 1/2 and 1/2 + sign * 9e-10."""
+        gates = random_gates(rng, 2)
+        return MixedQuantumStrategy([(0.5, gates[0]), (0.5 + sign * 9e-10, gates[1])])
+
+    @staticmethod
+    def check(result, want):
+        """result is want's distribution and payoffs to 1e-12, read-only."""
+        a, b = PD.payoff_vectors()
+        probs = result.distribution.probs
+        assert np.abs(probs - want).max() < 1e-12
+        assert abs(result.payoff_I - want @ a) < 1e-12
+        assert abs(result.payoff_II - want @ b) < 1e-12
+        assert not probs.flags.writeable
+        assert result.final_state is None or not result.final_state.amps.flags.writeable
+
+    def test_gates_on_the_identity_channel(self):
+        for rng, gamma, mode in kernel_cases(5001, 8):
+            gates = self.edge_gates(rng)
+            for u in gates:
+                for v in gates:
+                    r = run_protocol(PD, gamma, mode, u, v)
+                    amps = final_amplitudes(gamma, mode, u.matrix, v.matrix)
+                    assert np.abs(r.final_state.amps - amps).max() < 1e-12
+                    self.check(r, born_probs(amps))
+
+    def test_gates_under_a_channel(self):
+        for rng, gamma, mode in kernel_cases(5002, 8):
+            gates = self.edge_gates(rng)
+            for noise in self.NOISES:
+                for u in gates:
+                    r = run_protocol(PD, gamma, mode, u, u, noise)
+                    self.check(r, kraus_probs(gamma, mode, u.matrix, u.matrix, noise.kind,
+                                              noise.p, noise.location))
+
+    def test_mixtures(self):
+        # both sides 1 + 9e-10 or both 1 - 9e-10; a gate beside a mixture;
+        # an edge gate as its own one-gate mixture
+        for rng, gamma, mode in kernel_cases(5003, 8):
+            identity, edge = self.edge_gates(rng)[:2]
+            profiles = [(self.edge_mixture(rng, sign), self.edge_mixture(rng, sign))
+                        for sign in (1, -1)]
+            profiles += [(edge, self.edge_mixture(rng, 1)), (self.edge_mixture(rng, -1), edge),
+                         (MixedQuantumStrategy.point_mass(identity), identity)]
+            for s1, s2 in profiles:
+                support_I, support_II = (s.support if isinstance(s, MixedQuantumStrategy)
+                                         else [(1.0, s)] for s in (s1, s2))
+                for noise in (NoiseSpec(), *self.NOISES):
+                    want = sum(w1 * w2 * kraus_probs(gamma, mode, u1.matrix, u2.matrix,
+                                                     noise.kind, noise.p, noise.location)
+                               for w1, u1 in support_I for w2, u2 in support_II)
+                    self.check(run_protocol(PD, gamma, mode, s1, s2, noise), want)

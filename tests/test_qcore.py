@@ -7,6 +7,8 @@ On the oldest numpy too (numpy_floor): the value types store read-only
 arrays, print them through tolist() and hash them by bytes, with -0.0
 and 0.0 alike.
 """
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -254,6 +256,9 @@ class TestValueEquality:
         assert MixedQuantumStrategy(half) == MixedQuantumStrategy(
             [(0.5, Gate1Q(I2)), (0.5, named.Q.matrix)])
         assert MixedQuantumStrategy(half) != MixedQuantumStrategy(half[::-1])
+        # the private stacked arrays take no part: the supports decide
+        assert hash(MixedQuantumStrategy(half)) == hash(MixedQuantumStrategy(
+            [(0.5, Gate1Q(I2)), (0.5, named.Q.matrix)]))
 
     def test_signed_zeros_hash_alike(self):
         plus = Gate1Q([[1.0, 0.0], [0.0, 1.0]])
@@ -273,6 +278,14 @@ class TestValueEquality:
         minus = Bimatrix([[-0.0, 1.0], [2.0, 3.0]], np.eye(2))
         assert np.signbit(minus.row_payoffs[0, 0])
         assert plus == minus and hash(plus) == hash(minus)
+
+    def test_a_game_is_a_frozen_dataclass(self):
+        pd = canonical_pd()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            pd.row_labels = ("X", "Y")
+        assert not hasattr(pd, "__dict__")
+        assert repr(pd).startswith("Bimatrix(row_payoffs=array([[3., 0.],")
+        assert repr(pd).endswith(", row_labels=('C', 'D'), col_labels=('C', 'D'))")
 
     def test_types_and_entries_tell_values_apart(self):
         probs = [0.25, 0.25, 0.5, 0.0]
@@ -335,10 +348,11 @@ class TestValidation:
          "OutcomeDistribution: probabilities outside [0,1]: [-2e-09, 0.5, 0.5, 2e-09]"),
         ([1 + 2e-9, 0, 0, 0],
          "OutcomeDistribution: probabilities outside [0,1]: [1.000000002, 0.0, 0.0, 0.0]"),
-        ([0.5, 0.5 + 2e-9, 0, 0], "OutcomeDistribution does not sum to 1 "
-         f"(sum={np.float64(0.5 + (0.5 + 2e-9))!r})"),
-        ([0.25, 0.25, 0.25, 0.25 - 2e-9], "OutcomeDistribution does not sum to 1 "
-         f"(sum={np.float64(0.75 + (0.25 - 2e-9))!r})"),
+        # the sum that was tested, p0 + p1 + p2 + p3, as a float on every numpy
+        ([0.5, 0.5 + 2e-9, 0, 0],
+         "OutcomeDistribution does not sum to 1 (sum=1.0000000020000002)"),
+        ([0.25, 0.25, 0.25, 0.25 - 2e-9],
+         "OutcomeDistribution does not sum to 1 (sum=0.9999999980000001)"),
         ([0.5, 0.5], "OutcomeDistribution: expected shape (4,), got (2,)"),
     ])
     def test_distribution_rejection_messages(self, probs, message):

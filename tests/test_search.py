@@ -8,6 +8,7 @@ from qgames import (
     Bimatrix,
     EntanglerMode,
     Gate1Q,
+    NoiseSpec,
     Player,
     SearchConfig,
     StrategyParamsB,
@@ -22,7 +23,7 @@ from qgames import (
 )
 from qgames import search
 from qgames.errors import ConvergenceError, RangeError, ValidationError
-from qgames.ewl import SPACES, outcome_amplitudes, strategy_matrix
+from qgames.ewl import SPACES, noisy_outcome_probs, outcome_amplitudes, strategy_matrix
 
 from circuit import KET00, entangler, haar_gates
 
@@ -683,7 +684,8 @@ class TestMixedQuantumEquilibrium:
             if res.method != "pure_fixed_point":
                 continue
             reps, u = search._dedup_menu(tuple(menu))
-            pi, pii = search._induced_tables(game, gamma, mode, u)
+            probs = noisy_outcome_probs(gamma, mode, u[:, None], u[None, :], NoiseSpec())
+            pi, pii = (probs @ v for v in game.payoff_vectors())
             (_, g1), = res.strategy_I.support
             (_, g2), = res.strategy_II.support
             i, j = reps.index(g1), reps.index(g2)
