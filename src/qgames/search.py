@@ -12,6 +12,8 @@ The finite-menu mixed-equilibrium solver keeps one gate per global
 phase class of its menu, runs best-response dynamics on the induced
 bimatrix and falls back to support enumeration over the strategies of
 the cycle they reach, then, widened, over every strategy they visited.
+Each support pair is one solve of both players' indifference systems,
+stacked.
 """
 from __future__ import annotations
 
@@ -330,62 +332,52 @@ def _default_menu(mode: EntanglerMode) -> tuple:
 
 
 def _support_equilibria(pi, pii, rows, cols, eps):
-    """Equal-size support enumeration restricted to given strategy sets."""
+    """Equal-size support enumeration restricted to given strategy sets.
+
+    For k >= 2 one solve per support pair finds both players' weights:
+    the columns' y, summing to 1, make every supported row of pi @ y
+    equal, and the rows' x do the same for x @ pii.  Each is a bordered
+    (k+1)x(k+1) system; a singular one skips the pair.
+    """
     found = []
-    max_k = min(len(rows), len(cols))
-    for k in range(1, max_k + 1):
-        for r_sub in itertools.combinations(rows, k):
-            for c_sub in itertools.combinations(cols, k):
-                eq = _solve_support(pi, pii, r_sub, c_sub, eps)
-                if eq is not None:
-                    found.append(eq)
+    for k in range(1, min(len(rows), len(cols)) + 1):
+        # [[pi[r, c], -1], [1, 0]] and [[pii[r, c].T, -1], [1, 0]] against (0, 1)
+        m = np.zeros((2, k + 1, k + 1))
+        m[:, :k, k] = -1.0
+        m[:, k, :k] = 1.0
+        # b keeps a trailing axis of 1: numpy 1.24 and 2.x read a stacked 2-D b differently
+        rhs = np.zeros((2, k + 1, 1))
+        rhs[:, k] = 1.0
+        for r_sub, c_sub in itertools.product(itertools.combinations(rows, k),
+                                              itertools.combinations(cols, k)):
+            if k == 1:
+                x = y = np.ones(1)
+            else:
+                block = np.ix_(r_sub, c_sub)
+                m[0, :k, :k] = pi[block]
+                m[1, :k, :k] = pii[block].T
+                try:
+                    y, x = np.linalg.solve(m, rhs)[:, :k, 0]
+                except np.linalg.LinAlgError:
+                    continue
+                _require_finite("the support solution", x, y)
+                if x.min() < -1e-9 or y.min() < -1e-9:
+                    continue
+                x = np.clip(x, 0.0, None)
+                y = np.clip(y, 0.0, None)
+                x /= x.sum()
+                y /= y.sum()
+            xf = np.zeros(pi.shape[0])
+            yf = np.zeros(pi.shape[1])
+            xf[list(r_sub)] = x
+            yf[list(c_sub)] = y
+            vi = float(xf @ pi @ yf)
+            vii = float(xf @ pii @ yf)
+            # No deviation to any strategy of the full (deduplicated) menu.
+            if float(np.max(pi @ yf)) - vi > eps or float(np.max(xf @ pii)) - vii > eps:
+                continue
+            found.append((xf, yf, vi, vii))
     return found
-
-
-def _indifferent_mix(table):
-    """Weights w summing to 1 that make every row of table @ w equal, from
-    the bordered (k+1)x(k+1) system; None if it is singular."""
-    k = len(table)
-    m = np.zeros((k + 1, k + 1))
-    m[:k, :k] = table
-    m[:k, k] = -1.0
-    m[k, :k] = 1.0
-    rhs = np.zeros(k + 1)
-    rhs[k] = 1.0
-    try:
-        return np.linalg.solve(m, rhs)[:k]
-    except np.linalg.LinAlgError:
-        return None
-
-
-def _solve_support(pi, pii, r_sub, c_sub, eps):
-    k = len(r_sub)
-    if k == 1:
-        x = np.array([1.0])
-        y = np.array([1.0])
-    else:
-        # Column mix makes supported rows indifferent, and vice versa.
-        y = _indifferent_mix(pi[np.ix_(r_sub, c_sub)])
-        x = _indifferent_mix(pii[np.ix_(r_sub, c_sub)].T)
-        if x is None or y is None:
-            return None
-        _require_finite("the support solution", x, y)
-        if x.min() < -1e-9 or y.min() < -1e-9:
-            return None
-        x = np.clip(x, 0.0, None)
-        y = np.clip(y, 0.0, None)
-        x /= x.sum()
-        y /= y.sum()
-    xf = np.zeros(pi.shape[0])
-    yf = np.zeros(pi.shape[1])
-    xf[list(r_sub)] = x
-    yf[list(c_sub)] = y
-    vi = float(xf @ pi @ yf)
-    vii = float(xf @ pii @ yf)
-    # No deviation to any strategy of the full (deduplicated) menu.
-    if float(np.max(pi @ yf)) - vi > eps or float(np.max(xf @ pii)) - vii > eps:
-        return None
-    return xf, yf, vi, vii
 
 
 def mixed_quantum_equilibrium(game: Bimatrix, gamma: float, mode: EntanglerMode,

@@ -1,5 +1,6 @@
 """Tests for best-response search and menu equilibria."""
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -600,10 +601,100 @@ class TestMixedQuantumEquilibrium:
         # a payoff table constant on the support leaves the other player's
         # weights undetermined: its bordered system has two equal rows
         singular, regular = np.ones((2, 2)), np.eye(2)
-        assert search._indifferent_mix(singular) is None
-        assert search._indifferent_mix(regular).tolist() == [0.5, 0.5]
+        pure = [([1.0, 0.0], [1.0, 0.0]), ([0.0, 1.0], [0.0, 1.0])]
+
+        def weights(pi, pii):
+            return [(x.tolist(), y.tolist())
+                    for x, y, _, _ in search._support_equilibria(pi, pii, (0, 1), (0, 1), 1e-6)]
+
+        assert weights(regular, regular) == pure + [([0.5, 0.5], [0.5, 0.5])]
         for pi, pii in ((singular, regular), (regular, singular)):
-            assert search._solve_support(pi, pii, (0, 1), (0, 1), 1e-6) is None
+            assert weights(pi, pii) == pure
+
+    def test_a_zero_support_weight_passes_the_floor(self):
+        # row 1 earns player I 2 more against column 1 than row 0 does, so
+        # only y = (1, 0) makes them indifferent; x = (1/2, 1/2) does the
+        # same for player II's columns.  Its zero weight passes the -1e-9
+        # floor and would fail any floor above 0.
+        pi = np.array([[1.0, 0.0], [1.0, 2.0]])
+        pii = np.array([[2.0, 3.0], [1.0, 0.0]])
+        (x0, y0, *v0), (x1, y1, *v1) = search._support_equilibria(pi, pii, (0, 1), (0, 1), 1e-6)
+        assert (x0.tolist(), y0.tolist(), v0) == ([0.0, 1.0], [1.0, 0.0], [1.0, 1.0])
+        assert x1.tolist() == pytest.approx([0.5, 0.5], abs=1e-15)
+        assert (y1.tolist(), v1) == ([1.0, 0.0], [1.0, 1.5])
+
+    def test_dynamics_start_at_the_first_gates(self):
+        # the start's row is never read, but the trace records it; from
+        # the last gates the dynamics reach the mirrored equilibrium
+        mode = EntanglerMode.DEFECT
+        menu = default_menu(mode)
+        res = mixed_quantum_equilibrium(PD, 1.0, mode, menu, SearchConfig())
+        assert res.method == "support_enumeration"
+        assert (res.payoff_I.hex(), res.payoff_II.hex()) == ("0x1.9d6aa025af630p+1",
+                                                             "0x1.c52abfb4a13a1p+0")
+        assert [[(w.hex(), menu.index(g)) for w, g in s.support]
+                for s in (res.strategy_I, res.strategy_II)] == [
+            [("0x1.0000000000000p-1", 1), ("0x1.0000000000000p-1", 27)],
+            [("0x1.0000000000001p-1", 0), ("0x1.ffffffffffffep-2", 2)]]
+        with pytest.raises(ConvergenceError) as err:
+            mixed_quantum_equilibrium(PD, 0.8, mode, menu, SearchConfig())
+        assert str(err.value).endswith("trace=[(0, 0), (1, 2), (27, 0), (1, 2)]")
+
+    @pytest.mark.numpy_floor
+    def test_support_step_bit_identical_to_the_reference(self, monkeypatch):
+        """One stacked solve per support pair gives the bytes of one
+        solve per player, on the oldest numpy too: on the tables and
+        supports of seeded default-menu and random 8-gate solves in both
+        modes, constant tables (singular systems) and a zero weight on
+        the floor, at eps_nash and with no deviation check; an
+        overflowing support solution is the same RangeError."""
+        cases = []
+        support_step = search._support_equilibria
+
+        def spy(pi, pii, rows, cols, eps):
+            cases.append((pi, pii, rows, cols))
+            return support_step(pi, pii, rows, cols, eps)
+
+        monkeypatch.setattr(search, "_support_equilibria", spy)
+        rng = np.random.default_rng(5101)
+        for mode in MODES:
+            for gamma in rng.uniform(0, np.pi / 2, 8):
+                for menu in (default_menu(mode),
+                             [Gate1Q(m) for m in random_b_gates(int(rng.integers(2**32)), 8)]):
+                    try:
+                        mixed_quantum_equilibrium(PD, gamma, mode, menu, SearchConfig())
+                    except ConvergenceError:
+                        pass
+        monkeypatch.undo()
+        assert len(cases) >= 20
+        singular, regular = np.ones((3, 3)), np.eye(3)
+        cases += [(singular, regular, (0, 1, 2), (0, 1, 2)),
+                  (regular, singular, (0, 1, 2), (0, 1, 2)),
+                  (np.array([[1.0, 0.0], [1.0, 2.0]]), np.array([[2.0, 3.0], [1.0, 0.0]]),
+                   (0, 1), (0, 1))]
+
+        def as_bytes(found):
+            return [(x.tobytes(), y.tobytes(), vi.hex(), vii.hex()) for x, y, vi, vii in found]
+
+        mixed = 0
+        for pi, pii, rows, cols in cases:
+            for eps in (1e-6, np.inf):
+                got = as_bytes(search._support_equilibria(pi, pii, rows, cols, eps))
+                assert got == as_bytes(reference_support_equilibria(pi, pii, rows, cols, eps))
+                mixed += sum(np.count_nonzero(np.frombuffer(x)) > 1 for x, _, _, _ in got)
+        assert mixed >= 100
+
+        top = np.finfo(float).max
+        huge = Bimatrix([[1.0, 3.0], [1e308, top]], [[top, 1.0], [3.0, 5e-324]])
+        mode = EntanglerMode.PAULI_X
+        errors = []
+        for step in (support_step, reference_support_equilibria):
+            monkeypatch.setattr(search, "_support_equilibria", step)
+            with np.errstate(all="ignore"), pytest.raises(RangeError) as err:
+                mixed_quantum_equilibrium(huge, 0.25358614542561453, mode, default_menu(mode),
+                                          SearchConfig())
+            errors.append(str(err.value))
+        assert errors[0] == errors[1] and "support solution overflows" in errors[0]
 
     def test_widened_support_enumeration_decides(self, monkeypatch):
         # the dynamics' cycle supports hold no equilibrium here; the
@@ -745,6 +836,66 @@ def reference_dedup(menu):
         if all(abs(np.trace(r.matrix.conj().T @ g.matrix)) < 2 - 1e-9 for r in reps):
             reps.append(g)
     return reps, np.array([g.matrix for g in reps])
+
+
+def reference_support_equilibria(pi, pii, rows, cols, eps):
+    """search's support step as of commit e53c245, verbatim but for the
+    names: one bordered solve per player and support pair."""
+    found = []
+    max_k = min(len(rows), len(cols))
+    for k in range(1, max_k + 1):
+        for r_sub in itertools.combinations(rows, k):
+            for c_sub in itertools.combinations(cols, k):
+                eq = reference_solve_support(pi, pii, r_sub, c_sub, eps)
+                if eq is not None:
+                    found.append(eq)
+    return found
+
+
+def reference_indifferent_mix(table):
+    """Weights w summing to 1 that make every row of table @ w equal, from
+    the bordered (k+1)x(k+1) system; None if it is singular."""
+    k = len(table)
+    m = np.zeros((k + 1, k + 1))
+    m[:k, :k] = table
+    m[:k, k] = -1.0
+    m[k, :k] = 1.0
+    rhs = np.zeros(k + 1)
+    rhs[k] = 1.0
+    try:
+        return np.linalg.solve(m, rhs)[:k]
+    except np.linalg.LinAlgError:
+        return None
+
+
+def reference_solve_support(pi, pii, r_sub, c_sub, eps):
+    k = len(r_sub)
+    if k == 1:
+        x = np.array([1.0])
+        y = np.array([1.0])
+    else:
+        # Column mix makes supported rows indifferent, and vice versa.
+        y = reference_indifferent_mix(pi[np.ix_(r_sub, c_sub)])
+        x = reference_indifferent_mix(pii[np.ix_(r_sub, c_sub)].T)
+        if x is None or y is None:
+            return None
+        search._require_finite("the support solution", x, y)
+        if x.min() < -1e-9 or y.min() < -1e-9:
+            return None
+        x = np.clip(x, 0.0, None)
+        y = np.clip(y, 0.0, None)
+        x /= x.sum()
+        y /= y.sum()
+    xf = np.zeros(pi.shape[0])
+    yf = np.zeros(pi.shape[1])
+    xf[list(r_sub)] = x
+    yf[list(c_sub)] = y
+    vi = float(xf @ pi @ yf)
+    vii = float(xf @ pii @ yf)
+    # No deviation to any strategy of the full (deduplicated) menu.
+    if float(np.max(pi @ yf)) - vi > eps or float(np.max(xf @ pii)) - vii > eps:
+        return None
+    return xf, yf, vi, vii
 
 
 def random_b_gates(seed, n):
